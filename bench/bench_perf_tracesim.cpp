@@ -9,14 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <memory>
 #include <sstream>
 
 #include "bench_util.hpp"
 #include "noc/topology.hpp"
 #include "sim/access_stream.hpp"
-#include "sim/policies/cache_policy.hpp"
 #include "sim/policies/schedule_policy.hpp"
 #include "sim/registry.hpp"
 #include "sim/shard.hpp"
@@ -293,10 +290,9 @@ void BM_LlmDecodeSweepShared(benchmark::State& state) {
 // operand partitioning, span emission — across every cache geometry in a
 // sweep column, and periodic streams fast-forward once the cache state
 // cycles.  BM_ReplaySweepTable4 is the acceptance row: one CG workload fanned
-// across all seven Table IV presets through SweepRunner; the Direct row is
-// the same grid with CELLO_DISABLE_REPLAY=1 (the recorded pre-PR baseline it
-// is quoted against ran the direct path without the hoisted span emitter).
-// threads=1 so the delta is purely algorithmic.
+// across all seven Table IV presets through SweepRunner (its recorded
+// baseline predates the capture/replay split).  threads=1 so the delta is
+// purely algorithmic.
 
 void BM_ReplaySweepTable4(benchmark::State& state) {
   const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
@@ -306,18 +302,6 @@ void BM_ReplaySweepTable4(benchmark::State& state) {
     const auto cells = runner.run(workloads, sim::ConfigRegistry::table4_names(), arch);
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
-}
-
-void BM_ReplaySweepTable4Direct(benchmark::State& state) {
-  const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
-  const std::vector<sim::Workload> workloads = {sweep_cg_workload()};
-  const sim::SweepRunner runner(/*threads=*/1);
-  setenv("CELLO_DISABLE_REPLAY", "1", 1);
-  for (auto _ : state) {
-    const auto cells = runner.run(workloads, sim::ConfigRegistry::table4_names(), arch);
-    benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
-  }
-  unsetenv("CELLO_DISABLE_REPLAY");
 }
 
 // Capture cost alone (the one-time half the sweep amortizes): schedule,
@@ -339,38 +323,6 @@ void BM_ReplayCapture(benchmark::State& state) {
     benchmark::DoNotOptimize(spans);
   }
   state.counters["spans"] = benchmark::Counter(static_cast<double>(spans));
-}
-
-// Batched replay: LRU + BRRIP at two SRAM budgets over one pass of a single
-// captured stream, in occurrence lockstep (CachePolicy::replay_many) — the
-// kernel an autotuner search driver would sit on top of.
-void BM_ReplayMany(benchmark::State& state) {
-  const auto base = bench::table5_config(1e12, 4ull * 1024 * 1024);
-  const auto& wl = sweep_cg_workload();
-  const sim::Simulator simulator(base, wl.matrix.get());
-  const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
-  const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
-  const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
-  const sim::Router router(*wl.dag, sched, config.schedule, config.allow_delayed_hold, base);
-  const sim::AccessStream stream =
-      sim::AccessStream::capture(*wl.dag, sched, map, wl.matrix.get(), base, router);
-
-  std::vector<std::unique_ptr<sim::CachePolicy>> policies;
-  std::vector<sim::CachePolicy*> ptrs;
-  for (const Bytes sram : {1ull << 20, 4ull << 20}) {
-    for (const cache::Policy p : {cache::Policy::Lru, cache::Policy::Brrip}) {
-      auto arch = base;
-      arch.sram_bytes = sram;
-      policies.push_back(std::make_unique<sim::CachePolicy>(arch, p));
-      ptrs.push_back(policies.back().get());
-    }
-  }
-  std::vector<std::vector<sim::BufferService>> services;
-  for (auto _ : state) {
-    for (auto& p : policies) p->reset();
-    const bool ok = sim::CachePolicy::replay_many(stream, ptrs, services);
-    benchmark::DoNotOptimize(ok);
-  }
 }
 
 // ---- multi-chip rows --------------------------------------------------------
@@ -434,9 +386,7 @@ BENCHMARK(BM_LlmDecodeFlexLru)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeCello)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeSweepShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplaySweepTable4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplaySweepTable4Direct)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayCapture)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayMany)->Unit(benchmark::kMillisecond);
 // Node count on the torus fabric — the scale-out single-cell row.
 BENCHMARK(BM_MultinodeGnn)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeCgScaling)->Unit(benchmark::kMillisecond);

@@ -19,8 +19,8 @@
 //    search and the aging rounds are SWAR over one u64;
 //  * access_lines() walks consecutive lines by stepping the (set, tag) pair
 //    instead of re-decomposing each address, coalesces the per-access stats
-//    bumps into one update per run, and prefetch_range() lets trace-driven
-//    callers (the SpMM gather) hide metadata latency for irregular accesses.
+//    bumps into one update per run, and prefetch_range() lets the stream
+//    replayer hide metadata latency for irregular accesses (SpMM gathers).
 // Power-of-two line sizes and set counts use shift/mask addressing, and a
 // division/u64 fallback path covers every other geometry.
 //

@@ -51,31 +51,6 @@ CacheStats stats_scale(const CacheStats& a, u64 m) {
   return r;
 }
 
-u64 blob_hash(const std::vector<u8>& blob) {
-  // FNV-1a over u64 words; save_state blobs of one replayer share a size, so
-  // the tail handling only has to be consistent, not canonical.
-  u64 h = 0xcbf29ce484222325ull;
-  size_t i = 0;
-  for (; i + 8 <= blob.size(); i += 8) {
-    u64 w;
-    std::memcpy(&w, blob.data() + i, 8);
-    h = (h ^ w) * 0x100000001b3ull;
-  }
-  u64 tail = 0;
-  if (i < blob.size()) {
-    std::memcpy(&tail, blob.data() + i, blob.size() - i);
-    h = (h ^ tail) * 0x100000001b3ull;
-  }
-  return h;
-}
-
-/// Stored snapshots are capped: every snapshot must stay addressable by
-/// occurrence index for the fast-forward arithmetic, so once the cap is hit
-/// the replayer gives up on cycle detection instead of evicting.  BRRIP's
-/// bimodal counter bounds real cycles at 32 occurrences; LRU converges in a
-/// handful.
-constexpr size_t kMaxSnapshots = 40;
-
 }  // namespace
 
 StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
@@ -114,7 +89,7 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
   compact_ = compact;
   // The generic (non-8-way) layout stamps recency with a monotonic clock, so
   // its state never revisits itself — no point snapshotting.
-  can_cycle_ = compact_ || cache_.fast8_;
+  can_fast_forward_ = compact_ || cache_.fast8_;
 }
 
 void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService* out) {
@@ -125,8 +100,10 @@ void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService
     for (size_t i = step_begin; i < step_end; ++i) {
       const size_t e = op_end[i];
       const Bytes r0 = state_.s.dram_read, w0 = state_.s.dram_write;
+      const u64 f0 = state_.s.misses - state_.s.evictions;
       detail::replay_spans_avx512(state_, spans_.addr, spans_.len, spans_.write, span, e);
-      out[i - step_begin] = {state_.s.dram_read - r0, state_.s.dram_write - w0};
+      out[i - step_begin] = {state_.s.dram_read - r0, state_.s.dram_write - w0,
+                             state_.s.misses - state_.s.evictions - f0};
       span = e;
     }
     return;
@@ -134,14 +111,17 @@ void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService
   const size_t total = op_end[step_end - 1];
   for (size_t i = step_begin; i < step_end; ++i) {
     const size_t e = op_end[i];
-    const Bytes r0 = cache_.stats_.dram_read_bytes, w0 = cache_.stats_.dram_write_bytes;
+    const CacheStats& st = cache_.stats_;
+    const Bytes r0 = st.dram_read_bytes, w0 = st.dram_write_bytes;
+    const u64 f0 = st.misses - st.evictions;
     for (size_t j = span; j < e; ++j) {
-      // The capture drops prefetch hints; replay re-issues its own lookahead.
+      // Look a few spans ahead: pulls the sets about to be probed toward the
+      // host caches (no simulated effect).
       if (j + 4 < total) cache_.prefetch_range(spans_.addr[j + 4], spans_.len[j + 4]);
       cache_.access_range(spans_.addr[j], spans_.len[j], spans_.write[j] != 0);
     }
-    out[i - step_begin] = {cache_.stats_.dram_read_bytes - r0,
-                          cache_.stats_.dram_write_bytes - w0};
+    out[i - step_begin] = {st.dram_read_bytes - r0, st.dram_write_bytes - w0,
+                           st.misses - st.evictions - f0};
     span = e;
   }
 }
@@ -157,10 +137,10 @@ namespace {
 /// sequences therefore drive permuted states to permuted (equivalent) states
 /// forever: raw way-major blobs never repeat even when the replacement state
 /// has converged.  The canonical form is the unique equivalent concrete state
-/// with ranks 0..7 seated at ways 0..7 (so restore stays a straight memcpy);
-/// under it the stack property makes CG-style periodic streams converge after
-/// one or two occurrences.  BRRIP gets no such form — its RRPV==3 victim scan
-/// picks the lowest way *index*, so placement does change future traffic.
+/// with ranks 0..7 seated at ways 0..7; under it the stack property makes
+/// CG-style periodic streams converge after one or two occurrences.  BRRIP
+/// gets no such form — its RRPV==3 victim scan picks the lowest way *index*,
+/// so placement does change future traffic.
 template <typename TagT>
 void canonicalize_lru_set(const TagT* tags_in, u64 rank_word, TagT invalid, u8 dirty_bit,
                           TagT* tags_out, u8* rank_out) {
@@ -189,61 +169,58 @@ void canonicalize_lru_set(const TagT* tags_in, u64 rank_word, TagT invalid, u8 d
 
 }  // namespace
 
-void StreamReplayer::save_state(std::vector<u8>& blob) const {
+bool StreamReplayer::update_snapshot(std::vector<u8>& blob) const {
   // The blob is everything future replacement decisions can read: tags, the
   // recency/RRPV + dirty lane, and the bimodal counter modulo its period.
   // LRU lanes are canonicalized (see canonicalize_lru_set); mru_way_ is a
   // probe-order hint — it cannot change any outcome, and including it would
-  // hide real cycles.
+  // hide real fixed points.  Overwritten in place, so one blob is all the
+  // detection ever holds.
+  bool same = !blob.empty();
+  size_t at = 0;
+  auto put = [&](const void* src, size_t n) {
+    same = same && std::memcmp(blob.data() + at, src, n) == 0;
+    std::memcpy(blob.data() + at, src, n);
+    at += n;
+  };
   if (compact_) {
     const size_t nt = state_.sets * 8;
     blob.resize(nt + nt + 1);
     if (state_.policy == Policy::Lru) {
-      for (u64 s = 0; s < state_.sets; ++s)
-        canonicalize_lru_set<u8>(&state_.tags[s * 8], state_.aux[s], u8{0xFF}, u8{0x40},
-                                 blob.data() + s * 8, blob.data() + nt + s * 8);
+      for (u64 s = 0; s < state_.sets; ++s) {
+        u8 lane[16];
+        canonicalize_lru_set<u8>(&state_.tags[s * 8], state_.aux[s], u8{0xFF}, u8{0x40}, lane,
+                                 lane + 8);
+        put(lane, sizeof(lane));
+      }
     } else {
-      std::memcpy(blob.data(), state_.tags.data(), nt);
-      std::memcpy(blob.data() + nt, state_.aux.data(), nt);
+      put(state_.tags.data(), nt);
+      put(state_.aux.data(), nt);
     }
-    blob[nt + nt] = static_cast<u8>(state_.counter % 32);
-    return;
+    const u8 phase = static_cast<u8>(state_.counter % 32);
+    put(&phase, 1);
+    return same;
   }
   const size_t nt = cache_.sets_ * 8 * sizeof(u32);
-  const bool lru = cache_.policy_ == Policy::Lru;
   const size_t na = cache_.sets_ * 8;  // rank words and meta bytes: 8B per set
   blob.resize(nt + na + 1);
-  if (lru) {
+  if (cache_.policy_ == Policy::Lru) {
     for (u64 s = 0; s < cache_.sets_; ++s) {
-      u32 ct[8];
+      u32 tags[8];
+      u8 ranks[8];
       canonicalize_lru_set<u32>(&cache_.tags32_[s * 8], cache_.lru_rank_[s],
                                 SetAssocCache::kInvalidTag32,
-                                static_cast<u8>(SetAssocCache::kRankDirty), ct,
-                                blob.data() + nt + s * 8);
-      std::memcpy(blob.data() + s * 8 * sizeof(u32), ct, sizeof(ct));
+                                static_cast<u8>(SetAssocCache::kRankDirty), tags, ranks);
+      put(tags, sizeof(tags));
+      put(ranks, sizeof(ranks));
     }
   } else {
-    std::memcpy(blob.data(), cache_.tags32_.data(), nt);
-    std::memcpy(blob.data() + nt, cache_.meta_.data(), na);
+    put(cache_.tags32_.data(), nt);
+    put(cache_.meta_.data(), na);
   }
-  blob[nt + na] = static_cast<u8>(cache_.brrip_insert_counter_ % 32);
-}
-
-void StreamReplayer::restore_state(const std::vector<u8>& blob) {
-  // Lanes only; the counter byte is mod-32 (detection needs no more) and the
-  // absolute counter is restored from the misses invariant by the caller.
-  if (compact_) {
-    const size_t nt = state_.sets * 8;
-    std::memcpy(state_.tags.data(), blob.data(), nt);
-    std::memcpy(state_.aux.data(), blob.data() + nt, nt);
-    return;
-  }
-  const size_t nt = cache_.sets_ * 8 * sizeof(u32);
-  const bool lru = cache_.policy_ == Policy::Lru;
-  const size_t na = cache_.sets_ * 8;
-  std::memcpy(cache_.tags32_.data(), blob.data(), nt);
-  std::memcpy(lru ? reinterpret_cast<u8*>(cache_.lru_rank_.data()) : cache_.meta_.data(),
-              blob.data() + nt, na);
+  const u8 phase = static_cast<u8>(cache_.brrip_insert_counter_ % 32);
+  put(&phase, 1);
+  return same;
 }
 
 CacheStats StreamReplayer::current_stats() const {
@@ -273,60 +250,8 @@ void StreamReplayer::set_stats(const CacheStats& st) {
   state_.s.dram_write = st.dram_write_bytes;
 }
 
-void StreamReplayer::run_prefix() {
-  pre_v_.resize(spans_.prefix_steps);
-  run_steps(0, spans_.prefix_steps, pre_v_.data());
-  if (can_cycle_ && spans_.period_steps != 0 && spans_.period_count != 0) {
-    Snapshot s0;
-    save_state(s0.blob);
-    s0.hash = blob_hash(s0.blob);
-    s0.stats = current_stats();
-    snaps_.push_back(std::move(s0));
-  }
-}
-
-void StreamReplayer::run_occurrence() {
-  if (converged_ || spans_.period_steps == 0 || occ_ >= spans_.period_count) return;
-  const size_t L = spans_.period_steps;
-  const size_t executed = static_cast<size_t>(occ_);
-  occ_v_.resize((executed + 1) * L);
-  run_steps(spans_.prefix_steps, spans_.prefix_steps + L, occ_v_.data() + executed * L);
-  ++occ_;
-  if (!can_cycle_ || snaps_.empty()) return;
-
-  Snapshot cur;
-  save_state(cur.blob);
-  cur.hash = blob_hash(cur.blob);
-  cur.stats = current_stats();
-  for (size_t j = 0; j < snaps_.size(); ++j) {
-    if (snaps_[j].hash == cur.hash && snaps_[j].blob == cur.blob) {
-      fast_forward(j, cur.stats);
-      return;
-    }
-  }
-  if (snaps_.size() < kMaxSnapshots) {
-    snaps_.push_back(std::move(cur));
-  } else {
-    can_cycle_ = false;
-    snaps_.clear();
-    snaps_.shrink_to_fit();
-  }
-}
-
-void StreamReplayer::fast_forward(u64 j, const CacheStats& c_k) {
-  // snaps_[i] is (state, stats) after i occurrences; the state after occ_
-  // occurrences just matched snaps_[j], so occurrences advance the state
-  // through a cycle of length occ_ - j from here on.
-  const u64 k = occ_;
-  const u64 cyc = k - j;
-  const u64 remaining = spans_.period_count - k;
-  const u64 full = remaining / cyc;
-  const u64 rem = remaining % cyc;
-  const CacheStats cycle_delta = stats_sub(c_k, snaps_[j].stats);
-  CacheStats fin = stats_add(c_k, stats_scale(cycle_delta, full));
-  fin = stats_add(fin, stats_sub(snaps_[j + rem].stats, snaps_[j].stats));
-  restore_state(snaps_[j + rem].blob);
-  set_stats(fin);
+void StreamReplayer::fast_forward(u64 remaining, const CacheStats& per_occurrence) {
+  set_stats(stats_add(current_stats(), stats_scale(per_occurrence, remaining)));
   // The bimodal fill counter bumps exactly once per miss (and only under
   // BRRIP), so the absolute counter is recoverable from the final stats.
   if (compact_) {
@@ -334,38 +259,9 @@ void StreamReplayer::fast_forward(u64 j, const CacheStats& c_k) {
   } else if (cache_.policy_ == Policy::Brrip) {
     cache_.brrip_insert_counter_ = cache_.stats_.misses;
   }
-  cycle_from_ = j;
-  cycle_len_ = cyc;
-  converged_ = true;
-  occ_ = spans_.period_count;
-  snaps_.clear();
-  snaps_.shrink_to_fit();
 }
 
-void StreamReplayer::run_suffix() {
-  suf_v_.resize(spans_.suffix_steps);
-  const size_t b = spans_.prefix_steps + spans_.period_steps;
-  run_steps(b, b + spans_.suffix_steps, suf_v_.data());
-}
-
-void StreamReplayer::finish(std::vector<ReplayService>& services) {
-  const size_t P = spans_.prefix_steps;
-  const size_t L = spans_.period_steps;
-  const size_t N = spans_.period_count;
-  services.resize(spans_.schedule_steps);
-  std::copy(pre_v_.begin(), pre_v_.end(), services.begin());
-  const size_t executed = L == 0 ? 0 : occ_v_.size() / L;
-  for (size_t o = 0; o < N; ++o) {
-    // Skipped occurrences replay the services of their cycle twin: equal
-    // starting states produce equal per-op traffic.
-    const size_t src =
-        o < executed ? o : cycle_from_ + (o - cycle_from_) % cycle_len_;
-    std::copy(occ_v_.begin() + src * L, occ_v_.begin() + (src + 1) * L,
-              services.begin() + P + o * L);
-  }
-  std::copy(suf_v_.begin(), suf_v_.end(), services.begin() + P + N * L);
-
-  if (!compact_) return;
+void StreamReplayer::write_back() {
   // Expand the compact state back into the cache's own lanes so flush(),
   // contains(), valid_lines() and stats() behave exactly as after a direct
   // run.  (mru_way_ stays at its reset value: it is a probe hint only.)
@@ -385,10 +281,33 @@ void StreamReplayer::finish(std::vector<ReplayService>& services) {
 }
 
 void StreamReplayer::run(std::vector<ReplayService>& services) {
-  run_prefix();
-  for (u64 o = 0; o < spans_.period_count && !converged_; ++o) run_occurrence();
-  run_suffix();
-  finish(services);
+  const u64 P = spans_.prefix_steps;
+  const u64 L = spans_.period_steps;
+  const u64 N = spans_.period_count;
+  services.resize(spans_.schedule_steps);
+  ReplayService* const out = services.data();
+  run_steps(0, P, out);
+
+  // The period block, one occurrence at a time, until an occurrence leaves
+  // the replacement state where it found it.  From that fixed point every
+  // remaining occurrence starts from the same state, so it repeats the last
+  // one's traffic exactly: stats advance arithmetically, per-op services copy.
+  std::vector<u8> snapshot;
+  if (can_fast_forward_ && L != 0 && N != 0) update_snapshot(snapshot);
+  u64 executed = 0;
+  while (executed < N) {
+    const CacheStats start = current_stats();
+    run_steps(P, P + L, out + P + executed * L);
+    ++executed;
+    if (!snapshot.empty() && update_snapshot(snapshot)) {
+      fast_forward(N - executed, stats_sub(current_stats(), start));
+      break;
+    }
+  }
+  for (u64 o = executed; o < N; ++o)
+    std::copy_n(out + P + (executed - 1) * L, L, out + P + o * L);
+  run_steps(P + L, P + L + spans_.suffix_steps, out + P + N * L);
+  if (compact_) write_back();
 }
 
 }  // namespace cello::cache

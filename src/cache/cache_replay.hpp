@@ -3,24 +3,25 @@
 // Consumes a pre-captured access-span view (see sim::AccessStream) and drives
 // one SetAssocCache to the exact state + stats the equivalent sequence of
 // access_range calls would produce, while converting span traffic back into
-// per-scheduled-op DRAM service totals at the recorded op boundaries.
+// per-scheduled-op DRAM service totals and line fills at the recorded op
+// boundaries.
 //
 // Two engines, selected per cache geometry at construction:
 //  * compact: the default 8-way power-of-two geometry on AVX-512 hosts runs a
 //    u8 tag lane + one u64 rank/meta lane per set, 8 sets per masked 512-bit
 //    group — branch-light, ~3x the per-line throughput of the shipped AVX2
 //    probe (see cache_simd512.cpp).  Tags are rebased against the stream's
-//    address window so they fit the byte lane; finish() expands the compact
+//    address window so they fit the byte lane; write_back() expands the compact
 //    state back into the cache's own lanes.
 //  * direct: every other geometry (or CELLO_DISABLE_AVX512=1) feeds the spans
 //    through the cache's public access_range — trivially bit-identical.
 //
 // Periodic fast-forward: iterative workloads repeat the same span block per
 // iteration (AccessStream detects this at capture).  After each occurrence
-// the replayer snapshots the replacement state; once a snapshot repeats the
-// remaining occurrences are pure arithmetic — stats advance by the cycle's
-// delta times the skipped cycles, per-op services copy cyclically, and the
-// state restores from the snapshot the final occurrence would land on.  Both
+// the replayer compares the replacement state with the one the occurrence
+// started from; once an occurrence leaves it unchanged (a fixed point) the
+// remaining occurrences are pure arithmetic — stats advance by that
+// occurrence's delta times the skipped count and per-op services copy.  Both
 // engines fast-forward (the direct engine for the 8-way layout); this, not
 // raw line throughput, is where the order-of-magnitude sweep speedups on
 // CG-style workloads come from.
@@ -49,10 +50,14 @@ struct ReplaySpans {
   Addr max_addr = 0;
 };
 
-/// Per-scheduled-op DRAM traffic the replayed spans incurred.
+/// Per-scheduled-op DRAM traffic the replayed spans incurred, plus the lines
+/// the op newly made valid (misses - evictions: every eviction makes room for
+/// a miss of the same op, and nothing invalidates mid-stream, so the running
+/// sum over ops is the cache's valid-line count).
 struct ReplayService {
   Bytes dram_read = 0;
   Bytes dram_write = 0;
+  u64 fills = 0;
 };
 
 namespace detail {
@@ -103,56 +108,30 @@ class StreamReplayer {
   /// The view must outlive the replayer.
   StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans);
 
-  /// Whole-stream convenience: prefix + every occurrence + suffix + finish.
+  /// Replay the whole stream (prefix, every occurrence, suffix) and leave the
+  /// cache in its final state; services.size() == schedule_steps afterwards.
   void run(std::vector<ReplayService>& services);
-
-  // ---- lockstep interface (replay_many drives N replayers per phase so the
-  // shared period block stays hot across engines) ----
-  void run_prefix();
-  /// One period occurrence; call period_count times.  No-op after the state
-  /// cycle is detected and fast-forward has been applied.
-  void run_occurrence();
-  void run_suffix();
-  /// True once the period's cache-state cycle was detected and the remaining
-  /// occurrences were fast-forwarded (run_occurrence is a no-op from then on).
-  bool converged() const { return converged_; }
-  /// Write compact state + stats back into the cache and expand the recorded
-  /// per-occurrence services into schedule order (services.size() ==
-  /// schedule_steps afterwards).
-  void finish(std::vector<ReplayService>& services);
 
  private:
   /// Replay the spans of materialized steps [step_begin, step_end), recording
   /// one service per step into `out` (contiguous).
   void run_steps(size_t step_begin, size_t step_end, ReplayService* out);
-  /// State after `occ_` occurrences matched snapshot `j`: advance stats and
-  /// state over the remaining occurrences arithmetically.
-  void fast_forward(u64 j, const CacheStats& c_k);
-  void save_state(std::vector<u8>& blob) const;
-  void restore_state(const std::vector<u8>& blob);
+  /// Overwrite `blob` with the canonical replacement state; true when that
+  /// equals what it held (the state one occurrence earlier).
+  bool update_snapshot(std::vector<u8>& blob) const;
+  /// The state is a fixed point of the period: advance stats (and the BRRIP
+  /// counter) over `remaining` occurrences of `per_occurrence` each.
+  void fast_forward(u64 remaining, const CacheStats& per_occurrence);
+  /// Write compact state + stats back into the cache's own lanes.
+  void write_back();
   CacheStats current_stats() const;
   void set_stats(const CacheStats& st);
 
   SetAssocCache& cache_;
   const ReplaySpans& spans_;
   bool compact_ = false;      ///< AVX-512 compact engine active
-  bool can_cycle_ = false;    ///< snapshot/compare supported for this geometry
+  bool can_fast_forward_ = false;  ///< snapshot/compare supported for this geometry
   detail::CompactState state_;
-
-  // Occurrence bookkeeping.
-  u64 occ_ = 0;               ///< occurrences executed or skipped so far
-  bool converged_ = false;    ///< fast-forward applied; run_occurrence is a no-op
-  struct Snapshot {
-    u64 hash = 0;
-    std::vector<u8> blob;
-    CacheStats stats;
-  };
-  std::vector<Snapshot> snaps_;        ///< snaps_[j] = state after j occurrences
-  std::vector<ReplayService> occ_v_;   ///< per executed occurrence: period_steps services
-  std::vector<ReplayService> pre_v_;   ///< prefix services
-  std::vector<ReplayService> suf_v_;   ///< suffix services
-  u64 cycle_from_ = 0;  ///< j: occurrence index the cycle re-enters
-  u64 cycle_len_ = 0;   ///< k - j; 0 until detected
 };
 
 }  // namespace cello::cache

@@ -260,7 +260,7 @@ void replay_spans_avx512(CompactState& st, const Addr* addr, const u32* len, con
   const bool lru = st.policy == Policy::Lru;
   for (size_t si = begin; si < end; ++si) {
     if (si + 4 < end) {
-      // Same lookahead the direct path's prefetch_range provides: pull the
+      // Same lookahead the direct engine's prefetch_range provides: pull the
       // upcoming span's first set's tag + aux lanes toward the host caches.
       const u64 nset = (addr[si + 4] >> ls) & st.set_mask;
       _mm_prefetch(reinterpret_cast<const char*>(&st.tags[nset * 8]), _MM_HINT_T0);

@@ -72,13 +72,6 @@
 // Workload DAGs can still be built directly (build_cg_dag & friends); the
 // ConfigKind enum and cello::run/run_all/compare_table below are thin shims
 // over the registries, kept for the paper-reproduction benches.
-//
-// Migration (PR 9): Simulator::run now has exactly one real signature,
-// run(dag, config, artifacts = {}).  The old overloads — run(dag, name),
-// run(dag, kind), run(dag, config, sched, map[, reuse, scratch]) — still
-// compile as [[deprecated]] shims over the bundle; resolve names through
-// ConfigRegistry::global().at(...) / ::preset(kind) and move prebuilt inputs
-// into RunArtifacts fields.
 #pragma once
 
 #include <string>

@@ -171,8 +171,7 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
           s.write.push_back(w ? 1 : 0);
           block_lines +=
               (a + l - 1) / s.line_bytes - a / s.line_bytes + 1;
-        },
-        [](Addr, Bytes) {});
+        });
     s.op_end.push_back(static_cast<u32>(s.addr.size()));
   };
 

@@ -1,17 +1,16 @@
-// AccessStream: the capture half of the trace-driven cache path's
-// capture/replay split.
+// AccessStream: the capture half of the trace-driven cache path — the cache
+// is fed only by captured traces.
 //
 // A stream is the config-independent, byte-granular access sequence of one
-// (workload DAG, schedule, AddressMap, router) slot: every span a
-// CachePolicy::service_op sequence would drive through the cache — CSR
-// segments, gather runs resolved through row_ptr/col_idx exactly once,
-// small-operand re-streams, output writebacks — in struct-of-arrays form with
-// per-scheduled-op boundary markers.  Replaying the stream against any cache
-// geometry sharing the capture's (line_bytes, rf_bytes) reproduces direct
-// simulation bit-for-bit (see cache::StreamReplayer / CachePolicy::replay),
-// so one capture amortizes address generation across a whole column of sweep
-// configs — the ChampSim-style trace-vs-model decoupling the design-space
-// autotuner needs.
+// (workload DAG, schedule, AddressMap, router) slot: every span the routed
+// ops drive through the cache — CSR segments, gather runs resolved through
+// row_ptr/col_idx exactly once, small-operand re-streams, output writebacks —
+// in struct-of-arrays form with per-scheduled-op boundary markers.  Every
+// trace-driven run replays one (see cache::StreamReplayer /
+// CachePolicy::replay): Simulator::run captures its own unless handed one,
+// and any cache geometry sharing the capture's (line_bytes, rf_bytes) can
+// replay it, so one capture amortizes address generation across a whole
+// column of sweep configs — ChampSim-style trace-vs-model decoupling.
 //
 // Iterative workloads (CG, BiCGStab, decode loops) touch the SAME addresses
 // every iteration: AddressMap aliases per-iteration tensor instances onto

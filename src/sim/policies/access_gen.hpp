@@ -1,12 +1,9 @@
-// Shared byte-granular access-span generation for the trace-driven cache
-// path.  One templated emitter derives the op's whole access sequence —
-// sequential CSR segments, gather runs resolved through row_ptr/col_idx,
-// small-operand re-streams, output writebacks — and hands each span to a
-// caller-supplied sink.  CachePolicy::service_op drives the cache with the
-// spans directly; AccessStream::capture records them for replay.  Sharing the
-// generator is what makes capture->replay bit-identical to direct simulation
-// by construction: there is exactly one place that decides which bytes an op
-// touches and in which order.
+// Byte-granular access-span generation for the trace-driven cache path.  One
+// templated emitter derives the op's whole access sequence — sequential CSR
+// segments, gather runs resolved through row_ptr/col_idx, small-operand
+// re-streams, output writebacks — and hands each span to a caller-supplied
+// sink.  AccessStream::capture records the spans for replay; it is the one
+// place that decides which bytes an op touches and in which order.
 //
 // Every per-chunk decision that does not depend on the row range — the
 // gather-run mergeability test, the real-vs-synthetic trace selection, the
@@ -18,9 +15,24 @@
 #include <utility>
 #include <vector>
 
-#include "sim/policies/buffer_policy.hpp"
+#include "ir/dag.hpp"
+#include "sim/address_map.hpp"
+#include "sim/config.hpp"
+#include "sparse/csr.hpp"
 
 namespace cello::sim {
+
+/// Everything span emission reads about one scheduled op.
+struct OpTrace {
+  const ir::TensorDag* dag = nullptr;
+  const ir::EinsumOp* op = nullptr;
+  const AddressMap* map = nullptr;
+  const sparse::CsrMatrix* matrix = nullptr;  ///< real sparsity; may be null
+  /// Unique inputs routed to the buffer, in operand order (the schedule may
+  /// service the others on chip).
+  std::vector<ir::TensorId> inputs;
+  bool service_output = true;  ///< false when the output stays on chip
+};
 
 /// Reusable operand-partition scratch so emission allocates nothing on the
 /// steady path (op arity is tiny; capacity persists across ops).
@@ -29,14 +41,11 @@ struct OpAccessScratch {
   std::vector<std::pair<Addr, Bytes>> small_in;  ///< (start, bytes)
 };
 
-/// Emit the byte-granular access spans of one scheduled op.
-///   span(Addr start, Bytes len, bool write)  — one access range (len may be 0)
-///   prefetch(Addr start, Bytes len)          — gather lookahead hint; a sink
-///     driving a cache forwards it to prefetch_range, a recording sink drops
-///     it (replay issues its own lookahead).  Never affects modeled state.
-template <class SpanFn, class PrefetchFn>
+/// Emit the byte-granular access spans of one scheduled op, in order, as
+/// span(Addr start, Bytes len, bool write) calls (len may be 0).
+template <class SpanFn>
 void emit_op_accesses(const OpTrace& trace, const AcceleratorConfig& arch,
-                      OpAccessScratch& scratch, SpanFn&& span, PrefetchFn&& prefetch) {
+                      OpAccessScratch& scratch, SpanFn&& span) {
   const ir::TensorDag& dag = *trace.dag;
   const ir::EinsumOp& op = *trace.op;
   const AddressMap& map = *trace.map;
@@ -123,15 +132,8 @@ void emit_op_accesses(const OpTrace& trace, const AcceleratorConfig& arch,
       // Gather the dense operand rows indexed by the chunk's non-zeros.
       if (gather_dense != nullptr) {
         if (real_trace) {
-          // The column sequence is irregular, so announce which sets are
-          // coming: prefetching a few gathers ahead hides the cache model's
-          // own metadata latency.
-          constexpr i64 kPrefetchAhead = 16;
           const i64 k1 = row_ptr[r1];
           for (i64 k = row_ptr[r0]; k < k1;) {
-            if (k + kPrefetchAhead < k1)
-              prefetch(gather_start + static_cast<Bytes>(col_idx[k + kPrefetchAhead]) * gather_rb,
-                       gather_rb);
             const i64 c0 = col_idx[k];
             i64 c_end = c0 + 1;
             ++k;

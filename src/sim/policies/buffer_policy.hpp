@@ -5,9 +5,10 @@
 // styles exist:
 //  * analytic (tensor granularity): ExplicitBuffers, PreludeOnly, Chord —
 //    read_tensor / write_tensor are called once per routed operand;
-//  * trace-driven (cache-line granularity): LruCache, BrripCache —
-//    service_op replays the whole op's access trace, including the SpMM
-//    gather pattern against the real sparse matrix when provided.
+//  * trace-driven (cache-line granularity): CachePolicy (LRU / BRRIP) —
+//    replay consumes the run's captured AccessStream (every op's line
+//    accesses, including the SpMM gather against the real sparse matrix
+//    when provided) in one pass before the simulator's op loop.
 #pragma once
 
 #include <functional>
@@ -17,11 +18,11 @@
 #include <vector>
 
 #include "chord/chord.hpp"
+#include "common/error.hpp"
 #include "ir/dag.hpp"
 #include "sim/address_map.hpp"
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
-#include "sparse/csr.hpp"
 
 namespace cello::sim {
 
@@ -32,20 +33,12 @@ struct AccessStream;
 struct BufferService {
   Bytes dram_read = 0;
   Bytes dram_write = 0;
+  /// Trace-driven replay only: cache lines the op newly made valid (misses -
+  /// evictions).  The cache never invalidates mid-run, so the running sum is
+  /// its valid-line count — what a traced run samples as occupancy.
+  u64 fills = 0;
 
   Bytes total() const { return dram_read + dram_write; }
-};
-
-/// Everything a trace-driven policy needs to replay one scheduled op.
-struct OpTrace {
-  const ir::TensorDag* dag = nullptr;
-  const ir::EinsumOp* op = nullptr;
-  const AddressMap* map = nullptr;
-  const sparse::CsrMatrix* matrix = nullptr;  ///< real sparsity; may be null
-  /// Unique inputs routed to this policy, in operand order (the schedule may
-  /// service the others on chip).
-  std::vector<ir::TensorId> inputs;
-  bool service_output = true;  ///< false when the output stays on chip
 };
 
 struct DrainContext {
@@ -86,21 +79,16 @@ class BufferPolicy {
   /// The base tensor's last consumer ran: release any residency it held.
   virtual void retire(i32 /*base_id*/) {}
 
-  // ---- trace-driven interface (op granularity) -----------------------------
-  virtual BufferService service_op(const OpTrace&) { return {}; }
-
-  /// True when this policy can consume a pre-captured AccessStream instead of
-  /// per-op service_op calls (see sim/access_stream.hpp).
-  virtual bool supports_replay() const { return false; }
-  /// Replay a captured stream end to end, filling one BufferService per
-  /// scheduled step — the exact values the equivalent service_op sequence
-  /// would have returned, with the policy left in the same final state.
-  /// Returns false (with the policy untouched) when the stream is not
-  /// replayable here, e.g. a geometry mismatch; the caller then falls back to
-  /// direct servicing.
-  virtual bool replay(const AccessStream& /*stream*/,
+  // ---- trace-driven interface (whole run) ----------------------------------
+  /// Replay the run's captured access stream end to end, filling one
+  /// BufferService per scheduled step and leaving the policy in its final
+  /// state.  The one way a trace-driven policy is serviced; throws
+  /// cello::Error for a stream captured under another span geometry, a
+  /// policy that already serviced accesses, or a policy that is not
+  /// trace-driven.
+  virtual void replay(const AccessStream& /*stream*/,
                       std::vector<BufferService>& /*services*/) {
-    return false;
+    throw Error(std::string(name()) + " is not trace-driven: it has no stream replay");
   }
 
   /// Bytes of on-chip buffer capacity currently holding live data: pinned /

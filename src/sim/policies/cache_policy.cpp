@@ -3,91 +3,36 @@
 #include <memory>
 
 #include "cache/cache_replay.hpp"
+#include "common/error.hpp"
 #include "mem/sram_model.hpp"
 #include "sim/access_stream.hpp"
 
 namespace cello::sim {
 
-namespace {
-
-cache::ReplaySpans spans_view(const AccessStream& s) {
-  cache::ReplaySpans v;
-  v.addr = s.addr.data();
-  v.len = s.len.data();
-  v.write = s.write.data();
-  v.op_end = s.op_end.data();
-  v.prefix_steps = s.prefix_steps;
-  v.period_steps = s.period_steps;
-  v.period_count = s.period_count;
-  v.suffix_steps = s.suffix_steps;
-  v.schedule_steps = s.schedule_steps;
-  v.min_addr = s.min_addr;
-  v.max_addr = s.max_addr;
-  return v;
-}
-
-void convert_services(const std::vector<cache::ReplayService>& in,
-                      std::vector<BufferService>& out) {
-  out.resize(in.size());
-  for (size_t i = 0; i < in.size(); ++i) out[i] = {in[i].dram_read, in[i].dram_write};
-}
-
-}  // namespace
-
-BufferService CachePolicy::service_op(const OpTrace& trace) {
-  const Bytes read_before = cache_.stats().dram_read_bytes;
-  const Bytes write_before = cache_.stats().dram_write_bytes;
-
-  emit_op_accesses(
-      trace, arch_, scratch_,
-      [&](Addr a, Bytes l, bool w) { cache_.access_range(a, l, w); },
-      [&](Addr a, Bytes l) { cache_.prefetch_range(a, l); });
-
-  return {.dram_read = cache_.stats().dram_read_bytes - read_before,
-          .dram_write = cache_.stats().dram_write_bytes - write_before};
-}
-
-bool CachePolicy::replay(const AccessStream& stream, std::vector<BufferService>& services) {
-  if (!stream.compatible(arch_) || cache_.stats().accesses != 0) return false;
-  const cache::ReplaySpans view = spans_view(stream);
-  cache::StreamReplayer rep(cache_, view);
+void CachePolicy::replay(const AccessStream& stream, std::vector<BufferService>& services) {
+  CELLO_CHECK_MSG(stream.compatible(arch_),
+                  "access stream captured under line_bytes=" << stream.line_bytes
+                      << ", rf_bytes=" << stream.rf_bytes << "; this cache has line_bytes="
+                      << arch_.line_bytes << ", rf_bytes=" << arch_.rf_bytes);
+  CELLO_CHECK_MSG(cache_.stats().accesses == 0,
+                  "stream replay requires a fresh cache; reset() the policy between runs");
+  cache::ReplaySpans view;
+  view.addr = stream.addr.data();
+  view.len = stream.len.data();
+  view.write = stream.write.data();
+  view.op_end = stream.op_end.data();
+  view.prefix_steps = stream.prefix_steps;
+  view.period_steps = stream.period_steps;
+  view.period_count = stream.period_count;
+  view.suffix_steps = stream.suffix_steps;
+  view.schedule_steps = stream.schedule_steps;
+  view.min_addr = stream.min_addr;
+  view.max_addr = stream.max_addr;
   std::vector<cache::ReplayService> rs;
-  rep.run(rs);
-  convert_services(rs, services);
-  return true;
-}
-
-bool CachePolicy::replay_many(const AccessStream& stream,
-                              const std::vector<CachePolicy*>& policies,
-                              std::vector<std::vector<BufferService>>& services) {
-  for (CachePolicy* p : policies)
-    if (!stream.compatible(p->arch_) || p->cache_.stats().accesses != 0) return false;
-  const cache::ReplaySpans view = spans_view(stream);
-  std::vector<std::unique_ptr<cache::StreamReplayer>> reps;
-  reps.reserve(policies.size());
-  for (CachePolicy* p : policies)
-    reps.push_back(std::make_unique<cache::StreamReplayer>(p->cache_, view));
-  for (auto& r : reps) r->run_prefix();
-  // Occurrence lockstep: every engine consumes the same period block before
-  // the stream moves on, so the block's spans stay hot across all of them.
-  // Engines converge (fast-forward) independently and then no-op.
-  for (u64 o = 0; o < stream.period_count; ++o) {
-    bool live = false;
-    for (auto& r : reps) {
-      r->run_occurrence();
-      live = live || !r->converged();
-    }
-    if (!live) break;
-  }
-  services.resize(reps.size());
-  std::vector<cache::ReplayService> rs;
-  for (size_t i = 0; i < reps.size(); ++i) {
-    reps[i]->run_suffix();
-    rs.clear();
-    reps[i]->finish(rs);
-    convert_services(rs, services[i]);
-  }
-  return true;
+  cache::StreamReplayer(cache_, view).run(rs);
+  services.resize(rs.size());
+  for (size_t i = 0; i < rs.size(); ++i)
+    services[i] = {rs[i].dram_read, rs[i].dram_write, rs[i].fills};
 }
 
 std::optional<std::vector<DrainItem>> CachePolicy::drain(const DrainContext&) {

@@ -1,22 +1,15 @@
 // CachePolicy: the implicit-buffer baselines (Flex+LRU, Flex+BRRIP) behind
-// the BufferPolicy interface.  Trace-driven at cache-line granularity: every
-// routed op is replayed as a chunked access stream, including the SpMM
-// gather pattern against the real sparse matrix when one is provided.
-//
-// Two servicing paths, bit-identical by construction:
-//  * service_op drives the cache directly through the shared span emitter
-//    (sim/policies/access_gen.hpp), allocation-free on the steady path;
-//  * replay() consumes a pre-captured AccessStream of the same spans through
-//    cache::StreamReplayer — one capture amortizes address generation across
-//    every cache geometry in a sweep column, and periodic streams
-//    fast-forward once the cache state cycles.  replay_many() batches N
-//    pooled policies over a single stream pass.
+// the BufferPolicy interface.  Trace-driven at cache-line granularity: a run
+// is serviced by replaying its captured AccessStream (every routed op's
+// spans, including the SpMM gather pattern against the real sparse matrix
+// when one is provided) through cache::StreamReplayer.  One capture serves
+// every cache geometry in a sweep column, and periodic streams fast-forward
+// once the cache state cycles.
 #pragma once
 
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "sim/policies/access_gen.hpp"
 #include "sim/policies/buffer_policy.hpp"
 
 namespace cello::sim {
@@ -34,26 +27,11 @@ class CachePolicy final : public BufferPolicy {
   bool trace_driven() const override { return true; }
 
   bool reusable() const override { return true; }
-  void reset() override {
-    cache_.reset();
-    scratch_.large_in.clear();
-    scratch_.small_in.clear();
-  }
+  void reset() override { cache_.reset(); }
 
-  BufferService service_op(const OpTrace& trace) override;
-
-  bool supports_replay() const override { return true; }
-  /// Stream replay; requires a compatible stream and a freshly reset cache
-  /// (returns false otherwise — the caller falls back to service_op).
-  bool replay(const AccessStream& stream, std::vector<BufferService>& services) override;
-
-  /// Batched replay: run every policy over one pass of the stream in
-  /// occurrence lockstep, so N cache geometries (LRU/BRRIP x SRAM budgets)
-  /// share each hot period block while it is resident in the host caches.
-  /// Equivalent to N independent replay() calls; all-or-nothing (returns
-  /// false with every policy untouched when any one is ineligible).
-  static bool replay_many(const AccessStream& stream, const std::vector<CachePolicy*>& policies,
-                          std::vector<std::vector<BufferService>>& services);
+  /// Requires a stream compatible with this policy's arch and a freshly
+  /// constructed or reset cache; throws cello::Error otherwise.
+  void replay(const AccessStream& stream, std::vector<BufferService>& services) override;
 
   /// End-of-run flush of dirty lines.
   std::optional<std::vector<DrainItem>> drain(const DrainContext& ctx) override;
@@ -71,10 +49,6 @@ class CachePolicy final : public BufferPolicy {
   AcceleratorConfig arch_;
   cache::Policy replacement_;
   cache::SetAssocCache cache_;
-
-  // Reused operand-partition scratch — service_op allocates nothing
-  // steady-state.
-  OpAccessScratch scratch_;
 };
 
 BufferPolicyFactory lru_cache();

@@ -1,7 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -9,8 +9,8 @@
 #include "sim/access_stream.hpp"
 #include "sim/address_map.hpp"
 #include "sim/partition.hpp"
+#include "sim/policies/buffer_policy.hpp"
 #include "sim/policies/schedule_policy.hpp"
-#include "sim/registry.hpp"
 #include "trace/trace.hpp"
 
 namespace cello::sim {
@@ -84,14 +84,6 @@ void emit_run_trace(trace::TraceSink& sink, const ir::TensorDag& dag, const Sche
               {trace::arg("bytes", drained_bytes)});
   sink.counter(kTracePid, kBufferTid, "buffer_occupancy", gstart[group_compute.size()],
                final_occupancy);
-}
-
-/// CELLO_DISABLE_REPLAY=1 forces per-op servicing even when a stream is
-/// available — the escape hatch for isolating replay from a regression.
-/// Re-read per run (not cached) so tests can toggle it.
-bool replay_disabled_by_env() {
-  const char* e = std::getenv("CELLO_DISABLE_REPLAY");
-  return e != nullptr && *e != '\0' && *e != '0';
 }
 
 }  // namespace
@@ -194,34 +186,6 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                   artifacts.trace, artifacts.access_stream);
 }
 
-// ---- deprecated shims (call through to the RunArtifacts signature) ---------
-RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
-                          const Schedule& sched, const AddressMap& map) const {
-  RunArtifacts artifacts;
-  artifacts.schedule = &sched;
-  artifacts.address_map = &map;
-  return run(dag, config, artifacts);
-}
-
-RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
-                          const Schedule& sched, const AddressMap& map,
-                          const score::ReuseIndex& reuse, RunScratch* scratch) const {
-  RunArtifacts artifacts;
-  artifacts.schedule = &sched;
-  artifacts.address_map = &map;
-  artifacts.reuse_index = &reuse;
-  artifacts.scratch = scratch;
-  return run(dag, config, artifacts);
-}
-
-RunMetrics Simulator::run(const ir::TensorDag& dag, const std::string& config_name) const {
-  return run(dag, ConfigRegistry::global().at(config_name), RunArtifacts{});
-}
-
-RunMetrics Simulator::run(const ir::TensorDag& dag, ConfigKind kind) const {
-  return run(dag, ConfigRegistry::preset(kind), RunArtifacts{});
-}
-
 RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& config,
                                const AcceleratorConfig& arch, const Schedule& sched,
                                const AddressMap& map, const score::ReuseIndex& reuse_index,
@@ -262,23 +226,22 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
   BufferPolicy* const policy = slot.policy.get();
   const bool trace = policy->trace_driven();
 
-  // Stream replay: consume the pre-captured access stream in one pass up
-  // front instead of regenerating per-op accesses inside the loop.  Traced
-  // runs stay on the direct path — their per-step occupancy samples need the
-  // cache state to evolve stepwise.  policy->replay re-checks geometry
-  // compatibility and falls back (returns false) on mismatch, so a stale
-  // stream can slow a run down but never skew it.
-  const std::vector<BufferService>* replayed = nullptr;
-  if (trace && stream != nullptr && sink == nullptr && policy->supports_replay() &&
-      !replay_disabled_by_env()) {
+  // Trace-driven policies are serviced by replaying the run's access stream
+  // in one pass up front (captured here with the run's own router when the
+  // caller supplied none); the loop below then only reads per-step services.
+  std::vector<BufferService>& replayed = s.replay_services_;
+  replayed.clear();
+  if (trace) {
+    std::optional<AccessStream> captured;
+    if (stream == nullptr)
+      stream = &captured.emplace(AccessStream::capture(dag, sched, map, matrix_, arch, router));
     CELLO_CHECK_MSG(stream->schedule_steps == sched.steps.size(),
                     "access stream captured over a different schedule ("
                         << stream->schedule_steps << " steps, schedule has "
                         << sched.steps.size() << ")");
-    std::vector<BufferService>& services = s.replay_services_;
-    services.clear();
-    if (policy->replay(*stream, services)) replayed = &services;
+    policy->replay(*stream, replayed);
   }
+  u64 valid_lines = 0;  ///< trace-driven occupancy: running sum of replayed fills
 
   score::ReuseCursor& reuse = s.cursor_;
   reuse.reset(reuse_index);
@@ -356,13 +319,6 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
   std::vector<TraceStep> tsteps;
   if (sink != nullptr) tsteps.reserve(sched.steps.size());
 
-  // Hoisted per-step trace descriptor: only the op fields change per step,
-  // so the operand list's storage is reused across the whole run.
-  OpTrace op_trace;
-  op_trace.dag = &dag;
-  op_trace.map = &map;
-  op_trace.matrix = matrix_;
-
   for (size_t i = 0; i < sched.steps.size(); ++i) {
     const ir::EinsumOp& op = dag.op(sched.steps[i].op);
     const i64 step = static_cast<i64>(i);
@@ -379,7 +335,6 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     metrics.total_macs += op.macs();
 
     Bytes op_dram = 0;
-    op_trace.inputs.clear();  // refilled only for trace-driven policies
 
     // ---- inputs ----
     for (size_t ii = 0; ii < op.inputs.size(); ++ii) {
@@ -410,9 +365,7 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
           }
           break;
         case Route::Buffer:
-          if (trace) {
-            if (replayed == nullptr) op_trace.inputs.push_back(in);
-          } else {
+          if (!trace) {
             const BufferService s = policy->read_tensor(meta_for(t, step));
             if (s.dram_read > 0) attribute_read(s.dram_read, base);
             if (s.dram_write > 0) attribute_write(s.dram_write, base);
@@ -426,13 +379,12 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     }
 
     // ---- output ----
-    const Route out_route = router.route_output(op);
     {
       const ir::TensorDesc& t = dag.tensor(op.output);
       const Bytes b = t.bytes();
       const i32 base = map.base_id(op.output);
 
-      switch (out_route) {
+      switch (router.route_output(op)) {
         case Route::PipelineBuffer:
           pipeline_sram_lines += ceil_div<Bytes>(b, arch.line_bytes);
           break;
@@ -455,15 +407,10 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     }
 
     if (trace) {
-      if (replayed != nullptr) {
-        // The replay already drove the cache; per-step traffic was recorded
-        // at the stream's op boundaries.
-        op_dram += (*replayed)[i].total();
-      } else {
-        op_trace.op = &op;
-        op_trace.service_output = out_route == Route::Buffer;
-        op_dram += policy->service_op(op_trace).total();
-      }
+      // The replay already drove the cache; per-step traffic was recorded at
+      // the stream's op boundaries.
+      op_dram += replayed[i].total();
+      valid_lines += replayed[i].fills;
     }
 
     metrics.per_op.push_back({op.name, op.macs(), op_dram});
@@ -481,7 +428,9 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
         policy->retire(base);
 
     group_dram[cur_group] += arch.dram_seconds(op_dram);
-    if (sink != nullptr) tsteps.push_back({cur_group, op_dram, policy->occupancy_bytes()});
+    if (sink != nullptr)
+      tsteps.push_back({cur_group, op_dram,
+                        trace ? valid_lines * arch.line_bytes : policy->occupancy_bytes()});
   }
 
   // ---- end-of-run drain (resident result prefixes / dirty cache lines) ----

@@ -7,9 +7,9 @@
 // One unified loop serves every configuration: the Router (schedule policy)
 // decides where each operand access is serviced and the BufferPolicy models
 // the buffer hierarchy.  Analytic policies account traffic at tensor
-// granularity per scheduled op; trace-driven cache policies replay a
-// line-granularity access trace.  run() is const and reentrant — a fresh
-// BufferPolicy is built per run — which is what SweepRunner exploits.
+// granularity per scheduled op; trace-driven cache policies replay the run's
+// captured line-granularity access stream.  run() is const and reentrant — a
+// fresh BufferPolicy is built per run — which is what SweepRunner exploits.
 //
 // Every optional per-run input travels in one RunArtifacts bundle (shared
 // immutable schedule/address-map/reuse-index/router-tables, a pooled
@@ -85,7 +85,8 @@ class RunScratch {
     AcceleratorConfig arch;
   };
   std::map<std::string, PooledPolicy> policies_;
-  /// Per-step services of a stream replay (capacity pooled across runs).
+  /// Per-step services of the run's stream replay (capacity pooled across
+  /// runs).
   std::vector<BufferService> replay_services_;
 };
 
@@ -117,15 +118,13 @@ struct RunArtifacts {
   /// cost of one pointer test per scheduled step.  Traced runs return the
   /// exact metrics of untraced ones.
   trace::TraceSink* trace = nullptr;
-  /// Pre-captured access stream of (`schedule`, `address_map`) — see
-  /// AccessStream::capture; requires `schedule` alongside.  When the
-  /// configuration's buffer policy can replay it (CachePolicy under a
-  /// matching geometry), the run consumes the stream instead of regenerating
-  /// per-op accesses — bit-identical metrics, several-fold faster.  Ignored
-  /// (with automatic fallback to direct servicing) for policies or runs that
-  /// cannot replay: analytic policies, traced runs (per-step occupancy
-  /// samples need stepwise cache state), geometry mismatches, or
-  /// CELLO_DISABLE_REPLAY=1 in the environment.
+  /// Pre-captured access stream of (`schedule`, `address_map`) and this
+  /// configuration's routing — see AccessStream::capture; requires
+  /// `schedule` alongside.  Trace-driven policies always replay a stream:
+  /// when this is null the run captures its own, so supplying one only
+  /// shares the capture across runs (SweepRunner captures one per column).
+  /// A stream captured under another (line_bytes, rf_bytes) or schedule
+  /// throws cello::Error.  Analytic policies ignore it.
   const AccessStream* access_stream = nullptr;
 };
 
@@ -139,19 +138,6 @@ class Simulator {
   /// `artifacts`; the default bundle builds everything fresh.
   RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
                  const RunArtifacts& artifacts = {}) const;
-
-  // ---- legacy entry points (deprecated shims over RunArtifacts) ------------
-  [[deprecated("pass RunArtifacts{.schedule = &sched, .address_map = &map} instead")]]
-  RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
-                 const score::Schedule& sched, const AddressMap& map) const;
-  [[deprecated("pass RunArtifacts{.schedule, .address_map, .reuse_index, .scratch} instead")]]
-  RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
-                 const score::Schedule& sched, const AddressMap& map,
-                 const score::ReuseIndex& reuse, RunScratch* scratch = nullptr) const;
-  [[deprecated("resolve the name via ConfigRegistry::global().at(config_name)")]]
-  RunMetrics run(const ir::TensorDag& dag, const std::string& config_name) const;
-  [[deprecated("resolve the kind via ConfigRegistry::preset(kind)")]]
-  RunMetrics run(const ir::TensorDag& dag, ConfigKind kind) const;
 
   /// The schedule the configuration's schedule policy would build.
   score::Schedule make_schedule(const ir::TensorDag& dag, const Configuration& config) const;

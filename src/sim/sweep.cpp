@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -36,14 +35,6 @@ struct WorkloadView {
   const ir::TensorDag* dag;
   const sparse::CsrMatrix* matrix;  ///< may be null
 };
-
-/// Mirror of the Simulator::run escape hatch: when CELLO_DISABLE_REPLAY is
-/// set the sweep skips stream capture too, instead of capturing streams the
-/// runs would then ignore.
-bool replay_disabled_by_env() {
-  const char* e = std::getenv("CELLO_DISABLE_REPLAY");
-  return e != nullptr && *e != '\0' && *e != '0';
-}
 
 /// Worker-pool size for `total` jobs (parallel_for uses exactly this many).
 u32 worker_count(u32 threads, size_t total) {
@@ -381,24 +372,16 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
   });
 
   // ---- access streams (third prebuild wave) ----
-  // One captured AccessStream per (DAG, router key) any pending single-node
-  // trace-driven replay-capable cell touches.  Capture is config-independent
-  // — only the schedule shape and routing decisions enter the stream — so
+  // One captured AccessStream per (DAG, router key) any pending trace-driven
+  // cell or 1-node baseline touches.  Capture is config-independent — only
+  // the schedule shape and routing decisions enter the stream — so
   // configurations sharing a router slot (e.g. the Table IV cache presets on
   // the op-by-op schedule) replay one stream: address generation is paid once
-  // per column instead of once per cell.  Simulator::run picks replay up
-  // automatically from RunArtifacts; traced cells stay on the direct path
-  // (run_impl gates replay on the absence of a sink), and multi-node rows
-  // keep their historical path untouched.
-  std::vector<char> config_replayable(C, 0);
-  if (!replay_disabled_by_env()) {
-    for (size_t ci = 0; ci < C; ++ci) {
-      if (!configs[ci].buffers) continue;
-      const auto probe = configs[ci].buffers(router_keys[config_rslot[ci]].arch);
-      config_replayable[ci] =
-          probe != nullptr && probe->trace_driven() && probe->supports_replay();
-    }
-  }
+  // per column instead of once per cell.
+  std::vector<char> config_traced(C, 0);
+  for (size_t ci = 0; ci < C; ++ci)
+    config_traced[ci] = configs[ci].buffers &&
+                        configs[ci].buffers(router_keys[config_rslot[ci]].arch)->trace_driven();
   std::vector<std::vector<std::optional<AccessStream>>> streams(
       unique_dag.size(), std::vector<std::optional<AccessStream>>(router_keys.size()));
   std::vector<std::vector<char>> stream_needed(unique_dag.size(),
@@ -409,11 +392,15 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
     const size_t cell = cells != nullptr ? (*cells)[j] : j;
     const size_t rf = cell / C;
     const size_t ci = cell % C;
-    if (!config_replayable[ci]) continue;
-    if (rows[rf].part != nullptr || rows[rf].dag == nullptr) continue;
+    if (!config_traced[ci] || rows[rf].dag == nullptr) continue;
     const size_t di = dag_slot[rf];
     stream_needed[di][config_rslot[ci]] = 1;
     dag_matrix[di] = workloads[rf / F].matrix;
+    if (rows[rf].part != nullptr) {
+      const size_t bdi = wl_dag_slot[rf / F];
+      stream_needed[bdi][config_rslot[ci]] = 1;
+      dag_matrix[bdi] = workloads[rf / F].matrix;
+    }
   }
   struct StreamJob {
     const ir::TensorDag* dag;
@@ -464,6 +451,8 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
       art.reuse_index = &*reuse[di][ki];
       art.router_tables = &*rtables[di][config_rslot[ci]];
       art.scratch = &scratches[worker];
+      const auto& stream = streams[di][config_rslot[ci]];
+      if (stream.has_value()) art.access_stream = &*stream;
       base.seconds = simulator.run(*workloads[wi].dag, configs[ci], art).seconds;
     } catch (const std::exception& e) {
       base.error = e.what();

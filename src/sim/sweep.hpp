@@ -9,7 +9,7 @@
 // pair the runner also builds one immutable score::Schedule + AddressMap +
 // score::ReuseIndex — plus one sim::RouterTables per distinct routing key and
 // one captured sim::AccessStream per (DAG, routing key) any trace-driven
-// replay-capable cell touches — and shares them read-only across the pool:
+// cell or 1-node baseline touches — and shares them read-only across the pool:
 // configurations differing only in their buffer policy reuse the same
 // schedule, reuse table, routing tables and access stream instead of
 // rebuilding them per cell (the cache presets replay one stream; see

@@ -1,23 +1,29 @@
-// Capture/replay split of the trace-driven cache path (sim/access_stream.hpp,
-// cache/cache_replay.hpp): replaying a captured AccessStream must be
-// bit-identical to direct service_op simulation — per metric field, per op —
-// on every golden workload under all seven Table IV presets (plus Flex+KV,
-// which is trace-driven but not replayable and must be untouched by the
-// plumbing).  Also pins: capture determinism (fingerprint + field level),
-// replay_many ≡ N independent replays, the CELLO_DISABLE_REPLAY escape hatch,
-// and the scalar replay engine (CELLO_DISABLE_AVX512) against the SIMD one.
+// Capture/replay servicing of the trace-driven cache path
+// (sim/access_stream.hpp, cache/cache_replay.hpp).  Replay is the only way a
+// cache policy is serviced, so it is pinned against a test-local reference:
+// a SetAssocCache driven op by op straight from the span emitter — no
+// capture, no period detection, no replay engine.  Per step traffic and
+// valid-line fills, and the final cache stats, must match on every golden
+// workload under the four cache presets, for the AVX-512 compact engine, the
+// scalar engine (CELLO_DISABLE_AVX512) and a 16-way geometry.  Also pins
+// capture determinism (fingerprint + field level), supplied-stream runs ≡
+// self-capturing runs, and the checked refusal of incompatible or non-fresh
+// replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "sim/access_stream.hpp"
+#include "sim/policies/access_gen.hpp"
 #include "sim/policies/cache_policy.hpp"
 #include "sim/policies/schedule_policy.hpp"
 #include "sim/registry.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "sparse/datasets.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
@@ -57,11 +63,49 @@ void expect_metrics_equal(const RunMetrics& a, const RunMetrics& b, const std::s
   }
 }
 
+/// Reference servicing: drive `cache` op by op with the spans the emitter
+/// derives for the buffer-routed operands, recording each op's DRAM traffic
+/// and the valid lines it added (counted by scanning the tag lanes).
+std::vector<BufferService> reference_services(const ir::TensorDag& dag,
+                                              const score::Schedule& sched,
+                                              const AddressMap& map,
+                                              const sparse::CsrMatrix* matrix,
+                                              const AcceleratorConfig& arch, const Router& router,
+                                              cache::SetAssocCache& cache) {
+  OpTrace t{&dag, nullptr, &map, matrix, {}, true};
+  OpAccessScratch scratch;
+  std::vector<BufferService> out;
+  for (const auto& step : sched.steps) {
+    const ir::EinsumOp& op = dag.op(step.op);
+    t.op = &op;
+    t.inputs.clear();
+    for (ir::TensorId in : op.inputs)
+      if (std::find(t.inputs.begin(), t.inputs.end(), in) == t.inputs.end() &&
+          dag.tensor(op.output).append_prev != in && router.route_input(op, in) == Route::Buffer)
+        t.inputs.push_back(in);
+    t.service_output = router.route_output(op) == Route::Buffer;
+    const cache::CacheStats before = cache.stats();
+    const u64 valid_before = cache.valid_lines();
+    emit_op_accesses(t, arch, scratch,
+                     [&](Addr a, Bytes l, bool w) { cache.access_range(a, l, w); });
+    out.push_back({cache.stats().dram_read_bytes - before.dram_read_bytes,
+                   cache.stats().dram_write_bytes - before.dram_write_bytes,
+                   cache.valid_lines() - valid_before});
+  }
+  return out;
+}
+
 /// The metrics-golden workload set: synthetic CG (periodic — exercises the
 /// period detector and fast-forward), GNN and ResNet (linear streams), and CG
 /// over a real sparse matrix (CSR gather capture).
-std::vector<SweepWorkload> golden_workloads(const sparse::CsrMatrix& fv1) {
-  std::vector<SweepWorkload> wls;
+struct GoldenWorkload {
+  std::string name;
+  ir::TensorDag dag;
+  const sparse::CsrMatrix* matrix;
+};
+
+std::vector<GoldenWorkload> golden_workloads(const sparse::CsrMatrix& fv1) {
+  std::vector<GoldenWorkload> wls;
   wls.push_back({"cg", workloads::build_cg_dag({81920, 16, 327680, 5, 4}), nullptr});
   wls.push_back({"gnn", workloads::build_gnn_dag({2708, 9464, 1433, 7}), nullptr});
   wls.push_back({"resnet", workloads::build_resnet_block_dag({}), nullptr});
@@ -72,39 +116,85 @@ std::vector<SweepWorkload> golden_workloads(const sparse::CsrMatrix& fv1) {
   return wls;
 }
 
-// Sweep-level bit-identity: the full golden grid — every golden workload x
-// all seven Table IV presets + Flex+KV — run with stream replay vs run with
-// the escape hatch (which suppresses capture entirely, so every cell takes
-// the direct service_op path).
-TEST(AccessStream, SweepReplayBitIdenticalOnGoldens) {
+// Replay ≡ the reference, per step and in final cache state, on every golden
+// workload x the four cache presets x {AVX-512 compact engine, scalar engine},
+// plus a 16-way geometry on the smaller workloads.
+TEST(AccessStream, ReplayMatchesReferenceOnGoldens) {
   const sparse::CsrMatrix fv1 = sparse::instantiate(sparse::dataset_by_name("fv1"));
-  const auto wls = golden_workloads(fv1);
-  std::vector<std::string> configs = ConfigRegistry::table4_names();
-  configs.push_back("Flex+KV");
-  const AcceleratorConfig arch;
-  const SweepRunner runner(2);
+  AcceleratorConfig wide;
+  wide.cache_associativity = 16;
+  struct Engine {
+    const char* name;
+    AcceleratorConfig arch;
+    bool scalar;
+  };
+  const std::vector<Engine> engines = {
+      {"simd", AcceleratorConfig{}, false}, {"scalar", AcceleratorConfig{}, true},
+      {"16-way", wide, false}};
 
-  const auto fast = runner.run(wls, configs, arch);
-  std::vector<SweepResult> slow;
-  {
-    ScopedEnv off("CELLO_DISABLE_REPLAY", "1");
-    slow = runner.run(wls, configs, arch);
-  }
+  for (const auto& wl : golden_workloads(fv1)) {
+    for (const char* cname : {"Flex+LRU", "Flex+BRRIP", "SCORE+LRU", "SCORE+BRRIP"}) {
+      const Configuration& config = ConfigRegistry::global().at(cname);
+      for (const Engine& e : engines) {
+        // The generic 16-way layout replays linearly (no fast-forward); the
+        // large synthetic CG would dominate the suite's runtime.
+        if (e.arch.cache_associativity != 8 && wl.name == "cg") continue;
+        const std::string what = wl.name + "/" + cname + "/" + e.name;
+        const Simulator simulator(e.arch, wl.matrix);
+        const score::Schedule sched = simulator.make_schedule(wl.dag, config);
+        const AddressMap map = AddressMap::build(wl.dag);
+        const Router router(wl.dag, sched, config.schedule, config.allow_delayed_hold, e.arch);
+        const AccessStream stream =
+            AccessStream::capture(wl.dag, sched, map, wl.matrix, e.arch, router);
 
-  ASSERT_EQ(fast.size(), slow.size());
-  ASSERT_EQ(fast.size(), wls.size() * configs.size());
-  for (size_t i = 0; i < fast.size(); ++i) {
-    ASSERT_TRUE(fast[i].ok()) << fast[i].error;
-    ASSERT_TRUE(slow[i].ok()) << slow[i].error;
-    expect_metrics_equal(fast[i].metrics, slow[i].metrics,
-                         fast[i].workload + "/" + fast[i].config);
+        const cache::Policy repl = std::string(cname).ends_with("LRU") ? cache::Policy::Lru
+                                                                       : cache::Policy::Brrip;
+        CachePolicy policy(e.arch, repl);
+        std::vector<BufferService> got;
+        {
+          std::optional<ScopedEnv> scalar;
+          if (e.scalar) scalar.emplace("CELLO_DISABLE_AVX512", "1");
+          policy.replay(stream, got);
+        }
+        const cache::SetAssocCache& replayed = policy.cache();
+        cache::SetAssocCache ref(e.arch.sram_bytes, e.arch.line_bytes,
+                                 e.arch.cache_associativity, repl);
+        const auto want =
+            reference_services(wl.dag, sched, map, wl.matrix, e.arch, router, ref);
+
+        ASSERT_EQ(got.size(), want.size()) << what;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].dram_read, want[i].dram_read) << what << " step " << i;
+          EXPECT_EQ(got[i].dram_write, want[i].dram_write) << what << " step " << i;
+          EXPECT_EQ(got[i].fills, want[i].fills) << what << " step " << i;
+        }
+        const cache::CacheStats& a = replayed.stats();
+        const cache::CacheStats& b = ref.stats();
+        EXPECT_EQ(a.accesses, b.accesses) << what;
+        EXPECT_EQ(a.hits, b.hits) << what;
+        EXPECT_EQ(a.misses, b.misses) << what;
+        EXPECT_EQ(a.evictions, b.evictions) << what;
+        EXPECT_EQ(a.writebacks, b.writebacks) << what;
+        EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes) << what;
+        EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes) << what;
+        EXPECT_EQ(a.tag_lookups, b.tag_lookups) << what;
+        EXPECT_EQ(a.data_accesses, b.data_accesses) << what;
+        EXPECT_EQ(replayed.valid_lines(), ref.valid_lines()) << what;
+        EXPECT_EQ(replayed.valid_lines(), a.misses - a.evictions) << what;
+        // The end-of-run drain reads the dirty bits replay left behind.
+        const Bytes ref_written = ref.stats().dram_write_bytes;
+        ref.flush();
+        EXPECT_EQ(policy.drain({})->front().dram_write,
+                  ref.stats().dram_write_bytes - ref_written)
+            << what;
+      }
+    }
   }
 }
 
-// Simulator-level identity on the real-matrix golden: capture a stream, run
-// with it attached vs without, for both cache presets and both replay
-// engines (AVX-512 and scalar), plus the per-run escape hatch.
-TEST(AccessStream, DirectRunReplayMatchesServiceOp) {
+// A supplied stream only shares the capture: the run's metrics equal those of
+// a run that captures its own, on the real-matrix golden.
+TEST(AccessStream, SuppliedStreamMatchesSelfCapture) {
   const sparse::CsrMatrix fv1 = sparse::instantiate(sparse::dataset_by_name("fv1"));
   const ir::TensorDag dag =
       workloads::build_cg_dag({sparse::dataset_by_name("fv1").rows, 16, fv1.nnz(), 5, 4});
@@ -120,26 +210,12 @@ TEST(AccessStream, DirectRunReplayMatchesServiceOp) {
     EXPECT_TRUE(stream.compatible(arch));
     EXPECT_EQ(stream.schedule_steps, sched.steps.size());
 
-    RunArtifacts direct_art;
-    direct_art.schedule = &sched;
-    direct_art.address_map = &map;
-    const RunMetrics direct = simulator.run(dag, config, direct_art);
-
-    RunArtifacts replay_art = direct_art;
-    replay_art.access_stream = &stream;
-    const RunMetrics replayed = simulator.run(dag, config, replay_art);
-    expect_metrics_equal(direct, replayed, std::string(cname) + " simd replay");
-
-    {
-      ScopedEnv scalar("CELLO_DISABLE_AVX512", "1");
-      const RunMetrics scalar_replayed = simulator.run(dag, config, replay_art);
-      expect_metrics_equal(direct, scalar_replayed, std::string(cname) + " scalar replay");
-    }
-    {
-      ScopedEnv off("CELLO_DISABLE_REPLAY", "1");
-      const RunMetrics escaped = simulator.run(dag, config, replay_art);
-      expect_metrics_equal(direct, escaped, std::string(cname) + " escape hatch");
-    }
+    RunArtifacts art;
+    art.schedule = &sched;
+    art.address_map = &map;
+    const RunMetrics self = simulator.run(dag, config, art);
+    art.access_stream = &stream;
+    expect_metrics_equal(self, simulator.run(dag, config, art), cname);
   }
 }
 
@@ -180,60 +256,8 @@ TEST(AccessStream, CaptureIsDeterministic) {
             a.schedule_steps);
 }
 
-// replay_many must equal N independent replay() calls — same per-step
-// services, same final cache state — across mixed policies and geometries.
-TEST(AccessStream, ReplayManyMatchesIndependentReplays) {
-  const ir::TensorDag dag = workloads::build_cg_dag({81920, 16, 327680, 5, 4});
-  const AcceleratorConfig base;
-  const Simulator simulator(base);
-  const auto& config = ConfigRegistry::global().at("Flex+LRU");
-  const score::Schedule sched = simulator.make_schedule(dag, config);
-  const AddressMap map = AddressMap::build(dag);
-  const Router router(dag, sched, config.schedule, config.allow_delayed_hold, base);
-  const AccessStream stream = AccessStream::capture(dag, sched, map, nullptr, base, router);
-
-  // LRU / BRRIP across two SRAM budgets: four distinct cache geometries.
-  struct Geometry {
-    cache::Policy policy;
-    Bytes sram;
-  };
-  const std::vector<Geometry> geoms = {{cache::Policy::Lru, 1ull << 20},
-                                       {cache::Policy::Lru, 4ull << 20},
-                                       {cache::Policy::Brrip, 1ull << 20},
-                                       {cache::Policy::Brrip, 4ull << 20}};
-
-  std::vector<std::unique_ptr<CachePolicy>> batch, solo;
-  std::vector<CachePolicy*> batch_ptrs;
-  for (const auto& g : geoms) {
-    AcceleratorConfig arch = base;
-    arch.sram_bytes = g.sram;
-    batch.push_back(std::make_unique<CachePolicy>(arch, g.policy));
-    solo.push_back(std::make_unique<CachePolicy>(arch, g.policy));
-    batch_ptrs.push_back(batch.back().get());
-  }
-
-  std::vector<std::vector<BufferService>> batch_services;
-  ASSERT_TRUE(CachePolicy::replay_many(stream, batch_ptrs, batch_services));
-  ASSERT_EQ(batch_services.size(), geoms.size());
-
-  for (size_t p = 0; p < geoms.size(); ++p) {
-    std::vector<BufferService> services;
-    ASSERT_TRUE(solo[p]->replay(stream, services));
-    ASSERT_EQ(batch_services[p].size(), services.size()) << "policy " << p;
-    for (size_t s = 0; s < services.size(); ++s) {
-      EXPECT_EQ(batch_services[p][s].dram_read, services[s].dram_read)
-          << "policy " << p << " step " << s;
-      EXPECT_EQ(batch_services[p][s].dram_write, services[s].dram_write)
-          << "policy " << p << " step " << s;
-    }
-    EXPECT_EQ(batch[p]->cache().valid_lines(), solo[p]->cache().valid_lines())
-        << "policy " << p;
-    EXPECT_EQ(batch[p]->occupancy_bytes(), solo[p]->occupancy_bytes()) << "policy " << p;
-  }
-}
-
-// A geometry-incompatible stream must be refused (caller falls back to
-// service_op), and a dirty policy must be refused until reset.
+// Replay is a checked call: a geometry-incompatible stream and a policy that
+// already serviced accesses both throw; a reset policy replays again.
 TEST(AccessStream, ReplayRefusesIncompatibleOrDirtyState) {
   const ir::TensorDag dag = workloads::build_cg_dag({81920, 16, 327680, 3, 4});
   const AcceleratorConfig arch;
@@ -248,19 +272,20 @@ TEST(AccessStream, ReplayRefusesIncompatibleOrDirtyState) {
   other.line_bytes = arch.line_bytes * 2;
   CachePolicy mismatched(other, cache::Policy::Lru);
   std::vector<BufferService> services;
-  EXPECT_FALSE(mismatched.replay(stream, services));
+  EXPECT_THROW(mismatched.replay(stream, services), Error);
   EXPECT_TRUE(services.empty());
 
   CachePolicy dirty(arch, cache::Policy::Lru);
-  ASSERT_TRUE(dirty.replay(stream, services));
+  dirty.replay(stream, services);
   std::vector<BufferService> again;
-  EXPECT_FALSE(dirty.replay(stream, again)) << "second replay without reset must refuse";
+  EXPECT_THROW(dirty.replay(stream, again), Error) << "second replay without reset";
   dirty.reset();
-  EXPECT_TRUE(dirty.replay(stream, again)) << "reset policy replays again";
+  dirty.replay(stream, again);
   ASSERT_EQ(services.size(), again.size());
   for (size_t s = 0; s < services.size(); ++s) {
     EXPECT_EQ(services[s].dram_read, again[s].dram_read) << "step " << s;
     EXPECT_EQ(services[s].dram_write, again[s].dram_write) << "step " << s;
+    EXPECT_EQ(services[s].fills, again[s].fills) << "step " << s;
   }
 }
 

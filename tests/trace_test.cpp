@@ -1,8 +1,9 @@
 // trace::ChromeTraceWriter + Simulator run tracing.
 //
 // Traces are *simulated-time* narrations, so they must be deterministic to
-// the byte: a checked-in golden pins the exact serialization for one CG cell
-// (CELLO_UPDATE_GOLDENS=1 ./trace_test to refresh after an intended change),
+// the byte: checked-in goldens pin the exact serialization for one analytic
+// CG cell and two cache-preset cells (CELLO_UPDATE_GOLDENS=1 ./trace_test to
+// refresh after an intended change),
 // schema assertions pin the Chrome trace_event grammar Perfetto expects, and
 // equality tests pin that (a) arming a sink never perturbs the metrics and
 // (b) a sweep's --trace-cell bytes equal a direct Simulator::run's bytes.
@@ -27,7 +28,24 @@ namespace {
 
 using namespace cello;
 
-const char* golden_path() { return CELLO_SOURCE_DIR "/tests/goldens/trace_cg_cello.json"; }
+/// Compare `got` with the checked-in golden `tests/goldens/<file>`, or rewrite
+/// the golden when CELLO_UPDATE_GOLDENS is set.
+void expect_golden(const std::string& file, const std::string& got) {
+  const std::string path = CELLO_SOURCE_DIR "/tests/goldens/" + file;
+  if (std::getenv("CELLO_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << got;
+    ASSERT_TRUE(out.good()) << "failed to write " << path;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " — run with CELLO_UPDATE_GOLDENS=1 to generate";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str())
+      << file << ": trace serialization drifted; CELLO_UPDATE_GOLDENS=1 ./trace_test if intended";
+}
 
 /// Trace one run of `spec` under configuration `name` and return the exact
 /// ChromeTraceWriter bytes (finish() included).
@@ -46,21 +64,17 @@ std::string trace_run(const std::string& spec, const std::string& name,
 }
 
 TEST(Trace, GoldenBytesForCgCello) {
-  const std::string got = trace_run("cg:m=2048,n=8,iters=2", "Cello");
+  expect_golden("trace_cg_cello.json", trace_run("cg:m=2048,n=8,iters=2", "Cello"));
+}
 
-  if (std::getenv("CELLO_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(golden_path(), std::ios::binary);
-    out << got;
-    ASSERT_TRUE(out.good()) << "failed to write " << golden_path();
-    return;
-  }
-  std::ifstream in(golden_path(), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_path()
-                         << " — run with CELLO_UPDATE_GOLDENS=1 to generate";
-  std::stringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "trace serialization drifted; CELLO_UPDATE_GOLDENS=1 ./trace_test if intended";
+// Cache presets: per-step DRAM spans and the valid-line occupancy samples of
+// the trace-driven path.  The CG run is periodic, so its samples cover the
+// occurrences the replayer fast-forwards over instead of simulating.
+TEST(Trace, GoldenBytesForCachePresets) {
+  expect_golden("trace_spmv_fv1_flex_brrip.json",
+                trace_run("spmv:dataset=fv1,iters=2", "Flex+BRRIP"));
+  expect_golden("trace_cg_fv1_score_lru.json",
+                trace_run("cg:dataset=fv1,iters=5,n=8", "SCORE+LRU"));
 }
 
 TEST(Trace, TwoRunsAreByteIdentical) {
@@ -233,30 +247,5 @@ TEST(Trace, FinishIsIdempotentAndCountsEvents) {
   EXPECT_EQ(writer.events(), 4u);
   EXPECT_NO_THROW(sim::json_parse(once));
 }
-
-// The pre-PR-9 overloads still resolve (as [[deprecated]] shims) and agree
-// with the one real run(dag, config, artifacts) signature.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Trace, DeprecatedRunShimsMatchBundleApi) {
-  const sim::Workload wl = sim::WorkloadRegistry::global().resolve("cg:m=2048,n=8,iters=2");
-  const sim::Simulator simulator{sim::AcceleratorConfig{}};
-  const sim::RunMetrics want = simulator.run(*wl.dag, sim::ConfigRegistry::global().at("Cello"));
-
-  const sim::RunMetrics by_name = simulator.run(*wl.dag, "Cello");
-  const sim::RunMetrics by_kind = simulator.run(*wl.dag, sim::ConfigKind::Cello);
-  EXPECT_EQ(by_name.seconds, want.seconds);
-  EXPECT_EQ(by_kind.seconds, want.seconds);
-  EXPECT_EQ(by_name.dram_bytes, want.dram_bytes);
-  EXPECT_EQ(by_kind.dram_bytes, want.dram_bytes);
-
-  const sim::Configuration& config = sim::ConfigRegistry::global().at("Cello");
-  const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
-  const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
-  const sim::RunMetrics positional = simulator.run(*wl.dag, config, sched, map);
-  EXPECT_EQ(positional.seconds, want.seconds);
-  EXPECT_EQ(positional.dram_bytes, want.dram_bytes);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
