@@ -9,6 +9,7 @@
 int main() {
   using namespace cello;
   bench::print_header("Design-knob ablations", "DESIGN.md §7");
+  const auto& registry = sim::ConfigRegistry::global();
 
   // --- (1) pipeline-buffer hold budget on ResNet (SET/Cello need to *hold*
   //     the skip tensor; too small a budget forces writeback) ---------------
@@ -19,8 +20,9 @@ int main() {
     for (Bytes kib : {256ull, 512ull, 1024ull, 2048ull}) {
       auto arch = bench::table5_config(250e9);
       arch.hold_budget_bytes = kib * 1024;
-      const auto set_m = run(dag, sim::ConfigKind::Set, arch);
-      const auto cello_m = run(dag, sim::ConfigKind::Cello, arch);
+      const sim::Simulator simulator(arch);
+      const auto set_m = simulator.run(dag, registry.at("SET"));
+      const auto cello_m = simulator.run(dag, registry.at("Cello"));
       t.add_row({std::to_string(kib) + " KiB",
                  format_bytes(static_cast<double>(set_m.dram_bytes)),
                  format_bytes(static_cast<double>(cello_m.dram_bytes))});
@@ -42,7 +44,7 @@ int main() {
     for (Bytes b : {512ull, 4096ull, 65536ull}) {
       auto arch = bench::table5_config();
       arch.rf_bytes = b;
-      const auto m = run(dag, sim::ConfigKind::Cello, arch);
+      const auto m = sim::Simulator(arch).run(dag, registry.at("Cello"));
       t.add_row({format_bytes(static_cast<double>(b)),
                  format_bytes(static_cast<double>(m.dram_bytes)),
                  format_double(m.gmacs_per_sec(), 1)});
@@ -65,7 +67,7 @@ int main() {
     for (u32 entries : {2u, 4u, 8u, 64u}) {
       auto arch = bench::table5_config();
       arch.chord_entries = entries;
-      const auto m = run(dag, sim::ConfigKind::Cello, arch);
+      const auto m = sim::Simulator(arch).run(dag, registry.at("Cello"));
       t.add_row({std::to_string(entries), format_bytes(static_cast<double>(m.dram_bytes))});
     }
     std::cout << t.to_string();

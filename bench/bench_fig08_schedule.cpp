@@ -2,7 +2,7 @@
 // bindings) and the multi-node dataflow argument (move small tensors across
 // the NoC, not the skewed ones).
 #include "bench_util.hpp"
-#include "noc/mesh.hpp"
+#include "noc/topology.hpp"
 #include "score/schedule.hpp"
 #include "workloads/cg.hpp"
 
@@ -39,12 +39,14 @@ int main() {
   TextTable noc_t({"nodes", "naive: move R (words)", "SCORE: move small x hops (words)",
                    "reduction"});
   for (i64 nodes : {4, 16, 64}) {
-    noc::MeshNoc mesh;
-    mesh.nodes = nodes;
-    const auto tr = noc::compare_multinode(shape.m, shape.n, shape.n, mesh);
-    noc_t.add_row({std::to_string(nodes), format_double(tr.naive_words, 0),
-                   format_double(tr.score_words, 0),
-                   format_double(tr.ratio(), 0) + "x"});
+    // A broadcast and a reduction, each the depth of the mesh's collective tree.
+    const i64 hops = 2 * noc::Topology::build(noc::resolve_topology("mesh", nodes)).depth();
+    const double naive_words = static_cast<double>(shape.m) * static_cast<double>(shape.n);
+    const double score_words =
+        static_cast<double>(shape.n) * static_cast<double>(shape.n) * static_cast<double>(hops);
+    noc_t.add_row({std::to_string(nodes), format_double(naive_words, 0),
+                   format_double(score_words, 0),
+                   format_double(naive_words / score_words, 0) + "x"});
   }
   std::cout << noc_t.to_string();
   return 0;

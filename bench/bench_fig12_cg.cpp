@@ -12,30 +12,32 @@ int main() {
 
   const char* datasets[] = {"fv1", "shallow_water1", "G2_circuit"};
   std::vector<double> cello_speedups;
+  std::vector<sim::SweepResult> fv1_roofline;  // fv1, N=16, 1 TB/s: the roofline panel
 
   for (const char* name : datasets) {
     const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = sparse::instantiate(spec);
+    const auto matrix = bench::instantiate(name);
     for (i64 n : {1, 16}) {
+      workloads::CgShape shape = bench::cg_shape_for(spec, n);
+      shape.nnz = matrix->nnz();  // exact generated count
+      const std::vector<sim::Workload> row{
+          bench::workload(name, "cg", workloads::build_cg_dag(shape), matrix)};
       for (double bw : {250e9, 1e12}) {
-        workloads::CgShape shape = bench::cg_shape_for(spec, n);
-        shape.nnz = matrix.nnz();  // exact generated count
-        const auto dag = workloads::build_cg_dag(shape);
-        const auto arch = bench::table5_config(bw);
+        const auto cells = bench::sweep(row, bench::table5_config(bw));
 
-        std::cout << "dataset=" << name << " (M=" << spec.rows << ", nnz=" << matrix.nnz()
+        std::cout << "dataset=" << name << " (M=" << spec.rows << ", nnz=" << matrix->nnz()
                   << ")  N=" << n << "  BW=" << format_rate(bw, "B/s") << "\n";
         TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
-        double base = 0;
-        for (auto kind : all_configs()) {
-          const auto m = run(dag, kind, arch, &matrix);
-          if (kind == sim::ConfigKind::Flexagon) base = m.seconds;
-          if (kind == sim::ConfigKind::Cello) cello_speedups.push_back(base / m.seconds);
-          t.add_row({sim::to_string(kind), format_double(m.gmacs_per_sec(), 1),
+        const double base = cells.front().metrics.seconds;  // Flexagon
+        for (const auto& cell : cells) {
+          const auto& m = cell.metrics;
+          if (cell.config == "Cello") cello_speedups.push_back(base / m.seconds);
+          t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),
                      format_bytes(static_cast<double>(m.dram_bytes)),
                      format_double(base / m.seconds, 2) + "x"});
         }
         std::cout << t.to_string() << "\n";
+        if (std::string(name) == "fv1" && n == 16 && bw == 1e12) fv1_roofline = cells;
       }
     }
   }
@@ -46,11 +48,6 @@ int main() {
 
   // Roofline context for fv1 (the first plot of Fig. 12) and the Table I
   // analogue: CG as a fraction of peak.
-  const auto& fv1 = sparse::dataset_by_name("fv1");
-  const auto fv1_m = sparse::instantiate(fv1);
-  workloads::CgShape shape = bench::cg_shape_for(fv1, 16);
-  shape.nnz = fv1_m.nnz();
-  const auto dag = workloads::build_cg_dag(shape);
   const auto arch = bench::table5_config();
   mem::Roofline roof{static_cast<double>(arch.num_macs) * arch.clock_hz,
                      arch.dram_bytes_per_sec};
@@ -59,10 +56,11 @@ int main() {
             << ", ridge " << format_double(roof.ridge_ops_per_byte(), 1) << " ops/B):\n";
   TextTable r({"config", "achieved AI (MACs/B)", "achieved GMACs/s", "% of roofline at AI",
                "% of peak (Table I analogue)"});
-  for (auto kind : {sim::ConfigKind::Flexagon, sim::ConfigKind::Cello}) {
-    const auto m = run(dag, kind, arch, &fv1_m);
+  for (const auto& cell : fv1_roofline) {
+    if (cell.config != "Flexagon" && cell.config != "Cello") continue;
+    const auto& m = cell.metrics;
     const double att = roof.attainable(m.intensity());
-    r.add_row({sim::to_string(kind), format_double(m.intensity(), 2),
+    r.add_row({cell.config, format_double(m.intensity(), 2),
                format_double(m.gmacs_per_sec(), 1),
                format_double(100.0 * m.gmacs_per_sec() * 1e9 / att, 1) + "%",
                format_double(100.0 * m.gmacs_per_sec() * 1e9 / roof.peak_flops_per_sec, 2) +

@@ -4,6 +4,25 @@
 #include "workloads/bicgstab.hpp"
 #include "workloads/gnn.hpp"
 
+namespace {
+
+/// One Table IV table for a single workload row.
+void print_table(const std::vector<cello::sim::Workload>& row) {
+  using namespace cello;
+  const auto cells = bench::sweep(row, bench::table5_config());
+  TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
+  const double base = cells.front().metrics.seconds;  // Flexagon
+  for (const auto& cell : cells) {
+    const auto& m = cell.metrics;
+    t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),
+               format_bytes(static_cast<double>(m.dram_bytes)),
+               format_double(base / m.seconds, 2) + "x"});
+  }
+  std::cout << t.to_string() << "\n";
+}
+
+}  // namespace
+
 int main() {
   using namespace cello;
   bench::print_header("GNN layer and BiCGStab performance", "Fig. 13");
@@ -11,27 +30,16 @@ int main() {
   std::cout << "--- GCN layers ---\n";
   for (const char* name : {"cora", "protein"}) {
     const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = sparse::instantiate(spec);
+    const auto matrix = bench::instantiate(name);
     workloads::GnnShape g;
     g.vertices = spec.rows;
-    g.nnz = matrix.nnz();
+    g.nnz = matrix->nnz();
     g.in_features = spec.gnn_in_features;
     g.out_features = spec.gnn_out_features;
-    const auto dag = workloads::build_gnn_dag(g);
-    const auto arch = bench::table5_config();
 
     std::cout << "dataset=" << name << " (M=" << g.vertices << ", N=" << g.in_features
               << ", O=" << g.out_features << ")\n";
-    TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
-    double base = 0;
-    for (auto kind : all_configs()) {
-      const auto m = run(dag, kind, arch, &matrix);
-      if (kind == sim::ConfigKind::Flexagon) base = m.seconds;
-      t.add_row({sim::to_string(kind), format_double(m.gmacs_per_sec(), 1),
-                 format_bytes(static_cast<double>(m.dram_bytes)),
-                 format_double(base / m.seconds, 2) + "x"});
-    }
-    std::cout << t.to_string() << "\n";
+    print_table({bench::workload(name, "gnn", workloads::build_gnn_dag(g), matrix)});
   }
   std::cout << "Expected shape: Cello == FLAT (the single intermediate is pipelineable\n"
                "with no delayed dependency); caches suffer on cora's large feature map.\n\n";
@@ -39,25 +47,14 @@ int main() {
   std::cout << "--- BiCGStab (N=1) ---\n";
   for (const char* name : {"fv1", "shallow_water1", "nasa4704"}) {
     const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = sparse::instantiate(spec);
+    const auto matrix = bench::instantiate(name);
     workloads::BiCgStabShape b;
     b.m = spec.rows;
-    b.nnz = matrix.nnz();
+    b.nnz = matrix->nnz();
     b.iterations = 10;
-    const auto dag = workloads::build_bicgstab_dag(b);
-    const auto arch = bench::table5_config();
 
     std::cout << "dataset=" << name << " (M=" << b.m << ", nnz=" << b.nnz << ")\n";
-    TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
-    double base = 0;
-    for (auto kind : all_configs()) {
-      const auto m = run(dag, kind, arch, &matrix);
-      if (kind == sim::ConfigKind::Flexagon) base = m.seconds;
-      t.add_row({sim::to_string(kind), format_double(m.gmacs_per_sec(), 1),
-                 format_bytes(static_cast<double>(m.dram_bytes)),
-                 format_double(base / m.seconds, 2) + "x"});
-    }
-    std::cout << t.to_string() << "\n";
+    print_table({bench::workload(name, "bicgstab", workloads::build_bicgstab_dag(b), matrix)});
   }
   std::cout << "Expected shape: like CG, every BiCGStab vector has delayed downstream\n"
                "consumers, so Cello outperforms the pipelining-only baselines.\n";

@@ -10,60 +10,69 @@ int main() {
   using namespace cello;
   bench::print_header("Relative off-chip energy per workload (geomean)", "Fig. 14");
 
-  const auto arch = bench::table5_config();
-  // workload class -> config -> list of relative energies across datasets.
-  std::map<std::string, std::map<std::string, std::vector<double>>> rel;
-
-  auto record = [&](const std::string& klass, const ir::TensorDag& dag,
-                    const sparse::CsrMatrix* matrix) {
-    double base = 0;
-    for (auto kind : all_configs()) {
-      const auto m = run(dag, kind, arch, matrix);
-      if (kind == sim::ConfigKind::Flexagon) base = m.offchip_energy_pj;
-      rel[klass][sim::to_string(kind)].push_back(m.offchip_energy_pj / base);
-    }
+  // Every dataset is instantiated once and shared by all rows built on it.
+  std::map<std::string, std::shared_ptr<const sparse::CsrMatrix>> matrices;
+  auto matrix_of = [&](const std::string& name) {
+    auto& m = matrices[name];
+    if (!m) m = bench::instantiate(name);
+    return m;
   };
 
+  // One grid: every (workload class, dataset) row under every configuration.
+  std::vector<sim::Workload> rows;
+  std::vector<std::string> row_class;
   for (const char* name : {"fv1", "shallow_water1", "G2_circuit"}) {
-    const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = sparse::instantiate(spec);
+    const auto matrix = matrix_of(name);
     for (i64 n : {1, 16}) {
-      auto shape = bench::cg_shape_for(spec, n);
-      shape.nnz = matrix.nnz();
-      record("PDE solvers (CG)", workloads::build_cg_dag(shape), &matrix);
+      auto shape = bench::cg_shape_for(sparse::dataset_by_name(name), n);
+      shape.nnz = matrix->nnz();
+      rows.push_back(bench::workload(name, "cg", workloads::build_cg_dag(shape), matrix));
+      row_class.push_back("PDE solvers (CG)");
     }
   }
   for (const char* name : {"fv1", "shallow_water1", "nasa4704"}) {
-    const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = sparse::instantiate(spec);
+    const auto matrix = matrix_of(name);
     workloads::BiCgStabShape b;
-    b.m = spec.rows;
-    b.nnz = matrix.nnz();
+    b.m = sparse::dataset_by_name(name).rows;
+    b.nnz = matrix->nnz();
     b.iterations = 10;
-    record("PDE solvers (BiCGStab)", workloads::build_bicgstab_dag(b), &matrix);
+    rows.push_back(bench::workload(name, "bicgstab", workloads::build_bicgstab_dag(b), matrix));
+    row_class.push_back("PDE solvers (BiCGStab)");
   }
   for (const char* name : {"cora", "protein"}) {
     const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = sparse::instantiate(spec);
+    const auto matrix = matrix_of(name);
     workloads::GnnShape g;
     g.vertices = spec.rows;
-    g.nnz = matrix.nnz();
+    g.nnz = matrix->nnz();
     g.in_features = spec.gnn_in_features;
     g.out_features = spec.gnn_out_features;
-    record("GNN", workloads::build_gnn_dag(g), &matrix);
+    rows.push_back(bench::workload(name, "gnn", workloads::build_gnn_dag(g), matrix));
+    row_class.push_back("GNN");
+  }
+  const auto cells = bench::sweep(rows, bench::table5_config());
+
+  // workload class -> config -> list of relative energies across datasets.
+  const size_t C = bench::table4_configs().size();
+  std::map<std::string, std::map<std::string, std::vector<double>>> rel;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double base = cells[i * C].metrics.offchip_energy_pj;  // Flexagon
+    for (size_t j = 0; j < C; ++j) {
+      const auto& cell = cells[i * C + j];
+      rel[row_class[i]][cell.config].push_back(cell.metrics.offchip_energy_pj / base);
+    }
   }
 
   std::vector<std::string> header = {"workload"};
-  for (auto kind : all_configs()) header.push_back(sim::to_string(kind));
+  for (const auto& name : sim::ConfigRegistry::table4_names()) header.push_back(name);
   TextTable t(header);
   std::vector<double> cello_rel;
   for (const auto& [klass, per_config] : rel) {
     std::vector<std::string> row = {klass};
-    for (auto kind : all_configs()) {
-      const auto& xs = per_config.at(sim::to_string(kind));
+    for (const auto& name : sim::ConfigRegistry::table4_names()) {
+      const auto& xs = per_config.at(name);
       const double g = geomean(xs);
-      if (kind == sim::ConfigKind::Cello)
-        cello_rel.insert(cello_rel.end(), xs.begin(), xs.end());
+      if (name == "Cello") cello_rel.insert(cello_rel.end(), xs.begin(), xs.end());
       row.push_back(format_double(g, 3));
     }
     t.add_row(std::move(row));

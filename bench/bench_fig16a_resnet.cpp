@@ -7,17 +7,18 @@ int main() {
   using namespace cello;
   bench::print_header("ResNet residual block performance and energy", "Fig. 16(a)");
 
-  const auto dag = workloads::build_resnet_block_dag({});
+  const std::vector<sim::Workload> row{
+      bench::workload("resnet", "resnet", workloads::build_resnet_block_dag({}))};
   for (double bw : {250e9, 1e12}) {
     const auto arch = bench::table5_config(bw);
+    const auto cells = bench::sweep(row, arch);
     std::cout << "memory bandwidth = " << format_rate(bw, "B/s") << "\n";
     TextTable t({"config", "GMACs/s", "DRAM traffic", "relative energy", "bound"});
-    double base_energy = 0;
-    for (auto kind : all_configs()) {
-      const auto m = run(dag, kind, arch);
-      if (kind == sim::ConfigKind::Flexagon) base_energy = m.offchip_energy_pj;
+    const double base_energy = cells.front().metrics.offchip_energy_pj;  // Flexagon
+    for (const auto& cell : cells) {
+      const auto& m = cell.metrics;
       const double compute_s = arch.compute_seconds(m.total_macs);
-      t.add_row({sim::to_string(kind), format_double(m.gmacs_per_sec(), 1),
+      t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),
                  format_bytes(static_cast<double>(m.dram_bytes)),
                  format_double(m.offchip_energy_pj / base_energy, 3),
                  m.seconds <= compute_s * 1.05 ? "compute" : "memory"});

@@ -8,6 +8,7 @@ int main() {
 
   const auto& spec = sparse::dataset_by_name("shallow_water1");
   const auto matrix = sparse::instantiate(spec);
+  const sim::Configuration& cello = sim::ConfigRegistry::global().at("Cello");
 
   for (i64 n : {1, 16}) {
     auto shape = bench::cg_shape_for(spec, n);
@@ -19,7 +20,7 @@ int main() {
     double base_traffic = 0;
     for (Bytes mib : {1ull, 4ull, 16ull}) {
       const auto arch = bench::table5_config(1e12, mib * 1024 * 1024);
-      const auto m = run(dag, sim::ConfigKind::Cello, arch, &matrix);
+      const auto m = sim::Simulator(arch, &matrix).run(dag, cello);
       if (mib == 4) base_traffic = static_cast<double>(m.dram_bytes);
       t.add_row({std::to_string(mib) + " MiB", format_double(m.gmacs_per_sec(), 1),
                  format_bytes(static_cast<double>(m.dram_bytes)),

@@ -7,22 +7,22 @@ int main() {
   bench::print_header("PRELUDE-only ablation on CG", "Fig. 16(c)");
 
   const auto& spec = sparse::dataset_by_name("shallow_water1");
-  const auto matrix = sparse::instantiate(spec);
+  const auto matrix = bench::instantiate("shallow_water1");
+  const auto configs = bench::configs({"Flexagon", "FLAT", "Prelude-only", "Cello"});
 
   for (i64 n : {1, 16}) {
     auto shape = bench::cg_shape_for(spec, n);
-    shape.nnz = matrix.nnz();
-    const auto dag = workloads::build_cg_dag(shape);
-    const auto arch = bench::table5_config();
+    shape.nnz = matrix->nnz();
+    const auto cells = bench::sweep(
+        {bench::workload("shallow_water1", "cg", workloads::build_cg_dag(shape), matrix)},
+        bench::table5_config(), configs);
 
     std::cout << "dataset=shallow_water1  N=" << n << "\n";
     TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
-    double base = 0;
-    for (auto kind : {sim::ConfigKind::Flexagon, sim::ConfigKind::Flat,
-                      sim::ConfigKind::PreludeOnly, sim::ConfigKind::Cello}) {
-      const auto m = run(dag, kind, arch, &matrix);
-      if (kind == sim::ConfigKind::Flexagon) base = m.seconds;
-      t.add_row({sim::to_string(kind), format_double(m.gmacs_per_sec(), 1),
+    const double base = cells.front().metrics.seconds;  // Flexagon
+    for (const auto& cell : cells) {
+      const auto& m = cell.metrics;
+      t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),
                  format_bytes(static_cast<double>(m.dram_bytes)),
                  format_double(base / m.seconds, 2) + "x"});
     }

@@ -129,9 +129,10 @@ const sim::Workload& sweep_cg_workload() {
 void BM_SweepCgAnalyticShared(benchmark::State& state) {
   const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
   const std::vector<sim::Workload> workloads = {sweep_cg_workload()};
+  const auto configs = bench::configs(sweep_config_names());
   const sim::SweepRunner runner(/*threads=*/1);
   for (auto _ : state) {
-    const auto cells = runner.run(workloads, sweep_config_names(), arch);
+    const auto cells = runner.run(workloads, configs, arch);
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
 }
@@ -277,9 +278,10 @@ void BM_LlmDecodeSweepShared(benchmark::State& state) {
   std::vector<std::string> names = sweep_config_names();
   names.push_back("Flex+KV");
   const std::vector<sim::Workload> workloads = {llm_workload()};
+  const auto configs = bench::configs(names);
   const sim::SweepRunner runner(/*threads=*/1);
   for (auto _ : state) {
-    const auto cells = runner.run(workloads, names, arch);
+    const auto cells = runner.run(workloads, configs, arch);
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
 }
@@ -299,7 +301,7 @@ void BM_ReplaySweepTable4(benchmark::State& state) {
   const std::vector<sim::Workload> workloads = {sweep_cg_workload()};
   const sim::SweepRunner runner(/*threads=*/1);
   for (auto _ : state) {
-    const auto cells = runner.run(workloads, sim::ConfigRegistry::table4_names(), arch);
+    const auto cells = runner.run(workloads, bench::table4_configs(), arch);
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
 }

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cello/cello.hpp"
@@ -29,6 +31,41 @@ inline workloads::CgShape cg_shape_for(const sparse::DatasetSpec& spec, i64 n,
   s.nnz = spec.nnz;
   s.iterations = iterations;
   return s;
+}
+
+/// Resolve configuration names in the global ConfigRegistry.
+inline std::vector<sim::Configuration> configs(const std::vector<std::string>& names) {
+  std::vector<sim::Configuration> out;
+  for (const auto& name : names) out.push_back(sim::ConfigRegistry::global().at(name));
+  return out;
+}
+
+/// The seven Table IV configurations, paper order (Flexagon first).
+inline const std::vector<sim::Configuration>& table4_configs() {
+  static const std::vector<sim::Configuration> kConfigs =
+      configs(sim::ConfigRegistry::table4_names());
+  return kConfigs;
+}
+
+/// One Table VI matrix, instantiated once and shared by every row built on it.
+inline std::shared_ptr<const sparse::CsrMatrix> instantiate(const std::string& dataset) {
+  return std::make_shared<const sparse::CsrMatrix>(
+      sparse::instantiate(sparse::dataset_by_name(dataset)));
+}
+
+/// A sweep row over a prebuilt DAG and an optional shared matrix.
+inline sim::Workload workload(std::string name, std::string kind, ir::TensorDag dag,
+                              std::shared_ptr<const sparse::CsrMatrix> matrix = nullptr) {
+  return {std::move(name), std::move(kind),
+          std::make_shared<const ir::TensorDag>(std::move(dag)), std::move(matrix)};
+}
+
+/// Run `rows` x `configs` as one parallel SweepRunner grid: result
+/// i * configs.size() + j is row i under configuration j.
+inline std::vector<sim::SweepResult> sweep(
+    const std::vector<sim::Workload>& rows, const sim::AcceleratorConfig& arch,
+    const std::vector<sim::Configuration>& configs = table4_configs()) {
+  return sim::SweepRunner().run(rows, configs, arch);
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "common/format.hpp"
-#include "noc/mesh.hpp"
 #include "noc/topology.hpp"
 #include "sim/partition.hpp"
 #include "sim/registry.hpp"
@@ -22,18 +21,21 @@ int main(int argc, char** argv) {
 
   std::cout << "Pipelining ops 4->5 of CG across a mesh: M=" << m << ", N=N'=" << n << "\n\n";
 
-  TextTable t({"nodes", "mesh", "bcast+reduce hops", "naive words (move R)",
+  const sim::AcceleratorConfig arch;
+  const double pj_per_word_hop = 4 * arch.noc_energy_pj_per_byte;
+  TextTable t({"nodes", "fabric", "bcast+reduce hops", "naive words (move R)",
                "SCORE words (move Lambda/Gamma)", "traffic reduction", "NoC energy saved"});
   for (i64 nodes : {2, 4, 8, 16, 32, 64, 128}) {
-    noc::MeshNoc mesh;
-    mesh.nodes = nodes;
-    const auto tr = noc::compare_multinode(m, n, n, mesh);
-    const double saved_pj = (tr.naive_words - tr.score_words) * mesh.hop_energy_pj_per_word;
-    t.add_row({std::to_string(nodes),
-               std::to_string(mesh.side()) + "x" + std::to_string(mesh.side()),
-               std::to_string(mesh.broadcast_hops() + mesh.reduce_hops()),
-               format_double(tr.naive_words, 0), format_double(tr.score_words, 0),
-               format_double(tr.ratio(), 0) + "x",
+    const noc::TopologySpec mesh = noc::resolve_topology("mesh", nodes);
+    // A broadcast and a reduction, each the depth of the mesh's collective tree.
+    const i64 hops = 2 * noc::Topology::build(mesh).depth();
+    const double naive_words = static_cast<double>(m) * static_cast<double>(n);
+    const double score_words =
+        static_cast<double>(n) * static_cast<double>(n) * static_cast<double>(hops);
+    const double saved_pj = (naive_words - score_words) * pj_per_word_hop;
+    t.add_row({std::to_string(nodes), mesh.to_string(), std::to_string(hops),
+               format_double(naive_words, 0), format_double(score_words, 0),
+               score_words > 0 ? format_double(naive_words / score_words, 0) + "x" : "-",
                format_double(saved_pj / 1e6, 2) + " uJ"});
   }
   std::cout << t.to_string();
@@ -48,7 +50,6 @@ int main(int argc, char** argv) {
   // traffic back in.  Ring vs mesh shows the topology term: the same
   // collectives saturate a ring's root links long before a mesh's.
   const sim::Workload wl = sim::WorkloadRegistry::global().resolve("gnn:cora");
-  sim::AcceleratorConfig arch;
   const sim::Simulator single(arch, wl.matrix.get());
   const sim::Configuration& cello = sim::ConfigRegistry::global().at("Cello");
   const double base = single.run(*wl.dag, cello).seconds;

@@ -42,12 +42,13 @@ int main(int argc, char** argv) {
   cello::sim::AcceleratorConfig arch;  // Table V defaults: 4 MiB, 16384 MACs, 1 TB/s
   std::cout << "\n" << cello::compare_table(*cg.dag, arch) << "\n";
 
-  // A spec-driven grid: every row's DAG, schedule and address map are built
-  // once and shared read-only across the thread pool.
+  // A spec-driven grid (what `cello_cli sweep` runs), here as one shard of
+  // one: every row's DAG, schedule and address map are built once and shared
+  // read-only across the thread pool.
   std::cout << "Spec-driven sweep (Cello vs Flexagon):\n";
-  const auto cells = cello::sim::SweepRunner().run(
-      std::vector<std::string>{spec, "gnn:cora", "spmv", "sddmm:heads=4"},
-      std::vector<std::string>{"Flexagon", "Cello"}, arch);
+  const auto grid = cello::sim::make_grid({spec, "gnn:cora", "spmv", "sddmm:heads=4"},
+                                          {"Flexagon", "Cello"}, arch);
+  const auto cells = cello::sim::SweepRunner().run_shard(grid, cello::sim::plan_shard(grid, 1, 1));
   for (const auto& cell : cells)
     std::cout << "  " << cell.workload << " / " << cell.config << ": "
               << cello::format_double(cell.metrics.gmacs_per_sec(), 1) << " GMACs/s, "

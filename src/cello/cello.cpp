@@ -4,46 +4,21 @@
 
 namespace cello {
 
-sim::RunMetrics run(const ir::TensorDag& dag, sim::ConfigKind kind,
-                    const sim::AcceleratorConfig& arch, const sparse::CsrMatrix* matrix) {
-  return sim::Simulator(arch, matrix).run(dag, sim::ConfigRegistry::preset(kind));
-}
-
-sim::RunMetrics run(const ir::TensorDag& dag, const sim::Configuration& config,
-                    const sim::AcceleratorConfig& arch, const sparse::CsrMatrix* matrix) {
-  return sim::Simulator(arch, matrix).run(dag, config);
-}
-
-const std::vector<sim::ConfigKind>& all_configs() {
-  static const std::vector<sim::ConfigKind> kConfigs = {
-      sim::ConfigKind::Flexagon, sim::ConfigKind::FlexLru,     sim::ConfigKind::FlexBrrip,
-      sim::ConfigKind::Flat,     sim::ConfigKind::Set,         sim::ConfigKind::PreludeOnly,
-      sim::ConfigKind::Cello,
-  };
-  return kConfigs;
-}
-
-std::vector<std::pair<std::string, sim::RunMetrics>> run_all(const ir::TensorDag& dag,
-                                                             const sim::AcceleratorConfig& arch,
-                                                             const sparse::CsrMatrix* matrix) {
-  const sim::Simulator simulator(arch, matrix);
-  const auto& registry = sim::ConfigRegistry::global();
-  std::vector<std::pair<std::string, sim::RunMetrics>> out;
-  for (const std::string& name : sim::ConfigRegistry::table4_names())
-    out.emplace_back(name, simulator.run(dag, registry.at(name)));
-  return out;
-}
-
 std::string compare_table(const ir::TensorDag& dag, const sim::AcceleratorConfig& arch,
                           const sparse::CsrMatrix* matrix) {
-  const auto results = run_all(dag, arch, matrix);
-  const double base_time = results.front().second.seconds;
-  const double base_energy = results.front().second.offchip_energy_pj;
+  const sim::Simulator simulator(arch, matrix);
+  const auto& registry = sim::ConfigRegistry::global();
+  const auto& names = sim::ConfigRegistry::table4_names();
+  std::vector<sim::RunMetrics> results;
+  for (const std::string& name : names) results.push_back(simulator.run(dag, registry.at(name)));
+  const double base_time = results.front().seconds;  // Flexagon, the first row
+  const double base_energy = results.front().offchip_energy_pj;
 
   TextTable table({"config", "GMACs/s", "time", "DRAM traffic", "AI (MACs/B)",
                    "speedup vs Flexagon", "off-chip energy vs Flexagon"});
-  for (const auto& [name, m] : results) {
-    table.add_row({name, format_double(m.gmacs_per_sec(), 2),
+  for (size_t i = 0; i < names.size(); ++i) {
+    const sim::RunMetrics& m = results[i];
+    table.add_row({names[i], format_double(m.gmacs_per_sec(), 2),
                    format_double(m.seconds * 1e6, 1) + " us", format_bytes(static_cast<double>(m.dram_bytes)),
                    format_double(m.intensity(), 2), format_double(base_time / m.seconds, 2) + "x",
                    format_double(m.offchip_energy_pj / base_energy, 3)});

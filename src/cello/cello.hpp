@@ -38,9 +38,17 @@
 //   // each workload's DAG, schedule, address map and reuse index are built
 //   // once and shared read-only across the pool, and each pool worker
 //   // resets (not reallocates) its per-run scratch between cells:
+//   std::vector<cello::sim::Configuration> configs;
+//   for (const auto& name : registry.names()) configs.push_back(registry.at(name));
 //   cello::sim::SweepRunner sweep;
-//   auto cells = sweep.run({"cg", "gnn:cora", "spmv", "sddmm:heads=4"},
-//                          registry.names(), arch);
+//   auto cells = sweep.run({cg, gnn, workloads.resolve("spmv")}, configs, arch);
+//
+//   // The same grid by name (what `cello_cli sweep` runs), here as one
+//   // shard of one; plan_shard(grid, i, k) splits it across machines and
+//   // SweepOptions adds checkpointing, resume and keep-going:
+//   auto grid = cello::sim::make_grid({"cg", "gnn:cora", "spmv", "sddmm:heads=4"},
+//                                     registry.names(), arch);
+//   auto all  = sweep.run_shard(grid, cello::sim::plan_shard(grid, 1, 1));
 //
 //   // Drivers doing their own cell loops share the same immutable artifacts
 //   // through one sim::RunArtifacts bundle (bit-identical to the one-shot
@@ -69,20 +77,16 @@
 //
 //   std::cout << cello::compare_table(*cg.dag, arch);    // the seven Table IV rows
 //
-// Workload DAGs can still be built directly (build_cg_dag & friends); the
-// ConfigKind enum and cello::run/run_all/compare_table below are thin shims
-// over the registries, kept for the paper-reproduction benches.
+// Workload DAGs can also be built directly (build_cg_dag & friends) and run
+// the same way.
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "ir/dag.hpp"
 #include "noc/topology.hpp"
 #include "sim/config.hpp"
 #include "sim/configuration.hpp"
-#include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/partition.hpp"
 #include "sim/policies/cache_policy.hpp"
@@ -106,24 +110,6 @@
 #include "workloads/spmv.hpp"
 
 namespace cello {
-
-/// Simulate one Table IV configuration (thin shim over sim::Simulator).
-sim::RunMetrics run(const ir::TensorDag& dag, sim::ConfigKind kind,
-                    const sim::AcceleratorConfig& arch,
-                    const sparse::CsrMatrix* matrix = nullptr);
-
-/// Simulate an arbitrary composed configuration.
-sim::RunMetrics run(const ir::TensorDag& dag, const sim::Configuration& config,
-                    const sim::AcceleratorConfig& arch,
-                    const sparse::CsrMatrix* matrix = nullptr);
-
-/// All Table IV configurations this build evaluates, in paper order.
-const std::vector<sim::ConfigKind>& all_configs();
-
-/// Run every Table IV configuration and return (name, metrics) pairs.
-std::vector<std::pair<std::string, sim::RunMetrics>> run_all(
-    const ir::TensorDag& dag, const sim::AcceleratorConfig& arch,
-    const sparse::CsrMatrix* matrix = nullptr);
 
 /// Render a paper-style comparison table (throughput, traffic, energy, and
 /// speedup / energy ratio relative to the Flexagon baseline).

@@ -53,7 +53,7 @@ struct TopologySpec {
 /// Resolve a topology for a concrete node count.  `text` may be a bare kind
 /// ("mesh", "torus", "ring", "crossbar") — auto-shaped for `nodes` — or an
 /// explicit spec, whose node count must then match `nodes` exactly; a
-/// mismatch is an error, never a silent pad (the MeshNoc::side() trap).
+/// mismatch is an error, never a silent pad up to the next square mesh.
 TopologySpec resolve_topology(const std::string& text, i64 nodes);
 
 /// One directed fabric link.

@@ -1,5 +1,5 @@
-// Accelerator architecture parameters (Table V) and the evaluated
-// schedule/buffer configurations (Table IV).
+// Accelerator architecture parameters (Table V).  The evaluated Table IV
+// schedule/buffer configurations are named presets in sim/registry.hpp.
 #pragma once
 
 #include <string>
@@ -7,19 +7,6 @@
 #include "common/types.hpp"
 
 namespace cello::sim {
-
-/// The seven schedule x buffer-hierarchy combinations of Table IV.
-enum class ConfigKind {
-  Flexagon,     ///< best intra-op schedule, explicit buffers, all ops begin/end in DRAM
-  FlexLru,      ///< best intra-op schedule, every access through an LRU cache
-  FlexBrrip,    ///< best intra-op schedule, every access through a BRRIP cache
-  Flat,         ///< adjacent pipelining when the tensor has no delayed consumer
-  Set,          ///< pipelining + delayed-hold support (SET-like)
-  PreludeOnly,  ///< best intra-op schedule, SRAM with PRELUDE as the only policy
-  Cello,        ///< SCORE schedule + pipeline buffer + CHORD (PRELUDE + RIFF)
-};
-
-const char* to_string(ConfigKind k);
 
 /// Table IV footnote: FLAT's paper dataflow is Parallel Pipeline (stages run
 /// concurrently; group time = max over compute/memory aggregates) while its

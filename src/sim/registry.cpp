@@ -30,38 +30,19 @@ const std::vector<std::string>& ConfigRegistry::table4_names() {
   return kNames;
 }
 
-Configuration ConfigRegistry::preset(ConfigKind kind) {
-  switch (kind) {
-    case ConfigKind::Flexagon:
-      return make_configuration("Flexagon", SchedulePolicy::OpByOp, explicit_buffers(),
-                                "explicit");
-    case ConfigKind::FlexLru:
-      return make_configuration("Flex+LRU", SchedulePolicy::OpByOp, lru_cache(), "LRU");
-    case ConfigKind::FlexBrrip:
-      return make_configuration("Flex+BRRIP", SchedulePolicy::OpByOp, brrip_cache(), "BRRIP");
-    case ConfigKind::Flat:
-      return make_configuration("FLAT", SchedulePolicy::AdjacentPipeline, explicit_buffers(),
-                                "explicit", /*allow_delayed_hold=*/false);
-    case ConfigKind::Set:
-      return make_configuration("SET", SchedulePolicy::AdjacentPipeline, explicit_buffers(),
-                                "explicit", /*allow_delayed_hold=*/true);
-    case ConfigKind::PreludeOnly:
-      return make_configuration("Prelude-only", SchedulePolicy::OpByOp, prelude_only(),
-                                "PRELUDE");
-    case ConfigKind::Cello:
-      return make_configuration("Cello", SchedulePolicy::Score, chord_buffer(), "CHORD",
-                                /*allow_delayed_hold=*/true);
-  }
-  throw Error("unknown ConfigKind");
-}
-
 ConfigRegistry::ConfigRegistry() {
-  // The seven Table IV rows, paper order.
-  for (ConfigKind k : {ConfigKind::Flexagon, ConfigKind::FlexLru, ConfigKind::FlexBrrip,
-                       ConfigKind::Flat, ConfigKind::Set, ConfigKind::PreludeOnly,
-                       ConfigKind::Cello})
-    add(preset(k));
-  // Combinations the ConfigKind enum could not express.
+  // The seven Table IV rows, paper order (table4_names()).
+  add(make_configuration("Flexagon", SchedulePolicy::OpByOp, explicit_buffers(), "explicit"));
+  add(make_configuration("Flex+LRU", SchedulePolicy::OpByOp, lru_cache(), "LRU"));
+  add(make_configuration("Flex+BRRIP", SchedulePolicy::OpByOp, brrip_cache(), "BRRIP"));
+  add(make_configuration("FLAT", SchedulePolicy::AdjacentPipeline, explicit_buffers(),
+                         "explicit", /*allow_delayed_hold=*/false));
+  add(make_configuration("SET", SchedulePolicy::AdjacentPipeline, explicit_buffers(),
+                         "explicit", /*allow_delayed_hold=*/true));
+  add(make_configuration("Prelude-only", SchedulePolicy::OpByOp, prelude_only(), "PRELUDE"));
+  add(make_configuration("Cello", SchedulePolicy::Score, chord_buffer(), "CHORD",
+                         /*allow_delayed_hold=*/true));
+  // Novel schedule x buffer combinations beyond Table IV.
   add(make_configuration("SCORE+LRU", SchedulePolicy::Score, lru_cache(), "LRU",
                          /*allow_delayed_hold=*/true));
   add(make_configuration("SCORE+BRRIP", SchedulePolicy::Score, brrip_cache(), "BRRIP",

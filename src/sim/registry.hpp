@@ -1,7 +1,6 @@
 // ConfigRegistry: named Configurations.  Construction pre-registers the
-// seven Table IV presets (paper order) plus a couple of novel combinations
-// the old ConfigKind enum could not express; users register their own with
-// add().  Lookup is tolerant: names match exactly or after normalization
+// seven Table IV presets (paper order) plus novel schedule x buffer
+// combinations; users register their own with add().  Lookup is tolerant: names match exactly or after normalization
 // (case-insensitive, punctuation ignored), so "cello", "Cello" and
 // "flex+lru" all resolve.
 #pragma once
@@ -44,8 +43,6 @@ class ConfigRegistry {
 
   /// The seven Table IV preset names, paper order.
   static const std::vector<std::string>& table4_names();
-  /// Build the preset Configuration for a legacy enum value.
-  static Configuration preset(ConfigKind kind);
 
  private:
   mutable std::mutex mu_;

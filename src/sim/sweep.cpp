@@ -28,8 +28,8 @@ namespace cello::sim {
 
 namespace {
 
-/// Borrowed view of one grid row; both the Workload and the legacy
-/// SweepWorkload overloads funnel into this.
+/// Borrowed view of one grid row; run() and run_shard() both funnel into
+/// this (run_shard leaves the rows its plan never touches unresolved).
 struct WorkloadView {
   const std::string* name;
   const ir::TensorDag* dag;
@@ -576,12 +576,6 @@ std::vector<Configuration> named_configs(const std::vector<std::string>& names) 
 
 std::vector<SweepResult> SweepRunner::run(const std::vector<Workload>& workloads,
                                           const std::vector<Configuration>& configs,
-                                          const AcceleratorConfig& arch) const {
-  return run(workloads, configs, arch, SweepOptions{});
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<Workload>& workloads,
-                                          const std::vector<Configuration>& configs,
                                           const AcceleratorConfig& arch,
                                           const SweepOptions& options) const {
   CELLO_CHECK_MSG(options.checkpoint.empty(),
@@ -594,37 +588,6 @@ std::vector<SweepResult> SweepRunner::run(const std::vector<Workload>& workloads
     views.push_back({&w.name, w.dag.get(), w.matrix.get()});
   }
   return run_grid(threads_, views, configs, arch, nullptr, nullptr, options);
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<Workload>& workloads,
-                                          const std::vector<std::string>& config_names,
-                                          const AcceleratorConfig& arch) const {
-  return run(workloads, named_configs(config_names), arch);
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<WorkloadSpec>& specs,
-                                          const std::vector<Configuration>& configs,
-                                          const AcceleratorConfig& arch) const {
-  // resolve() caches by canonical spec, so duplicate specs share one DAG.
-  std::vector<Workload> workloads;
-  workloads.reserve(specs.size());
-  for (const auto& spec : specs) workloads.push_back(WorkloadRegistry::global().resolve(spec));
-  return run(workloads, configs, arch);
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<std::string>& workload_specs,
-                                          const std::vector<std::string>& config_names,
-                                          const AcceleratorConfig& arch) const {
-  std::vector<Workload> workloads;
-  workloads.reserve(workload_specs.size());
-  for (const auto& text : workload_specs)
-    workloads.push_back(WorkloadRegistry::global().resolve(text));
-  return run(workloads, named_configs(config_names), arch);
-}
-
-std::vector<SweepResult> SweepRunner::run_shard(const SweepGrid& grid,
-                                                const ShardPlan& plan) const {
-  return run_shard(grid, plan, SweepOptions{});
 }
 
 std::vector<SweepResult> SweepRunner::run_shard(const SweepGrid& grid, const ShardPlan& plan,
@@ -651,21 +614,6 @@ std::vector<SweepResult> SweepRunner::run_shard(const SweepGrid& grid, const Sha
         {&grid.workloads[wi], workloads[wi].dag.get(), workloads[wi].matrix.get()});
   return run_grid(threads_, views, configs, grid.arch, &grid.fabrics, &plan.cells, options,
                   &grid, &plan);
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<SweepWorkload>& workloads,
-                                          const std::vector<Configuration>& configs,
-                                          const AcceleratorConfig& arch) const {
-  std::vector<WorkloadView> views;
-  views.reserve(workloads.size());
-  for (const auto& w : workloads) views.push_back({&w.name, &w.dag, w.matrix});
-  return run_grid(threads_, views, configs, arch);
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<SweepWorkload>& workloads,
-                                          const std::vector<std::string>& config_names,
-                                          const AcceleratorConfig& arch) const {
-  return run(workloads, named_configs(config_names), arch);
 }
 
 }  // namespace cello::sim

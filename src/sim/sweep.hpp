@@ -3,9 +3,13 @@
 // (workload-major, configuration-minor) regardless of thread scheduling, and
 // every cell is bit-identical to a serial Simulator::run.
 //
-// Workloads enter the grid as registry specs ("cg:m=65536,n=16", "gnn:cora")
-// or as resolved sim::Workload handles; each spec's DAG is built once per
-// sweep and shared immutably across its row.  Per (workload, schedule-policy)
+// Two entry points.  run() takes resolved sim::Workload handles (from
+// WorkloadRegistry::resolve, or a driver's own {name, kind, dag, matrix}) and
+// Configurations; each workload's DAG is shared immutably across its row.
+// run_shard() is the name-driven path: a SweepGrid of registry spec strings
+// and configuration names (make_grid, sim/shard.hpp), optionally with a
+// fabric axis, run over one ShardPlan — plan_shard(grid, 1, 1) is the whole
+// grid — and the only entry point that can checkpoint.  Per (workload, schedule-policy)
 // pair the runner also builds one immutable score::Schedule + AddressMap +
 // score::ReuseIndex — plus one sim::RouterTables per distinct routing key and
 // one captured sim::AccessStream per (DAG, routing key) any trace-driven
@@ -26,12 +30,10 @@
 #include <string>
 #include <vector>
 
-#include "ir/dag.hpp"
 #include "sim/config.hpp"
 #include "sim/configuration.hpp"
 #include "sim/metrics.hpp"
 #include "sim/workload_registry.hpp"
-#include "sparse/csr.hpp"
 
 namespace cello::trace {
 class TraceSink;
@@ -41,13 +43,6 @@ namespace cello::sim {
 
 struct SweepGrid;  // sim/shard.hpp: full grid definition for distributed sweeps
 struct ShardPlan;  // sim/shard.hpp: one shard's slice of the grid
-
-/// Legacy pre-built-DAG row (thin shim; prefer WorkloadSpec / Workload).
-struct SweepWorkload {
-  std::string name;
-  ir::TensorDag dag;
-  const sparse::CsrMatrix* matrix = nullptr;  ///< real sparsity; may be null
-};
 
 /// One grid cell's outcome: metrics on success, or a quarantined failure
 /// record (error non-empty, metrics zeroed) when the cell threw under
@@ -112,60 +107,30 @@ class SweepRunner {
   /// cell is rethrown — wrapped with the failing cell's index, workload and
   /// configuration — once the workers stop; a failure makes every worker
   /// abandon the remaining cells instead of burning through the grid.
-  std::vector<SweepResult> run(const std::vector<Workload>& workloads,
-                               const std::vector<Configuration>& configs,
-                               const AcceleratorConfig& arch) const;
-
-  /// Same grid with fault-tolerance knobs: keep_going quarantines failing
-  /// cells as error records, retries re-runs transient failures.  Options
-  /// requesting a checkpoint journal are rejected here — journals are keyed
-  /// by a grid fingerprint, so they require the shard-scoped entry point.
+  /// options.keep_going quarantines failing cells as error records instead,
+  /// and options.retries re-runs transient failures.  Options requesting a
+  /// checkpoint journal are rejected here — journals are keyed by a grid
+  /// fingerprint, so they require run_shard.
   std::vector<SweepResult> run(const std::vector<Workload>& workloads,
                                const std::vector<Configuration>& configs,
                                const AcceleratorConfig& arch,
-                               const SweepOptions& options) const;
+                               const SweepOptions& options = {}) const;
 
-  /// Convenience: resolve configuration names in the global ConfigRegistry.
-  std::vector<SweepResult> run(const std::vector<Workload>& workloads,
-                               const std::vector<std::string>& config_names,
-                               const AcceleratorConfig& arch) const;
-
-  /// Resolve workload specs in the global WorkloadRegistry (each distinct
-  /// spec's DAG is built once), then run the grid.
-  std::vector<SweepResult> run(const std::vector<WorkloadSpec>& specs,
-                               const std::vector<Configuration>& configs,
-                               const AcceleratorConfig& arch) const;
-
-  /// Fully name-driven grid: workload spec strings x configuration names.
-  std::vector<SweepResult> run(const std::vector<std::string>& workload_specs,
-                               const std::vector<std::string>& config_names,
-                               const AcceleratorConfig& arch) const;
-
-  /// Shard-scoped entry point for distributed sweeps (see sim/shard.hpp):
-  /// resolve the grid's workload specs and configuration names, then run only
-  /// the plan's cells, in plan order.  The intra-sweep schedule cache is
-  /// scoped to the shard — only the (workload, schedule-policy) pairs the
-  /// shard actually touches are built — and every cell is bit-identical to
-  /// the same cell of a full-grid run, so merge_shards() reassembles the
-  /// exact single-process result vector.
-  std::vector<SweepResult> run_shard(const SweepGrid& grid, const ShardPlan& plan) const;
-
-  /// Shard run with fault tolerance: options.checkpoint appends every
-  /// completed cell to a crash-safe journal (sim/checkpoint.hpp) keyed by the
-  /// grid fingerprint; options.resume loads it, skips completed cells and
-  /// truncates any torn tail, making an interrupted-then-resumed shard
-  /// byte-identical to an uninterrupted one.  keep_going / retries behave as
-  /// in run(..., options).
+  /// Shard-scoped, name-driven entry point (see sim/shard.hpp): resolve the
+  /// grid's workload specs in the global WorkloadRegistry (each distinct
+  /// spec's DAG is built once) and its configuration names in the global
+  /// ConfigRegistry, then run only the plan's cells, in plan order.  Only
+  /// the workloads and (workload, schedule-policy) pairs the shard touches
+  /// are resolved and built, and every cell is bit-identical to the same
+  /// cell of a full-grid run, so merge_shards() reassembles the exact
+  /// single-process result vector.  options.checkpoint appends every
+  /// completed cell to a crash-safe journal (sim/checkpoint.hpp) keyed by
+  /// the grid fingerprint; options.resume loads it, skips completed cells
+  /// and truncates any torn tail, making an interrupted-then-resumed shard
+  /// byte-identical to an uninterrupted one.  keep_going / retries behave
+  /// as in run().
   std::vector<SweepResult> run_shard(const SweepGrid& grid, const ShardPlan& plan,
-                                     const SweepOptions& options) const;
-
-  /// Legacy pre-built-DAG overloads (shims over the Workload path).
-  std::vector<SweepResult> run(const std::vector<SweepWorkload>& workloads,
-                               const std::vector<Configuration>& configs,
-                               const AcceleratorConfig& arch) const;
-  std::vector<SweepResult> run(const std::vector<SweepWorkload>& workloads,
-                               const std::vector<std::string>& config_names,
-                               const AcceleratorConfig& arch) const;
+                                     const SweepOptions& options = {}) const;
 
   u32 threads() const { return threads_; }
 

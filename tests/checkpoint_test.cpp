@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "sim/checkpoint.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -315,7 +316,8 @@ TEST_F(CheckpointTest, PlainRunErrorsAlsoNameTheCell) {
   const std::vector<std::string> spec_texts = {"cg:m=9604,nnz=85264,n=16,iters=3"};
   const std::vector<std::string> config_names = {"Flexagon", "Cello"};
   try {
-    SweepRunner(1).run(spec_texts, config_names, AcceleratorConfig{});
+    SweepRunner(1).run(test::workloads(spec_texts), test::configs(config_names),
+                       AcceleratorConfig{});
     FAIL() << "expected the injected fault to abort the sweep";
   } catch (const Error& e) {
     const std::string msg = e.what();

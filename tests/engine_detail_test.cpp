@@ -1,5 +1,5 @@
-// Detail tests for engine internals, the facade, swizzle-demotion and the
-// Matrix Market file path.
+// Detail tests for simulator internals, swizzle-demotion and the Matrix
+// Market file path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,24 +7,23 @@
 
 #include "cello/cello.hpp"
 #include "score/schedule.hpp"
-#include "sim/engine.hpp"
 #include "sparse/matrix_market.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 using sim::AcceleratorConfig;
-using sim::ConfigKind;
 
 TEST(EngineDetail, EnergyFieldsPopulated) {
   const auto dag = workloads::build_cg_dag({9604, 16, 85264, 3, 4});
-  for (auto kind : all_configs()) {
-    const auto m = sim::simulate(dag, kind, AcceleratorConfig{});
-    EXPECT_GT(m.offchip_energy_pj, 0.0) << sim::to_string(kind);
-    EXPECT_GT(m.onchip_energy_pj, 0.0) << sim::to_string(kind);
-    EXPECT_GT(m.sram_line_accesses, 0u) << sim::to_string(kind);
+  for (const std::string& config : sim::ConfigRegistry::table4_names()) {
+    const auto m = test::run(dag, config, AcceleratorConfig{});
+    EXPECT_GT(m.offchip_energy_pj, 0.0) << config;
+    EXPECT_GT(m.onchip_energy_pj, 0.0) << config;
+    EXPECT_GT(m.sram_line_accesses, 0u) << config;
     EXPECT_DOUBLE_EQ(m.total_energy_pj(), m.offchip_energy_pj + m.onchip_energy_pj);
   }
 }
@@ -33,37 +32,31 @@ TEST(EngineDetail, CacheEnergyIncludesTagCost) {
   // Same traffic structure, but the cache pays tag lookups: per-SRAM-access
   // energy must exceed the explicit configurations'.
   const auto dag = workloads::build_cg_dag({9604, 16, 85264, 3, 4});
-  const auto lru = sim::simulate(dag, ConfigKind::FlexLru, AcceleratorConfig{});
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, AcceleratorConfig{});
+  const auto lru = test::run(dag, "Flex+LRU", AcceleratorConfig{});
+  const auto flex = test::run(dag, "Flexagon", AcceleratorConfig{});
   const double lru_per_access = lru.onchip_energy_pj / static_cast<double>(lru.sram_line_accesses);
   const double flex_per_access =
       flex.onchip_energy_pj / static_cast<double>(flex.sram_line_accesses);
   EXPECT_GT(lru_per_access, flex_per_access);
 }
 
-TEST(EngineDetail, FacadeRunMatchesSimulate) {
-  const auto dag = workloads::build_gnn_dag({500, 2500, 32, 8});
-  const auto a = run(dag, ConfigKind::Cello, AcceleratorConfig{});
-  const auto b = sim::simulate(dag, ConfigKind::Cello, AcceleratorConfig{});
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-  EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
-}
-
 TEST(EngineDetail, MakeScheduleDisablesPipeliningForOpByOpConfigs) {
   const auto dag = workloads::build_gnn_dag({500, 2500, 32, 8});
-  const auto flex = sim::make_schedule(dag, ConfigKind::Flexagon, AcceleratorConfig{});
-  const auto cello_s = sim::make_schedule(dag, ConfigKind::Cello, AcceleratorConfig{});
+  const sim::Simulator simulator{AcceleratorConfig{}};
+  const auto& registry = sim::ConfigRegistry::global();
+  const auto flex = simulator.make_schedule(dag, registry.at("Flexagon"));
+  const auto cello_s = simulator.make_schedule(dag, registry.at("Cello"));
   EXPECT_FALSE(flex.edge_realized[0]);
   EXPECT_TRUE(cello_s.edge_realized[0]);
 }
 
 TEST(EngineDetail, DeterministicAcrossRuns) {
   const auto dag = workloads::build_cg_dag({9604, 16, 85264, 5, 4});
-  for (auto kind : {ConfigKind::Cello, ConfigKind::FlexBrrip}) {
-    const auto a = sim::simulate(dag, kind, AcceleratorConfig{});
-    const auto b = sim::simulate(dag, kind, AcceleratorConfig{});
-    EXPECT_EQ(a.dram_bytes, b.dram_bytes) << sim::to_string(kind);
-    EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << sim::to_string(kind);
+  for (auto config : {"Cello", "Flex+BRRIP"}) {
+    const auto a = test::run(dag, config, AcceleratorConfig{});
+    const auto b = test::run(dag, config, AcceleratorConfig{});
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes) << config;
+    EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << config;
   }
 }
 
@@ -109,8 +102,8 @@ TEST(SwizzleDemotion, LayoutConflictBreaksPipelining) {
   EXPECT_FALSE(sched.edge_realized[0]);
   EXPECT_EQ(sched.deps.edge_kind[0], score::DepKind::Sequential);
   // And the simulator charges full traffic for T0.
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, AcceleratorConfig{});
-  const auto cel = sim::simulate(dag, ConfigKind::Cello, AcceleratorConfig{});
+  const auto flex = test::run(dag, "Flexagon", AcceleratorConfig{});
+  const auto cel = test::run(dag, "Cello", AcceleratorConfig{});
   EXPECT_GT(cel.dram_bytes, 0u);
   EXPECT_LE(cel.dram_bytes, flex.dram_bytes);
 }

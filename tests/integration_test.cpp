@@ -5,12 +5,12 @@
 
 #include "cello/cello.hpp"
 #include "sparse/datasets.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 using sim::AcceleratorConfig;
-using sim::ConfigKind;
 
 struct GridPoint {
   const char* dataset;
@@ -33,11 +33,11 @@ TEST_P(CgGridTest, PaperShapeHolds) {
   AcceleratorConfig arch;
   arch.dram_bytes_per_sec = p.bandwidth;
 
-  const auto flex = run(dag, ConfigKind::Flexagon, arch);
-  const auto flat = run(dag, ConfigKind::Flat, arch);
-  const auto set = run(dag, ConfigKind::Set, arch);
-  const auto prelude = run(dag, ConfigKind::PreludeOnly, arch);
-  const auto cello_m = run(dag, ConfigKind::Cello, arch);
+  const auto flex = test::run(dag, "Flexagon", arch);
+  const auto flat = test::run(dag, "FLAT", arch);
+  const auto set = test::run(dag, "SET", arch);
+  const auto prelude = test::run(dag, "Prelude-only", arch);
+  const auto cello_m = test::run(dag, "Cello", arch);
 
   // Fig. 12 orderings.
   EXPECT_EQ(flat.dram_bytes, flex.dram_bytes) << "FLAT gains nothing on CG";
@@ -75,9 +75,9 @@ TEST(Integration, CachesLoseToExplicitOnLargeWorkingSets) {
   shape.iterations = 5;
   const auto dag = workloads::build_cg_dag(shape);
   AcceleratorConfig arch;
-  const auto flex = run(dag, ConfigKind::Flexagon, arch, &matrix);
-  const auto lru = run(dag, ConfigKind::FlexLru, arch, &matrix);
-  const auto brrip = run(dag, ConfigKind::FlexBrrip, arch, &matrix);
+  const auto flex = test::run(dag, "Flexagon", arch, &matrix);
+  const auto lru = test::run(dag, "Flex+LRU", arch, &matrix);
+  const auto brrip = test::run(dag, "Flex+BRRIP", arch, &matrix);
   EXPECT_GE(lru.dram_bytes, flex.dram_bytes);
   EXPECT_GE(brrip.dram_bytes, flex.dram_bytes);
 }
@@ -93,24 +93,16 @@ TEST(Integration, CachesWinOnInCacheWorkingSets) {
   shape.iterations = 5;
   const auto dag = workloads::build_cg_dag(shape);
   AcceleratorConfig arch;
-  const auto flex = run(dag, ConfigKind::Flexagon, arch, &matrix);
-  const auto lru = run(dag, ConfigKind::FlexLru, arch, &matrix);
+  const auto flex = test::run(dag, "Flexagon", arch, &matrix);
+  const auto lru = test::run(dag, "Flex+LRU", arch, &matrix);
   EXPECT_LT(lru.dram_bytes, flex.dram_bytes);
-}
-
-TEST(Integration, RunAllReturnsPaperOrder) {
-  const auto dag = workloads::build_gnn_dag({500, 2500, 32, 8});
-  const auto results = run_all(dag, AcceleratorConfig{});
-  ASSERT_EQ(results.size(), 7u);
-  EXPECT_EQ(results.front().first, "Flexagon");
-  EXPECT_EQ(results.back().first, "Cello");
 }
 
 TEST(Integration, CompareTableMentionsEveryConfig) {
   const auto dag = workloads::build_gnn_dag({500, 2500, 32, 8});
   const auto table = compare_table(dag, AcceleratorConfig{});
-  for (auto kind : all_configs())
-    EXPECT_NE(table.find(sim::to_string(kind)), std::string::npos) << sim::to_string(kind);
+  for (const std::string& config : sim::ConfigRegistry::table4_names())
+    EXPECT_NE(table.find(config), std::string::npos) << config;
 }
 
 TEST(Integration, BandwidthSweepPreservesTraffic) {
@@ -119,11 +111,11 @@ TEST(Integration, BandwidthSweepPreservesTraffic) {
   AcceleratorConfig fast, slow;
   fast.dram_bytes_per_sec = 1e12;
   slow.dram_bytes_per_sec = 250e9;
-  for (auto kind : {ConfigKind::Flexagon, ConfigKind::Flat, ConfigKind::Cello}) {
-    const auto f = run(dag, kind, fast);
-    const auto s = run(dag, kind, slow);
-    EXPECT_EQ(f.dram_bytes, s.dram_bytes) << sim::to_string(kind);
-    EXPECT_GE(s.seconds, f.seconds) << sim::to_string(kind);
+  for (auto config : {"Flexagon", "FLAT", "Cello"}) {
+    const auto f = test::run(dag, config, fast);
+    const auto s = test::run(dag, config, slow);
+    EXPECT_EQ(f.dram_bytes, s.dram_bytes) << config;
+    EXPECT_GE(s.seconds, f.seconds) << config;
   }
 }
 
@@ -132,8 +124,8 @@ TEST(Integration, MoreIterationsMoreTrafficButBetterAmortization) {
   AcceleratorConfig arch;
   const auto d3 = workloads::build_cg_dag({81920, 16, 327680, 3, 4});
   const auto d10 = workloads::build_cg_dag({81920, 16, 327680, 10, 4});
-  const auto m3 = run(d3, ConfigKind::Cello, arch);
-  const auto m10 = run(d10, ConfigKind::Cello, arch);
+  const auto m3 = test::run(d3, "Cello", arch);
+  const auto m10 = test::run(d10, "Cello", arch);
   EXPECT_GT(m10.dram_bytes, m3.dram_bytes);
   EXPECT_LT(static_cast<double>(m10.dram_bytes) / 10.0,
             static_cast<double>(m3.dram_bytes) / 3.0);
@@ -143,8 +135,8 @@ TEST(Integration, ChordEntryStarvationDegradesGracefully) {
   const auto dag = workloads::build_cg_dag({81920, 16, 327680, 5, 4});
   AcceleratorConfig rich, poor;
   poor.chord_entries = 2;
-  const auto m_rich = run(dag, ConfigKind::Cello, rich);
-  const auto m_poor = run(dag, ConfigKind::Cello, poor);
+  const auto m_rich = test::run(dag, "Cello", rich);
+  const auto m_poor = test::run(dag, "Cello", poor);
   EXPECT_GE(m_poor.dram_bytes, m_rich.dram_bytes);
 }
 
@@ -152,8 +144,8 @@ TEST(Integration, HoldBudgetDemotionOnResNet) {
   const auto dag = workloads::build_resnet_block_dag({});
   AcceleratorConfig roomy, tight;
   tight.hold_budget_bytes = 64 * 1024;  // cannot hold the 784 KiB skip tensor
-  const auto m_roomy = run(dag, ConfigKind::Cello, roomy);
-  const auto m_tight = run(dag, ConfigKind::Cello, tight);
+  const auto m_roomy = test::run(dag, "Cello", roomy);
+  const auto m_tight = test::run(dag, "Cello", tight);
   EXPECT_GT(m_tight.dram_bytes, 0u);
   EXPECT_LE(m_roomy.dram_bytes, m_tight.dram_bytes);
 }

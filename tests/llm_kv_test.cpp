@@ -11,6 +11,7 @@
 #include "sim/policies/kv_cache_policy.hpp"
 #include "sim/workload_registry.hpp"
 #include "workloads/llm.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -247,8 +248,10 @@ TEST(LlmSweep, PooledCellsBitIdenticalToFreshRuns) {
   config_names.push_back("Flex+KV");
   const AcceleratorConfig arch;
 
-  const auto serial = SweepRunner(/*threads=*/1).run(spec_texts, config_names, arch);
-  const auto parallel = SweepRunner(/*threads=*/4).run(spec_texts, config_names, arch);
+  const auto rows = test::workloads(spec_texts);
+  const auto configs = test::configs(config_names);
+  const auto serial = SweepRunner(/*threads=*/1).run(rows, configs, arch);
+  const auto parallel = SweepRunner(/*threads=*/4).run(rows, configs, arch);
   ASSERT_EQ(serial.size(), spec_texts.size() * config_names.size());
   ASSERT_EQ(parallel.size(), serial.size());
 

@@ -1,124 +1,72 @@
-// Characterization tests for the multi-node dataflow model (sim/multinode)
-// and the mesh NoC hop model (noc/mesh).  These pin the CURRENT analytic
-// behavior — exact hop counts, traffic formulas, and the metric identities
-// simulate_multinode derives — so refactors of either layer fail loudly.
-// No behavior change is intended or tested for.
+// Multi-node scale-out through the one run API: AcceleratorConfig::nodes on
+// an auto-shaped mesh, so Simulator::run shards the dominant rank, simulates
+// one node's slice and folds the routed NoC collectives back in.  These pin
+// the whole-run properties; the partition, pricing and fold layers are
+// tested piecewise in partition_test, and sweep cells in multinode_sweep_test.
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
-#include "sim/multinode.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/spmv.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 
-// ---- noc::MeshNoc ------------------------------------------------------------
+ir::TensorDag small_cg() { return workloads::build_cg_dag({81920, 16, 327680, 3, 4}); }
 
-TEST(MeshNoc, SideIsCeilSqrtOfNodes) {
-  noc::MeshNoc mesh;
-  for (const auto& [nodes, side] : {std::pair<i64, i64>{1, 1},
-                                    {2, 2},
-                                    {4, 2},
-                                    {5, 3},
-                                    {9, 3},
-                                    {16, 4},
-                                    {17, 5},
-                                    {64, 8}}) {
-    mesh.nodes = nodes;
-    EXPECT_EQ(mesh.side(), side) << "nodes=" << nodes;
-  }
-}
-
-TEST(MeshNoc, TreeHopsAre2SideMinus1AndMirror) {
-  noc::MeshNoc mesh;
-  mesh.nodes = 1;
-  EXPECT_EQ(mesh.broadcast_hops(), 0);  // single node: nothing crosses the NoC
-  mesh.nodes = 16;
-  EXPECT_EQ(mesh.broadcast_hops(), 2 * (4 - 1));
-  EXPECT_EQ(mesh.reduce_hops(), mesh.broadcast_hops());  // reduction mirrors bcast
-  // Hops grow monotonically with the mesh side.
-  i64 prev = 0;
-  for (i64 nodes : {1, 4, 9, 16, 25, 64}) {
-    mesh.nodes = nodes;
-    EXPECT_GE(mesh.broadcast_hops(), prev) << "nodes=" << nodes;
-    prev = mesh.broadcast_hops();
-  }
-}
-
-TEST(MeshNoc, CompareMultinodeCharacterizedFormulas) {
-  // naive = M*N words; score = N*N' * (bcast + reduce) hops (Sec. V-B).
-  noc::MeshNoc mesh;
-  mesh.nodes = 16;
-  const auto t = noc::compare_multinode(100000, 16, 8, mesh);
-  EXPECT_DOUBLE_EQ(t.naive_words, 100000.0 * 16.0);
-  EXPECT_DOUBLE_EQ(t.score_words, 16.0 * 8.0 * (6 + 6));
-  EXPECT_DOUBLE_EQ(t.ratio(), t.naive_words / t.score_words);
-  // Degenerate guard: zero score traffic reports ratio 0, not a division.
-  mesh.nodes = 1;
-  EXPECT_DOUBLE_EQ(noc::compare_multinode(100, 4, 4, mesh).ratio(), 0.0);
-}
-
-// ---- sim::simulate_multinode -------------------------------------------------
-
-ir::TensorDag cg_shard(i64 nodes) {
-  workloads::CgShape s{81920 / nodes, 16, 327680 / nodes, 3, 4};
-  return workloads::build_cg_dag(s);
+sim::AcceleratorConfig on_mesh(i64 nodes) {
+  sim::AcceleratorConfig arch;
+  arch.nodes = nodes;
+  arch.topology = "mesh";
+  return arch;
 }
 
 TEST(MultiNodeSmoke, SingleNodeHasNoNocTerms) {
-  const auto mm =
-      sim::simulate_multinode(cg_shard, sim::ConfigKind::Cello, sim::AcceleratorConfig{}, 1);
-  EXPECT_EQ(mm.nodes, 1);
-  EXPECT_EQ(mm.noc_bytes, 0u);
-  EXPECT_EQ(mm.naive_noc_bytes, 0u);
-  EXPECT_DOUBLE_EQ(mm.noc_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(mm.seconds, mm.per_node.seconds);
-  EXPECT_NEAR(mm.parallel_efficiency, 1.0, 1e-9);
+  const auto dag = small_cg();
+  const auto one = test::run(dag, "Cello", on_mesh(1));
+  const auto chip = test::run(dag, "Cello", sim::AcceleratorConfig{});
+  EXPECT_EQ(one.nodes, 1);
+  EXPECT_EQ(one.noc_bytes, 0u);
+  EXPECT_EQ(one.naive_noc_bytes, 0u);
+  EXPECT_DOUBLE_EQ(one.noc_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(one.seconds, chip.seconds);
+  EXPECT_EQ(one.dram_bytes, chip.dram_bytes);
 }
 
-TEST(MultiNodeSmoke, MetricIdentitiesHold) {
-  const double bw = 256e9;
-  const auto mm = sim::simulate_multinode(cg_shard, sim::ConfigKind::Cello,
-                                          sim::AcceleratorConfig{}, 4, bw);
+TEST(MultiNodeSmoke, NocTermsAreRoutedAndSmallerThanNaive) {
+  const auto mm = test::run(small_cg(), "Cello", on_mesh(4));
   EXPECT_EQ(mm.nodes, 4);
-  EXPECT_GT(mm.noc_bytes, 0u);                     // contracted results do cross
-  EXPECT_GT(mm.naive_noc_bytes, mm.noc_bytes);     // skewed tensors dwarf them
+  EXPECT_GT(mm.noc_bytes, 0u);                  // contracted results do cross
+  EXPECT_GT(mm.naive_noc_bytes, mm.noc_bytes);  // skewed tensors dwarf them
   // Transfers are routed hop-by-hop on an auto-shaped mesh (here 2x2), so
   // noc_seconds carries a tree-depth latency term on top of serializing the
   // busiest link — strictly more than shipping the byte-hops at full bw.
-  EXPECT_GT(mm.noc_seconds, 0.0);
-  EXPECT_GT(mm.noc_seconds, static_cast<double>(mm.noc_bytes) / bw / 4.0);
-  EXPECT_DOUBLE_EQ(mm.seconds, mm.per_node.seconds + mm.noc_seconds);
-  const double total_macs = static_cast<double>(mm.per_node.total_macs) * 4.0;
-  EXPECT_DOUBLE_EQ(mm.total_gmacs_per_sec, total_macs / mm.seconds / 1e9);
+  const sim::AcceleratorConfig arch = on_mesh(4);
+  EXPECT_GT(mm.noc_seconds, static_cast<double>(mm.noc_bytes) / arch.noc_link_bytes_per_sec / 4.0);
+  EXPECT_GT(mm.parallel_efficiency, 0.0);
 }
 
 TEST(MultiNodeSmoke, Deterministic) {
-  const auto a =
-      sim::simulate_multinode(cg_shard, sim::ConfigKind::Cello, sim::AcceleratorConfig{}, 4);
-  const auto b =
-      sim::simulate_multinode(cg_shard, sim::ConfigKind::Cello, sim::AcceleratorConfig{}, 4);
+  const auto dag = small_cg();
+  const auto a = test::run(dag, "Cello", on_mesh(4));
+  const auto b = test::run(dag, "Cello", on_mesh(4));
   EXPECT_EQ(a.noc_bytes, b.noc_bytes);
   EXPECT_EQ(a.naive_noc_bytes, b.naive_noc_bytes);
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
   EXPECT_DOUBLE_EQ(a.parallel_efficiency, b.parallel_efficiency);
 }
 
-TEST(MultiNodeSmoke, WorksAcrossConfigKinds) {
-  // The NoC terms depend only on the shard DAG, not the schedule/buffer
-  // policy: Flexagon and Cello agree on traffic, differ on time.
-  auto builder = [](i64 nodes) {
-    return workloads::build_spmv_dag({65536 / nodes, 524288 / nodes, 4, 3, 4});
-  };
-  sim::AcceleratorConfig arch;
-  const auto flex = sim::simulate_multinode(builder, sim::ConfigKind::Flexagon, arch, 4);
-  const auto cello = sim::simulate_multinode(builder, sim::ConfigKind::Cello, arch, 4);
+TEST(MultiNodeSmoke, NocTermsDependOnlyOnTheDag) {
+  // The NoC terms depend only on the partitioned DAG, not the schedule/buffer
+  // policy: Flexagon and Cello agree on NoC traffic, differ on time.
+  const auto dag = workloads::build_spmv_dag({65536, 524288, 4, 3, 4});
+  const auto flex = test::run(dag, "Flexagon", on_mesh(4));
+  const auto cello = test::run(dag, "Cello", on_mesh(4));
   EXPECT_EQ(flex.noc_bytes, cello.noc_bytes);
   EXPECT_EQ(flex.naive_noc_bytes, cello.naive_noc_bytes);
-  EXPECT_GT(flex.per_node.seconds, 0.0);
-  EXPECT_GT(cello.per_node.seconds, 0.0);
+  EXPECT_GT(flex.seconds, 0.0);
+  EXPECT_GT(cello.seconds, 0.0);
 }
 
 }  // namespace

@@ -2,15 +2,14 @@
 // (no concurrent stage overlap) but never DRAM traffic.
 #include <gtest/gtest.h>
 
-#include "sim/engine.hpp"
 #include "workloads/gnn.hpp"
 #include "workloads/resnet.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 using sim::AcceleratorConfig;
-using sim::ConfigKind;
 using sim::PipelineStyle;
 
 TEST(PipelineStyle, TrafficIdenticalTimingDiffers) {
@@ -18,11 +17,11 @@ TEST(PipelineStyle, TrafficIdenticalTimingDiffers) {
   AcceleratorConfig pp, sp;
   pp.dram_bytes_per_sec = sp.dram_bytes_per_sec = 250e9;
   sp.pipeline_style = PipelineStyle::Sequential;
-  for (auto kind : {ConfigKind::Flat, ConfigKind::Set, ConfigKind::Cello}) {
-    const auto a = sim::simulate(dag, kind, pp);
-    const auto b = sim::simulate(dag, kind, sp);
-    EXPECT_EQ(a.dram_bytes, b.dram_bytes) << sim::to_string(kind);
-    EXPECT_LE(a.seconds, b.seconds) << sim::to_string(kind);
+  for (auto config : {"FLAT", "SET", "Cello"}) {
+    const auto a = test::run(dag, config, pp);
+    const auto b = test::run(dag, config, sp);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes) << config;
+    EXPECT_LE(a.seconds, b.seconds) << config;
   }
 }
 
@@ -30,8 +29,8 @@ TEST(PipelineStyle, NoEffectOnOpByOpConfigs) {
   const auto dag = workloads::build_gnn_dag({1000, 5000, 64, 16});
   AcceleratorConfig pp, sp;
   sp.pipeline_style = PipelineStyle::Sequential;
-  const auto a = sim::simulate(dag, ConfigKind::Flexagon, pp);
-  const auto b = sim::simulate(dag, ConfigKind::Flexagon, sp);
+  const auto a = test::run(dag, "Flexagon", pp);
+  const auto b = test::run(dag, "Flexagon", sp);
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
   EXPECT_EQ(a.dram_bytes, b.dram_bytes);
 }
@@ -42,8 +41,8 @@ TEST(PipelineStyle, SequentialStillBeatsFlexagonViaTraffic) {
   const auto dag = workloads::build_gnn_dag({2708, 9464, 1433, 7});
   AcceleratorConfig sp;
   sp.pipeline_style = PipelineStyle::Sequential;
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, sp);
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, sp);
+  const auto flex = test::run(dag, "Flexagon", sp);
+  const auto flat = test::run(dag, "FLAT", sp);
   EXPECT_LT(flat.seconds, flex.seconds);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the composable policy API: Configuration, ConfigRegistry,
-// Simulator — name round-trips, bit-identical parity between the registry
-// presets and the legacy ConfigKind path, and novel policy combinations the
-// enum could not express.
+// Simulator — name lookup, preset order, and novel policy combinations
+// beyond the seven Table IV presets.  The presets' metrics are pinned by
+// tests/goldens/table4_metrics.txt (metrics_golden_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "sim/policies/cache_policy.hpp"
 #include "sim/policies/chord_policy.hpp"
 #include "sim/policies/explicit_buffers.hpp"
-#include "sparse/datasets.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
 
@@ -19,40 +18,10 @@ namespace {
 
 using namespace cello;
 using sim::AcceleratorConfig;
-using sim::ConfigKind;
 using sim::ConfigRegistry;
 using sim::Configuration;
-using sim::RunMetrics;
 using sim::SchedulePolicy;
 using sim::Simulator;
-
-void expect_bit_identical(const RunMetrics& a, const RunMetrics& b, const std::string& label) {
-  EXPECT_EQ(a.seconds, b.seconds) << label;
-  EXPECT_EQ(a.total_macs, b.total_macs) << label;
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes) << label;
-  EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes) << label;
-  EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes) << label;
-  EXPECT_EQ(a.offchip_energy_pj, b.offchip_energy_pj) << label;
-  EXPECT_EQ(a.onchip_energy_pj, b.onchip_energy_pj) << label;
-  EXPECT_EQ(a.sram_line_accesses, b.sram_line_accesses) << label;
-  ASSERT_EQ(a.per_op.size(), b.per_op.size()) << label;
-  for (size_t i = 0; i < a.per_op.size(); ++i) {
-    EXPECT_EQ(a.per_op[i].dram_bytes, b.per_op[i].dram_bytes) << label << " op " << i;
-    EXPECT_EQ(a.per_op[i].macs, b.per_op[i].macs) << label << " op " << i;
-  }
-  EXPECT_EQ(a.traffic_by_tensor, b.traffic_by_tensor) << label;
-}
-
-TEST(Registry, EnumNamesRoundTripThroughRegistry) {
-  const auto& registry = ConfigRegistry::global();
-  for (ConfigKind kind : all_configs()) {
-    const std::string name = sim::to_string(kind);
-    const Configuration* c = registry.find(name);
-    ASSERT_NE(c, nullptr) << name;
-    EXPECT_EQ(c->name, name);
-    EXPECT_EQ(ConfigRegistry::preset(kind).name, name);
-  }
-}
 
 TEST(Registry, LookupIsNormalized) {
   const auto& registry = ConfigRegistry::global();
@@ -87,42 +56,10 @@ TEST(Registry, Table4NamesComeFirstInPaperOrder) {
 
 TEST(Registry, RejectsDuplicatesAndMissingFactories) {
   ConfigRegistry registry;  // fresh, preset-populated
-  EXPECT_THROW(registry.add(ConfigRegistry::preset(ConfigKind::Cello)), Error);
+  EXPECT_THROW(registry.add(registry.at("Cello")), Error);
   Configuration no_factory;
   no_factory.name = "broken";
   EXPECT_THROW(registry.add(no_factory), Error);
-}
-
-TEST(Registry, PresetsReproduceLegacyEnumPathBitIdentical) {
-  // The registry-built presets must be indistinguishable from the ConfigKind
-  // path for every Table IV row, on both an iterative solver DAG and a GNN.
-  const auto cg = workloads::build_cg_dag({81920, 16, 327680, 5, 4});
-  const auto gnn = workloads::build_gnn_dag({2708, 9464, 1433, 7});
-  const AcceleratorConfig arch;
-  const Simulator simulator(arch);
-  const auto& registry = ConfigRegistry::global();
-  for (ConfigKind kind : all_configs()) {
-    const std::string name = sim::to_string(kind);
-    for (const auto* dag : {&cg, &gnn}) {
-      const auto legacy = sim::simulate(*dag, kind, arch);
-      const auto composed = simulator.run(*dag, registry.at(name));
-      expect_bit_identical(legacy, composed, name);
-    }
-  }
-}
-
-TEST(Registry, PresetParityHoldsWithRealMatrixTrace) {
-  // The trace-driven cache presets consume the real sparse structure.
-  const auto spec = sparse::dataset_by_name("fv1");
-  const auto matrix = sparse::instantiate(spec);
-  const auto dag = workloads::build_cg_dag({spec.rows, 16, matrix.nnz(), 3, 4});
-  const AcceleratorConfig arch;
-  const Simulator simulator(arch, &matrix);
-  for (ConfigKind kind : {ConfigKind::FlexLru, ConfigKind::FlexBrrip, ConfigKind::Cello}) {
-    const auto legacy = sim::simulate(dag, kind, arch, &matrix);
-    const auto composed = simulator.run(dag, ConfigRegistry::global().at(sim::to_string(kind)));
-    expect_bit_identical(legacy, composed, sim::to_string(kind));
-  }
 }
 
 TEST(NovelCombos, ScoreWithLruRunsEndToEnd) {
@@ -133,7 +70,7 @@ TEST(NovelCombos, ScoreWithLruRunsEndToEnd) {
   const AcceleratorConfig arch;
   const Simulator simulator(arch);
   const auto score_lru = simulator.run(dag, ConfigRegistry::global().at("SCORE+LRU"));
-  const auto flex_lru = simulator.run(dag, ConfigRegistry::preset(ConfigKind::FlexLru));
+  const auto flex_lru = simulator.run(dag, ConfigRegistry::global().at("Flex+LRU"));
   EXPECT_GT(score_lru.total_macs, 0);
   EXPECT_GT(score_lru.seconds, 0.0);
   EXPECT_GT(score_lru.dram_bytes, 0u);
@@ -148,7 +85,7 @@ TEST(NovelCombos, FlatWithChordRunsEndToEnd) {
   const AcceleratorConfig arch;
   const Simulator simulator(arch);
   const auto flat_chord = simulator.run(dag, ConfigRegistry::global().at("FLAT+CHORD"));
-  const auto flexagon = simulator.run(dag, ConfigRegistry::preset(ConfigKind::Flexagon));
+  const auto flexagon = simulator.run(dag, ConfigRegistry::global().at("Flexagon"));
   EXPECT_GT(flat_chord.dram_bytes, 0u);
   EXPECT_LT(flat_chord.dram_bytes, flexagon.dram_bytes);
   EXPECT_EQ(flat_chord.dram_bytes, flat_chord.dram_read_bytes + flat_chord.dram_write_bytes);
@@ -176,11 +113,11 @@ TEST(ConfigurationKnobs, PipelineStyleOverrideChangesTimingOnly) {
   const auto dag = workloads::build_gnn_dag({2708, 9464, 1433, 7});
   AcceleratorConfig arch;
   arch.dram_bytes_per_sec = 250e9;
-  Configuration sequential = ConfigRegistry::preset(ConfigKind::Cello);
+  Configuration sequential = ConfigRegistry::global().at("Cello");
   sequential.name = "Cello-SP";
   sequential.pipeline_style = sim::PipelineStyle::Sequential;
   const Simulator simulator(arch);
-  const auto pp = simulator.run(dag, ConfigRegistry::preset(ConfigKind::Cello));
+  const auto pp = simulator.run(dag, ConfigRegistry::global().at("Cello"));
   const auto sp = simulator.run(dag, sequential);
   EXPECT_EQ(pp.dram_bytes, sp.dram_bytes);
   EXPECT_LT(pp.seconds, sp.seconds);
@@ -189,18 +126,18 @@ TEST(ConfigurationKnobs, PipelineStyleOverrideChangesTimingOnly) {
 TEST(ConfigurationKnobs, HoldBudgetOverrideDemotesHolds) {
   const auto dag = workloads::build_resnet_block_dag({});
   const AcceleratorConfig arch;
-  Configuration tight = ConfigRegistry::preset(ConfigKind::Cello);
+  Configuration tight = ConfigRegistry::global().at("Cello");
   tight.name = "Cello-tight-hold";
   tight.hold_budget_bytes = 64 * 1024;  // cannot hold the 784 KiB skip tensor
   const Simulator simulator(arch);
-  const auto roomy_m = simulator.run(dag, ConfigRegistry::preset(ConfigKind::Cello));
+  const auto roomy_m = simulator.run(dag, ConfigRegistry::global().at("Cello"));
   const auto tight_m = simulator.run(dag, tight);
   EXPECT_GT(tight_m.dram_bytes, 0u);
   EXPECT_LE(roomy_m.dram_bytes, tight_m.dram_bytes);
   // The override must behave exactly like setting the knob on the arch.
   AcceleratorConfig tight_arch = arch;
   tight_arch.hold_budget_bytes = 64 * 1024;
-  const auto via_arch = Simulator(tight_arch).run(dag, ConfigRegistry::preset(ConfigKind::Cello));
+  const auto via_arch = Simulator(tight_arch).run(dag, ConfigRegistry::global().at("Cello"));
   EXPECT_EQ(tight_m.dram_bytes, via_arch.dram_bytes);
   EXPECT_EQ(tight_m.seconds, via_arch.seconds);
 }

@@ -1,21 +1,21 @@
 // Tests for the per-op / per-tensor reporting layer.
 #include <gtest/gtest.h>
 
-#include "sim/engine.hpp"
 #include "sim/report.hpp"
 #include "workloads/cg.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 
-sim::RunMetrics cg_metrics(sim::ConfigKind kind) {
+sim::RunMetrics cg_metrics(const std::string& config) {
   const auto dag = workloads::build_cg_dag({9604, 16, 85264, 3, 4});
-  return sim::simulate(dag, kind, sim::AcceleratorConfig{});
+  return test::run(dag, config, sim::AcceleratorConfig{});
 }
 
 TEST(Report, PerOpRowsCoverEveryStep) {
-  const auto m = cg_metrics(sim::ConfigKind::Cello);
+  const auto m = cg_metrics("Cello");
   EXPECT_EQ(m.per_op.size(), 24u);  // 8 ops x 3 iterations
   i64 macs = 0;
   Bytes dram = 0;
@@ -30,32 +30,32 @@ TEST(Report, PerOpRowsCoverEveryStep) {
 }
 
 TEST(Report, CacheConfigAlsoFillsPerOp) {
-  const auto m = cg_metrics(sim::ConfigKind::FlexLru);
+  const auto m = cg_metrics("Flex+LRU");
   EXPECT_EQ(m.per_op.size(), 24u);
 }
 
 TEST(Report, PerOpReportRendersBoundColumn) {
-  const auto m = cg_metrics(sim::ConfigKind::Flexagon);
+  const auto m = cg_metrics("Flexagon");
   const auto text = sim::per_op_report(m, sim::AcceleratorConfig{});
   EXPECT_NE(text.find("memory"), std::string::npos);
   EXPECT_NE(text.find("1@1"), std::string::npos);
 }
 
 TEST(Report, PerOpReportTruncates) {
-  const auto m = cg_metrics(sim::ConfigKind::Flexagon);
+  const auto m = cg_metrics("Flexagon");
   const auto text = sim::per_op_report(m, sim::AcceleratorConfig{}, 4);
   EXPECT_NE(text.find("more ops"), std::string::npos);
 }
 
 TEST(Report, PerTensorSharesSumBelowHundred) {
-  const auto m = cg_metrics(sim::ConfigKind::Cello);
+  const auto m = cg_metrics("Cello");
   const auto text = sim::per_tensor_report(m);
   EXPECT_NE(text.find("%"), std::string::npos);
   EXPECT_NE(text.find("A"), std::string::npos);  // the sparse matrix appears
 }
 
 TEST(Report, CsvHasHeaderAndRows) {
-  const auto m = cg_metrics(sim::ConfigKind::Cello);
+  const auto m = cg_metrics("Cello");
   const auto csv = sim::per_op_csv(m);
   EXPECT_EQ(csv.find("op,macs,dram_bytes"), 0u);
   // header + 24 rows

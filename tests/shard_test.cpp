@@ -9,6 +9,7 @@
 
 #include "cello/cello.hpp"
 #include "common/error.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -215,8 +216,8 @@ TEST(Shard, MergedShuffledShardsAreBitIdenticalToSerialSweep) {
   const std::vector<SweepResult> merged = sim::merge_shards(shards);
 
   // Serial single-process reference over the same grid.
-  const std::vector<SweepResult> serial =
-      SweepRunner(/*threads=*/1).run(grid.workloads, grid.configs, grid.arch);
+  const std::vector<SweepResult> serial = SweepRunner(/*threads=*/1).run(
+      test::workloads(grid.workloads), test::configs(grid.configs), grid.arch);
   ASSERT_EQ(merged.size(), serial.size());
   for (size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(merged[i].workload, serial[i].workload);
@@ -244,8 +245,8 @@ TEST(Shard, ContiguousShardsMergeToo) {
   for (const u32 i : {3u, 1u, 2u})
     shards.push_back(run_one_shard(grid, i, 3, ShardMode::Contiguous));
   const std::vector<SweepResult> merged = sim::merge_shards(shards);
-  const std::vector<SweepResult> full =
-      SweepRunner(/*threads=*/2).run(grid.workloads, grid.configs, grid.arch);
+  const std::vector<SweepResult> full = SweepRunner(/*threads=*/2).run(
+      test::workloads(grid.workloads), test::configs(grid.configs), grid.arch);
   ASSERT_EQ(merged.size(), full.size());
   for (size_t i = 0; i < merged.size(); ++i)
     expect_bit_equal(merged[i].metrics, full[i].metrics,
@@ -331,7 +332,8 @@ TEST(Shard, RunShardPrebuildsOnlyWhatItTouches) {
     const ShardPlan plan = sim::plan_shard(grid, i, 2, ShardMode::Contiguous);
     ASSERT_EQ(plan.cells.size(), 1u);
     const auto cells = SweepRunner(/*threads=*/1).run_shard(grid, plan);
-    const auto full = SweepRunner(/*threads=*/1).run(grid.workloads, grid.configs, grid.arch);
+    const auto full = SweepRunner(/*threads=*/1).run(
+        test::workloads(grid.workloads), test::configs(grid.configs), grid.arch);
     ASSERT_EQ(cells.size(), 1u);
     expect_bit_equal(cells[0].metrics, full[plan.cells[0]].metrics,
                      "shard " + std::to_string(i) + "/2");

@@ -5,20 +5,18 @@
 #include <set>
 
 #include "cello/cello.hpp"
-#include "noc/mesh.hpp"
 #include "sim/address_map.hpp"
-#include "sim/engine.hpp"
 #include "sparse/datasets.hpp"
 #include "workloads/bicgstab.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
 #include "workloads/resnet.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 using sim::AcceleratorConfig;
-using sim::ConfigKind;
 
 workloads::CgShape small_cg() {
   workloads::CgShape s;
@@ -69,7 +67,7 @@ TEST(Engine, FlexagonTrafficIsExactColdSum) {
   // Oracle op-by-op: every unique operand of every op moves exactly once.
   const auto dag = workloads::build_gnn_dag({1000, 5000, 64, 16});
   AcceleratorConfig arch;
-  const auto m = sim::simulate(dag, ConfigKind::Flexagon, arch);
+  const auto m = test::run(dag, "Flexagon", arch);
   Bytes expected = 0;
   for (const auto& op : dag.ops()) {
     std::set<ir::TensorId> seen;
@@ -83,8 +81,8 @@ TEST(Engine, FlexagonTrafficIsExactColdSum) {
 TEST(Engine, FlatSkipsPipelinedIntermediate) {
   const auto dag = workloads::build_gnn_dag({1000, 5000, 64, 16});
   AcceleratorConfig arch;
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, arch);
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, arch);
+  const auto flex = test::run(dag, "Flexagon", arch);
+  const auto flat = test::run(dag, "FLAT", arch);
   ir::TensorId h = dag.edge(0).tensor;
   EXPECT_EQ(flat.dram_bytes, flex.dram_bytes - 2 * dag.tensor(h).bytes());
 }
@@ -93,8 +91,8 @@ TEST(Engine, CelloEqualsFlatOnGnn) {
   // Fig. 13: "CELLO achieves the same performance as FLAT" for GNN layers.
   const auto dag = workloads::build_gnn_dag({2708, 9464, 1433, 7});
   AcceleratorConfig arch;
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, arch);
-  const auto cello = sim::simulate(dag, ConfigKind::Cello, arch);
+  const auto flat = test::run(dag, "FLAT", arch);
+  const auto cello = test::run(dag, "Cello", arch);
   EXPECT_EQ(cello.dram_bytes, flat.dram_bytes);
   EXPECT_DOUBLE_EQ(cello.seconds, flat.seconds);
 }
@@ -104,9 +102,9 @@ TEST(Engine, FlatAndSetEqualFlexagonOnCg) {
   // pipelining-only and hold-only schedulers gain nothing.
   const auto dag = workloads::build_cg_dag(big_cg());
   AcceleratorConfig arch;
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, arch);
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, arch);
-  const auto set = sim::simulate(dag, ConfigKind::Set, arch);
+  const auto flex = test::run(dag, "Flexagon", arch);
+  const auto flat = test::run(dag, "FLAT", arch);
+  const auto set = test::run(dag, "SET", arch);
   EXPECT_EQ(flat.dram_bytes, flex.dram_bytes);
   EXPECT_EQ(set.dram_bytes, flex.dram_bytes);
 }
@@ -114,12 +112,12 @@ TEST(Engine, FlatAndSetEqualFlexagonOnCg) {
 TEST(Engine, CelloBeatsAllBaselinesOnCg) {
   const auto dag = workloads::build_cg_dag(big_cg());
   AcceleratorConfig arch;
-  const auto cello = sim::simulate(dag, ConfigKind::Cello, arch);
-  for (ConfigKind k : {ConfigKind::Flexagon, ConfigKind::Flat, ConfigKind::Set,
-                       ConfigKind::PreludeOnly}) {
-    const auto base = sim::simulate(dag, k, arch);
-    EXPECT_LT(cello.dram_bytes, base.dram_bytes) << sim::to_string(k);
-    EXPECT_LT(cello.seconds, base.seconds) << sim::to_string(k);
+  const auto cello = test::run(dag, "Cello", arch);
+  for (const char* config : {"Flexagon", "FLAT", "SET",
+                       "Prelude-only"}) {
+    const auto base = test::run(dag, config, arch);
+    EXPECT_LT(cello.dram_bytes, base.dram_bytes) << config;
+    EXPECT_LT(cello.seconds, base.seconds) << config;
   }
 }
 
@@ -128,8 +126,8 @@ TEST(Engine, RiffBeatsPreludeOnlyUnderContention) {
   // set exceeds the buffer.
   const auto dag = workloads::build_cg_dag(big_cg());
   AcceleratorConfig arch;
-  const auto cello = sim::simulate(dag, ConfigKind::Cello, arch);
-  const auto prelude = sim::simulate(dag, ConfigKind::PreludeOnly, arch);
+  const auto cello = test::run(dag, "Cello", arch);
+  const auto prelude = test::run(dag, "Prelude-only", arch);
   EXPECT_LT(cello.dram_bytes, prelude.dram_bytes);
 }
 
@@ -139,9 +137,9 @@ TEST(Engine, SetMatchesCelloOnResNetAndBeatsFlat) {
   const auto dag = workloads::build_resnet_block_dag({});
   AcceleratorConfig arch;
   arch.dram_bytes_per_sec = 250e9;
-  const auto set = sim::simulate(dag, ConfigKind::Set, arch);
-  const auto cello = sim::simulate(dag, ConfigKind::Cello, arch);
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, arch);
+  const auto set = test::run(dag, "SET", arch);
+  const auto cello = test::run(dag, "Cello", arch);
+  const auto flat = test::run(dag, "FLAT", arch);
   EXPECT_EQ(set.dram_bytes, cello.dram_bytes);
   EXPECT_GT(flat.dram_bytes, set.dram_bytes);
 }
@@ -150,7 +148,7 @@ TEST(Engine, ResNetComputeBoundAtFullBandwidth) {
   // Sec. VII-C1: at 1 TB/s the residual block saturates compute.
   const auto dag = workloads::build_resnet_block_dag({});
   AcceleratorConfig arch;
-  const auto cello = sim::simulate(dag, ConfigKind::Cello, arch);
+  const auto cello = test::run(dag, "Cello", arch);
   const double compute_s = arch.compute_seconds(cello.total_macs);
   EXPECT_NEAR(cello.seconds, compute_s, compute_s * 0.35);
 }
@@ -158,11 +156,11 @@ TEST(Engine, ResNetComputeBoundAtFullBandwidth) {
 TEST(Engine, TrafficConservation) {
   const auto dag = workloads::build_cg_dag(small_cg());
   AcceleratorConfig arch;
-  for (ConfigKind k : cello::all_configs()) {
-    const auto m = sim::simulate(dag, k, arch);
-    EXPECT_EQ(m.dram_bytes, m.dram_read_bytes + m.dram_write_bytes) << sim::to_string(k);
-    EXPECT_GT(m.total_macs, 0) << sim::to_string(k);
-    EXPECT_GT(m.seconds, 0.0) << sim::to_string(k);
+  for (const std::string& config : sim::ConfigRegistry::table4_names()) {
+    const auto m = test::run(dag, config, arch);
+    EXPECT_EQ(m.dram_bytes, m.dram_read_bytes + m.dram_write_bytes) << config;
+    EXPECT_GT(m.total_macs, 0) << config;
+    EXPECT_GT(m.seconds, 0.0) << config;
   }
 }
 
@@ -176,8 +174,8 @@ TEST(Engine, CacheConfigsRespondToRealMatrixStructure) {
   s.iterations = 2;
   const auto dag = workloads::build_cg_dag(s);
   AcceleratorConfig arch;
-  const auto with = sim::simulate(dag, ConfigKind::FlexLru, arch, &matrix);
-  const auto without = sim::simulate(dag, ConfigKind::FlexLru, arch, nullptr);
+  const auto with = test::run(dag, "Flex+LRU", arch, &matrix);
+  const auto without = test::run(dag, "Flex+LRU", arch, nullptr);
   EXPECT_GT(with.dram_bytes, 0u);
   EXPECT_GT(without.dram_bytes, 0u);
 }
@@ -187,8 +185,8 @@ TEST(Engine, BandwidthScalesMemoryBoundRuntime) {
   AcceleratorConfig fast, slow;
   fast.dram_bytes_per_sec = 1e12;
   slow.dram_bytes_per_sec = 250e9;
-  const auto f = sim::simulate(dag, ConfigKind::Flexagon, fast);
-  const auto s = sim::simulate(dag, ConfigKind::Flexagon, slow);
+  const auto f = test::run(dag, "Flexagon", fast);
+  const auto s = test::run(dag, "Flexagon", slow);
   EXPECT_NEAR(s.seconds / f.seconds, 4.0, 0.2);  // memory bound: ~4x slower
 }
 
@@ -198,8 +196,8 @@ TEST(Engine, LargerChordReducesTraffic) {
   AcceleratorConfig small, large;
   small.sram_bytes = 1ull << 20;
   large.sram_bytes = 16ull << 20;
-  const auto m_small = sim::simulate(dag, ConfigKind::Cello, small);
-  const auto m_large = sim::simulate(dag, ConfigKind::Cello, large);
+  const auto m_small = test::run(dag, "Cello", small);
+  const auto m_large = test::run(dag, "Cello", large);
   EXPECT_LT(m_large.dram_bytes, m_small.dram_bytes);
 }
 
@@ -210,44 +208,18 @@ TEST(Engine, BicgstabCelloWins) {
   s.iterations = 5;
   const auto dag = workloads::build_bicgstab_dag(s);
   AcceleratorConfig arch;
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, arch);
-  const auto cello = sim::simulate(dag, ConfigKind::Cello, arch);
+  const auto flex = test::run(dag, "Flexagon", arch);
+  const auto cello = test::run(dag, "Cello", arch);
   EXPECT_LT(cello.dram_bytes, flex.dram_bytes);
 }
 
 TEST(Engine, TrafficByTensorAccountsEverything) {
   const auto dag = workloads::build_cg_dag(small_cg());
   AcceleratorConfig arch;
-  const auto m = sim::simulate(dag, ConfigKind::Cello, arch);
+  const auto m = test::run(dag, "Cello", arch);
   Bytes sum = 0;
   for (const auto& [base, b] : m.traffic_by_tensor) sum += b;
   EXPECT_EQ(sum, m.dram_bytes);
-}
-
-// ---- NoC model ---------------------------------------------------------------
-
-TEST(Noc, HopCounts) {
-  noc::MeshNoc mesh;
-  mesh.nodes = 16;
-  EXPECT_EQ(mesh.side(), 4);
-  EXPECT_EQ(mesh.broadcast_hops(), 6);
-  mesh.nodes = 1;
-  EXPECT_EQ(mesh.broadcast_hops(), 0);
-}
-
-TEST(Noc, ScoreDataflowMovesLessForSkewedShapes) {
-  // Sec. V-B: M >> N * hops, so cluster-local pipelines win decisively.
-  noc::MeshNoc mesh;
-  mesh.nodes = 16;
-  const auto t = noc::compare_multinode(1000000, 16, 16, mesh);
-  EXPECT_GT(t.ratio(), 1000.0);
-}
-
-TEST(Noc, NaiveWinsOnlyForTinyM) {
-  noc::MeshNoc mesh;
-  mesh.nodes = 64;
-  const auto t = noc::compare_multinode(16, 16, 16, mesh);
-  EXPECT_LT(t.ratio(), 1.0);
 }
 
 }  // namespace

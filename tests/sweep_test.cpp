@@ -11,6 +11,7 @@
 #include "sparse/datasets.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -19,38 +20,41 @@ using sim::AcceleratorConfig;
 using sim::ConfigRegistry;
 using sim::Simulator;
 using sim::SweepRunner;
-using sim::SweepWorkload;
 
-std::vector<SweepWorkload> two_workloads() {
-  std::vector<SweepWorkload> w;
-  w.push_back({"cg", workloads::build_cg_dag({9604, 16, 85264, 3, 4})});
-  w.push_back({"gnn", workloads::build_gnn_dag({1000, 5000, 64, 16})});
+/// Two rows over prebuilt DAGs, as the figure drivers build them.
+std::vector<sim::Workload> two_workloads() {
+  std::vector<sim::Workload> w;
+  w.push_back({"cg", "cg",
+               std::make_shared<const ir::TensorDag>(
+                   workloads::build_cg_dag({9604, 16, 85264, 3, 4})),
+               nullptr});
+  w.push_back({"gnn", "gnn",
+               std::make_shared<const ir::TensorDag>(
+                   workloads::build_gnn_dag({1000, 5000, 64, 16})),
+               nullptr});
   return w;
 }
 
-TEST(Sweep, MatchesSerialRunAllBitIdentical) {
+TEST(Sweep, MatchesSerialRunsBitIdentical) {
   const auto workloads_vec = two_workloads();
   const auto& config_names = ConfigRegistry::table4_names();
   const AcceleratorConfig arch;
 
-  const auto cells = SweepRunner(/*threads=*/4).run(workloads_vec, config_names, arch);
+  const auto cells =
+      SweepRunner(/*threads=*/4).run(workloads_vec, test::configs(config_names), arch);
   ASSERT_EQ(cells.size(), workloads_vec.size() * config_names.size());
 
   for (size_t wi = 0; wi < workloads_vec.size(); ++wi) {
-    // Serial reference: the facade's run_all over the same workload.
-    const auto serial = run_all(workloads_vec[wi].dag, arch);
-    ASSERT_EQ(serial.size(), config_names.size());
     for (size_t ci = 0; ci < config_names.size(); ++ci) {
+      // Serial reference: a one-shot run of the same cell.
+      const auto serial = test::run(*workloads_vec[wi].dag, config_names[ci], arch);
       const auto& cell = cells[wi * config_names.size() + ci];
       EXPECT_EQ(cell.workload, workloads_vec[wi].name);
       EXPECT_EQ(cell.config, config_names[ci]);
-      EXPECT_EQ(cell.config, serial[ci].first);
-      EXPECT_EQ(cell.metrics.seconds, serial[ci].second.seconds) << cell.config;
-      EXPECT_EQ(cell.metrics.dram_bytes, serial[ci].second.dram_bytes) << cell.config;
-      EXPECT_EQ(cell.metrics.onchip_energy_pj, serial[ci].second.onchip_energy_pj)
-          << cell.config;
-      EXPECT_EQ(cell.metrics.sram_line_accesses, serial[ci].second.sram_line_accesses)
-          << cell.config;
+      EXPECT_EQ(cell.metrics.seconds, serial.seconds) << cell.config;
+      EXPECT_EQ(cell.metrics.dram_bytes, serial.dram_bytes) << cell.config;
+      EXPECT_EQ(cell.metrics.onchip_energy_pj, serial.onchip_energy_pj) << cell.config;
+      EXPECT_EQ(cell.metrics.sram_line_accesses, serial.sram_line_accesses) << cell.config;
     }
   }
 }
@@ -60,8 +64,9 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
   const std::vector<std::string> config_names = {"Flexagon", "Cello", "SCORE+LRU",
                                                  "FLAT+CHORD"};
   const AcceleratorConfig arch;
-  const auto serial = SweepRunner(/*threads=*/1).run(workloads_vec, config_names, arch);
-  const auto parallel = SweepRunner(/*threads=*/5).run(workloads_vec, config_names, arch);
+  const auto configs = test::configs(config_names);
+  const auto serial = SweepRunner(/*threads=*/1).run(workloads_vec, configs, arch);
+  const auto parallel = SweepRunner(/*threads=*/5).run(workloads_vec, configs, arch);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].workload, parallel[i].workload);
@@ -74,15 +79,17 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 
 TEST(Sweep, SharedMatrixContextIsSafeAcrossThreads) {
   const auto spec = sparse::dataset_by_name("fv1");
-  const auto matrix = sparse::instantiate(spec);
-  std::vector<SweepWorkload> w;
-  w.push_back({"cg", workloads::build_cg_dag({spec.rows, 16, matrix.nnz(), 2, 4}), &matrix});
+  const auto matrix = std::make_shared<const sparse::CsrMatrix>(sparse::instantiate(spec));
+  const std::vector<sim::Workload> w{
+      {"cg", "cg",
+       std::make_shared<const ir::TensorDag>(
+           workloads::build_cg_dag({spec.rows, 16, matrix->nnz(), 2, 4})),
+       matrix}};
   const AcceleratorConfig arch;
   const std::vector<std::string> config_names = {"Flex+LRU", "Flex+BRRIP", "Cello"};
-  const auto cells = SweepRunner(/*threads=*/3).run(w, config_names, arch);
+  const auto cells = SweepRunner(/*threads=*/3).run(w, test::configs(config_names), arch);
   for (size_t ci = 0; ci < config_names.size(); ++ci) {
-    const auto reference =
-        Simulator(arch, &matrix).run(w[0].dag, ConfigRegistry::global().at(config_names[ci]));
+    const auto reference = test::run(*w[0].dag, config_names[ci], arch, matrix.get());
     EXPECT_EQ(cells[ci].metrics.dram_bytes, reference.dram_bytes) << config_names[ci];
     EXPECT_EQ(cells[ci].metrics.seconds, reference.seconds) << config_names[ci];
   }
@@ -90,9 +97,6 @@ TEST(Sweep, SharedMatrixContextIsSafeAcrossThreads) {
 
 TEST(Sweep, EmptyGridIsEmpty) {
   const AcceleratorConfig arch;
-  EXPECT_TRUE(SweepRunner()
-                  .run(std::vector<SweepWorkload>{}, std::vector<sim::Configuration>{}, arch)
-                  .empty());
   EXPECT_TRUE(SweepRunner()
                   .run(std::vector<sim::Workload>{}, std::vector<sim::Configuration>{}, arch)
                   .empty());
@@ -114,7 +118,8 @@ TEST(Sweep, ScheduleCacheBitIdenticalToCacheFreeSerialRuns) {
                                                  "SET",      "Cello",    "SCORE+BRRIP"};
   const AcceleratorConfig arch;
 
-  const auto cells = SweepRunner(/*threads=*/4).run(spec_texts, config_names, arch);
+  const auto cells = SweepRunner(/*threads=*/4)
+                         .run(test::workloads(spec_texts), test::configs(config_names), arch);
   ASSERT_EQ(cells.size(), spec_texts.size() * config_names.size());
 
   const auto& registry = sim::ConfigRegistry::global();
@@ -154,9 +159,9 @@ TEST(Sweep, SpecResolutionSharesOneDag) {
   // Same workload listed twice: both rows report the canonical name and
   // identical metrics.
   const AcceleratorConfig arch;
-  const auto cells = SweepRunner(/*threads=*/2).run(
-      std::vector<std::string>{"cg:m=2048,n=8,iters=2", "cg:m=2048,n=8,iters=2"},
-      std::vector<std::string>{"Cello"}, arch);
+  const auto cells = SweepRunner(/*threads=*/2)
+                         .run(test::workloads({"cg:m=2048,n=8,iters=2", "cg:m=2048,n=8,iters=2"}),
+                              test::configs({"Cello"}), arch);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].workload, "cg:iters=2,m=2048,n=8");
   EXPECT_EQ(cells[0].metrics.seconds, cells[1].metrics.seconds);
@@ -170,10 +175,10 @@ TEST(Sweep, SpecResolutionSharesOneDag) {
 TEST(Sweep, WorkerAffineTilingBitIdenticalAcrossThreadCounts) {
   // 3 workloads x 7 configs = 21 cells: prime-ish shapes so chunk boundaries
   // land mid-run for every thread count below.
-  const std::vector<std::string> specs = {"cg:m=4096,n=8,iters=2", "gnn:cora",
-                                          "spmv:dataset=fv1,iters=2"};
-  const std::vector<std::string> configs = {"Flexagon", "Flex+LRU",    "Flex+BRRIP", "FLAT",
-                                            "SET",      "SCORE+BRRIP", "Cello"};
+  const auto specs =
+      test::workloads({"cg:m=4096,n=8,iters=2", "gnn:cora", "spmv:dataset=fv1,iters=2"});
+  const auto configs = test::configs(
+      {"Flexagon", "Flex+LRU", "Flex+BRRIP", "FLAT", "SET", "SCORE+BRRIP", "Cello"});
   const AcceleratorConfig arch;
 
   const auto reference = SweepRunner(/*threads=*/1).run(specs, configs, arch);

@@ -61,7 +61,7 @@ TEST(TopologySpec, ResolveAutoShapesBareKindsAndChecksExplicitOnes) {
   // One chip is fabric-less whatever the kind says.
   EXPECT_EQ(noc::resolve_topology("mesh", 1).to_string(), "1");
   // An explicit shape that contradicts the node count is an error, never a
-  // silent pad up to the next square (the MeshNoc::side() trap).
+  // silent pad up to the next square.
   EXPECT_THROW(noc::resolve_topology("mesh:4x4", 12), Error);
   EXPECT_THROW(noc::resolve_topology("ring:8", 12), Error);
   EXPECT_THROW(noc::resolve_topology("1", 4), Error);

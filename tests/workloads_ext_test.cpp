@@ -3,17 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "score/dependency.hpp"
-#include "sim/multinode.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
 #include "workloads/poweriter.hpp"
 #include "workloads/resnet.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace cello;
 using score::DepKind;
-using sim::ConfigKind;
 
 TEST(GnnMultilayer, Structure) {
   const auto dag = workloads::build_gnn_multilayer_dag({2708, 9464, 1433, 7}, 3, 64);
@@ -50,8 +49,8 @@ TEST(GnnMultilayer, CelloBenefitsFromAdjacencyReuse) {
   // CHORD keeps it on chip, so Cello strictly beats FLAT.
   const auto dag = workloads::build_gnn_multilayer_dag({2708, 9464, 1433, 7}, 3, 64);
   sim::AcceleratorConfig arch;
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, arch);
-  const auto cello_m = sim::simulate(dag, ConfigKind::Cello, arch);
+  const auto flat = test::run(dag, "FLAT", arch);
+  const auto cello_m = test::run(dag, "Cello", arch);
   EXPECT_LT(cello_m.dram_bytes, flat.dram_bytes);
 }
 
@@ -74,9 +73,9 @@ TEST(ResNetStack, SetStillMatchesCello) {
   const auto dag = workloads::build_resnet_stack_dag({}, 4);
   sim::AcceleratorConfig arch;
   arch.dram_bytes_per_sec = 250e9;
-  const auto set = sim::simulate(dag, ConfigKind::Set, arch);
-  const auto cello_m = sim::simulate(dag, ConfigKind::Cello, arch);
-  const auto flat = sim::simulate(dag, ConfigKind::Flat, arch);
+  const auto set = test::run(dag, "SET", arch);
+  const auto cello_m = test::run(dag, "Cello", arch);
+  const auto flat = test::run(dag, "FLAT", arch);
   EXPECT_EQ(set.dram_bytes, cello_m.dram_bytes);
   EXPECT_GT(flat.dram_bytes, set.dram_bytes);
 }
@@ -110,33 +109,25 @@ TEST(PowerIteration, YHasDelayedWritebackToScale) {
 TEST(PowerIteration, CelloWins) {
   const auto dag = workloads::build_power_iteration_dag({81920, 327680, 10, 4});
   sim::AcceleratorConfig arch;
-  const auto flex = sim::simulate(dag, ConfigKind::Flexagon, arch);
-  const auto cello_m = sim::simulate(dag, ConfigKind::Cello, arch);
+  const auto flex = test::run(dag, "Flexagon", arch);
+  const auto cello_m = test::run(dag, "Cello", arch);
   EXPECT_LT(cello_m.dram_bytes, flex.dram_bytes);
 }
 
 // ---- multi-node --------------------------------------------------------------
 
-TEST(MultiNode, OneNodeIsIdentity) {
-  auto builder = [](i64 nodes) {
-    workloads::CgShape s{81920 / nodes, 16, 327680 / nodes, 5, 4};
-    return workloads::build_cg_dag(s);
-  };
-  const auto mm =
-      sim::simulate_multinode(builder, ConfigKind::Cello, sim::AcceleratorConfig{}, 1);
-  EXPECT_EQ(mm.noc_bytes, 0u);
-  EXPECT_NEAR(mm.parallel_efficiency, 1.0, 1e-9);
+sim::AcceleratorConfig on_mesh(i64 nodes) {
+  sim::AcceleratorConfig arch;
+  arch.nodes = nodes;
+  arch.topology = "mesh";
+  return arch;
 }
 
 TEST(MultiNode, ThroughputGrowsWithNodes) {
-  auto builder = [](i64 nodes) {
-    workloads::CgShape s{163840 / nodes, 16, 655360 / nodes, 5, 4};
-    return workloads::build_cg_dag(s);
-  };
-  sim::AcceleratorConfig arch;
-  const auto one = sim::simulate_multinode(builder, ConfigKind::Cello, arch, 1);
-  const auto four = sim::simulate_multinode(builder, ConfigKind::Cello, arch, 4);
-  EXPECT_GT(four.total_gmacs_per_sec, one.total_gmacs_per_sec);
+  const auto dag = workloads::build_cg_dag({163840, 16, 655360, 5, 4});
+  const auto one = test::run(dag, "Cello", on_mesh(1));
+  const auto four = test::run(dag, "Cello", on_mesh(4));
+  EXPECT_GT(four.gmacs_per_sec(), one.gmacs_per_sec());
   // Sharding can be super-linear (each node's working set shrinks relative to
   // its fixed 4 MiB CHORD — the classic cache effect), but bounded sanity:
   EXPECT_LE(four.parallel_efficiency, 4.0);
@@ -144,12 +135,8 @@ TEST(MultiNode, ThroughputGrowsWithNodes) {
 }
 
 TEST(MultiNode, ScoreNocTrafficTinyVsNaive) {
-  auto builder = [](i64 nodes) {
-    workloads::CgShape s{163840 / nodes, 16, 655360 / nodes, 5, 4};
-    return workloads::build_cg_dag(s);
-  };
-  const auto mm =
-      sim::simulate_multinode(builder, ConfigKind::Cello, sim::AcceleratorConfig{}, 16);
+  const auto dag = workloads::build_cg_dag({163840, 16, 655360, 5, 4});
+  const auto mm = test::run(dag, "Cello", on_mesh(16));
   EXPECT_LT(mm.noc_bytes * 100, mm.naive_noc_bytes);
 }
 
