@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   std::cout << "Spec-driven sweep (Cello vs Flexagon):\n";
   const auto grid = cello::sim::make_grid({spec, "gnn:cora", "spmv", "sddmm:heads=4"},
                                           {"Flexagon", "Cello"}, arch);
-  const auto cells = cello::sim::SweepRunner().run_shard(grid, cello::sim::plan_shard(grid, 1, 1));
+  const auto cells =
+      cello::sim::SweepRunner().run_shard(grid, cello::sim::plan_shard(grid, 1, 1));
   for (const auto& cell : cells)
     std::cout << "  " << cell.workload << " / " << cell.config << ": "
               << cello::format_double(cell.metrics.gmacs_per_sec(), 1) << " GMACs/s, "

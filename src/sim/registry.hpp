@@ -1,8 +1,8 @@
 // ConfigRegistry: named Configurations.  Construction pre-registers the
 // seven Table IV presets (paper order) plus novel schedule x buffer
-// combinations; users register their own with add().  Lookup is tolerant: names match exactly or after normalization
-// (case-insensitive, punctuation ignored), so "cello", "Cello" and
-// "flex+lru" all resolve.
+// combinations; users register their own with add().  Lookup is tolerant:
+// names match exactly or after normalization (case-insensitive, punctuation
+// ignored), so "cello", "Cello" and "flex+lru" all resolve.
 #pragma once
 
 #include <deque>

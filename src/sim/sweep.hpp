@@ -9,11 +9,13 @@
 // run_shard() is the name-driven path: a SweepGrid of registry spec strings
 // and configuration names (make_grid, sim/shard.hpp), optionally with a
 // fabric axis, run over one ShardPlan — plan_shard(grid, 1, 1) is the whole
-// grid — and the only entry point that can checkpoint.  Per (workload, schedule-policy)
-// pair the runner also builds one immutable score::Schedule + AddressMap +
-// score::ReuseIndex — plus one sim::RouterTables per distinct routing key and
-// one captured sim::AccessStream per (DAG, routing key) any trace-driven
-// cell or 1-node baseline touches — and shares them read-only across the pool:
+// grid — and the only entry point that can checkpoint.
+//
+// Per (workload, schedule-policy) pair the runner builds one immutable
+// score::Schedule + AddressMap + score::ReuseIndex — plus one
+// sim::RouterTables per distinct routing key and one captured
+// sim::AccessStream per (DAG, routing key) any trace-driven cell or 1-node
+// baseline touches — and shares them read-only across the pool:
 // configurations differing only in their buffer policy reuse the same
 // schedule, reuse table, routing tables and access stream instead of
 // rebuilding them per cell (the cache presets replay one stream; see

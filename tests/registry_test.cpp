@@ -63,9 +63,9 @@ TEST(Registry, RejectsDuplicatesAndMissingFactories) {
 }
 
 TEST(NovelCombos, ScoreWithLruRunsEndToEnd) {
-  // SCORE scheduling over an implicit LRU cache — inexpressible under the
-  // old enum.  Pipelined edges bypass the cache, so traffic can only drop
-  // relative to the op-by-op cache baseline.
+  // SCORE scheduling over an implicit LRU cache, beyond Table IV.  Pipelined
+  // edges bypass the cache, so traffic can only drop relative to the
+  // op-by-op cache baseline.
   const auto dag = workloads::build_gnn_dag({2708, 9464, 1433, 7});
   const AcceleratorConfig arch;
   const Simulator simulator(arch);
