@@ -190,6 +190,50 @@ TEST(MultinodeSweep, ShardMergeAndCheckpointRoundTripByteIdentically) {
   }
 }
 
+// A partition that cannot be built (16 nodes over an m extent of 8) fails
+// only the cells on that (workload, fabric) row: under keep_going they are
+// quarantined with the partition's own message, and every other cell equals
+// a clean run of just the good cells, at any thread count.
+TEST(MultinodeSweep, PartitionFailureQuarantinesOnlyItsCells) {
+  const SweepGrid grid =
+      sim::make_grid({"cg:m=8,nnz=32,n=2,iters=1", "cg:m=2048,n=8,iters=2"},
+                     {"Flexagon", "Flex+LRU"}, AcceleratorConfig{}, {"1", "mesh:4x4"});
+  const size_t C = grid.configs.size();
+  const size_t F = grid.fabrics.size();
+  auto failing = [&](size_t cell) { return cell / (F * C) == 0 && (cell / C) % F == 1; };
+
+  sim::ShardPlan good;
+  for (size_t cell = 0; cell < grid.cells(); ++cell)
+    if (!failing(cell)) good.cells.push_back(cell);
+  ASSERT_EQ(good.cells.size(), 6u);
+  const auto clean = SweepRunner(1).run_shard(grid, good);
+
+  sim::SweepOptions opts;
+  opts.keep_going = true;
+  for (u32 threads : {1u, 4u}) {
+    const auto results = SweepRunner(threads).run_shard(grid, sim::plan_shard(grid, 1, 1), opts);
+    ASSERT_EQ(results.size(), grid.cells());
+    size_t next_good = 0;
+    for (size_t cell = 0; cell < results.size(); ++cell) {
+      const SweepResult& r = results[cell];
+      const std::string ctx = std::to_string(threads) + " threads, cell " + std::to_string(cell);
+      if (failing(cell)) {
+        EXPECT_FALSE(r.ok()) << ctx;
+        // Substring only: CELLO_CHECK messages embed the source path.
+        EXPECT_NE(r.error.find("16 nodes exceed the shard rank 'm' extent 8"),
+                  std::string::npos)
+            << ctx << ": " << r.error;
+        continue;
+      }
+      ASSERT_TRUE(r.ok()) << ctx << ": " << r.error;
+      std::string got, want;
+      sim::result_to_json(got, r, 0);
+      sim::result_to_json(want, clean[next_good++], 0);
+      EXPECT_EQ(got, want) << ctx;
+    }
+  }
+}
+
 TEST(MultinodeSweep, MergedFileMatchesCheckedInGolden) {
   const char* path = CELLO_SOURCE_DIR "/tests/goldens/multinode_sweep_gnn.json";
   sim::ShardResult full;
