@@ -43,9 +43,9 @@ struct ScheduleOptions {
   bool enable_pipelining = true;  ///< off = pure op-by-op (best-intra baselines)
   bool minimize_swizzle = true;   ///< off = producer-preferred layout (ablation)
 
-  /// Equal options build identical schedules for a given DAG — callers that
-  /// cache schedules (SweepRunner) key on this equality.
-  bool operator==(const ScheduleOptions&) const = default;
+  /// Equal options build identical schedules for a given DAG — the
+  /// sim::ArtifactCache keys schedules on them (ordered, as a map key).
+  auto operator<=>(const ScheduleOptions&) const = default;
 };
 
 struct Schedule {

@@ -45,10 +45,11 @@ struct AcceleratorConfig {
   }
   double dram_seconds(Bytes b) const { return static_cast<double>(b) / dram_bytes_per_sec; }
 
-  /// Field-wise equality — RunScratch keys its pooled buffer policies on the
-  /// effective arch so a scratch reused across architectures rebuilds instead
-  /// of silently replaying against stale geometry.
-  bool operator==(const AcceleratorConfig&) const = default;
+  /// Field-wise comparison — RunScratch keys its pooled buffer policies on
+  /// the effective arch so a scratch reused across architectures rebuilds
+  /// instead of silently replaying against stale geometry, and
+  /// sim::ArtifactCache orders its routing keys by it.
+  auto operator<=>(const AcceleratorConfig&) const = default;
 };
 
 }  // namespace cello::sim

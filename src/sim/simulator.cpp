@@ -1,13 +1,13 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "noc/topology.hpp"
 #include "sim/access_stream.hpp"
 #include "sim/address_map.hpp"
+#include "sim/artifact_cache.hpp"
 #include "sim/partition.hpp"
 #include "sim/policies/buffer_policy.hpp"
 #include "sim/policies/schedule_policy.hpp"
@@ -86,8 +86,9 @@ void emit_run_trace(trace::TraceSink& sink, const ir::TensorDag& dag, const Sche
                final_occupancy);
 }
 
-}  // namespace
-
+/// Emit the NoC collective span of a folded multi-node run onto `sink`'s noc
+/// track: the routed collectives occupy [per_node_seconds, per_node_seconds +
+/// folded.noc_seconds).
 void trace_collectives(trace::TraceSink& sink, const RunMetrics& folded,
                        double per_node_seconds) {
   sink.track(kTracePid, kNocTid, "cello-sim", "noc");
@@ -95,6 +96,8 @@ void trace_collectives(trace::TraceSink& sink, const RunMetrics& folded,
             {trace::arg("nodes", folded.nodes), trace::arg("noc_bytes", folded.noc_bytes),
              trace::arg("max_link_utilization", folded.max_link_utilization)});
 }
+
+}  // namespace
 
 // Out-of-line so the header can hold BufferPolicy by forward declaration.
 RunScratch::RunScratch() = default;
@@ -121,18 +124,26 @@ score::ScheduleOptions Simulator::schedule_options(const Configuration& config) 
 
 score::Schedule Simulator::make_schedule(const ir::TensorDag& dag,
                                          const Configuration& config) const {
-  return score::build_schedule(dag, schedule_options(config));
+  return ArtifactCache().schedule(dag, schedule_options(config));
 }
 
 RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                           const RunArtifacts& artifacts) const {
+  ArtifactCache cache;
+  return run(dag, config, artifacts, cache);
+}
+
+RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
+                          const RunArtifacts& artifacts, ArtifactCache& cache) const {
   const AcceleratorConfig arch = effective_arch(config);
   if (arch.nodes > 1) {
     // Multi-chip path (Sec. V-B): shard the dominant rank, run one node's
     // slice through the exact single-chip machinery, then fold NoC traffic
     // and the 1-node baseline into whole-system metrics.  Any sparse-matrix
     // context describes the full workload; the shard run keeps it as an
-    // approximation of one node's slice of the sparsity structure.
+    // approximation of one node's slice of the sparsity structure.  The
+    // partition, the shard's artifacts and the baseline all come from
+    // `cache`, so a sweep builds each once across its fabric cells.
     CELLO_CHECK_MSG(artifacts.schedule == nullptr && artifacts.address_map == nullptr &&
                         artifacts.reuse_index == nullptr && artifacts.router_tables == nullptr &&
                         artifacts.access_stream == nullptr,
@@ -140,21 +151,27 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                     "build per-node shard artifacts themselves");
     const noc::Topology topo =
         noc::Topology::build(noc::resolve_topology(arch.topology, arch.nodes));
-    const Partition part = build_partition(dag, arch.nodes);
+    const Partition& part = cache.partition(dag, arch.nodes);
+    // Every fabric's shard and baseline run on the same single chip, so
+    // fabrics with equal node counts share them.
     AcceleratorConfig single = arch;
     single.nodes = 1;
+    single.topology = noc::TopologySpec{}.to_string();
     Configuration inner = config;
     inner.nodes.reset();
     inner.topology.reset();
     const Simulator node_sim(single, matrix_);
     // The node's shard run carries the trace; the 1-node baseline stays
     // untraced (its only contribution is the parallel-efficiency scalar).
-    RunArtifacts shard_artifacts;
-    shard_artifacts.scratch = artifacts.scratch;
-    shard_artifacts.trace = artifacts.trace;
-    const RunMetrics per_node = node_sim.run(part.shard, inner, shard_artifacts);
-    const RunMetrics baseline = node_sim.run(dag, inner, RunArtifacts{});
-    RunMetrics folded = fold_multinode(per_node, baseline.seconds, part, topo, arch);
+    RunArtifacts node_artifacts;
+    node_artifacts.scratch = artifacts.scratch;
+    node_artifacts.trace = artifacts.trace;
+    const RunMetrics per_node = node_sim.run(part.shard, inner, node_artifacts, cache);
+    node_artifacts.trace = nullptr;
+    const double baseline = cache.baseline_seconds(dag, matrix_, config, single, [&] {
+      return node_sim.run(dag, inner, node_artifacts, cache).seconds;
+    });
+    RunMetrics folded = fold_multinode(per_node, baseline, part, topo, arch);
     if (artifacts.trace != nullptr) trace_collectives(*artifacts.trace, folded, per_node.seconds);
     return folded;
   }
@@ -165,81 +182,76 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                        artifacts.access_stream == nullptr),
                   "a prebuilt reuse index / router tables / access stream need their schedule "
                   "alongside");
-  if (artifacts.schedule == nullptr) {
-    const Schedule sched = make_schedule(dag, config);
-    const AddressMap map = AddressMap::build(dag);
-    const score::ReuseIndex reuse =
-        score::ReuseIndex::build(dag, sched, map.base_of, map.entries.size());
-    return run_impl(dag, config, arch, sched, map, reuse, nullptr, artifacts.scratch,
-                    artifacts.trace, nullptr);
-  }
-  if (artifacts.reuse_index == nullptr) {
-    const score::ReuseIndex reuse = score::ReuseIndex::build(
-        dag, *artifacts.schedule, artifacts.address_map->base_of,
-        artifacts.address_map->entries.size());
-    return run_impl(dag, config, arch, *artifacts.schedule, *artifacts.address_map, reuse,
-                    artifacts.router_tables, artifacts.scratch, artifacts.trace,
-                    artifacts.access_stream);
-  }
-  return run_impl(dag, config, arch, *artifacts.schedule, *artifacts.address_map,
-                  *artifacts.reuse_index, artifacts.router_tables, artifacts.scratch,
-                  artifacts.trace, artifacts.access_stream);
-}
-
-RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& config,
-                               const AcceleratorConfig& arch, const Schedule& sched,
-                               const AddressMap& map, const score::ReuseIndex& reuse_index,
-                               const RouterTables* tables, RunScratch* scratch,
-                               trace::TraceSink* sink, const AccessStream* stream) const {
   CELLO_CHECK_MSG(static_cast<bool>(config.buffers),
                   "configuration '" << config.name << "' has no buffer policy factory");
-  CELLO_CHECK_MSG(reuse_index.num_bases() == map.entries.size(),
-                  "reuse index covers " << reuse_index.num_bases() << " bases, address map "
-                                        << map.entries.size()
-                                        << " — artifacts from different workloads?");
-  CELLO_CHECK_MSG(tables == nullptr || tables->pipelined.size() == dag.tensors().size(),
-                  "router tables cover " << (tables ? tables->pipelined.size() : 0)
-                                         << " tensors, DAG has " << dag.tensors().size()
-                                         << " — artifacts from a different workload?");
-  const Router router =
-      tables != nullptr
-          ? Router(dag, sched, config.schedule, *tables)
-          : Router(dag, sched, config.schedule, config.allow_delayed_hold, arch);
-  const size_t n_bases = map.entries.size();
+
+  // Caller-supplied artifacts win; every null one comes from the cache.
+  const score::ScheduleOptions opts = schedule_options(config);
+  const ArtifactCache::RouteKey route{opts, config.schedule, config.allow_delayed_hold, arch};
+  const Schedule& sched =
+      artifacts.schedule != nullptr ? *artifacts.schedule : cache.schedule(dag, opts);
+  const AddressMap& map =
+      artifacts.address_map != nullptr ? *artifacts.address_map : cache.address_map(dag);
+  const score::ReuseIndex& reuse_index =
+      artifacts.reuse_index != nullptr ? *artifacts.reuse_index : cache.reuse_index(dag, opts);
+  const RouterTables& tables = artifacts.router_tables != nullptr
+                                   ? *artifacts.router_tables
+                                   : cache.router_tables(dag, route);
 
   // All per-run mutable state lives in a RunScratch; without a caller-owned
   // one this run uses a private scratch (identical behavior, fresh storage).
   RunScratch local;
-  RunScratch& s = scratch != nullptr ? *scratch : local;
+  RunScratch& scratch = artifacts.scratch != nullptr ? *artifacts.scratch : local;
 
   // The buffer policy: pooled policies are reset to constructed state instead
   // of reconstructed (cache arrays, CHORD tables keep their storage); configs
   // whose policy cannot guarantee that — or whose effective arch changed
   // since the pooled instance was built — get a fresh instance.
-  RunScratch::PooledPolicy& slot = s.policies_[config.name];
+  RunScratch::PooledPolicy& slot = scratch.policies_[config.name];
   if (slot.policy != nullptr && slot.policy->reusable() && slot.arch == arch) {
     slot.policy->reset();
   } else {
     slot.policy = config.buffers(arch);
     slot.arch = arch;
   }
-  BufferPolicy* const policy = slot.policy.get();
-  const bool trace = policy->trace_driven();
+
+  // Trace-driven policies replay the run's access stream; analytic ones
+  // never fetch (or capture) one.
+  const AccessStream* stream = nullptr;
+  if (slot.policy->trace_driven())
+    stream = artifacts.access_stream != nullptr ? artifacts.access_stream
+                                                : &cache.access_stream(dag, route, matrix_);
+  return run_impl(dag, config, arch, sched, map, reuse_index, tables, scratch, *slot.policy,
+                  stream, artifacts.trace);
+}
+
+RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& config,
+                               const AcceleratorConfig& arch, const Schedule& sched,
+                               const AddressMap& map, const score::ReuseIndex& reuse_index,
+                               const RouterTables& tables, RunScratch& s, BufferPolicy& policy,
+                               const AccessStream* stream, trace::TraceSink* sink) const {
+  CELLO_CHECK_MSG(reuse_index.num_bases() == map.entries.size(),
+                  "reuse index covers " << reuse_index.num_bases() << " bases, address map "
+                                        << map.entries.size()
+                                        << " — artifacts from different workloads?");
+  CELLO_CHECK_MSG(tables.pipelined.size() == dag.tensors().size(),
+                  "router tables cover " << tables.pipelined.size() << " tensors, DAG has "
+                                         << dag.tensors().size()
+                                         << " — artifacts from a different workload?");
+  const Router router(dag, sched, config.schedule, tables);
+  const size_t n_bases = map.entries.size();
+  const bool trace = stream != nullptr;
 
   // Trace-driven policies are serviced by replaying the run's access stream
-  // in one pass up front (captured here with the run's own router when the
-  // caller supplied none); the loop below then only reads per-step services.
+  // in one pass up front; the loop below then only reads per-step services.
   std::vector<BufferService>& replayed = s.replay_services_;
   replayed.clear();
   if (trace) {
-    std::optional<AccessStream> captured;
-    if (stream == nullptr)
-      stream = &captured.emplace(AccessStream::capture(dag, sched, map, matrix_, arch, router));
     CELLO_CHECK_MSG(stream->schedule_steps == sched.steps.size(),
                     "access stream captured over a different schedule ("
                         << stream->schedule_steps << " steps, schedule has "
                         << sched.steps.size() << ")");
-    policy->replay(*stream, replayed);
+    policy.replay(*stream, replayed);
   }
   u64 valid_lines = 0;  ///< trace-driven occupancy: running sum of replayed fills
 
@@ -366,7 +378,7 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
           break;
         case Route::Buffer:
           if (!trace) {
-            const BufferService s = policy->read_tensor(meta_for(t, step));
+            const BufferService s = policy.read_tensor(meta_for(t, step));
             if (s.dram_read > 0) attribute_read(s.dram_read, base);
             if (s.dram_write > 0) attribute_write(s.dram_write, base);
             op_dram += s.total();
@@ -397,7 +409,7 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
           break;
         case Route::Buffer:
           if (!trace) {
-            const BufferService s = policy->write_tensor(meta_for(t, step));
+            const BufferService s = policy.write_tensor(meta_for(t, step));
             if (s.dram_read > 0) attribute_read(s.dram_read, base);
             if (s.dram_write > 0) attribute_write(s.dram_write, base);
             op_dram += s.total();
@@ -425,12 +437,12 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     std::sort(retire_bases.begin(), retire_bases.end());
     for (i32 base : retire_bases)
       if (reuse.remaining_after(reuse_index, base, step) == 0 && !result_base[base])
-        policy->retire(base);
+        policy.retire(base);
 
     group_dram[cur_group] += arch.dram_seconds(op_dram);
     if (sink != nullptr)
       tsteps.push_back({cur_group, op_dram,
-                        trace ? valid_lines * arch.line_bytes : policy->occupancy_bytes()});
+                        trace ? valid_lines * arch.line_bytes : policy.occupancy_bytes()});
   }
 
   // ---- end-of-run drain (resident result prefixes / dirty cache lines) ----
@@ -441,7 +453,7 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     ctx.dag = &dag;
     ctx.map = &map;
     ctx.results_written_through = config.schedule == SchedulePolicy::Score;
-    if (auto items = policy->drain(ctx)) {
+    if (auto items = policy.drain(ctx)) {
       Bytes drained = 0;
       for (const auto& item : *items) {
         drained += item.dram_write;
@@ -468,12 +480,12 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     metrics.seconds += std::max(group_compute[g], group_dram[g]);
   metrics.dram_bytes = metrics.dram_read_bytes + metrics.dram_write_bytes;
 
-  policy->finalize(arch, pipeline_sram_lines, metrics);
+  policy.finalize(arch, pipeline_sram_lines, metrics);
   metrics.offchip_energy_pj =
       static_cast<double>(metrics.dram_bytes) * arch.dram_energy_pj_per_byte;
   if (sink != nullptr)
     emit_run_trace(*sink, dag, sched, arch, tsteps, group_compute, group_dram, did_drain,
-                   drained_bytes, policy->occupancy_bytes());
+                   drained_bytes, policy.occupancy_bytes());
   return metrics;
 }
 

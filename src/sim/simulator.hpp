@@ -12,11 +12,12 @@
 // fresh BufferPolicy is built per run — which is what SweepRunner exploits.
 //
 // Every optional per-run input travels in one RunArtifacts bundle (shared
-// immutable schedule/address-map/reuse-index/router-tables, a pooled
-// RunScratch, a trace sink), so run() has exactly one real signature:
+// immutable schedule/address-map/reuse-index/router-tables/stream, a pooled
+// RunScratch, a trace sink), so run() has exactly one signature; whatever
+// the bundle leaves null comes from a sim::ArtifactCache:
 //
 //   sim::RunArtifacts art;
-//   art.schedule = &sched; art.address_map = &map;   // prebuilt, shared
+//   art.scratch = &scratch;                          // reused across runs
 //   art.trace = &writer;                             // op-level Perfetto trace
 //   auto m = simulator.run(dag, config, art);
 #pragma once
@@ -45,6 +46,7 @@ class BufferPolicy;
 struct BufferService;  // sim/policies/buffer_policy.hpp
 struct RouterTables;   // sim/policies/schedule_policy.hpp
 struct AccessStream;   // sim/access_stream.hpp
+class ArtifactCache;   // sim/artifact_cache.hpp
 
 /// Reusable per-run state: the simulator's per-base scratch vectors, the
 /// reuse cursors, and a pool of reset-instead-of-reconstructed BufferPolicy
@@ -93,22 +95,23 @@ class RunScratch {
 /// Every optional per-run input to Simulator::run, in one bundle — adding a
 /// cross-cutting input (a scratch, a trace sink, ...) extends this struct
 /// instead of multiplying overloads.  All pointers are borrowed and may be
-/// null; a default-constructed RunArtifacts reproduces the classic
-/// build-everything-fresh run.
+/// null.  Every null artifact is filled from a sim::ArtifactCache — a
+/// private one per one-shot call, the sweep-wide one inside SweepRunner —
+/// so a default-constructed RunArtifacts builds everything the run needs
+/// once, and a supplied artifact only replaces the cache's identical copy.
 struct RunArtifacts {
   /// Precomputed schedule; must equal make_schedule(dag, config).  Travels
   /// with address_map: both or neither.  Read-only here, so one immutable
-  /// copy serves many concurrent runs — SweepRunner builds one per
-  /// (workload, schedule-options) slot instead of one per cell.
+  /// copy serves many concurrent runs.
   const score::Schedule* schedule = nullptr;
   /// AddressMap::build(dag); required exactly when `schedule` is set.
   const AddressMap* address_map = nullptr;
   /// score::ReuseIndex::build(dag, *schedule, map.base_of, map.entries
-  /// .size()); optional — derived from schedule + address_map when null.
+  /// .size()); requires `schedule` alongside.
   const score::ReuseIndex* reuse_index = nullptr;
   /// RouterTables::build(dag, *schedule, config.schedule,
-  /// config.allow_delayed_hold, effective_arch(config)); optional — the
-  /// Router builds private tables when null.
+  /// config.allow_delayed_hold, effective_arch(config)); requires `schedule`
+  /// alongside.
   const RouterTables* router_tables = nullptr;
   /// Reusable per-run mutable state: vectors and pooled buffer policies are
   /// reset — not reallocated — for this run.  Bit-identical to running
@@ -120,11 +123,10 @@ struct RunArtifacts {
   trace::TraceSink* trace = nullptr;
   /// Pre-captured access stream of (`schedule`, `address_map`) and this
   /// configuration's routing — see AccessStream::capture; requires
-  /// `schedule` alongside.  Trace-driven policies always replay a stream:
-  /// when this is null the run captures its own, so supplying one only
-  /// shares the capture across runs (SweepRunner captures one per column).
-  /// A stream captured under another (line_bytes, rf_bytes) or schedule
-  /// throws cello::Error.  Analytic policies ignore it.
+  /// `schedule` alongside.  Only trace-driven policies replay a stream, and
+  /// only they fetch one from the cache when this is null.  A stream
+  /// captured under another (line_bytes, rf_bytes) or schedule throws
+  /// cello::Error.
   const AccessStream* access_stream = nullptr;
 };
 
@@ -135,7 +137,11 @@ class Simulator {
 
   /// Evaluate one configuration.  THE run signature: every optional input
   /// (shared immutable setup, pooled scratch, trace sink) rides in
-  /// `artifacts`; the default bundle builds everything fresh.
+  /// `artifacts`; the default bundle builds everything in a private
+  /// ArtifactCache.  With arch().nodes > 1 (after the configuration's
+  /// overrides) this is the multi-chip model of Sec. V-B: one node's shard
+  /// runs on a single chip and fold_multinode adds the routed collectives and
+  /// the parallel efficiency against the 1-node run of the whole DAG.
   RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
                  const RunArtifacts& artifacts = {}) const;
 
@@ -144,8 +150,8 @@ class Simulator {
 
   /// The exact scheduling inputs make_schedule derives from a configuration.
   /// Configurations with equal options build identical schedules for a given
-  /// DAG — this is the cache key SweepRunner shares schedules by, so any
-  /// future knob that affects scheduling must be folded in here.
+  /// DAG — this is the key ArtifactCache shares schedules by, so any future
+  /// knob that affects scheduling must be folded in here.
   score::ScheduleOptions schedule_options(const Configuration& config) const;
 
   /// Architecture after applying the configuration's knob overrides.
@@ -155,23 +161,22 @@ class Simulator {
   const sparse::CsrMatrix* matrix() const { return matrix_; }
 
  private:
-  /// The unified single-chip loop; every public run() lands here with the
-  /// artifacts fully resolved.
+  friend class SweepRunner;  // shares one ArtifactCache across a sweep call
+
+  /// run() with the artifacts it is not handed taken from `cache`.
+  RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
+                 const RunArtifacts& artifacts, ArtifactCache& cache) const;
+
+  /// The unified single-chip loop; `stream` is non-null exactly when
+  /// `policy` is trace-driven.
   RunMetrics run_impl(const ir::TensorDag& dag, const Configuration& config,
                       const AcceleratorConfig& arch, const score::Schedule& sched,
                       const AddressMap& map, const score::ReuseIndex& reuse_index,
-                      const RouterTables* tables, RunScratch* scratch,
-                      trace::TraceSink* sink, const AccessStream* stream) const;
+                      const RouterTables& tables, RunScratch& scratch, BufferPolicy& policy,
+                      const AccessStream* stream, trace::TraceSink* sink) const;
 
   AcceleratorConfig arch_;
   const sparse::CsrMatrix* matrix_;
 };
-
-/// Emit the NoC collective span of a folded multi-node run onto `sink`'s noc
-/// track: the routed collectives occupy [per_node_seconds, per_node_seconds +
-/// folded.noc_seconds).  Shared by the direct multi-node path and a traced
-/// sweep cell (which folds NoC cost itself), so their traces agree.
-void trace_collectives(trace::TraceSink& sink, const RunMetrics& folded,
-                       double per_node_seconds);
 
 }  // namespace cello::sim

@@ -11,21 +11,24 @@
 // fabric axis, run over one ShardPlan — plan_shard(grid, 1, 1) is the whole
 // grid — and the only entry point that can checkpoint.
 //
-// Per (workload, schedule-policy) pair the runner builds one immutable
-// score::Schedule + AddressMap + score::ReuseIndex — plus one
-// sim::RouterTables per distinct routing key and one captured
-// sim::AccessStream per (DAG, routing key) any trace-driven cell or 1-node
-// baseline touches — and shares them read-only across the pool:
-// configurations differing only in their buffer policy reuse the same
-// schedule, reuse table, routing tables and access stream instead of
-// rebuilding them per cell (the cache presets replay one stream; see
-// sim/access_stream.hpp).  Mutable per-run state lives in one
-// RunScratch per pool worker (reuse cursors, attribution scratch, pooled
-// reset-between-cells buffer policies); workers never share it.  Cells are
-// handed out in configuration-major run-length chunks (worker-affine tiling),
-// so consecutive cells on one worker usually share a pooled policy and reset
-// it instead of rebuilding — results still land in row-major order and every
-// cell stays bit-identical to a fresh serial run at any thread count.
+// Every cell is one Simulator::run against a single sim::ArtifactCache shared
+// by the whole call: the first pending cell that needs an artifact builds it
+// (address map per DAG; schedule + reuse index per (DAG, schedule options);
+// router tables per routing key; access stream per (routing key, matrix);
+// partition per (DAG, node count); 1-node baseline per (workload,
+// configuration)), and every later cell shares it read-only.  So
+// configurations differing only in their buffer policy reuse one schedule,
+// the cache presets replay one stream (see sim/access_stream.hpp), a fabric
+// column folds against one baseline, and checkpoint-recovered or out-of-shard
+// cells build nothing.  A fabric cell is the workload under the grid's arch
+// with the fabric's node count and topology, i.e. Simulator::run's multi-node
+// path.  Mutable per-run state lives in one RunScratch per pool worker (reuse
+// cursors, attribution scratch, pooled reset-between-cells buffer policies);
+// workers never share it.  Cells are handed out in configuration-major
+// run-length chunks (worker-affine tiling), so consecutive cells on one
+// worker usually share a pooled policy and reset it instead of rebuilding —
+// results still land in row-major order and every cell stays bit-identical
+// to a fresh serial run at any thread count.
 #pragma once
 
 #include <functional>
@@ -122,8 +125,8 @@ class SweepRunner {
   /// grid's workload specs in the global WorkloadRegistry (each distinct
   /// spec's DAG is built once) and its configuration names in the global
   /// ConfigRegistry, then run only the plan's cells, in plan order.  Only
-  /// the workloads and (workload, schedule-policy) pairs the shard touches
-  /// are resolved and built, and every cell is bit-identical to the same
+  /// the workloads and artifacts the shard's pending cells touch are
+  /// resolved and built, and every cell is bit-identical to the same
   /// cell of a full-grid run, so merge_shards() reassembles the exact
   /// single-process result vector.  options.checkpoint appends every
   /// completed cell to a crash-safe journal (sim/checkpoint.hpp) keyed by
@@ -137,6 +140,13 @@ class SweepRunner {
   u32 threads() const { return threads_; }
 
  private:
+  /// The one grid loop behind run() and run_shard(); see sweep.cpp.
+  static std::vector<SweepResult> run_grid(u32 threads, const std::vector<Workload>& workloads,
+                                           const std::vector<Configuration>& configs,
+                                           const AcceleratorConfig& arch,
+                                           const SweepOptions& opts, const SweepGrid* grid,
+                                           const ShardPlan* plan);
+
   u32 threads_;
 };
 

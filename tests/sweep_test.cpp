@@ -7,8 +7,10 @@
 
 #include "cello/cello.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sim/policies/explicit_buffers.hpp"
 #include "sparse/datasets.hpp"
+#include "sparse/generators.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
 #include "test_helpers.hpp"
@@ -92,6 +94,41 @@ TEST(Sweep, SharedMatrixContextIsSafeAcrossThreads) {
     const auto reference = test::run(*w[0].dag, config_names[ci], arch, matrix.get());
     EXPECT_EQ(cells[ci].metrics.dram_bytes, reference.dram_bytes) << config_names[ci];
     EXPECT_EQ(cells[ci].metrics.seconds, reference.seconds) << config_names[ci];
+  }
+}
+
+// Two rows sharing one DAG but carrying different matrices capture different
+// access streams: each row's cache cells must replay its own matrix's stream,
+// exactly as a one-shot run of that row does, at any thread count.
+TEST(Sweep, SharedDagWithDifferentMatricesMatchesOneShot) {
+  const auto spec = sparse::dataset_by_name("fv1");
+  const auto fv1 = std::make_shared<const sparse::CsrMatrix>(sparse::instantiate(spec));
+  Rng rng(7);
+  const auto circuit =
+      std::make_shared<const sparse::CsrMatrix>(sparse::make_circuit(spec.rows, fv1->nnz(), rng));
+  const auto dag = std::make_shared<const ir::TensorDag>(
+      workloads::build_cg_dag({spec.rows, 16, fv1->nnz(), 5, 4}));
+  const std::vector<sim::Workload> rows{{"fv1", "cg", dag, fv1}, {"circuit", "cg", dag, circuit}};
+  const std::vector<std::string> config_names = {"Flexagon", "Flex+LRU"};
+  const auto configs = test::configs(config_names);
+  const AcceleratorConfig arch;
+
+  for (u32 threads : {1u, 4u}) {
+    const auto cells = SweepRunner(threads).run(rows, configs, arch);
+    ASSERT_EQ(cells.size(), rows.size() * configs.size());
+    for (size_t wi = 0; wi < rows.size(); ++wi) {
+      const Simulator simulator(arch, rows[wi].matrix.get());
+      for (size_t ci = 0; ci < configs.size(); ++ci) {
+        const auto oneshot = simulator.run(*dag, configs[ci]);
+        const auto& cell = cells[wi * configs.size() + ci];
+        const std::string ctx =
+            std::to_string(threads) + " threads, " + rows[wi].name + "/" + config_names[ci];
+        EXPECT_EQ(cell.metrics.dram_bytes, oneshot.dram_bytes) << ctx;
+        EXPECT_EQ(cell.metrics.dram_read_bytes, oneshot.dram_read_bytes) << ctx;
+        EXPECT_EQ(cell.metrics.seconds, oneshot.seconds) << ctx;
+        EXPECT_EQ(cell.metrics.sram_line_accesses, oneshot.sram_line_accesses) << ctx;
+      }
+    }
   }
 }
 
