@@ -316,7 +316,9 @@ void BM_ReplayCapture(benchmark::State& state) {
   const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
   const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
   const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
-  const sim::Router router(*wl.dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const sim::RouterTables tables = sim::RouterTables::build(*wl.dag, sched, config.schedule,
+                                                            config.allow_delayed_hold, arch);
+  const sim::Router router(*wl.dag, sched, config.schedule, tables);
   size_t spans = 0;
   for (auto _ : state) {
     const sim::AccessStream stream =

@@ -72,23 +72,15 @@ RouterTables RouterTables::build(const ir::TensorDag& dag, const score::Schedule
 }
 
 Router::Router(const ir::TensorDag& dag, const score::Schedule& sched, SchedulePolicy policy,
-               bool allow_delayed_hold, const AcceleratorConfig& arch)
-    : dag_(dag),
-      sched_(sched),
-      policy_(policy),
-      own_(RouterTables::build(dag, sched, policy, allow_delayed_hold, arch)),
-      tables_(&own_) {}
-
-Router::Router(const ir::TensorDag& dag, const score::Schedule& sched, SchedulePolicy policy,
                const RouterTables& tables)
-    : dag_(dag), sched_(sched), policy_(policy), tables_(&tables) {}
+    : dag_(dag), sched_(sched), policy_(policy), tables_(tables) {}
 
 Route Router::route_input(const ir::EinsumOp& op, ir::TensorId in) const {
   switch (policy_) {
     case SchedulePolicy::OpByOp:
       return Route::Buffer;
     case SchedulePolicy::AdjacentPipeline:
-      return tables_->pipelined[in] ? Route::PipelineBuffer : Route::Buffer;
+      return tables_.pipelined[in] ? Route::PipelineBuffer : Route::Buffer;
     case SchedulePolicy::Score: {
       if (auto p = dag_.producer(in)) {
         for (const ir::EdgeId eid : dag_.out_edges(*p)) {
@@ -97,7 +89,7 @@ Route Router::route_input(const ir::EinsumOp& op, ir::TensorId in) const {
             return Route::PipelineBuffer;
         }
       }
-      if (tables_->residency[in] == Residency::RegisterFile) return Route::RegisterFile;
+      if (tables_.residency[in] == Residency::RegisterFile) return Route::RegisterFile;
       return Route::Buffer;
     }
   }
@@ -109,15 +101,15 @@ Route Router::route_output(const ir::EinsumOp& op) const {
     case SchedulePolicy::OpByOp:
       return Route::Buffer;
     case SchedulePolicy::AdjacentPipeline:
-      return tables_->pipelined[op.output] ? Route::PipelineBuffer : Route::Buffer;
+      return tables_.pipelined[op.output] ? Route::PipelineBuffer : Route::Buffer;
     case SchedulePolicy::Score: {
       if (dag_.consumers(op.output).empty()) {
         // SCORE knows liveness: results drain to memory, dead intermediates
         // are never written.
         return dag_.tensor(op.output).is_result ? Route::DirectDram : Route::Discard;
       }
-      if (tables_->residency[op.output] == Residency::RegisterFile) return Route::RegisterFile;
-      if (tables_->residency[op.output] == Residency::PipelineBuffer) return Route::PipelineBuffer;
+      if (tables_.residency[op.output] == Residency::RegisterFile) return Route::RegisterFile;
+      if (tables_.residency[op.output] == Residency::PipelineBuffer) return Route::PipelineBuffer;
       return Route::Buffer;
     }
   }
@@ -129,7 +121,7 @@ bool Router::linked_onchip(ir::OpId prev, ir::OpId cur) const {
     const ir::Edge& e = dag_.edge(eid);
     if (e.dst != cur) continue;
     const bool onchip =
-        policy_ == SchedulePolicy::Score ? sched_.edge_realized[e.id] : tables_->pipelined[e.tensor];
+        policy_ == SchedulePolicy::Score ? sched_.edge_realized[e.id] : tables_.pipelined[e.tensor];
     if (onchip) return true;
   }
   return false;

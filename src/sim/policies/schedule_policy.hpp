@@ -35,11 +35,9 @@ enum class Route {
 
 /// Immutable per-tensor routing tables: the pipelining and (hold-budget
 /// demoted) residency vectors the Router consults per operand access.  They
-/// depend only on (dag, schedule, policy, allow_delayed_hold, arch) — the
-/// same inputs the sweep's schedule cache keys by — so one build can serve
-/// every run sharing those inputs read-only (see
-/// sim::RunArtifacts::router_tables); SweepRunner prebuilds one per slot next
-/// to Schedule/ReuseIndex instead of rebuilding them per cell.
+/// depend only on (dag, schedule, policy, allow_delayed_hold, arch), so one
+/// build serves every run sharing those inputs read-only — sim::ArtifactCache
+/// builds one per (DAG, ArtifactCache::RouteKey).
 struct RouterTables {
   std::vector<bool> pipelined;  ///< per TensorId: every consumer serviced on chip
   /// Per TensorId, after demoting pipeline-buffer residents that cannot
@@ -54,12 +52,9 @@ struct RouterTables {
 /// Per-run routing oracle: binds a SchedulePolicy to one DAG + schedule.
 class Router {
  public:
-  /// Build private tables for this run.
-  Router(const ir::TensorDag& dag, const score::Schedule& sched, SchedulePolicy policy,
-         bool allow_delayed_hold, const AcceleratorConfig& arch);
   /// Borrow shared immutable tables; `tables` must equal RouterTables::build
   /// of the same (dag, sched, policy, hold flag, arch) inputs and outlive the
-  /// Router.  Routing decisions are bit-identical to the building constructor.
+  /// Router.
   Router(const ir::TensorDag& dag, const score::Schedule& sched, SchedulePolicy policy,
          const RouterTables& tables);
 
@@ -72,14 +67,13 @@ class Router {
   bool pipelines() const { return policy_ != SchedulePolicy::OpByOp; }
 
   /// Tensors serviced entirely by the pipeline buffer (tensor-level view).
-  const std::vector<bool>& pipelined() const { return tables_->pipelined; }
+  const std::vector<bool>& pipelined() const { return tables_.pipelined; }
 
  private:
   const ir::TensorDag& dag_;
   const score::Schedule& sched_;
   SchedulePolicy policy_;
-  RouterTables own_;            ///< populated only by the building constructor
-  const RouterTables* tables_;  ///< &own_, or the borrowed shared copy
+  const RouterTables& tables_;
 };
 
 }  // namespace cello::sim

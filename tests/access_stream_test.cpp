@@ -143,7 +143,9 @@ TEST(AccessStream, ReplayMatchesReferenceOnGoldens) {
         const Simulator simulator(e.arch, wl.matrix);
         const score::Schedule sched = simulator.make_schedule(wl.dag, config);
         const AddressMap map = AddressMap::build(wl.dag);
-        const Router router(wl.dag, sched, config.schedule, config.allow_delayed_hold, e.arch);
+        const RouterTables tables =
+            RouterTables::build(wl.dag, sched, config.schedule, config.allow_delayed_hold, e.arch);
+        const Router router(wl.dag, sched, config.schedule, tables);
         const AccessStream stream =
             AccessStream::capture(wl.dag, sched, map, wl.matrix, e.arch, router);
 
@@ -205,7 +207,9 @@ TEST(AccessStream, SuppliedStreamMatchesSelfCapture) {
     const auto& config = ConfigRegistry::global().at(cname);
     const score::Schedule sched = simulator.make_schedule(dag, config);
     const AddressMap map = AddressMap::build(dag);
-    const Router router(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+    const RouterTables tables =
+        RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+    const Router router(dag, sched, config.schedule, tables);
     const AccessStream stream = AccessStream::capture(dag, sched, map, &fv1, arch, router);
     EXPECT_TRUE(stream.compatible(arch));
     EXPECT_EQ(stream.schedule_steps, sched.steps.size());
@@ -229,7 +233,9 @@ TEST(AccessStream, CaptureIsDeterministic) {
   const auto& config = ConfigRegistry::global().at("Flex+LRU");
   const score::Schedule sched = simulator.make_schedule(dag, config);
   const AddressMap map = AddressMap::build(dag);
-  const Router router(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const RouterTables tables =
+      RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const Router router(dag, sched, config.schedule, tables);
 
   const AccessStream a = AccessStream::capture(dag, sched, map, nullptr, arch, router);
   const AccessStream b = AccessStream::capture(dag, sched, map, nullptr, arch, router);
@@ -265,7 +271,9 @@ TEST(AccessStream, ReplayRefusesIncompatibleOrDirtyState) {
   const auto& config = ConfigRegistry::global().at("Flex+LRU");
   const score::Schedule sched = simulator.make_schedule(dag, config);
   const AddressMap map = AddressMap::build(dag);
-  const Router router(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const RouterTables tables =
+      RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const Router router(dag, sched, config.schedule, tables);
   const AccessStream stream = AccessStream::capture(dag, sched, map, nullptr, arch, router);
 
   AcceleratorConfig other = arch;
