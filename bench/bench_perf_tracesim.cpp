@@ -314,7 +314,7 @@ void BM_ReplayCapture(benchmark::State& state) {
   const auto& wl = sweep_cg_workload();
   const sim::Simulator simulator(arch, wl.matrix.get());
   const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
-  const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
+  const score::Schedule sched = score::build_schedule(*wl.dag, simulator.schedule_options(config));
   const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
   const sim::RouterTables tables = sim::RouterTables::build(*wl.dag, sched, config.schedule,
                                                             config.allow_delayed_hold, arch);

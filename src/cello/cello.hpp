@@ -55,7 +55,8 @@
 //   // run above).  This bundle IS the run API: every optional input —
 //   // prebuilt schedule/map/reuse/router tables, pooled scratch, trace sink —
 //   // rides in it, and run(dag, config) is just the empty-bundle default.
-//   auto sched = simulator.make_schedule(*cg.dag, registry.at("Cello"));
+//   auto sched = cello::score::build_schedule(
+//       *cg.dag, simulator.schedule_options(registry.at("Cello")));
 //   auto map   = cello::sim::AddressMap::build(*cg.dag);
 //   auto reuse = cello::score::ReuseIndex::build(*cg.dag, sched, map.base_of,
 //                                                map.entries.size());

@@ -12,26 +12,29 @@ const score::Schedule& ArtifactCache::schedule(const ir::TensorDag& dag,
 }
 
 const score::ReuseIndex& ArtifactCache::reuse_index(const ir::TensorDag& dag,
-                                                    const score::ScheduleOptions& opts) {
-  return reuse_.get({&dag, opts}, [&] {
-    const AddressMap& map = address_map(dag);
-    return score::ReuseIndex::build(dag, schedule(dag, opts), map.base_of, map.entries.size());
+                                                    const score::Schedule& sched,
+                                                    const AddressMap& map) {
+  return reuse_.get({&dag, &sched, &map}, [&] {
+    return score::ReuseIndex::build(dag, sched, map.base_of, map.entries.size());
   });
 }
 
-const RouterTables& ArtifactCache::router_tables(const ir::TensorDag& dag, const RouteKey& key) {
-  return tables_.get({&dag, key}, [&] {
-    return RouterTables::build(dag, schedule(dag, key.schedule), key.policy,
-                               key.allow_delayed_hold, key.arch);
+const RouterTables& ArtifactCache::router_tables(const ir::TensorDag& dag,
+                                                 const score::Schedule& sched,
+                                                 const RouteKey& key) {
+  return tables_.get({&dag, &sched, key}, [&] {
+    return RouterTables::build(dag, sched, key.policy, key.allow_delayed_hold, key.arch);
   });
 }
 
-const AccessStream& ArtifactCache::access_stream(const ir::TensorDag& dag, const RouteKey& key,
+const AccessStream& ArtifactCache::access_stream(const ir::TensorDag& dag,
+                                                 const score::Schedule& sched,
+                                                 const AddressMap& map,
+                                                 const RouterTables& tables, const RouteKey& key,
                                                  const sparse::CsrMatrix* matrix) {
-  return streams_.get({&dag, key, matrix}, [&] {
-    const score::Schedule& sched = schedule(dag, key.schedule);
-    const Router router(dag, sched, key.policy, router_tables(dag, key));
-    return AccessStream::capture(dag, sched, address_map(dag), matrix, key.arch, router);
+  return streams_.get({&dag, &sched, &map, &tables, key, matrix}, [&] {
+    const Router router(dag, sched, key.policy, tables);
+    return AccessStream::capture(dag, sched, map, matrix, key.arch, router);
   });
 }
 

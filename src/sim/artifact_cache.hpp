@@ -8,21 +8,26 @@
 //
 //   AddressMap       per DAG
 //   Schedule         per (DAG, schedule options)
-//   ReuseIndex       per (DAG, schedule options)
-//   RouterTables     per (DAG, RouteKey)
-//   AccessStream     per (DAG, RouteKey, matrix)
+//   ReuseIndex       per (DAG, schedule, address map)
+//   RouterTables     per (DAG, schedule, RouteKey)
+//   AccessStream     per (DAG, schedule, address map, router tables, RouteKey,
+//                    matrix)
 //   Partition        per (DAG, nodes)
 //   baseline seconds per (DAG, matrix, configuration, 1-node arch)
 //
-// Simulator::run fills every artifact its caller left null from a cache — a
-// private one per one-shot call, or the one SweepRunner shares across a whole
-// sweep call, so configurations differing only in their buffer policy reuse
-// one schedule and the cache presets replay one stream.  Thread-safe: a key
-// is built outside any cache-wide lock, so distinct keys build concurrently
-// while later requests for a key under construction wait for it.  A build
-// that throws is remembered, and every request for its key — the first
-// included — throws cello::Error carrying the build's own message.  Keys hold
-// DAG, matrix and configuration addresses, so those must outlive the cache.
+// A derived artifact is keyed by the addresses of the artifacts it is built
+// from, so it is always derived from exactly the objects passed in: the
+// cache's own, or ones a caller supplied.  Simulator::run fills every
+// artifact its caller left null from a cache — a private one per one-shot
+// call, or the one SweepRunner shares across a whole sweep call, where every
+// input is the cache's own, so configurations differing only in their buffer
+// policy reuse one schedule and the cache presets replay one stream.
+// Thread-safe: a key is built outside any cache-wide lock, so distinct keys
+// build concurrently while later requests for a key under construction wait
+// for it.  A build that throws is remembered, and every request for its key —
+// the first included — throws cello::Error carrying the build's own message.
+// Keys hold the addresses of DAGs, matrices, configurations and input
+// artifacts, so those must outlive the cache.
 #pragma once
 
 #include <functional>
@@ -49,11 +54,10 @@ namespace cello::sim {
 
 class ArtifactCache {
  public:
-  /// Everything RouterTables::build consumes beyond the DAG.  Configurations
-  /// sharing a schedule (FLAT and Cello) can still route differently, so this
-  /// is a finer key than the schedule options alone.
+  /// Everything RouterTables::build consumes beyond the DAG and schedule.
+  /// Configurations sharing a schedule (FLAT and Cello) can still route
+  /// differently.
   struct RouteKey {
-    score::ScheduleOptions schedule;
     SchedulePolicy policy = SchedulePolicy::OpByOp;
     bool allow_delayed_hold = false;
     AcceleratorConfig arch;  ///< the configuration's effective arch
@@ -62,14 +66,16 @@ class ArtifactCache {
 
   const AddressMap& address_map(const ir::TensorDag& dag);
   const score::Schedule& schedule(const ir::TensorDag& dag, const score::ScheduleOptions& opts);
-  const score::ReuseIndex& reuse_index(const ir::TensorDag& dag,
-                                       const score::ScheduleOptions& opts);
-  const RouterTables& router_tables(const ir::TensorDag& dag, const RouteKey& key);
-  /// The stream of `dag` routed under `key`, with `matrix` (may be null)
-  /// resolving its gathers — rows sharing a DAG but not a matrix capture
-  /// different streams.
-  const AccessStream& access_stream(const ir::TensorDag& dag, const RouteKey& key,
-                                    const sparse::CsrMatrix* matrix);
+  const score::ReuseIndex& reuse_index(const ir::TensorDag& dag, const score::Schedule& sched,
+                                       const AddressMap& map);
+  const RouterTables& router_tables(const ir::TensorDag& dag, const score::Schedule& sched,
+                                    const RouteKey& key);
+  /// The stream of `dag` routed by `tables` under `key`, with `matrix` (may
+  /// be null) resolving its gathers — rows sharing a DAG but not a matrix
+  /// capture different streams.
+  const AccessStream& access_stream(const ir::TensorDag& dag, const score::Schedule& sched,
+                                    const AddressMap& map, const RouterTables& tables,
+                                    const RouteKey& key, const sparse::CsrMatrix* matrix);
   const Partition& partition(const ir::TensorDag& dag, i64 nodes);
 
   /// Seconds of the 1-node baseline of (dag, matrix, config) under `arch`,
@@ -114,18 +120,19 @@ class ArtifactCache {
     std::map<Key, Slot> slots_;
   };
 
-  using DagOptions = std::pair<const ir::TensorDag*, score::ScheduleOptions>;
-  using DagRoute = std::pair<const ir::TensorDag*, RouteKey>;
+  using Dag = const ir::TensorDag*;
+  using Sched = const score::Schedule*;
+  using Map = const AddressMap*;
 
-  Slots<const ir::TensorDag*, AddressMap> maps_;
-  Slots<DagOptions, score::Schedule> schedules_;
-  Slots<DagOptions, score::ReuseIndex> reuse_;
-  Slots<DagRoute, RouterTables> tables_;
-  Slots<std::tuple<const ir::TensorDag*, RouteKey, const sparse::CsrMatrix*>, AccessStream>
+  Slots<Dag, AddressMap> maps_;
+  Slots<std::pair<Dag, score::ScheduleOptions>, score::Schedule> schedules_;
+  Slots<std::tuple<Dag, Sched, Map>, score::ReuseIndex> reuse_;
+  Slots<std::tuple<Dag, Sched, RouteKey>, RouterTables> tables_;
+  Slots<std::tuple<Dag, Sched, Map, const RouterTables*, RouteKey, const sparse::CsrMatrix*>,
+        AccessStream>
       streams_;
-  Slots<std::pair<const ir::TensorDag*, i64>, Partition> partitions_;
-  Slots<std::tuple<const ir::TensorDag*, const sparse::CsrMatrix*, const Configuration*,
-                   AcceleratorConfig>,
+  Slots<std::pair<Dag, i64>, Partition> partitions_;
+  Slots<std::tuple<Dag, const sparse::CsrMatrix*, const Configuration*, AcceleratorConfig>,
         double>
       baselines_;
 };

@@ -37,7 +37,7 @@ enum class Route {
 /// demoted) residency vectors the Router consults per operand access.  They
 /// depend only on (dag, schedule, policy, allow_delayed_hold, arch), so one
 /// build serves every run sharing those inputs read-only — sim::ArtifactCache
-/// builds one per (DAG, ArtifactCache::RouteKey).
+/// builds one per (DAG, schedule, ArtifactCache::RouteKey).
 struct RouterTables {
   std::vector<bool> pipelined;  ///< per TensorId: every consumer serviced on chip
   /// Per TensorId, after demoting pipeline-buffer residents that cannot

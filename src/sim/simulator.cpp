@@ -122,11 +122,6 @@ score::ScheduleOptions Simulator::schedule_options(const Configuration& config) 
   return opts;
 }
 
-score::Schedule Simulator::make_schedule(const ir::TensorDag& dag,
-                                         const Configuration& config) const {
-  return ArtifactCache().schedule(dag, schedule_options(config));
-}
-
 RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                           const RunArtifacts& artifacts) const {
   ArtifactCache cache;
@@ -185,18 +180,20 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
   CELLO_CHECK_MSG(static_cast<bool>(config.buffers),
                   "configuration '" << config.name << "' has no buffer policy factory");
 
-  // Caller-supplied artifacts win; every null one comes from the cache.
-  const score::ScheduleOptions opts = schedule_options(config);
-  const ArtifactCache::RouteKey route{opts, config.schedule, config.allow_delayed_hold, arch};
-  const Schedule& sched =
-      artifacts.schedule != nullptr ? *artifacts.schedule : cache.schedule(dag, opts);
+  // Caller-supplied artifacts win; every null one comes from the cache,
+  // derived from the resolved schedule and address map.
+  const Schedule& sched = artifacts.schedule != nullptr
+                              ? *artifacts.schedule
+                              : cache.schedule(dag, schedule_options(config));
   const AddressMap& map =
       artifacts.address_map != nullptr ? *artifacts.address_map : cache.address_map(dag);
-  const score::ReuseIndex& reuse_index =
-      artifacts.reuse_index != nullptr ? *artifacts.reuse_index : cache.reuse_index(dag, opts);
+  const score::ReuseIndex& reuse_index = artifacts.reuse_index != nullptr
+                                             ? *artifacts.reuse_index
+                                             : cache.reuse_index(dag, sched, map);
+  const ArtifactCache::RouteKey route{config.schedule, config.allow_delayed_hold, arch};
   const RouterTables& tables = artifacts.router_tables != nullptr
                                    ? *artifacts.router_tables
-                                   : cache.router_tables(dag, route);
+                                   : cache.router_tables(dag, sched, route);
 
   // All per-run mutable state lives in a RunScratch; without a caller-owned
   // one this run uses a private scratch (identical behavior, fresh storage).
@@ -219,8 +216,9 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
   // never fetch (or capture) one.
   const AccessStream* stream = nullptr;
   if (slot.policy->trace_driven())
-    stream = artifacts.access_stream != nullptr ? artifacts.access_stream
-                                                : &cache.access_stream(dag, route, matrix_);
+    stream = artifacts.access_stream != nullptr
+                 ? artifacts.access_stream
+                 : &cache.access_stream(dag, sched, map, tables, route, matrix_);
   return run_impl(dag, config, arch, sched, map, reuse_index, tables, scratch, *slot.policy,
                   stream, artifacts.trace);
 }

@@ -98,11 +98,13 @@ class RunScratch {
 /// null.  Every null artifact is filled from a sim::ArtifactCache — a
 /// private one per one-shot call, the sweep-wide one inside SweepRunner —
 /// so a default-constructed RunArtifacts builds everything the run needs
-/// once, and a supplied artifact only replaces the cache's identical copy.
+/// once.  A null reuse index, router tables or stream is derived from the
+/// run's schedule and address map, supplied or not, so a partial bundle
+/// never builds a second schedule.
 struct RunArtifacts {
-  /// Precomputed schedule; must equal make_schedule(dag, config).  Travels
-  /// with address_map: both or neither.  Read-only here, so one immutable
-  /// copy serves many concurrent runs.
+  /// Precomputed schedule; must equal score::build_schedule(dag,
+  /// schedule_options(config)).  Travels with address_map: both or neither.
+  /// Read-only here, so one immutable copy serves many concurrent runs.
   const score::Schedule* schedule = nullptr;
   /// AddressMap::build(dag); required exactly when `schedule` is set.
   const AddressMap* address_map = nullptr;
@@ -145,10 +147,8 @@ class Simulator {
   RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
                  const RunArtifacts& artifacts = {}) const;
 
-  /// The schedule the configuration's schedule policy would build.
-  score::Schedule make_schedule(const ir::TensorDag& dag, const Configuration& config) const;
-
-  /// The exact scheduling inputs make_schedule derives from a configuration.
+  /// The exact scheduling inputs (score::build_schedule's options) of a
+  /// configuration.
   /// Configurations with equal options build identical schedules for a given
   /// DAG — this is the key ArtifactCache shares schedules by, so any future
   /// knob that affects scheduling must be folded in here.

@@ -107,9 +107,10 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
                                 << "-cell grid");
 
   // Each fabric is a node count plus topology on the grid's arch; a
-  // multi-node cell is simply Simulator::run's multi-node path.
+  // multi-node cell is simply Simulator::run's multi-node path.  Without a
+  // fabric axis every cell runs under `arch` as given.
   std::vector<AcceleratorConfig> fabric_arch(F, arch);
-  if (grid != nullptr) {
+  if (fabric_axis) {
     for (size_t fi = 0; fi < F; ++fi) {
       fabric_arch[fi].nodes = noc::TopologySpec::parse(fabs[fi]).nodes();
       fabric_arch[fi].topology = fabs[fi];

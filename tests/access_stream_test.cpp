@@ -141,7 +141,8 @@ TEST(AccessStream, ReplayMatchesReferenceOnGoldens) {
         if (e.arch.cache_associativity != 8 && wl.name == "cg") continue;
         const std::string what = wl.name + "/" + cname + "/" + e.name;
         const Simulator simulator(e.arch, wl.matrix);
-        const score::Schedule sched = simulator.make_schedule(wl.dag, config);
+        const score::Schedule sched =
+            score::build_schedule(wl.dag, simulator.schedule_options(config));
         const AddressMap map = AddressMap::build(wl.dag);
         const RouterTables tables =
             RouterTables::build(wl.dag, sched, config.schedule, config.allow_delayed_hold, e.arch);
@@ -205,7 +206,7 @@ TEST(AccessStream, SuppliedStreamMatchesSelfCapture) {
 
   for (const char* cname : {"Flex+LRU", "Flex+BRRIP"}) {
     const auto& config = ConfigRegistry::global().at(cname);
-    const score::Schedule sched = simulator.make_schedule(dag, config);
+    const score::Schedule sched = score::build_schedule(dag, simulator.schedule_options(config));
     const AddressMap map = AddressMap::build(dag);
     const RouterTables tables =
         RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);
@@ -231,7 +232,7 @@ TEST(AccessStream, CaptureIsDeterministic) {
   const AcceleratorConfig arch;
   const Simulator simulator(arch);
   const auto& config = ConfigRegistry::global().at("Flex+LRU");
-  const score::Schedule sched = simulator.make_schedule(dag, config);
+  const score::Schedule sched = score::build_schedule(dag, simulator.schedule_options(config));
   const AddressMap map = AddressMap::build(dag);
   const RouterTables tables =
       RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);
@@ -269,7 +270,7 @@ TEST(AccessStream, ReplayRefusesIncompatibleOrDirtyState) {
   const AcceleratorConfig arch;
   const Simulator simulator(arch);
   const auto& config = ConfigRegistry::global().at("Flex+LRU");
-  const score::Schedule sched = simulator.make_schedule(dag, config);
+  const score::Schedule sched = score::build_schedule(dag, simulator.schedule_options(config));
   const AddressMap map = AddressMap::build(dag);
   const RouterTables tables =
       RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);

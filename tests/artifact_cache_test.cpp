@@ -27,8 +27,7 @@ using sim::Simulator;
 
 /// The routing key Simulator::run resolves a configuration to.
 ArtifactCache::RouteKey route_key(const Simulator& simulator, const Configuration& config) {
-  return {simulator.schedule_options(config), config.schedule, config.allow_delayed_hold,
-          simulator.effective_arch(config)};
+  return {config.schedule, config.allow_delayed_hold, simulator.effective_arch(config)};
 }
 
 struct Fixture {
@@ -55,13 +54,15 @@ struct Resolved {
 Resolved resolve(ArtifactCache& cache, const ir::TensorDag& dag, const Simulator& simulator,
                  const Configuration& config, const sparse::CsrMatrix* matrix) {
   const ArtifactCache::RouteKey key = route_key(simulator, config);
+  const score::Schedule& sched = cache.schedule(dag, simulator.schedule_options(config));
+  const sim::AddressMap& map = cache.address_map(dag);
+  const sim::RouterTables& tables = cache.router_tables(dag, sched, key);
   Resolved r;
-  // Streams first, so concurrent callers race on the deepest build chain.
-  r.stream = &cache.access_stream(dag, key, matrix);
-  r.tables = &cache.router_tables(dag, key);
-  r.reuse = &cache.reuse_index(dag, key.schedule);
-  r.schedule = &cache.schedule(dag, key.schedule);
-  r.map = &cache.address_map(dag);
+  r.schedule = &sched;
+  r.map = &map;
+  r.tables = &tables;
+  r.stream = &cache.access_stream(dag, sched, map, tables, key, matrix);
+  r.reuse = &cache.reuse_index(dag, sched, map);
   return r;
 }
 
@@ -82,40 +83,75 @@ TEST(ArtifactCache, ConcurrentFirstRequestsBuildOnce) {
 
   // The built stream is the one a fresh capture produces.
   ArtifactCache fresh;
-  const auto key = route_key(simulator, config);
-  EXPECT_EQ(cache.access_stream(f.dag, key, f.matrix_a.get()).fingerprint(),
-            fresh.access_stream(f.dag, key, f.matrix_a.get()).fingerprint());
+  const Resolved again = resolve(fresh, f.dag, simulator, config, f.matrix_a.get());
+  EXPECT_EQ(static_cast<const sim::AccessStream*>(seen[0].stream)->fingerprint(),
+            static_cast<const sim::AccessStream*>(again.stream)->fingerprint());
 }
 
 TEST(ArtifactCache, StreamKeyIncludesTheMatrix) {
   const Fixture f;
   const Simulator simulator(AcceleratorConfig{});
-  const auto key = route_key(simulator, sim::ConfigRegistry::global().at("Flex+LRU"));
+  const Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
+  const auto key = route_key(simulator, config);
   ArtifactCache cache;
-  const sim::AccessStream& a = cache.access_stream(f.dag, key, f.matrix_a.get());
-  const sim::AccessStream& b = cache.access_stream(f.dag, key, f.matrix_b.get());
+  const score::Schedule& sched = cache.schedule(f.dag, simulator.schedule_options(config));
+  const sim::AddressMap& map = cache.address_map(f.dag);
+  const sim::RouterTables& tables = cache.router_tables(f.dag, sched, key);
+  const sim::AccessStream& a =
+      cache.access_stream(f.dag, sched, map, tables, key, f.matrix_a.get());
+  const sim::AccessStream& b =
+      cache.access_stream(f.dag, sched, map, tables, key, f.matrix_b.get());
   EXPECT_NE(&a, &b);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
-  EXPECT_EQ(&a, &cache.access_stream(f.dag, key, f.matrix_a.get()));
+  EXPECT_EQ(&a, &cache.access_stream(f.dag, sched, map, tables, key, f.matrix_a.get()));
   // Everything upstream of the gather resolution is shared.
-  EXPECT_EQ(&cache.router_tables(f.dag, key), &cache.router_tables(f.dag, key));
+  EXPECT_EQ(&tables, &cache.router_tables(f.dag, sched, key));
 }
 
 TEST(ArtifactCache, FlatAndCelloShareTheScheduleButNotTheRouterTables) {
   const Fixture f;
   const Simulator simulator(AcceleratorConfig{});
   const auto& registry = sim::ConfigRegistry::global();
-  const auto flat = route_key(simulator, registry.at("FLAT"));
-  const auto cello = route_key(simulator, registry.at("Cello"));
+  const Configuration& flat = registry.at("FLAT");
+  const Configuration& cello = registry.at("Cello");
   ArtifactCache cache;
-  ASSERT_EQ(flat.schedule, cello.schedule);
-  EXPECT_EQ(&cache.schedule(f.dag, flat.schedule), &cache.schedule(f.dag, cello.schedule));
-  EXPECT_EQ(&cache.reuse_index(f.dag, flat.schedule), &cache.reuse_index(f.dag, cello.schedule));
-  EXPECT_NE(&cache.router_tables(f.dag, flat), &cache.router_tables(f.dag, cello));
+  ASSERT_EQ(simulator.schedule_options(flat), simulator.schedule_options(cello));
+  const score::Schedule& sched = cache.schedule(f.dag, simulator.schedule_options(flat));
+  EXPECT_EQ(&sched, &cache.schedule(f.dag, simulator.schedule_options(cello)));
+  EXPECT_NE(&cache.router_tables(f.dag, sched, route_key(simulator, flat)),
+            &cache.router_tables(f.dag, sched, route_key(simulator, cello)));
 
   // Op-by-op (Flexagon) schedules separately.
-  const auto flexagon = route_key(simulator, registry.at("Flexagon"));
-  EXPECT_NE(&cache.schedule(f.dag, flexagon.schedule), &cache.schedule(f.dag, cello.schedule));
+  EXPECT_NE(&cache.schedule(f.dag, simulator.schedule_options(registry.at("Flexagon"))), &sched);
+}
+
+TEST(ArtifactCache, DerivesFromTheScheduleItIsHanded) {
+  // A caller-supplied schedule keys its own reuse index, router tables and
+  // stream: nothing is derived from a schedule the cache built itself.
+  const Fixture f;
+  const Simulator simulator(AcceleratorConfig{}, f.matrix_a.get());
+  const Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
+  const auto key = route_key(simulator, config);
+  ArtifactCache cache;
+  const score::Schedule mine = score::build_schedule(f.dag, simulator.schedule_options(config));
+  const score::Schedule& cached = cache.schedule(f.dag, simulator.schedule_options(config));
+  const sim::AddressMap& map = cache.address_map(f.dag);
+
+  const score::ReuseIndex& reuse = cache.reuse_index(f.dag, mine, map);
+  EXPECT_EQ(&reuse, &cache.reuse_index(f.dag, mine, map));
+  EXPECT_NE(&reuse, &cache.reuse_index(f.dag, cached, map));
+
+  const sim::RouterTables& tables = cache.router_tables(f.dag, mine, key);
+  EXPECT_NE(&tables, &cache.router_tables(f.dag, cached, key));
+  const sim::AccessStream& stream =
+      cache.access_stream(f.dag, mine, map, tables, key, f.matrix_a.get());
+  EXPECT_EQ(stream.schedule_steps, mine.steps.size());
+  // Equal schedules still derive equal artifacts.
+  EXPECT_EQ(stream.fingerprint(),
+            cache
+                .access_stream(f.dag, cached, map, cache.router_tables(f.dag, cached, key), key,
+                               f.matrix_a.get())
+                .fingerprint());
 }
 
 TEST(ArtifactCache, FailedPartitionRethrowsItsMessageToEveryCaller) {

@@ -44,8 +44,8 @@ TEST(EngineDetail, MakeScheduleDisablesPipeliningForOpByOpConfigs) {
   const auto dag = workloads::build_gnn_dag({500, 2500, 32, 8});
   const sim::Simulator simulator{AcceleratorConfig{}};
   const auto& registry = sim::ConfigRegistry::global();
-  const auto flex = simulator.make_schedule(dag, registry.at("Flexagon"));
-  const auto cello_s = simulator.make_schedule(dag, registry.at("Cello"));
+  const auto flex = score::build_schedule(dag, simulator.schedule_options(registry.at("Flexagon")));
+  const auto cello_s = score::build_schedule(dag, simulator.schedule_options(registry.at("Cello")));
   EXPECT_FALSE(flex.edge_realized[0]);
   EXPECT_TRUE(cello_s.edge_realized[0]);
 }

@@ -72,7 +72,8 @@ TEST(ReuseIndex, SharedIndexAndScratchBitIdenticalAcrossPresets) {
 
     for (const auto& name : sim::ConfigRegistry::table4_names()) {
       const sim::Configuration& config = registry.at(name);
-      const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
+      const score::Schedule sched =
+          score::build_schedule(*wl.dag, simulator.schedule_options(config));
       const score::ReuseIndex index =
           score::ReuseIndex::build(*wl.dag, sched, map.base_of, map.entries.size());
 
@@ -100,7 +101,8 @@ TEST(ReuseIndex, ScratchResetIsCompleteBetweenRuns) {
   sim::RunScratch scratch;
   for (const auto& name : sim::ConfigRegistry::table4_names()) {
     const sim::Configuration& config = registry.at(name);
-    const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
+    const score::Schedule sched =
+        score::build_schedule(*wl.dag, simulator.schedule_options(config));
     const score::ReuseIndex index =
         score::ReuseIndex::build(*wl.dag, sched, map.base_of, map.entries.size());
     sim::RunArtifacts art;
@@ -130,7 +132,8 @@ TEST(ReuseIndex, CountingBuildMatchesSortReference) {
     const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
     const sim::Simulator simulator(arch, wl.matrix.get());
     for (const auto& name : configs) {
-      const score::Schedule sched = simulator.make_schedule(*wl.dag, registry.at(name));
+      const score::Schedule sched =
+          score::build_schedule(*wl.dag, simulator.schedule_options(registry.at(name)));
       const score::ReuseIndex index =
           score::ReuseIndex::build(*wl.dag, sched, map.base_of, map.entries.size());
       const auto reference = sort_based_reference(*wl.dag, sched, map);
@@ -153,8 +156,8 @@ TEST(ReuseIndex, CursorMatchesDirectCount) {
   const sim::Workload wl = sim::WorkloadRegistry::global().resolve("cg:m=4096,n=16,iters=3");
   const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
   const sim::Simulator simulator{sim::AcceleratorConfig{}};
-  const score::Schedule sched =
-      simulator.make_schedule(*wl.dag, sim::ConfigRegistry::global().at("Cello"));
+  const score::Schedule sched = score::build_schedule(
+      *wl.dag, simulator.schedule_options(sim::ConfigRegistry::global().at("Cello")));
   const score::ReuseIndex index =
       score::ReuseIndex::build(*wl.dag, sched, map.base_of, map.entries.size());
 

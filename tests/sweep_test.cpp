@@ -132,6 +132,44 @@ TEST(Sweep, SharedDagWithDifferentMatricesMatchesOneShot) {
   }
 }
 
+// Without a fabric axis a cell runs under the arch (and the configuration's
+// overrides) as given, so a nodes > 1 cell takes Simulator::run's multi-node
+// path and equals the one-shot run of the same arch.
+TEST(Sweep, MultiNodeCellsMatchOneShot) {
+  const std::vector<sim::Workload> rows{
+      {"cg", "cg",
+       std::make_shared<const ir::TensorDag>(workloads::build_cg_dag({2048, 8, 2048 * 9, 2, 4})),
+       nullptr}};
+  auto configs = test::configs({"Flexagon", "Cello"});
+  sim::Configuration cello_on_four = configs[1];
+  cello_on_four.name = "Cello@mesh:2x2";
+  cello_on_four.nodes = 4;
+  cello_on_four.topology = "mesh:2x2";
+  configs.push_back(cello_on_four);
+
+  AcceleratorConfig single;
+  AcceleratorConfig four;
+  four.nodes = 4;
+  for (const AcceleratorConfig& arch : {single, four}) {
+    const auto cells = SweepRunner(/*threads=*/2).run(rows, configs, arch);
+    ASSERT_EQ(cells.size(), configs.size());
+    const Simulator simulator(arch);
+    for (size_t ci = 0; ci < configs.size(); ++ci) {
+      const auto oneshot = simulator.run(*rows[0].dag, configs[ci]);
+      const auto& cell = cells[ci];
+      const std::string ctx = std::to_string(arch.nodes) + " nodes, " + configs[ci].name;
+      ASSERT_TRUE(cell.ok()) << ctx << ": " << cell.error;
+      EXPECT_EQ(cell.metrics.nodes, oneshot.nodes) << ctx;
+      EXPECT_EQ(cell.metrics.seconds, oneshot.seconds) << ctx;
+      EXPECT_EQ(cell.metrics.dram_bytes, oneshot.dram_bytes) << ctx;
+      EXPECT_EQ(cell.metrics.noc_bytes, oneshot.noc_bytes) << ctx;
+      EXPECT_EQ(cell.metrics.parallel_efficiency, oneshot.parallel_efficiency) << ctx;
+    }
+    EXPECT_EQ(cells[0].metrics.nodes, arch.nodes);
+    EXPECT_EQ(cells[2].metrics.nodes, 4);
+  }
+}
+
 TEST(Sweep, EmptyGridIsEmpty) {
   const AcceleratorConfig arch;
   EXPECT_TRUE(SweepRunner()
