@@ -55,6 +55,9 @@
 // documented default dataset (bicgstab -> nasa4704, gnn -> cora, power ->
 // G2_circuit) instead of the old global shallow_water1 default.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -103,6 +106,27 @@ struct Options {
   std::vector<std::string> positional;  ///< merge: <out.json> <shard.json>...
 };
 
+/// `text` as a whole decimal integer in [lo, hi]; a sign, a suffix or an
+/// out-of-range value is an error naming `flag`.
+u64 parse_uint(const char* flag, const std::string& text, u64 lo, u64 hi) {
+  u64 value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end || value < lo || value > hi)
+    throw Error(std::string(flag) + " expects an integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got '" + text + "'");
+  return value;
+}
+
+/// `text` as a whole positive finite number; anything else names `flag`.
+double parse_positive(const char* flag, const std::string& text) {
+  char* stop = nullptr;
+  const double value = std::strtod(text.c_str(), &stop);
+  if (text.empty() || *stop != '\0' || !std::isfinite(value) || value <= 0)
+    throw Error(std::string(flag) + " expects a positive finite number, got '" + text + "'");
+  return value;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   if (argc > 1 && argv[1][0] != '-') o.command = argv[1];
@@ -117,17 +141,20 @@ Options parse(int argc, char** argv) {
     else if (auto v3 = next("--mtx")) o.mtx = *v3;
     else if (auto v4 = next("--n")) o.n = std::stoll(*v4);
     else if (auto v5 = next("--iters")) o.iters = std::stoll(*v5);
-    else if (auto v6 = next("--bw")) o.bw_gbps = std::stod(*v6);
-    else if (auto v7 = next("--sram")) o.sram_mib = static_cast<Bytes>(std::stoull(*v7));
+    else if (auto v6 = next("--bw")) o.bw_gbps = parse_positive("--bw", *v6);
+    // MiB: the byte count (x 2^20) must still fit in Bytes.
+    else if (auto v7 = next("--sram")) o.sram_mib = parse_uint("--sram", *v7, 1, ~Bytes{0} >> 20);
     else if (auto v8 = next("--config")) o.config = *v8;
-    else if (auto v9 = next("--jobs")) o.jobs = static_cast<u32>(std::stoul(*v9));
+    else if (auto v9 = next("--jobs"))
+      o.jobs = static_cast<u32>(parse_uint("--jobs", *v9, 0, ~u32{0}));
     else if (auto vn = next("--nodes")) o.nodes = *vn;
     else if (auto vt = next("--topology")) o.topology = *vt;
     else if (auto v10 = next("--shard")) o.shard = *v10;
     else if (auto v11 = next("--shard-mode")) o.shard_mode = *v11;
     else if (auto v12 = next("--out")) o.out = *v12;
     else if (auto v13 = next("--checkpoint")) o.checkpoint = *v13;
-    else if (auto v14 = next("--retries")) o.retries = static_cast<u32>(std::stoul(*v14));
+    else if (auto v14 = next("--retries"))
+      o.retries = static_cast<u32>(parse_uint("--retries", *v14, 0, ~u32{0}));
     else if (auto v15 = next("--trace")) o.trace = *v15;
     else if (auto v16 = next("--trace-cell")) o.trace_cells.push_back(*v16);
     else if (std::strcmp(argv[i], "--resume") == 0) o.resume = true;
@@ -234,14 +261,6 @@ int list_workloads() {
   std::cout << "\nspec grammar: kind[:k=v,...]  e.g. \"cg:m=65536,n=16,iters=10\", "
                "\"gnn:cora\", \"spmv:mm=file.mtx\"\n";
   return 0;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -476,8 +495,9 @@ int run_cli(int argc, char** argv) {
         trace_stream.open(*o.trace, std::ios::binary);
         if (!trace_stream) throw Error("cannot write '" + *o.trace + "'");
         tracer.emplace(trace_stream);
-        sweep_options.trace_cell = static_cast<i64>(cell);
-        sweep_options.trace_sink = &*tracer;
+        sweep_options.trace_sink_for = [cell, sink = &*tracer](size_t c) -> trace::TraceSink* {
+          return c == cell ? sink : nullptr;
+        };
       } else if (o.trace) {
         std::set<size_t> selected;
         if (!trace_all) {

@@ -79,7 +79,14 @@
 //   std::cout << cello::compare_table(*cg.dag, arch);    // the seven Table IV rows
 //
 // Workload DAGs can also be built directly (build_cg_dag & friends) and run
-// the same way.
+// the same way, or by hand: add tensors, then ops in dataflow order —
+// TensorDag::add_op derives every producer->consumer edge from the operands,
+// and a tensor no op produces is an external input:
+//   cello::ir::TensorDag dag;
+//   auto x = dag.add_tensor(...), y = dag.add_tensor(...);
+//   cello::ir::EinsumOp op = dag.new_op();
+//   op.name = "scale"; op.inputs = {x}; op.output = y; op.ranks = {...};
+//   dag.add_op(std::move(op));  // x is external; later readers of y get edges
 #pragma once
 
 #include <string>

@@ -1,7 +1,7 @@
 #include "ir/dag.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -13,7 +13,6 @@ TensorDag::TensorDag(const TensorDag& other)
       tensors_(other.tensors_),
       ops_(other.ops_),
       edges_(other.edges_),
-      external_(other.external_),
       producer_of_(other.producer_of_) {
   // The member copies are self-owned (ArenaVector copies never alias the
   // source arena); re-intern them so the copy is arena-backed like any DAG.
@@ -44,7 +43,6 @@ TensorDag& TensorDag::operator=(TensorDag&& other) noexcept {
     tensors_.clear();
     ops_.clear();
     edges_.clear();
-    external_.clear();
     producer_of_.clear();
     consumers_of_.clear();
     tensor_edges_.clear();
@@ -54,7 +52,6 @@ TensorDag& TensorDag::operator=(TensorDag&& other) noexcept {
     tensors_ = std::move(other.tensors_);
     ops_ = std::move(other.ops_);
     edges_ = std::move(other.edges_);
-    external_ = std::move(other.external_);
     producer_of_ = std::move(other.producer_of_);
     consumers_of_ = std::move(other.consumers_of_);
     tensor_edges_ = std::move(other.tensor_edges_);
@@ -89,37 +86,34 @@ OpId TensorDag::add_op(EinsumOp op) {
   op.id = static_cast<OpId>(ops_.size());
   for (TensorId in : op.inputs) CELLO_CHECK(in >= 0 && in < static_cast<i32>(tensors_.size()));
   CELLO_CHECK(op.output >= 0 && op.output < static_cast<i32>(tensors_.size()));
-  // First producing op wins, matching the old first-match scan of ops().
-  if (producer_of_[op.output] == kInvalidOp) producer_of_[op.output] = op.id;
+  CELLO_CHECK_MSG(producer_of_[op.output] == kInvalidOp,
+                  "op " << op.name << ": output " << tensors_[op.output].name
+                        << " is already produced by " << ops_[producer_of_[op.output]].name);
+  CELLO_CHECK_MSG(consumers_of_[op.output].empty() &&
+                      std::find(op.inputs.begin(), op.inputs.end(), op.output) == op.inputs.end(),
+                  "op " << op.name << ": output " << tensors_[op.output].name
+                        << " is already consumed (ops must be added in dataflow order)");
+  out_edges_.emplace_back(arena_.get());
+  in_edges_.emplace_back(arena_.get());
   for (size_t i = 0; i < op.inputs.size(); ++i) {
+    const TensorId in = op.inputs[i];
     bool repeat = false;  // an op consuming a tensor twice (R^T R) lists once
-    for (size_t j = 0; j < i; ++j) repeat = repeat || op.inputs[j] == op.inputs[i];
-    if (!repeat) consumers_of_[op.inputs[i]].push_back(op.id);
+    for (size_t j = 0; j < i; ++j) repeat = repeat || op.inputs[j] == in;
+    if (repeat) continue;
+    consumers_of_[in].push_back(op.id);
+    const OpId src = producer_of_[in];
+    if (src == kInvalidOp) continue;  // external input
+    const auto e = static_cast<EdgeId>(edges_.size());
+    edges_.push_back(Edge{e, src, op.id, in});
+    out_edges_[src].push_back(e);
+    in_edges_[op.id].push_back(e);
+    tensor_edges_[in].push_back(e);
   }
+  producer_of_[op.output] = op.id;
   op.ranks.intern(*arena_);
   op.inputs.intern(*arena_);
   ops_.push_back(std::move(op));
-  out_edges_.emplace_back(arena_.get());
-  in_edges_.emplace_back(arena_.get());
   return ops_.back().id;
-}
-
-EdgeId TensorDag::add_edge(OpId src, OpId dst, TensorId tensor) {
-  CELLO_CHECK(src >= 0 && src < static_cast<i32>(ops_.size()));
-  CELLO_CHECK(dst >= 0 && dst < static_cast<i32>(ops_.size()));
-  CELLO_CHECK_MSG(ops_[src].output == tensor,
-                  "edge tensor " << tensors_[tensor].name << " is not the output of "
-                                 << ops_[src].name);
-  Edge e;
-  e.id = static_cast<EdgeId>(edges_.size());
-  e.src = src;
-  e.dst = dst;
-  e.tensor = tensor;
-  edges_.push_back(e);
-  out_edges_[src].push_back(e.id);
-  in_edges_[dst].push_back(e.id);
-  tensor_edges_[tensor].push_back(e.id);
-  return e.id;
 }
 
 void TensorDag::mark_append(TensorId prev, TensorId next) {
@@ -158,23 +152,8 @@ const Edge& TensorDag::edge(EdgeId e) const {
 }
 
 std::vector<OpId> TensorDag::topo_order() const {
-  std::vector<i32> indeg(ops_.size(), 0);
-  for (const auto& e : edges_) ++indeg[e.dst];
-  // Min-id queue keeps the order stable and aligned with construction order
-  // (which workload builders emit in program order).
-  std::priority_queue<OpId, std::vector<OpId>, std::greater<>> ready;
-  for (const auto& o : ops_)
-    if (indeg[o.id] == 0) ready.push(o.id);
-  std::vector<OpId> order;
-  order.reserve(ops_.size());
-  while (!ready.empty()) {
-    const OpId u = ready.top();
-    ready.pop();
-    order.push_back(u);
-    for (const EdgeId eid : out_edges_[u])
-      if (--indeg[edges_[eid].dst] == 0) ready.push(edges_[eid].dst);
-  }
-  CELLO_CHECK_MSG(order.size() == ops_.size(), "DAG has a cycle");
+  std::vector<OpId> order(ops_.size());
+  std::iota(order.begin(), order.end(), OpId{0});
   return order;
 }
 
@@ -183,11 +162,11 @@ i64 TensorDag::longest_path_len(OpId src, OpId dst) const {
 }
 
 std::vector<OpId> TensorDag::longest_path(OpId src, OpId dst) const {
-  const auto order = topo_order();
   std::vector<i64> dist(ops_.size(), -1);
   std::vector<OpId> pred(ops_.size(), kInvalidOp);
   dist[src] = 0;
-  for (OpId u : order) {
+  // Ids are topological and edges point forward, so only src..dst matter.
+  for (OpId u = src; u < dst; ++u) {
     if (dist[u] < 0) continue;
     for (const EdgeId eid : out_edges_[u]) {
       const Edge& e = edges_[eid];
@@ -212,26 +191,6 @@ i64 TensorDag::schedule_distance(const Edge& e, const std::vector<OpId>& order) 
   for (size_t i = 0; i < order.size(); ++i) pos[order[i]] = static_cast<i64>(i);
   CELLO_CHECK(pos[e.src] >= 0 && pos[e.dst] >= 0);
   return pos[e.dst] - pos[e.src];
-}
-
-void TensorDag::validate() const {
-  for (const auto& e : edges_) {
-    const EinsumOp& s = op(e.src);
-    const EinsumOp& d = op(e.dst);
-    CELLO_CHECK_MSG(s.output == e.tensor, "edge tensor not produced by source op " << s.name);
-    CELLO_CHECK_MSG(std::find(d.inputs.begin(), d.inputs.end(), e.tensor) != d.inputs.end(),
-                    "edge tensor not consumed by destination op " << d.name);
-  }
-  for (const auto& t : tensors_) {
-    if (t.append_prev == kInvalidTensor) continue;
-    const TensorDesc& prev = tensor(t.append_prev);
-    CELLO_CHECK_MSG(t.append_only && prev.append_only,
-                    "append chain " << prev.name << " -> " << t.name
-                                    << " lost its append_only flag");
-    CELLO_CHECK_MSG(t.bytes() >= prev.bytes(),
-                    "append-only base shrinks: " << prev.name << " -> " << t.name);
-  }
-  (void)topo_order();  // throws on cycles
 }
 
 std::string TensorDag::to_dot() const {

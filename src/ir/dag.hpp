@@ -1,6 +1,12 @@
 // Tensor-dependency DAG: einsum operators connected by edges that each carry
 // the tensor flowing from producer to consumer (Fig. 1 of the paper).
 //
+// The ops alone decide the structure: add_op() gives a new op one edge from
+// the producer of each distinct input that has one, in operand order; an
+// input with no producer is an external input (e.g. the sparse matrix A).
+// An op's output must not yet be produced or consumed, so ops are added in
+// dataflow order and the DAG is acyclic by construction.
+//
 // The DAG provides the structural analyses SCORE needs:
 //  * topological order (the execution order of a temporally scheduled DAG),
 //  * longest paths between node pairs,
@@ -58,13 +64,9 @@ class TensorDag {
   EinsumOp new_op() { return EinsumOp(*arena_); }
 
   TensorId add_tensor(TensorDesc t);
+  /// Append `op` and its in-edges (see the header comment); throws
+  /// cello::Error if its output already has a producer or a consumer.
   OpId add_op(EinsumOp op);
-  /// Connect producer `src` to consumer `dst` through `tensor`.
-  EdgeId add_edge(OpId src, OpId dst, TensorId tensor);
-
-  /// Mark a tensor as an external input (produced before the DAG starts;
-  /// consumers read it without a producing node), e.g. the sparse matrix A.
-  void mark_external(TensorId t) { external_.push_back(t); }
 
   /// Mark a tensor as a final result that must be drained to memory.
   void mark_result(TensorId t) { tensors_[t].is_result = true; }
@@ -82,7 +84,6 @@ class TensorDag {
   const std::vector<TensorDesc>& tensors() const { return tensors_; }
   const std::vector<EinsumOp>& ops() const { return ops_; }
   const std::vector<Edge>& edges() const { return edges_; }
-  const std::vector<TensorId>& external_tensors() const { return external_; }
 
   const TensorDesc& tensor(TensorId t) const;
   const EinsumOp& op(OpId o) const;
@@ -104,7 +105,7 @@ class TensorDag {
   }
 
   // ---- structural analyses ------------------------------------------------
-  /// Kahn topological order; throws cello::Error on cycles.
+  /// Topological order: insertion order, which add_op() keeps topological.
   std::vector<OpId> topo_order() const;
 
   /// Length (in edges) of the longest src->dst path, or -1 if unreachable.
@@ -120,10 +121,6 @@ class TensorDag {
   /// step cannot be serviced by simple producer/consumer pipelining.
   i64 schedule_distance(const Edge& e, const std::vector<OpId>& order) const;
 
-  /// Sanity checks: edges reference valid nodes/tensors, edge tensors match
-  /// producer outputs and consumer inputs, graph is acyclic.
-  void validate() const;
-
   /// Graphviz DOT with nodes annotated by dominance (Fig. 7 style).
   std::string to_dot() const;
 
@@ -137,7 +134,6 @@ class TensorDag {
   std::vector<TensorDesc> tensors_;
   std::vector<EinsumOp> ops_;
   std::vector<Edge> edges_;
-  std::vector<TensorId> external_;
 
   // Incremental adjacency (see the accessor block above).
   std::vector<OpId> producer_of_;                ///< per tensor; kInvalidOp = external

@@ -78,12 +78,11 @@ std::string preferred_major(const std::vector<std::string>& order, const ir::Ten
 }  // namespace
 
 Schedule build_schedule(const ir::TensorDag& dag, const ScheduleOptions& opts) {
-  dag.validate();
   Schedule s;
 
-  // Execution order: the builders emit ops in program (Algorithm 1) order;
-  // ids are assigned in that order and topo_order() tie-breaks by id, so this
-  // is both topological and faithful to the paper's schedule (Fig. 8).
+  // Execution order: the builders emit ops in program (Algorithm 1) order and
+  // topo_order() is insertion order, so this is both topological and faithful
+  // to the paper's schedule (Fig. 8).
   const std::vector<ir::OpId> order = dag.topo_order();
   s.deps = classify_scheduled(dag, order);
 

@@ -46,9 +46,9 @@ Partition build_partition(const ir::TensorDag& dag, i64 nodes) {
                                                  << rank << "' extent " << extent);
 
   // One node's slice, rebuilt node-for-node through the arena builders so
-  // ids, edges and marks line up with the full DAG.  Every extent of the
-  // shard rank divides as ceil(extent / nodes): the straggler's share, since
-  // whole-system time is the slowest node's.
+  // ids and marks line up with the full DAG (add_op derives the same edges).
+  // Every extent of the shard rank divides as ceil(extent / nodes): the
+  // straggler's share, since whole-system time is the slowest node's.
   for (const auto& src : dag.tensors()) {
     ir::TensorDesc t = part.shard.new_tensor();
     t.name = src.name;
@@ -92,9 +92,6 @@ Partition build_partition(const ir::TensorDag& dag, i64 nodes) {
     const ir::OpId id = part.shard.add_op(std::move(op));
     CELLO_CHECK(id == src.id);
   }
-  for (const auto& e : dag.edges()) part.shard.add_edge(e.src, e.dst, e.tensor);
-  for (ir::TensorId t : dag.external_tensors()) part.shard.mark_external(t);
-  part.shard.validate();
 
   // Classify every tensor against the shard boundary (Algorithm 2's rank
   // test, applied across chips instead of across buffer levels):

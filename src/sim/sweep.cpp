@@ -98,13 +98,6 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
     for (const size_t cell : *cells)
       CELLO_CHECK_MSG(cell < grid_size,
                       "shard cell " << cell << " outside the " << grid_size << "-cell grid");
-  CELLO_CHECK_MSG((opts.trace_cell >= 0) == (opts.trace_sink != nullptr),
-                  "SweepOptions::trace_cell and ::trace_sink travel together: both or neither");
-  CELLO_CHECK_MSG(!opts.trace_sink_for || opts.trace_cell < 0,
-                  "SweepOptions::trace_sink_for excludes trace_cell/trace_sink: one selector");
-  CELLO_CHECK_MSG(opts.trace_cell < 0 || static_cast<size_t>(opts.trace_cell) < grid_size,
-                  "trace cell " << opts.trace_cell << " outside the " << grid_size
-                                << "-cell grid");
 
   // Each fabric is a node count plus topology on the grid's arch; a
   // multi-node cell is simply Simulator::run's multi-node path.  Without a
@@ -159,15 +152,11 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
     if (fabric_axis) result.fabric = fabs[fi];
     RunArtifacts art;
     art.scratch = &scratches[worker];
-    if (opts.trace_sink_for) {
-      art.trace = opts.trace_sink_for(cell);
-    } else if (opts.trace_sink != nullptr && opts.trace_cell == static_cast<i64>(cell)) {
-      art.trace = opts.trace_sink;
-    }
+    if (opts.trace_sink_for) art.trace = opts.trace_sink_for(cell);
     // Deterministic bounded retries: attempts run back-to-back on the same
     // worker, so the final outcome is independent of thread scheduling.
     std::string error;
-    for (u32 attempt = 0; attempt <= opts.retries; ++attempt) {
+    for (u64 attempt = 0; attempt <= opts.retries; ++attempt) {
       error.clear();
       try {
         failpoint::maybe_throw("sweep.cell", std::to_string(cell));
@@ -186,7 +175,7 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
       if (fabric_axis) context += ", fabric '" + fabs[fi] + "'";
       context += ", config '" + configs[ci].name + "') failed";
       if (opts.retries > 0)
-        context += " after " + std::to_string(opts.retries + 1) + " attempts";
+        context += " after " + std::to_string(u64{opts.retries} + 1) + " attempts";
       context += ": " + error;
       if (!opts.keep_going) throw Error(context);
       result.metrics = RunMetrics{};

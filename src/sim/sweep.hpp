@@ -87,20 +87,14 @@ struct SweepOptions {
   /// truncating any torn tail) instead of refusing to touch it.  A missing
   /// journal file simply starts fresh, so retry loops can always pass this.
   bool resume = false;
-  /// Flattened row-major grid cell to trace, or -1 for none.  Requires
-  /// trace_sink; exactly one cell writes to it, so the sweep stays
-  /// deterministic, and its events equal a direct Simulator::run of the same
-  /// workload/fabric/configuration with the same sink.  A checkpoint-recovered
-  /// traced cell is skipped like any other and emits nothing.
-  i64 trace_cell = -1;
-  /// Sink the traced cell writes to (borrowed; must outlive the sweep).
-  trace::TraceSink* trace_sink = nullptr;
-  /// Multi-cell tracing: called once per executed cell with its flattened
+  /// Cell tracing: called once per executed cell with its flattened
   /// row-major id; a non-null return traces that cell into the returned sink
-  /// (borrowed; must outlive the sweep).  Called concurrently from pool
-  /// workers, so the callback must be thread-safe.  Checkpoint-recovered
-  /// cells are never consulted (they re-emit nothing, like trace_cell).
-  /// Mutually exclusive with trace_cell / trace_sink.
+  /// (borrowed; must outlive the sweep).  A traced cell's events equal a
+  /// direct Simulator::run of the same workload/fabric/configuration with
+  /// the same sink; give each traced cell its own sink to keep the output
+  /// deterministic.  Called concurrently from pool workers, so the callback
+  /// must be thread-safe.  Checkpoint-recovered cells are never consulted
+  /// (they re-emit nothing).
   std::function<trace::TraceSink*(size_t cell)> trace_sink_for;
 };
 

@@ -54,20 +54,11 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
   a.storage = Storage::CompressedSparse;
   a.nnz = shape.nnz;
   const TensorId A = dag.add_tensor(std::move(a));
-  dag.mark_external(A);
 
   TensorId P_prev = add_skewed(dag, "P@0", m, n, w);
   TensorId R_prev = add_skewed(dag, "R@0", m, n, w);
   TensorId X_prev = add_skewed(dag, "X@0", m, n, w);
   TensorId G_prev = add_small(dag, "Gamma@0", n, n, w);
-  dag.mark_external(P_prev);
-  dag.mark_external(R_prev);
-  dag.mark_external(X_prev);
-  dag.mark_external(G_prev);
-
-  auto maybe_edge = [&](ir::OpId dst, TensorId t) {
-    if (auto p = dag.producer(t)) dag.add_edge(*p, dst, t);
-  };
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
     const std::string v = "@" + std::to_string(it);
@@ -84,8 +75,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.ranks = {OpRank{"m", m, false, -1}, OpRank{"k", m, true, occupancy},
                   OpRank{"n", n, false, -1}};
       op.macs_override = shape.nnz * n;
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, P_prev);
+      dag.add_op(std::move(op));
     }
 
     // Line 2a: Delta = P^T S — contraction over the big m rank ('C' node).
@@ -97,9 +87,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = Delta;
       op.ranks = {OpRank{"m", m, true, -1}, OpRank{"n'", n, false, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, P_prev);
-      maybe_edge(o, S);
+      dag.add_op(std::move(op));
     }
 
     // Line 2b: Lambda = Delta^{-1} Gamma — small inverse-and-multiply.
@@ -112,9 +100,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = Lambda;
       op.ranks = {OpRank{"n'", n, false, -1}, OpRank{"j", n, true, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, Delta);
-      maybe_edge(o, G_prev);
+      dag.add_op(std::move(op));
     }
 
     // Line 3: X = X + P Lambda — the delayed self-dependency tensor.
@@ -126,10 +112,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = X;
       op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, X_prev);
-      maybe_edge(o, P_prev);
-      maybe_edge(o, Lambda);
+      dag.add_op(std::move(op));
     }
 
     // Line 4: R = R - S Lambda.
@@ -141,10 +124,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = R;
       op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, R_prev);
-      maybe_edge(o, S);
-      maybe_edge(o, Lambda);
+      dag.add_op(std::move(op));
     }
 
     // Line 5: Gamma = R^T R ('C' node).
@@ -156,8 +136,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = Gamma;
       op.ranks = {OpRank{"m", m, true, -1}, OpRank{"n'", n, false, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, R);
+      dag.add_op(std::move(op));
     }
 
     // Line 6: Phi = Gamma_prev^{-1} Gamma — small inverse ('inv' node).
@@ -170,9 +149,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = Phi;
       op.ranks = {OpRank{"n'", n, false, -1}, OpRank{"j", n, true, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, G_prev);
-      maybe_edge(o, Gamma);
+      dag.add_op(std::move(op));
     }
 
     // Line 7: P = R + P Phi — the new search direction.
@@ -184,10 +161,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
       op.output = P;
       op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1},
                   OpRank{"n", n, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      maybe_edge(o, R);
-      maybe_edge(o, P_prev);
-      maybe_edge(o, Phi);
+      dag.add_op(std::move(op));
     }
 
     P_prev = P;
@@ -199,7 +173,6 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
   // The last iteration's X is the solution and must land in memory.
   dag.mark_result(X_prev);
 
-  dag.validate();
   return dag;
 }
 

@@ -20,7 +20,6 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
   a.storage = ir::Storage::CompressedSparse;
   a.nnz = shape.nnz;
   const ir::TensorId A = dag.add_tensor(std::move(a));
-  dag.mark_external(A);
 
   ir::TensorDesc x = dag.new_tensor();
   x.name = "X";
@@ -28,7 +27,6 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
   x.dims = {m, n};
   x.word_bytes = w;
   const ir::TensorId X = dag.add_tensor(std::move(x));
-  dag.mark_external(X);
 
   ir::TensorDesc wt = dag.new_tensor();
   wt.name = "W";
@@ -36,7 +34,6 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
   wt.dims = {n, o};
   wt.word_bytes = w;
   const ir::TensorId W = dag.add_tensor(std::move(wt));
-  dag.mark_external(W);
 
   ir::TensorDesc h = dag.new_tensor();
   h.name = "H";
@@ -69,11 +66,9 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
     op.output = Y;
     op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"n", n, true, -1},
                 ir::OpRank{"o", o, false, -1}};
-    const ir::OpId t = dag.add_op(std::move(op));
-    dag.add_edge(0, t, H);
+    dag.add_op(std::move(op));
   }
   dag.mark_result(Y);
-  dag.validate();
   return dag;
 }
 
@@ -93,7 +88,6 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
   a.storage = ir::Storage::CompressedSparse;
   a.nnz = shape.nnz;
   const ir::TensorId A = dag.add_tensor(std::move(a));
-  dag.mark_external(A);
 
   auto add_fmap = [&](const std::string& name, i64 feats) {
     ir::TensorDesc t = dag.new_tensor();
@@ -105,7 +99,6 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
   };
 
   ir::TensorId h_prev = add_fmap("H@0", shape.in_features);
-  dag.mark_external(h_prev);
   i64 feats_prev = shape.in_features;
 
   for (i64 l = 1; l <= layers; ++l) {
@@ -118,7 +111,6 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
     wt.dims = {feats_prev, feats_out};
     wt.word_bytes = w;
     const ir::TensorId W = dag.add_tensor(std::move(wt));
-    dag.mark_external(W);
 
     const ir::TensorId G = add_fmap("G" + v, feats_prev);  // aggregated features
     {
@@ -129,8 +121,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"k", m, true, occupancy},
                   ir::OpRank{"n", feats_prev, false, -1}};
       op.macs_override = shape.nnz * feats_prev;
-      const ir::OpId o = dag.add_op(std::move(op));
-      if (auto p = dag.producer(h_prev)) dag.add_edge(*p, o, h_prev);
+      dag.add_op(std::move(op));
     }
     const ir::TensorId H = add_fmap("H" + v, feats_out);
     {
@@ -140,14 +131,12 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
       op.output = H;
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"n", feats_prev, true, -1},
                   ir::OpRank{"o", feats_out, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      dag.add_edge(*dag.producer(G), o, G);
+      dag.add_op(std::move(op));
     }
     h_prev = H;
     feats_prev = feats_out;
   }
   dag.mark_result(h_prev);
-  dag.validate();
   return dag;
 }
 

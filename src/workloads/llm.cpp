@@ -47,9 +47,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
     t.ranks = {row_rank, col_rank};
     t.dims = {rows, cols};
     t.word_bytes = w;
-    const TensorId id = dag.add_tensor(std::move(t));
-    dag.mark_external(id);
-    return id;
+    return dag.add_tensor(std::move(t));
   };
   auto add_cache = [&](const std::string& base, i64 extent, i64 t_idx) {
     TensorDesc t = dag.new_tensor();
@@ -61,14 +59,9 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
   };
 
   // Layer-input hidden states: h0@t are the external token embeddings, hl@t
-  // (l >= 1) the outputs of layer l — updated (with their producing op) as
-  // the layer loop runs.
+  // (l >= 1) the outputs of layer l — updated as the layer loop runs.
   std::vector<TensorId> h(static_cast<size_t>(T), ir::kInvalidTensor);
-  std::vector<ir::OpId> h_op(static_cast<size_t>(T), ir::kInvalidOp);
-  for (i64 t = 0; t < T; ++t) {
-    h[t] = add_vec("h0@" + std::to_string(t), "k", d);
-    dag.mark_external(h[t]);
-  }
+  for (i64 t = 0; t < T; ++t) h[t] = add_vec("h0@" + std::to_string(t), "k", d);
 
   for (i64 l = 1; l <= shape.layers; ++l) {
     const std::string L = "_" + std::to_string(l);
@@ -83,10 +76,6 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
     // seq = 0 — the chain head then contributes zero bytes).
     TensorId K_prev = add_cache("K" + L, shape.seq, 0);
     TensorId V_prev = add_cache("V" + L, shape.seq, 0);
-    dag.mark_external(K_prev);
-    dag.mark_external(V_prev);
-    ir::OpId k_prev_op = ir::kInvalidOp;
-    ir::OpId v_prev_op = ir::kInvalidOp;
 
     for (i64 t = 0; t < T; ++t) {
       const std::string S = "@" + std::to_string(t);
@@ -94,7 +83,6 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
 
       // Fused Q/K/V projection of the step's single token.
       const TensorId qkv = add_vec("qkv" + L + S, "n", d + 2 * kv_width);
-      ir::OpId qkv_op;
       {
         ir::EinsumOp op = dag.new_op();
         op.name = "qkv" + L + S;
@@ -102,16 +90,14 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.output = qkv;
         op.ranks = {OpRank{"m", 1, false, -1}, OpRank{"k", d, true, -1},
                     OpRank{"n", d + 2 * kv_width, false, -1}};
-        qkv_op = dag.add_op(std::move(op));
+        dag.add_op(std::move(op));
       }
-      if (h_op[t] != ir::kInvalidOp) dag.add_edge(h_op[t], qkv_op, h[t]);
 
       // Cache appends: the step's new K/V rows extend the previous extent.
       const TensorId K = add_cache("K" + L, extent, t + 1);
       const TensorId V = add_cache("V" + L, extent, t + 1);
       dag.mark_append(K_prev, K);
       dag.mark_append(V_prev, V);
-      ir::OpId k_op, v_op;
       {
         ir::EinsumOp op = dag.new_op();
         op.name = "k_append" + L + S;
@@ -120,9 +106,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.output = K;
         op.ranks = {OpRank{"j", extent, false, -1}, OpRank{"dk", kv_width, false, -1}};
         op.macs_override = kv_width;  // one appended row
-        k_op = dag.add_op(std::move(op));
-        dag.add_edge(qkv_op, k_op, qkv);
-        if (k_prev_op != ir::kInvalidOp) dag.add_edge(k_prev_op, k_op, K_prev);
+        dag.add_op(std::move(op));
       }
       {
         ir::EinsumOp op = dag.new_op();
@@ -132,15 +116,12 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.output = V;
         op.ranks = {OpRank{"j", extent, false, -1}, OpRank{"dk", kv_width, false, -1}};
         op.macs_override = kv_width;
-        v_op = dag.add_op(std::move(op));
-        dag.add_edge(qkv_op, v_op, qkv);
-        if (v_prev_op != ir::kInvalidOp) dag.add_edge(v_prev_op, v_op, V_prev);
+        dag.add_op(std::move(op));
       }
 
       // q_t . K^T over the grown extent (all heads: seq-extent x d_model MACs
       // regardless of how many KV heads the queries share under GQA).
       const TensorId att = add_vec("att" + L + S, "j", extent);
-      ir::OpId att_op;
       {
         ir::EinsumOp op = dag.new_op();
         op.name = "attn" + L + S;
@@ -149,14 +130,11 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.ranks = {OpRank{"m", 1, false, -1}, OpRank{"j", extent, false, -1},
                     OpRank{"dk", kv_width, true, -1}};
         op.macs_override = extent * d;
-        att_op = dag.add_op(std::move(op));
-        dag.add_edge(qkv_op, att_op, qkv);
-        dag.add_edge(k_op, att_op, K);
+        dag.add_op(std::move(op));
       }
 
       // softmax(att) . V: aggregate the cached values through the scores.
       const TensorId ctx = add_vec("ctx" + L + S, "k", d);
-      ir::OpId ctx_op;
       {
         ir::EinsumOp op = dag.new_op();
         op.name = "ctx" + L + S;
@@ -165,14 +143,11 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.ranks = {OpRank{"m", 1, false, -1}, OpRank{"j", extent, true, -1},
                     OpRank{"k", d, false, -1}};
         op.macs_override = extent * d;
-        ctx_op = dag.add_op(std::move(op));
-        dag.add_edge(att_op, ctx_op, att);
-        dag.add_edge(v_op, ctx_op, V);
+        dag.add_op(std::move(op));
       }
 
       // Output projection, then the two MLP GEMMs.
       const TensorId out = add_vec("out" + L + S, "n", d);
-      ir::OpId proj_op;
       {
         ir::EinsumOp op = dag.new_op();
         op.name = "proj" + L + S;
@@ -180,11 +155,9 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.output = out;
         op.ranks = {OpRank{"m", 1, false, -1}, OpRank{"k", d, true, -1},
                     OpRank{"n", d, false, -1}};
-        proj_op = dag.add_op(std::move(op));
-        dag.add_edge(ctx_op, proj_op, ctx);
+        dag.add_op(std::move(op));
       }
       const TensorId f = add_vec("f" + L + S, "f", d_ff);
-      ir::OpId mlp1_op;
       {
         ir::EinsumOp op = dag.new_op();
         op.name = "mlp1" + L + S;
@@ -192,8 +165,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.output = f;
         op.ranks = {OpRank{"m", 1, false, -1}, OpRank{"k", d, true, -1},
                     OpRank{"f", d_ff, false, -1}};
-        mlp1_op = dag.add_op(std::move(op));
-        dag.add_edge(proj_op, mlp1_op, out);
+        dag.add_op(std::move(op));
       }
       const TensorId y = add_vec("h" + std::to_string(l) + S, "k", d);
       {
@@ -203,23 +175,18 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         op.output = y;
         op.ranks = {OpRank{"m", 1, false, -1}, OpRank{"f", d_ff, true, -1},
                     OpRank{"n", d, false, -1}};
-        const ir::OpId mlp2_op = dag.add_op(std::move(op));
-        dag.add_edge(mlp1_op, mlp2_op, f);
+        dag.add_op(std::move(op));
         h[t] = y;  // layer l's output is layer l+1's input for this step
-        h_op[t] = mlp2_op;
       }
 
       K_prev = K;
       V_prev = V;
-      k_prev_op = k_op;
-      v_prev_op = v_op;
     }
   }
 
   // The decoded sequence: every step's final-layer hidden state.
   for (i64 t = 0; t < T; ++t) dag.mark_result(h[t]);
 
-  dag.validate();
   return dag;
 }
 

@@ -19,7 +19,6 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
   a.storage = ir::Storage::CompressedSparse;
   a.nnz = shape.nnz;
   const ir::TensorId A = dag.add_tensor(std::move(a));
-  dag.mark_external(A);
 
   auto add_vec = [&](const std::string& name) {
     ir::TensorDesc t = dag.new_tensor();
@@ -39,7 +38,6 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
   };
 
   ir::TensorId x_prev = add_vec("x@0");
-  dag.mark_external(x_prev);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
     const std::string v = "@" + std::to_string(it);
@@ -53,8 +51,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"k", m, true, occupancy},
                   ir::OpRank{"n", 1, false, -1}};
       op.macs_override = shape.nnz;
-      const ir::OpId o = dag.add_op(std::move(op));
-      if (auto p = dag.producer(x_prev)) dag.add_edge(*p, o, x_prev);
+      dag.add_op(std::move(op));
     }
 
     const ir::TensorId sigma = add_scalar("sigma" + v);
@@ -65,8 +62,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
       op.output = sigma;
       op.ranks = {ir::OpRank{"m", m, true, -1}, ir::OpRank{"n'", 1, false, -1},
                   ir::OpRank{"n", 1, false, -1}};
-      const ir::OpId o = dag.add_op(std::move(op));
-      dag.add_edge(*dag.producer(y), o, y);
+      dag.add_op(std::move(op));
     }
 
     const ir::TensorId x = add_vec("x" + v);
@@ -78,14 +74,11 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"j", 1, true, -1},
                   ir::OpRank{"n", 1, false, -1}};
       op.macs_override = m;
-      const ir::OpId o = dag.add_op(std::move(op));
-      dag.add_edge(*dag.producer(y), o, y);
-      dag.add_edge(*dag.producer(sigma), o, sigma);
+      dag.add_op(std::move(op));
     }
     x_prev = x;
   }
   dag.mark_result(x_prev);
-  dag.validate();
   return dag;
 }
 

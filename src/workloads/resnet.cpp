@@ -27,14 +27,11 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
     t.ranks = {rin, rout};
     t.dims = {cin, cout};
     t.word_bytes = w;
-    const ir::TensorId id = dag.add_tensor(std::move(t));
-    dag.mark_external(id);
-    return id;
+    return dag.add_tensor(std::move(t));
   };
 
   // Producer of the block input (last conv of the previous block).
   const ir::TensorId Tprev = add_fmap("T_prev", "c_p", c_in);
-  dag.mark_external(Tprev);
   const ir::TensorId W0 = add_weight("W0", "c_p", c_in, "c0", c_in);
   const ir::TensorId T0 = add_fmap("T0", "c0", c_in);
 
@@ -59,9 +56,7 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
                 ir::OpRank{rin, cin, true, cin * window},
                 ir::OpRank{rout, cout, false, -1}};
     op.macs_override = m * cin * window * cout;
-    const ir::OpId o = dag.add_op(std::move(op));
-    if (auto p = dag.producer(in)) dag.add_edge(*p, o, in);
-    return o;
+    dag.add_op(std::move(op));
   };
 
   conv("conv0", Tprev, W0, T0, "c_p", c_in, "c0", c_in, 1);
@@ -78,13 +73,10 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
     op.output = Out;
     op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"c3", c_in, false, -1}};
     op.macs_override = m * c_in;
-    const ir::OpId o = dag.add_op(std::move(op));
-    dag.add_edge(*dag.producer(T3), o, T3);
-    dag.add_edge(*dag.producer(T0), o, T0);
+    dag.add_op(std::move(op));
   }
   dag.mark_result(Out);
 
-  dag.validate();
   return dag;
 }
 
@@ -111,9 +103,7 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
     t.ranks = {rin, rout};
     t.dims = {cin, cout};
     t.word_bytes = w;
-    const ir::TensorId id = dag.add_tensor(std::move(t));
-    dag.mark_external(id);
-    return id;
+    return dag.add_tensor(std::move(t));
   };
   auto conv = [&](const std::string& name, ir::TensorId in, ir::TensorId weight,
                   ir::TensorId out, const std::string& rin, i64 cin, const std::string& rout,
@@ -125,14 +115,11 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
     op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{rin, cin, true, cin * window},
                 ir::OpRank{rout, cout, false, -1}};
     op.macs_override = m * cin * window * cout;
-    const ir::OpId o = dag.add_op(std::move(op));
-    if (auto p = dag.producer(in)) dag.add_edge(*p, o, in);
-    return o;
+    dag.add_op(std::move(op));
   };
 
   // Stack input from a producing conv so the first skip is a real hold edge.
   ir::TensorId in_prev = add_fmap("T_prev", "c_p0", c_in);
-  dag.mark_external(in_prev);
   const ir::TensorId W_in = add_weight("W_in", "c_p0", c_in, "cB0", c_in);
   ir::TensorId block_in = add_fmap("B0_in", "cB0", c_in);
   conv("stem", in_prev, W_in, block_in, "c_p0", c_in, "cB0", c_in, 1);
@@ -159,15 +146,12 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
       op.output = Out;
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{r3, c_in, false, -1}};
       op.macs_override = m * c_in;
-      const ir::OpId o = dag.add_op(std::move(op));
-      dag.add_edge(*dag.producer(T3), o, T3);
-      dag.add_edge(*dag.producer(block_in), o, block_in);
+      dag.add_op(std::move(op));
     }
     block_in = Out;
     in_rank = r3;
   }
   dag.mark_result(block_in);
-  dag.validate();
   return dag;
 }
 

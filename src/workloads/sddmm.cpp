@@ -21,7 +21,6 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
   mask.storage = ir::Storage::CompressedSparse;
   mask.nnz = shape.nnz;
   const ir::TensorId M = dag.add_tensor(std::move(mask));
-  dag.mark_external(M);
 
   auto add_dense = [&](const std::string& name, const std::string& row_rank) {
     ir::TensorDesc t = dag.new_tensor();
@@ -38,9 +37,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     // them onto one shared base (only the mask M is genuinely shared).
     const std::string v = "_" + std::to_string(h);
     const ir::TensorId Q = add_dense("Q" + v, "m");
-    dag.mark_external(Q);
     const ir::TensorId K = add_dense("K" + v, "j");
-    dag.mark_external(K);
 
     ir::TensorDesc s = dag.new_tensor();
     s.name = "S" + v;
@@ -51,7 +48,6 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     s.nnz = shape.nnz;
     const ir::TensorId S = dag.add_tensor(std::move(s));
 
-    ir::OpId sddmm;
     {
       // Only the mask's nnz positions are computed: the "j" rank traverses
       // the row occupancy, and the contraction runs over the d features.
@@ -62,7 +58,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"j", m, false, occupancy},
                   ir::OpRank{"d", d, true, -1}};
       op.macs_override = shape.nnz * d;
-      sddmm = dag.add_op(std::move(op));
+      dag.add_op(std::move(op));
     }
 
     if (!shape.with_spmm) {
@@ -71,7 +67,6 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     }
 
     const ir::TensorId V = add_dense("V" + v, "j");
-    dag.mark_external(V);
     const ir::TensorId O = add_dense("O" + v, "m");
     {
       ir::EinsumOp op = dag.new_op();
@@ -81,13 +76,11 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
       op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"j", m, true, occupancy},
                   ir::OpRank{"d", d, false, -1}};
       op.macs_override = shape.nnz * d;
-      const ir::OpId o = dag.add_op(std::move(op));
-      dag.add_edge(sddmm, o, S);
+      dag.add_op(std::move(op));
     }
     dag.mark_result(O);
   }
 
-  dag.validate();
   return dag;
 }
 

@@ -21,7 +21,6 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
   a.storage = ir::Storage::CompressedSparse;
   a.nnz = shape.nnz;
   const ir::TensorId A = dag.add_tensor(std::move(a));
-  dag.mark_external(A);
 
   auto add_iterate = [&](const std::string& name) {
     ir::TensorDesc t = dag.new_tensor();
@@ -33,7 +32,6 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
   };
 
   ir::TensorId x_prev = add_iterate("x@0");
-  dag.mark_external(x_prev);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
     const ir::TensorId x = add_iterate("x@" + std::to_string(it));
@@ -44,13 +42,11 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
     op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"k", m, true, occupancy},
                 ir::OpRank{"n", n, false, -1}};
     op.macs_override = shape.nnz * n;
-    const ir::OpId o = dag.add_op(std::move(op));
-    if (auto p = dag.producer(x_prev)) dag.add_edge(*p, o, x_prev);
+    dag.add_op(std::move(op));
     x_prev = x;
   }
 
   dag.mark_result(x_prev);
-  dag.validate();
   return dag;
 }
 

@@ -8,6 +8,8 @@
 #                 completes it from the journal
 #   keep_going    a persistently failing cell is quarantined (nonzero exit,
 #                 result file still written); --resume completes it
+#   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries)
+#                 are rejected with an `error:` line naming the flag
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -53,6 +55,42 @@ function(expect_nonempty f)
     message(FATAL_ERROR "${FLOW}: ${f} is empty")
   endif()
 endfunction()
+
+# cli_rejects(<flag> <args>...): the CLI must fail with an `error:` line that
+# names <flag>, promptly (a wrapped retry count must not spin forever).
+function(cli_rejects flag)
+  execute_process(COMMAND ${CLI} ${ARGN} WORKING_DIRECTORY ${WORKDIR} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "cello_cli ${ARGN} should have failed at once, got '${rc}':\n${out}${err}")
+  endif()
+  string(FIND "${err}" "error: " at_error)
+  string(FIND "${err}" "${flag}" at_flag)
+  if(at_error EQUAL -1 OR at_flag EQUAL -1)
+    message(FATAL_ERROR "cello_cli ${ARGN}: expected an error naming ${flag}, got:\n${err}")
+  endif()
+endfunction()
+
+if(FLOW STREQUAL "bad_flags")
+  set(RUN_ARGS run --workload cg:m=2048,n=4,iters=1 --config Flex+LRU)
+  cli(ok ${RUN_ARGS} --sram 8 --bw 500.5 --jobs 0)
+  foreach(value -1 0 +4 4x abc 17592186044416 99999999999999999999)
+    cli_rejects(--sram ${RUN_ARGS} --sram ${value})
+  endforeach()
+  foreach(value -5 0 -0 nan inf 1e400 abc 5GB)
+    cli_rejects(--bw ${RUN_ARGS} --bw ${value})
+  endforeach()
+  foreach(value -1 4294967296 1.5 x)
+    cli_rejects(--jobs ${RUN_ARGS} --jobs ${value})
+  endforeach()
+  set(ENV{CELLO_FAILPOINTS} "sweep.cell=throw@key=0")
+  foreach(value -1 4294967296 x)
+    cli_rejects(--retries sweep --workload cg:m=2048,n=4,iters=1 --config Flex+LRU
+                --keep-going --retries ${value})
+  endforeach()
+  unset(ENV{CELLO_FAILPOINTS})
+  return()
+endif()
 
 cli(ok sweep ${GRID_ARGS} --out reference.json)
 

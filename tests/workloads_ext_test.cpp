@@ -17,7 +17,7 @@ using score::DepKind;
 TEST(GnnMultilayer, Structure) {
   const auto dag = workloads::build_gnn_multilayer_dag({2708, 9464, 1433, 7}, 3, 64);
   EXPECT_EQ(dag.ops().size(), 6u);  // aggregate+transform per layer
-  dag.validate();
+  EXPECT_EQ(dag.edges().size(), 5u);  // H@0 is external; G and H chain
   int results = 0;
   for (const auto& t : dag.tensors())
     if (t.is_result) ++results;
@@ -57,7 +57,7 @@ TEST(GnnMultilayer, CelloBenefitsFromAdjacencyReuse) {
 TEST(ResNetStack, Structure) {
   const auto dag = workloads::build_resnet_stack_dag({}, 4);
   EXPECT_EQ(dag.ops().size(), 1u + 4u * 4u);  // stem + 4 ops per block
-  dag.validate();
+  EXPECT_EQ(dag.edges().size(), 4u * 5u);      // conv chain (3) + add (2)
 }
 
 TEST(ResNetStack, EverySkipIsDelayedHold) {
@@ -83,7 +83,7 @@ TEST(ResNetStack, SetStillMatchesCello) {
 TEST(PowerIteration, Structure) {
   const auto dag = workloads::build_power_iteration_dag({81920, 327680, 10, 4});
   EXPECT_EQ(dag.ops().size(), 30u);
-  dag.validate();
+  EXPECT_EQ(dag.edges().size(), 4u * 10u - 1u);  // x@0 is external
 }
 
 TEST(PowerIteration, YHasDelayedWritebackToScale) {
