@@ -126,6 +126,7 @@ TEST(Classify, TransitiveOverPipelineChainIsDelayedHold) {
   // c also consumes ta (transitive edge).
   const auto c_op = b.add("c", ir::Dominance::Uncontracted, OpKind::TensorMac, {ta});
   const auto e = b.edge(a, c_op);
+  ASSERT_GE(e, 0);
   const auto cls = score::classify(b.dag);
   EXPECT_EQ(cls.edge_kind[e], DepKind::DelayedHold);
 }
@@ -138,6 +139,7 @@ TEST(Classify, TransitiveOverContractedHopIsDelayedWriteback) {
   b.add("mid", ir::Dominance::Contracted);
   const auto c_op = b.add("c", ir::Dominance::Uncontracted, OpKind::TensorMac, {ta});
   const auto e = b.edge(a, c_op);
+  ASSERT_GE(e, 0);
   const auto cls = score::classify(b.dag);
   EXPECT_EQ(cls.edge_kind[e], DepKind::DelayedWriteback);
 }
