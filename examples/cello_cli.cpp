@@ -61,6 +61,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -118,6 +119,13 @@ u64 parse_uint(const char* flag, const std::string& text, u64 lo, u64 hi) {
   return value;
 }
 
+constexpr u64 kMaxI64 = static_cast<u64>(std::numeric_limits<i64>::max());
+
+/// One `--nodes` chip count; resolve_topology checks it against the fabric.
+i64 parse_nodes(const std::string& text) {
+  return static_cast<i64>(parse_uint("--nodes", text, 1, kMaxI64));
+}
+
 /// `text` as a whole positive finite number; anything else names `flag`.
 double parse_positive(const char* flag, const std::string& text) {
   char* stop = nullptr;
@@ -139,8 +147,9 @@ Options parse(int argc, char** argv) {
     if (auto v = next("--workload")) o.workloads.push_back(*v);
     else if (auto v2 = next("--dataset")) o.dataset = *v2;
     else if (auto v3 = next("--mtx")) o.mtx = *v3;
-    else if (auto v4 = next("--n")) o.n = std::stoll(*v4);
-    else if (auto v5 = next("--iters")) o.iters = std::stoll(*v5);
+    else if (auto v4 = next("--n")) o.n = static_cast<i64>(parse_uint("--n", *v4, 1, kMaxI64));
+    else if (auto v5 = next("--iters"))
+      o.iters = static_cast<i64>(parse_uint("--iters", *v5, 1, kMaxI64));
     else if (auto v6 = next("--bw")) o.bw_gbps = parse_positive("--bw", *v6);
     // MiB: the byte count (x 2^20) must still fit in Bytes.
     else if (auto v7 = next("--sram")) o.sram_mib = parse_uint("--sram", *v7, 1, ~Bytes{0} >> 20);
@@ -294,9 +303,7 @@ std::vector<std::string> fabric_specs(const Options& o) {
       o.topology ? split_csv(*o.topology) : std::vector<std::string>{"mesh"};
   std::vector<std::string> fabs;
   for (const std::string& count_text : split_csv(*o.nodes)) {
-    if (count_text.empty() || count_text.find_first_not_of("0123456789") != std::string::npos)
-      throw Error("--nodes expects a comma list of chip counts, got '" + count_text + "'");
-    const i64 count = std::stoll(count_text);
+    const i64 count = parse_nodes(count_text);
     for (const std::string& topo : topos) {
       const std::string spec = noc::resolve_topology(topo, count).to_string();
       if (std::find(fabs.begin(), fabs.end(), spec) == fabs.end()) fabs.push_back(spec);
@@ -438,10 +445,8 @@ int run_cli(int argc, char** argv) {
       throw Error("run takes a single --nodes count; comma lists are for sweep");
     if (o.topology && o.topology->find(',') != std::string::npos)
       throw Error("run takes a single --topology; comma lists are for sweep");
-    if (o.nodes->empty() || o.nodes->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("--nodes expects a chip count, got '" + *o.nodes + "'");
     const noc::TopologySpec spec =
-        noc::resolve_topology(o.topology.value_or("mesh"), std::stoll(*o.nodes));
+        noc::resolve_topology(o.topology.value_or("mesh"), parse_nodes(*o.nodes));
     arch.nodes = spec.nodes();
     arch.topology = spec.to_string();
   }

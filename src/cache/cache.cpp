@@ -47,21 +47,15 @@ SetAssocCache::SetAssocCache(Bytes capacity, u32 line_bytes, u32 associativity, 
 }
 
 void SetAssocCache::reset() {
+  const bool lru = policy_ == Policy::Lru;
   if (fast8_) {
     tags32_.assign(sets_ * assoc_, kInvalidTag32);
-    // LRU keeps recency + dirty in the rank words; only BRRIP needs the
-    // meta byte lane.  Any initial permutation works for the ranks (fills
-    // re-promote in fill order); the identity keeps it readable.
-    if (policy_ == Policy::Lru)
-      lru_rank_.assign(sets_, 0x0706050403020100ull);
-    else
-      meta_.assign(sets_ * assoc_, 3);  // clean, RRPV distant
   } else {
     tags_.assign(sets_ * assoc_, kInvalidTag);
-    meta_.assign(sets_ * assoc_, 3);
-    if (policy_ == Policy::Lru) lru_stamp_.assign(sets_ * assoc_, 0);
+    if (lru) lru_stamp_.assign(sets_ * assoc_, 0);
   }
-  mru_way_.assign(sets_, 0);
+  meta_.assign(sets_ * assoc_, fresh_meta());
+  mru_way_.assign(fast8_ && lru ? 0 : sets_, 0);
   stats_ = CacheStats{};
   clock_ = 0;
   brrip_insert_counter_ = 0;
@@ -154,7 +148,17 @@ void SetAssocCache::check_tag32(u64 tag) const {
 
 bool SetAssocCache::touch_line8(u64 set, u64 tag, bool is_write) {
   const u32 tag32 = static_cast<u32>(tag);
-  const u32* tags = &tags32_[set * 8];
+  u32* tags = &tags32_[set * 8];
+  if (policy_ == Policy::Lru) {
+    // Recency order: scan from the MRU way; the line cannot sit past the
+    // first empty way, which is also where a miss fills (else way 7).
+    u32 j = 0;
+    while (j < 7 && tags[j] != tag32 && tags[j] != kInvalidTag32) ++j;
+    return lru_access8(set, j, tags[j] == tag32, is_write, [&] {
+      for (u32 i = j; i > 0; --i) tags[i] = tags[i - 1];
+      tags[0] = tag32;
+    });
+  }
 
   u32 w = mru_way_[set];
   if (tags[w] != tag32) {
@@ -234,24 +238,27 @@ void SetAssocCache::access_range(Addr addr, Bytes len, bool is_write) {
 }
 
 void SetAssocCache::flush() {
-  const size_t total = sets_ * assoc_;
-  const bool packed_lru = fast8_ && policy_ == Policy::Lru;
-  for (size_t i = 0; i < total; ++i) {
-    const bool valid = fast8_ ? tags32_[i] != kInvalidTag32 : tags_[i] != kInvalidTag;
-    const bool dirty = packed_lru ? ((lru_rank_[i >> 3] >> (8 * (i & 7))) & kRankDirty) != 0
-                                  : (meta_[i] & kDirtyBit) != 0;
-    if (valid && dirty) {
-      ++stats_.writebacks;
-      stats_.dram_write_bytes += line_bytes_;
+  u64 dirty = 0;
+  if (fast8_) {
+    // Empty 8-way ways are always clean, so the drain just counts each
+    // set's dirty bits (a byte-sum multiply: no popcount instruction on
+    // baseline x86-64); resetting the meta lane keeps empty ways clean.
+    for (u64 s = 0; s < sets_; ++s) {
+      u64 m;
+      std::memcpy(&m, &meta_[s * 8], 8);
+      dirty += (((m & kHigh) >> 7) * kLane) >> 56;
     }
-  }
-  // Invalidation = resetting the tag lane; stale recency/RRPV metadata is
-  // never read before the next fill overwrites it (rank words stay
-  // permutations, and fills re-promote in fill order).
-  if (fast8_)
     std::fill(tags32_.begin(), tags32_.end(), kInvalidTag32);
-  else
+    std::fill(meta_.begin(), meta_.end(), fresh_meta());
+  } else {
+    for (size_t i = 0; i < tags_.size(); ++i)
+      dirty += tags_[i] != kInvalidTag && (meta_[i] & kDirtyBit) != 0;
+    // Stale recency/RRPV metadata is never read before the next fill
+    // overwrites it.
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  }
+  stats_.writebacks += dirty;
+  stats_.dram_write_bytes += dirty * line_bytes_;
   std::fill(mru_way_.begin(), mru_way_.end(), 0u);
 }
 

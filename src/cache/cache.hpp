@@ -12,11 +12,13 @@
 //  * a u32 tag lane (validity folded in as a sentinel) — one 32-byte vector
 //    compare probes the whole set on AVX2 hosts (runtime dispatch, see
 //    cache_simd.cpp), a scalar early-exit scan elsewhere;
-//  * LRU recency as packed byte ranks, one u64 per set: promoting a way and
-//    finding the oldest are a handful of branchless SWAR ops instead of an
-//    associativity-wide stamp argmin over a second 64-byte lane;
-//  * BRRIP RRPVs packed next to the dirty bit in a byte lane; the victim
-//    search and the aging rounds are SWAR over one u64;
+//  * a byte lane beside it, one byte per way: the dirty bit, plus the 2-bit
+//    RRPV under BRRIP (victim search and aging are SWAR over one u64);
+//  * LRU sets kept in recency order: way 0 is the MRU, way 7 the LRU, and
+//    empty ways come last.  A hit or fill at way j shifts ways [0, j) down by
+//    one (dirty bytes travel with their tags) and writes the line at way 0;
+//    the victim is always way 7.  The state is canonical by construction, so
+//    the stream replayer's fixed-point check and the drain are flat scans;
 //  * access_lines() walks consecutive lines by stepping the (set, tag) pair
 //    instead of re-decomposing each address, coalesces the per-access stats
 //    bumps into one update per run, and prefetch_range() lets the stream
@@ -83,7 +85,7 @@ class SetAssocCache {
   /// (set, tag) pair and coalescing the stats updates into one bump.
   void access_lines(u64 first_line, u64 count, bool is_write);
   /// Hint that [addr, addr+len) is about to be accessed: pulls the covering
-  /// sets' tag + recency lanes toward the host caches.  No simulated effect.
+  /// sets' tag + meta lanes toward the host caches.  No simulated effect.
   void prefetch_range(Addr addr, Bytes len) const {
 #if defined(__GNUC__) || defined(__clang__)
     if (len == 0 || !fast8_) return;
@@ -91,10 +93,7 @@ class SetAssocCache {
     const u64 last_set = set_of_line(line_of(addr + len - 1));
     __builtin_prefetch(&tags32_[first_set * 8], 1, 1);
     if (last_set != first_set) __builtin_prefetch(&tags32_[last_set * 8], 1, 1);
-    if (policy_ == Policy::Lru)
-      __builtin_prefetch(&lru_rank_[first_set], 1, 1);
-    else
-      __builtin_prefetch(&meta_[first_set * 8], 1, 1);
+    __builtin_prefetch(&meta_[first_set * 8], 1, 1);
 #else
     (void)addr;
     (void)len;
@@ -104,8 +103,8 @@ class SetAssocCache {
   /// Write back all dirty lines (end-of-run drain) and invalidate.
   void flush();
 
-  /// Restore the exact freshly-constructed state — tags invalidated, recency
-  /// and RRPV lanes re-seeded, stats and deterministic counters zeroed —
+  /// Restore the exact freshly-constructed state — tags invalidated, meta
+  /// and recency lanes re-seeded, stats and deterministic counters zeroed —
   /// without reallocating the lanes.  Pooled trace-driven policies reset
   /// between runs instead of rebuilding multi-MiB simulated caches.
   void reset();
@@ -114,7 +113,7 @@ class SetAssocCache {
   bool contains_line(u64 line) const;
   /// Lines currently holding valid data — an on-demand tag-lane scan, meant
   /// for occupancy observability (BufferPolicy::occupancy_bytes), not the
-  /// replay hot path.  Keeps the fill paths untouched.
+  /// replay hot path.
   u64 valid_lines() const;
   const CacheStats& stats() const { return stats_; }
 
@@ -135,15 +134,15 @@ class SetAssocCache {
   /// geometry) to collide.
   static constexpr u64 kInvalidTag = ~0ull;
   static constexpr u32 kInvalidTag32 = ~0u;
-  // meta_ byte layout (BRRIP + generic): bit 7 = dirty, bits 0..1 = RRPV.
+  // meta_ byte layout: bit 7 = dirty; bits 0..1 = RRPV (BRRIP only).  An
+  // 8-way empty way is always clean: fills set the bit, flush() clears it.
   static constexpr u8 kDirtyBit = 0x80;
   static constexpr u8 kRrpvMask = 0x03;
   static constexpr u64 kLane = 0x0101010101010101ull;   ///< 1 in every byte
   static constexpr u64 kHigh = 0x8080808080808080ull;   ///< bit 7 of every byte
-  // lru_rank_ byte layout (8-way LRU): bits 0..2 = recency rank (0 = MRU),
-  // bit 6 = dirty — so a hit is a single read-modify-write of one u64.
-  static constexpr u64 kRankLanes = 0x0707070707070707ull;
-  static constexpr u64 kRankDirty = 0x40;
+
+  /// A fresh way's meta byte: clean, and RRPV distant under BRRIP.
+  u8 fresh_meta() const { return policy_ == Policy::Lru ? 0 : 3; }
 
   u64 set_of_line(u64 line) const { return set_shift_ >= 0 ? line & set_mask_ : line % sets_; }
   u64 tag_of_line(u64 line) const { return set_shift_ >= 0 ? line >> set_shift_ : line / sets_; }
@@ -188,34 +187,42 @@ class SetAssocCache {
     return hits;
   }
 
-  /// Promote way `w` to MRU in a packed rank word: every byte ranked more
-  /// recently (value < rank[w]) ages by one, then rank[w] becomes 0.  Ranks
-  /// stay a permutation of 0..7, so LRU order is total and the victim is
-  /// unique — exactly the recency order a per-way stamp would give.  The
-  /// per-byte dirty bits ride along untouched: the +1 lands in bytes whose
-  /// rank is <= 6, so it never carries past bit 2.
-  static void rank_promote(u64& ranks, u32 w) {
-    const u64 r = (ranks >> (8 * w)) & kRankLanes & 0xFF;
-    const u64 geq = ((ranks & kRankLanes) | kHigh) - r * kLane;  // bit7 iff rank >= r
-    ranks += (~geq & kHigh) >> 7;                                // +1 where rank < r
-    ranks &= ~(kRankLanes & (0xFFull << (8 * w)));               // way w -> rank 0 (MRU)
+  /// One 8-way LRU access, shared by the scalar and AVX2 probes.  `j` is
+  /// the hit way, or on a miss the way the fill takes: the first empty way,
+  /// else way 7, whose line it evicts.  The line moves to way 0 and ways
+  /// [0, j) shift down by one; `shift_tags()` does that on the tag lane
+  /// (skipped when a hit is already at way 0), the meta lane shifts here
+  /// with one u64 read-modify-write.  Returns `hit`.
+  template <typename ShiftTags>
+  bool lru_access8(u64 set, u32 j, bool hit, bool is_write, ShiftTags&& shift_tags) {
+    u64 m;
+    std::memcpy(&m, &meta_[set * 8], 8);
+    u64 dirty = is_write ? kDirtyBit : 0;
+    if (hit) {
+      dirty |= (m >> (8 * j)) & kDirtyBit;
+    } else {
+      ++stats_.misses;
+      stats_.dram_read_bytes += line_bytes_;
+      if (j == 7 && tags32_[set * 8 + 7] != kInvalidTag32) {
+        ++stats_.evictions;
+        if (m >> 63) {
+          ++stats_.writebacks;
+          stats_.dram_write_bytes += line_bytes_;
+        }
+      }
+    }
+    if (!hit || j != 0) shift_tags();
+    const u64 upto_j = ~0ull >> (8 * (7 - j));  // bytes 0..j
+    m = (m & ~upto_j) | ((m << 8) & upto_j) | dirty;
+    std::memcpy(&meta_[set * 8], &m, 8);
+    return hit;
   }
 
-  /// Index of the unique byte whose rank equals `value` in a packed rank
-  /// word.  Borrows in the zero-byte detect only propagate upward, so the
-  /// lowest flagged byte is the (unique) zero.
-  static u32 rank_find(u64 ranks, u64 value) {
-    const u64 x = (ranks & kRankLanes) ^ (value * kLane);
-    const u64 z = (x - kLane) & ~x & kHigh;
-    return static_cast<u32>(std::countr_zero(z)) >> 3;
-  }
-
-  /// Branchless victim among 8 valid ways (no empty way in the set).
-  /// Defined inline so both the scalar and the AVX2 translation units fold
-  /// it into their miss paths.
+  /// BRRIP victim among 8 valid ways (no empty way in the set).  Defined
+  /// inline so both the scalar and the AVX2 translation units fold it into
+  /// their miss paths.
   size_t victim_full_set8(u64 set) {
-    if (policy_ == Policy::Lru) return rank_find(lru_rank_[set], 7);
-    // BRRIP: evict the first way predicted "distant" (RRPV==3); if none, age
+    // Evict the first way predicted "distant" (RRPV==3); if none, age
     // the whole set and rescan — terminates within 3 rounds.  SWAR over the
     // packed meta lane; aging only runs when every RRPV <= 2, so the
     // per-byte +1 never carries into the dirty bit or a neighboring lane.
@@ -234,54 +241,36 @@ class SetAssocCache {
     return v;
   }
 
-  /// Shared 8-way hit bookkeeping (way `w` of `set` matched).
+  /// Shared 8-way BRRIP hit bookkeeping (way `w` of `set` matched).
   void hit_update8(u64 set, u32 w, bool is_write) {
-    if (policy_ == Policy::Lru) {
-      // One RMW: promote recency and absorb the write's dirty bit.
-      u64 ranks = lru_rank_[set];
-      rank_promote(ranks, w);
-      if (is_write) ranks |= kRankDirty << (8 * w);
-      lru_rank_[set] = ranks;
-    } else {
-      // RRPV -> 0 (near-immediate re-reference), dirty absorbed.
-      u8& m = meta_[set * 8 + w];
-      m = (m & kDirtyBit) | (is_write ? kDirtyBit : 0);
-    }
+    // RRPV -> 0 (near-immediate re-reference), dirty absorbed.
+    u8& m = meta_[set * 8 + w];
+    m = (m & kDirtyBit) | (is_write ? kDirtyBit : 0);
   }
 
-  /// Shared 8-way miss tail: pick a victim (first way of `invalid_mask` if
-  /// any), account the eviction, install the new tag.  Returns the way used.
+  /// Shared 8-way BRRIP miss tail: pick a victim (first way of
+  /// `invalid_mask` if any), account the eviction, install the new tag.
+  /// Returns the way used.
   u32 fill8(u64 set, u64 tag32, u32 invalid_mask, bool is_write) {
     const size_t base = set * 8;
     ++stats_.misses;
     stats_.dram_read_bytes += line_bytes_;
-    const bool lru = policy_ == Policy::Lru;
     size_t v;
     if (invalid_mask != 0) {
       v = static_cast<size_t>(std::countr_zero(invalid_mask));  // first empty way
     } else {
       v = victim_full_set8(set);
       ++stats_.evictions;
-      const bool was_dirty = lru ? ((lru_rank_[set] >> (8 * v)) & kRankDirty) != 0
-                                 : (meta_[base + v] & kDirtyBit) != 0;
-      if (was_dirty) {
+      if (meta_[base + v] & kDirtyBit) {
         ++stats_.writebacks;
         stats_.dram_write_bytes += line_bytes_;
       }
     }
     tags32_[base + v] = static_cast<u32>(tag32);
-    if (lru) {
-      u64 ranks = lru_rank_[set];
-      rank_promote(ranks, static_cast<u32>(v));
-      ranks &= ~(kRankDirty << (8 * v));
-      if (is_write) ranks |= kRankDirty << (8 * v);
-      lru_rank_[set] = ranks;
-    } else {
-      // Bimodal insertion: distant (3) most of the time, long (2) every 32nd
-      // fill — deterministic counter in place of the paper's epsilon dice.
-      const u8 rrpv = (++brrip_insert_counter_ % 32 == 0) ? 2 : 3;
-      meta_[base + v] = (is_write ? kDirtyBit : 0) | rrpv;
-    }
+    // Bimodal insertion: distant (3) most of the time, long (2) every 32nd
+    // fill — deterministic counter in place of the paper's epsilon dice.
+    const u8 rrpv = (++brrip_insert_counter_ % 32 == 0) ? 2 : 3;
+    meta_[base + v] = (is_write ? kDirtyBit : 0) | rrpv;
     return static_cast<u32>(v);
   }
 
@@ -300,14 +289,14 @@ class SetAssocCache {
   i32 line_shift_ = -1;  ///< log2(line_bytes) when a power of two, else -1
   i32 set_shift_ = -1;   ///< log2(sets) when a power of two, else -1
   u64 set_mask_ = 0;
-  // Set-major state.  The 8-way fast path uses {tags32_, meta_, lru_rank_};
-  // every other associativity uses {tags_, meta_, lru_stamp_}.
+  // Set-major state.  The 8-way fast path uses {tags32_, meta_}; every other
+  // associativity uses {tags_, meta_, lru_stamp_}.
   std::vector<u32> tags32_;     ///< fast8: kInvalidTag32 = empty way
   std::vector<u64> tags_;       ///< generic: kInvalidTag = empty way
   std::vector<u8> meta_;        ///< dirty | RRPV, sets_ * assoc_
-  std::vector<u64> lru_rank_;   ///< fast8 LRU: packed recency ranks, one u64 per set
   std::vector<u64> lru_stamp_;  ///< generic LRU: per-way recency clock
-  std::vector<u32> mru_way_;    ///< scalar probes: per set, way of the last hit/fill
+  /// Scalar BRRIP and generic probes: per set, the way of the last hit/fill.
+  std::vector<u32> mru_way_;
   CacheStats stats_;
   u64 clock_ = 0;
   u64 brrip_insert_counter_ = 0;

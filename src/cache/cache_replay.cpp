@@ -81,9 +81,7 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
       // +64B / +8 words of tail padding keep the masked group loads inside
       // the allocations at the last sets.
       state_.tags.assign(state_.sets * 8 + 64, 0xFF);
-      state_.aux.assign(state_.sets + 8, state_.policy == Policy::Lru
-                                             ? 0x0706050403020100ull   // identity ranks
-                                             : 0x0303030303030303ull); // clean, distant
+      state_.aux.assign(state_.sets + 8, cache_.fresh_meta() * SetAssocCache::kLane);
     }
   }
   compact_ = compact;
@@ -126,100 +124,29 @@ void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService
   }
 }
 
-namespace {
-
-/// Canonicalize one LRU set: emit valid (tag, dirty) pairs in recency order,
-/// invalid ways last, ranks re-seated as the identity permutation.
-///
-/// LRU outcomes are invariant under way permutation — a hit is a tag lookup,
-/// the eviction victim is the rank-7 *tag*, and fills into invalid ways pick
-/// by way index but only decide placement, never traffic.  Identical access
-/// sequences therefore drive permuted states to permuted (equivalent) states
-/// forever: raw way-major blobs never repeat even when the replacement state
-/// has converged.  The canonical form is the unique equivalent concrete state
-/// with ranks 0..7 seated at ways 0..7; under it the stack property makes
-/// CG-style periodic streams converge after one or two occurrences.  BRRIP
-/// gets no such form — its RRPV==3 victim scan picks the lowest way *index*,
-/// so placement does change future traffic.
-template <typename TagT>
-void canonicalize_lru_set(const TagT* tags_in, u64 rank_word, TagT invalid, u8 dirty_bit,
-                          TagT* tags_out, u8* rank_out) {
-  TagT by_rank_tag[8];
-  u8 by_rank_dirty[8];
-  u8 by_rank_valid[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (int w = 0; w < 8; ++w) {
-    const u8 a = static_cast<u8>(rank_word >> (8 * w));
-    const u8 r = a & 7;
-    by_rank_tag[r] = tags_in[w];
-    by_rank_dirty[r] = a & dirty_bit;
-    by_rank_valid[r] = tags_in[w] != invalid;
-  }
-  int pos = 0;
-  for (int r = 0; r < 8; ++r) {
-    if (!by_rank_valid[r]) continue;
-    tags_out[pos] = by_rank_tag[r];
-    rank_out[pos] = static_cast<u8>(pos) | by_rank_dirty[r];
-    ++pos;
-  }
-  for (; pos < 8; ++pos) {
-    tags_out[pos] = invalid;
-    rank_out[pos] = static_cast<u8>(pos);
-  }
-}
-
-}  // namespace
-
 bool StreamReplayer::update_snapshot(std::vector<u8>& blob) const {
-  // The blob is everything future replacement decisions can read: tags, the
-  // recency/RRPV + dirty lane, and the bimodal counter modulo its period.
-  // LRU lanes are canonicalized (see canonicalize_lru_set); mru_way_ is a
-  // probe-order hint — it cannot change any outcome, and including it would
-  // hide real fixed points.  Overwritten in place, so one blob is all the
-  // detection ever holds.
-  bool same = !blob.empty();
-  size_t at = 0;
-  auto put = [&](const void* src, size_t n) {
-    same = same && std::memcmp(blob.data() + at, src, n) == 0;
-    std::memcpy(blob.data() + at, src, n);
-    at += n;
-  };
-  if (compact_) {
-    const size_t nt = state_.sets * 8;
-    blob.resize(nt + nt + 1);
-    if (state_.policy == Policy::Lru) {
-      for (u64 s = 0; s < state_.sets; ++s) {
-        u8 lane[16];
-        canonicalize_lru_set<u8>(&state_.tags[s * 8], state_.aux[s], u8{0xFF}, u8{0x40}, lane,
-                                 lane + 8);
-        put(lane, sizeof(lane));
-      }
-    } else {
-      put(state_.tags.data(), nt);
-      put(state_.aux.data(), nt);
-    }
-    const u8 phase = static_cast<u8>(state_.counter % 32);
-    put(&phase, 1);
-    return same;
-  }
-  const size_t nt = cache_.sets_ * 8 * sizeof(u32);
-  const size_t na = cache_.sets_ * 8;  // rank words and meta bytes: 8B per set
-  blob.resize(nt + na + 1);
-  if (cache_.policy_ == Policy::Lru) {
-    for (u64 s = 0; s < cache_.sets_; ++s) {
-      u32 tags[8];
-      u8 ranks[8];
-      canonicalize_lru_set<u32>(&cache_.tags32_[s * 8], cache_.lru_rank_[s],
-                                SetAssocCache::kInvalidTag32,
-                                static_cast<u8>(SetAssocCache::kRankDirty), tags, ranks);
-      put(tags, sizeof(tags));
-      put(ranks, sizeof(ranks));
-    }
-  } else {
-    put(cache_.tags32_.data(), nt);
-    put(cache_.meta_.data(), na);
-  }
-  const u8 phase = static_cast<u8>(cache_.brrip_insert_counter_ % 32);
-  put(&phase, 1);
+  // The blob is everything future replacement decisions can read: the tag
+  // lane, the meta lane (dirty + RRPV) and the bimodal counter modulo its
+  // period.  Both policies' lanes are canonical as stored (see
+  // cache_replay.hpp); mru_way_ is a probe-order hint — it cannot change any
+  // outcome, and including it would hide real fixed points.  Overwritten in
+  // place, so one blob is all the detection ever holds.
+  const u64 sets = cache_.sets_;
+  const void* tags = compact_ ? static_cast<const void*>(state_.tags.data())
+                              : static_cast<const void*>(cache_.tags32_.data());
+  const size_t tag_bytes = sets * 8 * (compact_ ? sizeof(u8) : sizeof(u32));
+  const void* meta = compact_ ? static_cast<const void*>(state_.aux.data())
+                              : static_cast<const void*>(cache_.meta_.data());
+  const u8 phase =
+      static_cast<u8>((compact_ ? state_.counter : cache_.brrip_insert_counter_) % 32);
+  const bool same = blob.size() == tag_bytes + sets * 8 + 1 &&
+                    std::memcmp(blob.data(), tags, tag_bytes) == 0 &&
+                    std::memcmp(blob.data() + tag_bytes, meta, sets * 8) == 0 &&
+                    blob.back() == phase;
+  blob.resize(tag_bytes + sets * 8 + 1);
+  std::memcpy(blob.data(), tags, tag_bytes);
+  std::memcpy(blob.data() + tag_bytes, meta, sets * 8);
+  blob.back() = phase;
   return same;
 }
 
@@ -264,19 +191,18 @@ void StreamReplayer::fast_forward(u64 remaining, const CacheStats& per_occurrenc
 void StreamReplayer::write_back() {
   // Expand the compact state back into the cache's own lanes so flush(),
   // contains(), valid_lines() and stats() behave exactly as after a direct
-  // run.  (mru_way_ stays at its reset value: it is a probe hint only.)
+  // run: the tags widen, the meta lane has the same layout.  (mru_way_
+  // stays at its reset value: it is a probe hint only.)
+  // Locals, so the compiler can see the loop writes nothing it reads and
+  // vectorize it.
   const size_t n = state_.sets * 8;
-  for (size_t i = 0; i < n; ++i) {
-    const u8 t8 = state_.tags[i];
-    cache_.tags32_[i] =
-        t8 == 0xFF ? SetAssocCache::kInvalidTag32 : state_.base_tag + t8;
-  }
-  if (state_.policy == Policy::Lru) {
-    std::memcpy(cache_.lru_rank_.data(), state_.aux.data(), state_.sets * sizeof(u64));
-  } else {
-    std::memcpy(cache_.meta_.data(), state_.aux.data(), state_.sets * 8);
-    cache_.brrip_insert_counter_ = state_.s.misses;
-  }
+  const u8* in = state_.tags.data();
+  u32* out = cache_.tags32_.data();
+  const u32 base = state_.base_tag;
+  for (size_t i = 0; i < n; ++i)
+    out[i] = in[i] == 0xFF ? SetAssocCache::kInvalidTag32 : base + in[i];
+  std::memcpy(cache_.meta_.data(), state_.aux.data(), n);
+  cache_.brrip_insert_counter_ = state_.counter;  // stays 0 under LRU
   cache_.stats_ = current_stats();
 }
 
@@ -304,6 +230,7 @@ void StreamReplayer::run(std::vector<ReplayService>& services) {
       break;
     }
   }
+  occurrences_replayed_ = executed;
   for (u64 o = executed; o < N; ++o)
     std::copy_n(out + P + (executed - 1) * L, L, out + P + o * L);
   run_steps(P + L, P + L + spans_.suffix_steps, out + P + N * L);

@@ -8,11 +8,11 @@
 //
 // Two engines, selected per cache geometry at construction:
 //  * compact: the default 8-way power-of-two geometry on AVX-512 hosts runs a
-//    u8 tag lane + one u64 rank/meta lane per set, 8 sets per masked 512-bit
+//    u8 tag lane + one u64 meta lane per set, 8 sets per masked 512-bit
 //    group — branch-light, ~3x the per-line throughput of the shipped AVX2
 //    probe (see cache_simd512.cpp).  Tags are rebased against the stream's
-//    address window so they fit the byte lane; write_back() expands the compact
-//    state back into the cache's own lanes.
+//    address window so they fit the byte lane; write_back() widens them back
+//    into the cache's u32 tag lane and copies the meta lane as is.
 //  * direct: every other geometry (or CELLO_DISABLE_AVX512=1) feeds the spans
 //    through the cache's public access_range — trivially bit-identical.
 //
@@ -24,7 +24,11 @@
 // occurrence's delta times the skipped count and per-op services copy.  Both
 // engines fast-forward (the direct engine for the 8-way layout); this, not
 // raw line throughput, is where the order-of-magnitude sweep speedups on
-// CG-style workloads come from.
+// CG-style workloads come from.  The check is a raw compare of the tag and
+// meta lanes for both policies: 8-way LRU sets are stored in recency order
+// with empty ways last, which is already the canonical form of an LRU state
+// (LRU outcomes do not depend on which way holds a line), so a converged
+// LRU state repeats byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -76,8 +80,9 @@ struct CompactStats {
 
 /// Compact replacement state: one u8 tag (0xFF = invalid) and one aux byte
 /// per way, set-major — 16 bytes per set, L2-resident for multi-MiB caches.
-/// aux is the packed LRU rank word (recency in bits 0..2, dirty in 0x40) or
-/// the packed BRRIP meta bytes (RRPV in bits 0..1, dirty in 0x80).
+/// Both lanes use SetAssocCache's 8-way layout: LRU ways in recency order
+/// (way 0 = MRU, empty ways last), and aux bytes equal to its meta bytes
+/// (dirty in 0x80, plus the RRPV in bits 0..1 under BRRIP).
 struct CompactState {
   u64 sets = 0;
   u64 set_mask = 0;
@@ -88,7 +93,7 @@ struct CompactState {
   Policy policy = Policy::Lru;
   std::vector<u8> tags;
   std::vector<u64> aux;
-  u64 counter = 0;  ///< BRRIP bimodal fill counter (always equals misses)
+  u64 counter = 0;  ///< BRRIP bimodal fill counter (equals misses; stays 0 under LRU)
   CompactStats s;
 };
 
@@ -112,12 +117,16 @@ class StreamReplayer {
   /// cache in its final state; services.size() == schedule_steps afterwards.
   void run(std::vector<ReplayService>& services);
 
+  /// Period occurrences run() actually replayed before fast-forwarding the
+  /// rest (all of them when the state never reached a fixed point).
+  u64 occurrences_replayed() const { return occurrences_replayed_; }
+
  private:
   /// Replay the spans of materialized steps [step_begin, step_end), recording
   /// one service per step into `out` (contiguous).
   void run_steps(size_t step_begin, size_t step_end, ReplayService* out);
-  /// Overwrite `blob` with the canonical replacement state; true when that
-  /// equals what it held (the state one occurrence earlier).
+  /// Overwrite `blob` with the replacement state; true when that equals
+  /// what it held (the state one occurrence earlier).
   bool update_snapshot(std::vector<u8>& blob) const;
   /// The state is a fixed point of the period: advance stats (and the BRRIP
   /// counter) over `remaining` occurrences of `per_occurrence` each.
@@ -131,6 +140,7 @@ class StreamReplayer {
   const ReplaySpans& spans_;
   bool compact_ = false;      ///< AVX-512 compact engine active
   bool can_fast_forward_ = false;  ///< snapshot/compare supported for this geometry
+  u64 occurrences_replayed_ = 0;
   detail::CompactState state_;
 };
 

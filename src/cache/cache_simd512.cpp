@@ -5,11 +5,12 @@
 // each, processed as one 512-bit lane-parallel step over the compact
 // struct-of-arrays state (a u8 tag per way + one aux u64 per set).  Per
 // group, each 8-byte lane holds one set; hit detect, invalid-way pick, LRU
-// victim/promote and BRRIP victim/aging are SWAR + masked vector ops with no
+// move-to-front and BRRIP victim/aging are SWAR + masked vector ops with no
 // per-way branching:
-//  * LRU: the packed rank word ages via one masked add (+1 where rank <
-//    rank[selected]); the selected way's lane collapses to rank 0 (MRU) with
-//    the dirty bit absorbed in the same blend.
+//  * LRU: sets are in recency order (way 0 = MRU, empty ways last), so each
+//    lane's selected way j is the hit way, else the first empty way, else
+//    way 7.  Tags and dirty bytes shift down one way with one slli_epi64 by
+//    8, blended under a "bytes <= j" mask, and the line lands at way 0.
 //  * BRRIP: the scalar "age until some RRPV == 3" loop is replaced by its
 //    closed form — each full missing set ages by (3 - its max RRPV) in one
 //    masked add; the bimodal long-vs-distant insert lands on the exact fill
@@ -78,7 +79,7 @@ constexpr u64 kLane = 0x0101010101010101ull;  ///< 1 in every byte
 constexpr u64 kHigh = 0x8080808080808080ull;  ///< bit 7 of every byte
 
 /// Byte-broadcast within each 8-byte lane: shuffle control replicating lane
-/// byte 0 (where the or/max-reduce below lands) across its lane.
+/// byte 0 (where the BRRIP max-reduce lands) across its lane.
 inline __m512i lane_bcast0() {
   return _mm512_broadcast_i32x4(_mm_set_epi8(8, 8, 8, 8, 8, 8, 8, 8, 0, 0, 0, 0, 0, 0, 0, 0));
 }
@@ -86,69 +87,62 @@ inline __m512i lane_bcast0() {
 /// One group of `k` consecutive LRU sets (lines), all probing `tag8`.
 inline void group_lru(CompactState& st, u64 set, u8 tag8, bool w, unsigned k) {
   const u64 slotm = k == 8 ? ~0ull : ((1ull << (8 * k)) - 1);
+  const u64 lanem = kLane & slotm;  // way 0 of every set in the group
   u8* tp = &st.tags[set * 8];
+  u8* dp = reinterpret_cast<u8*>(&st.aux[set]);
   const __m512i T = _mm512_set1_epi8(static_cast<char>(tag8));
-  const __m512i K7 = _mm512_set1_epi8(7);
-  const __m512i K40 = _mm512_set1_epi8(0x40);
-  __m512i Z = _mm512_maskz_loadu_epi8(static_cast<__mmask64>(slotm), tp);
-  __m512i R = _mm512_maskz_loadu_epi8(static_cast<__mmask64>(slotm), &st.aux[set]);
+  const __m512i K80 = _mm512_set1_epi8(static_cast<char>(0x80));
+  const __m512i Z = _mm512_maskz_loadu_epi8(static_cast<__mmask64>(slotm), tp);
+  const __m512i D = _mm512_maskz_loadu_epi8(static_cast<__mmask64>(slotm), dp);
   const u64 hit = _mm512_mask_cmpeq_epi8_mask(static_cast<__mmask64>(slotm), Z, T);
-  // Collapse the per-way hit bits to one flag byte per set lane.
-  u64 hb = hit | (hit >> 4);
-  hb |= hb >> 2;
-  hb |= hb >> 1;
-  hb &= kLane;
-  const __m512i Rr = _mm512_and_si512(R, K7);
-  const u64 lanem = kLane & slotm;
-  u64 sel, sel_miss = 0, victim = 0, mbx = 0, ibx = 0;
-  if (hb == lanem) {
-    sel = hit;  // every set hit: promote-only fast path
-  } else {
-    const u64 inv =
-        _mm512_mask_cmpeq_epi8_mask(static_cast<__mmask64>(slotm), Z, _mm512_set1_epi8(-1));
-    u64 ib = inv | (inv >> 4);
-    ib |= ib >> 2;
-    ib |= ib >> 1;
-    ib &= kLane;
-    ibx = ib * 0xFF;                  // byte-expanded "set has an empty way"
-    mbx = ((~hb) & lanem) * 0xFF;     // byte-expanded "set missed"
-    // Lowest empty way per lane: the borrow of the SWAR decrement only
-    // propagates upward, so it clears exactly the bits above the lowest one.
-    const u64 invlo = inv & ~((inv | kHigh) - kLane);
-    const u64 k7m = _mm512_cmpeq_epi8_mask(Rr, K7);  // rank 7 == LRU way
-    victim = (invlo & ibx) | (k7m & ~ibx);
-    sel_miss = victim & mbx;
-    sel = hit | sel_miss;
-  }
-  // Age: +1 for every way ranked more recently than the selected way.  The
-  // selected way's rank is or-reduced to lane byte 0, then broadcast.
-  __m512i rsel = _mm512_maskz_mov_epi8(static_cast<__mmask64>(sel), Rr);
-  rsel = _mm512_or_si512(rsel, _mm512_srli_epi64(rsel, 32));
-  rsel = _mm512_or_si512(rsel, _mm512_srli_epi64(rsel, 16));
-  rsel = _mm512_or_si512(rsel, _mm512_srli_epi64(rsel, 8));
-  const __m512i rb = _mm512_shuffle_epi8(rsel, lane_bcast0());
-  const u64 klt = _mm512_mask_cmplt_epu8_mask(static_cast<__mmask64>(slotm), Rr, rb);
-  const __m512i R2 = _mm512_mask_add_epi8(R, static_cast<__mmask64>(klt), R, _mm512_set1_epi8(1));
-  // Selected lane: rank 0 (MRU), dirty preserved on hits / rebuilt on fills.
-  const __m512i WV = _mm512_set1_epi8(w ? 0x40 : 0);
-  __m512i ch = _mm512_and_si512(_mm512_maskz_mov_epi8(static_cast<__mmask64>(hit), K40), R2);
-  ch = _mm512_or_si512(ch, WV);
-  _mm512_mask_storeu_epi8(&st.aux[set], static_cast<__mmask64>(slotm),
-                          _mm512_mask_mov_epi8(R2, static_cast<__mmask64>(sel), ch));
   const u64 nh = static_cast<u64>(std::popcount(hit));
   st.s.lines += k;
   st.s.hits += nh;
   st.s.misses += k - nh;
   st.s.dram_read += (k - nh) * st.line_bytes;
-  if (sel_miss != 0) {
-    _mm512_mask_storeu_epi8(tp, static_cast<__mmask64>(sel_miss), T);
-    const u64 evsets = mbx & ~ibx;  // missed with no empty way -> eviction
-    st.s.evictions += static_cast<u64>(std::popcount(evsets & kLane));
-    const u64 kd = _mm512_test_epi8_mask(R, K40);  // pre-update dirty bits
-    const u64 wbk = static_cast<u64>(std::popcount(kd & victim & evsets));
+  if (hit == lanem) {
+    // Every set hit its MRU way: nothing moves; a write dirties way 0.
+    if (w) _mm512_mask_storeu_epi8(dp, static_cast<__mmask64>(lanem), K80);
+    return;
+  }
+  const u64 kd = _mm512_test_epi8_mask(D, K80);  // dirty ways
+  u64 sel = hit;
+  if (nh != k) {
+    // Collapse the per-way hit bits to one flag byte per set lane.
+    u64 hb = hit | (hit >> 4);
+    hb |= hb >> 2;
+    hb |= hb >> 1;
+    hb &= kLane;
+    const u64 missed = ((~hb) & lanem) * 0xFF;  // byte-expanded "set missed"
+    // A missing set fills its first empty way, else evicts way 7: the lowest
+    // bit of (empty ways | way 7).  Each lane's byte is nonzero, so the SWAR
+    // decrement's borrow stays inside it.
+    const u64 inv =
+        _mm512_mask_cmpeq_epi8_mask(static_cast<__mmask64>(slotm), Z, _mm512_set1_epi8(-1));
+    const u64 cand = inv | kHigh;
+    const u64 fill = cand & ~(cand - kLane) & missed;
+    const u64 evict = fill & kHigh & ~inv;  // way 7 still held a line
+    st.s.evictions += static_cast<u64>(std::popcount(evict));
+    const u64 wbk = static_cast<u64>(std::popcount(evict & kd));
     st.s.writebacks += wbk;
     st.s.dram_write += wbk * st.line_bytes;
+    sel |= fill;
   }
+  // Bytes 0..j of each lane, from its one-hot selected way j (same borrow
+  // trick: or-ing in bit 7 keeps the decrement inside the lane's byte).
+  const u64 upto = (sel | (((sel | kHigh) - kLane) & ~kHigh)) & slotm;
+  // The selected line's dirty bit, folded to its lane's way 0, or the write.
+  u64 hd = hit & kd;
+  hd |= hd >> 4;
+  hd |= hd >> 2;
+  hd |= hd >> 1;
+  const u64 front_dirty = w ? lanem : hd & lanem;
+  __m512i Z2 = _mm512_mask_mov_epi8(Z, static_cast<__mmask64>(upto), _mm512_slli_epi64(Z, 8));
+  __m512i D2 = _mm512_mask_mov_epi8(D, static_cast<__mmask64>(upto), _mm512_slli_epi64(D, 8));
+  Z2 = _mm512_mask_mov_epi8(Z2, static_cast<__mmask64>(lanem), T);
+  D2 = _mm512_mask_mov_epi8(D2, static_cast<__mmask64>(front_dirty), K80);
+  _mm512_mask_storeu_epi8(tp, static_cast<__mmask64>(upto), Z2);
+  _mm512_mask_storeu_epi8(dp, static_cast<__mmask64>(upto), D2);
 }
 
 /// One group of `k` consecutive BRRIP sets (lines), all probing `tag8`.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cache/cache_replay.hpp"
 #include "common/error.hpp"
 #include "sim/policies/access_gen.hpp"
 #include "sim/policies/schedule_policy.hpp"
@@ -90,6 +91,22 @@ Period find_period(const std::vector<Sig>& sig) {
 }
 
 }  // namespace
+
+cache::ReplaySpans AccessStream::replay_view() const {
+  cache::ReplaySpans view;
+  view.addr = addr.data();
+  view.len = len.data();
+  view.write = write.data();
+  view.op_end = op_end.data();
+  view.prefix_steps = prefix_steps;
+  view.period_steps = period_steps;
+  view.period_count = period_count;
+  view.suffix_steps = suffix_steps;
+  view.schedule_steps = schedule_steps;
+  view.min_addr = min_addr;
+  view.max_addr = max_addr;
+  return view;
+}
 
 u64 AccessStream::fingerprint() const {
   Sig s;

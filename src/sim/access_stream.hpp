@@ -29,6 +29,10 @@
 #include "sim/config.hpp"
 #include "sparse/csr.hpp"
 
+namespace cello::cache {
+struct ReplaySpans;
+}
+
 namespace cello::sim {
 
 class Router;
@@ -69,6 +73,10 @@ struct AccessStream {
   bool compatible(const AcceleratorConfig& arch) const {
     return line_bytes == arch.line_bytes && rf_bytes == arch.rf_bytes;
   }
+
+  /// The borrowed view cache::StreamReplayer consumes; valid while this
+  /// stream is alive and unchanged.
+  cache::ReplaySpans replay_view() const;
 
   /// Order-sensitive digest of the full stream (header + every span array);
   /// two captures of the same slot are identical iff fingerprints match.

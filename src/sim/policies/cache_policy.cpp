@@ -16,18 +16,7 @@ void CachePolicy::replay(const AccessStream& stream, std::vector<BufferService>&
                       << arch_.line_bytes << ", rf_bytes=" << arch_.rf_bytes);
   CELLO_CHECK_MSG(cache_.stats().accesses == 0,
                   "stream replay requires a fresh cache; reset() the policy between runs");
-  cache::ReplaySpans view;
-  view.addr = stream.addr.data();
-  view.len = stream.len.data();
-  view.write = stream.write.data();
-  view.op_end = stream.op_end.data();
-  view.prefix_steps = stream.prefix_steps;
-  view.period_steps = stream.period_steps;
-  view.period_count = stream.period_count;
-  view.suffix_steps = stream.suffix_steps;
-  view.schedule_steps = stream.schedule_steps;
-  view.min_addr = stream.min_addr;
-  view.max_addr = stream.max_addr;
+  const cache::ReplaySpans view = stream.replay_view();
   std::vector<cache::ReplayService> rs;
   cache::StreamReplayer(cache_, view).run(rs);
   services.resize(rs.size());

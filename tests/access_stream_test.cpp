@@ -12,11 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cache/cache_replay.hpp"
 #include "common/error.hpp"
 #include "sim/access_stream.hpp"
 #include "sim/policies/access_gen.hpp"
@@ -25,6 +25,7 @@
 #include "sim/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sparse/datasets.hpp"
+#include "test_helpers.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
 #include "workloads/resnet.hpp"
@@ -33,17 +34,7 @@ namespace {
 
 using namespace cello;
 using namespace cello::sim;
-
-/// Scoped setenv: restores (unsets) on destruction so a failing EXPECT can't
-/// leak the toggle into later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) { setenv(name, value, 1); }
-  ~ScopedEnv() { unsetenv(name_); }
-
- private:
-  const char* name_;
-};
+using test::ScopedEnv;
 
 void expect_metrics_equal(const RunMetrics& a, const RunMetrics& b, const std::string& what) {
   EXPECT_EQ(a.seconds, b.seconds) << what;
@@ -261,6 +252,53 @@ TEST(AccessStream, CaptureIsDeterministic) {
   EXPECT_GE(a.period_count, 2u);
   EXPECT_EQ(a.materialized_steps() + a.period_steps * (a.period_count - 1),
             a.schedule_steps);
+}
+
+// Fast-forward kicks in at the same occurrence on both engines, and on fv1 CG
+// (the Fig. 12 panel's cache cells) it kicks in early: a drift here means the
+// fixed-point check lost sight of a converged state.
+TEST(AccessStream, FastForwardOccurrencesArePinned) {
+  const auto& spec = sparse::dataset_by_name("fv1");
+  const sparse::CsrMatrix fv1 = sparse::instantiate(spec);
+  const AcceleratorConfig arch;  // 4 MiB, 8-way
+  ASSERT_EQ(arch.sram_bytes, 4u << 20);
+  for (const i64 n : {1, 16}) {
+    const ir::TensorDag dag = workloads::build_cg_dag({spec.rows, n, fv1.nnz(), 10, 4});
+    const Simulator simulator(arch, &fv1);
+    for (const char* cname : {"Flex+LRU", "Flex+BRRIP"}) {
+      const std::string what = std::string(cname) + " n=" + std::to_string(n);
+      const auto& config = ConfigRegistry::global().at(cname);
+      const score::Schedule sched =
+          score::build_schedule(dag, simulator.schedule_options(config));
+      const AddressMap map = AddressMap::build(dag);
+      const RouterTables tables =
+          RouterTables::build(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+      const Router router(dag, sched, config.schedule, tables);
+      const AccessStream stream = AccessStream::capture(dag, sched, map, &fv1, arch, router);
+      ASSERT_GE(stream.period_count, 2u) << what;
+      const cache::ReplaySpans view = stream.replay_view();
+      const cache::Policy repl =
+          std::string(cname).ends_with("LRU") ? cache::Policy::Lru : cache::Policy::Brrip;
+
+      u64 occurrences[2];
+      cache::CacheStats stats[2];
+      for (const bool direct : {false, true}) {
+        std::optional<ScopedEnv> portable;
+        if (direct) portable.emplace("CELLO_DISABLE_AVX512", "1");
+        cache::SetAssocCache c(arch.sram_bytes, arch.line_bytes, arch.cache_associativity, repl);
+        cache::StreamReplayer replayer(c, view);
+        std::vector<cache::ReplayService> services;
+        replayer.run(services);
+        occurrences[direct] = replayer.occurrences_replayed();
+        stats[direct] = c.stats();
+      }
+      EXPECT_EQ(occurrences[0], occurrences[1]) << what;
+      EXPECT_LT(occurrences[0], stream.period_count) << what << ": never fast-forwarded";
+      EXPECT_EQ(stats[0].hits, stats[1].hits) << what;
+      EXPECT_EQ(stats[0].writebacks, stats[1].writebacks) << what;
+      EXPECT_EQ(occurrences[0], repl == cache::Policy::Lru ? 2u : 3u) << what;
+    }
+  }
 }
 
 // Replay is a checked call: a geometry-incompatible stream and a policy that

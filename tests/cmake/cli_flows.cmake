@@ -8,8 +8,9 @@
 #                 completes it from the journal
 #   keep_going    a persistently failing cell is quarantined (nonzero exit,
 #                 result file still written); --resume completes it
-#   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries)
-#                 are rejected with an `error:` line naming the flag
+#   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries/
+#                 --n/--iters/--nodes) are rejected with an `error:` line
+#                 naming the flag
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -82,6 +83,16 @@ if(FLOW STREQUAL "bad_flags")
   endforeach()
   foreach(value -1 4294967296 1.5 x)
     cli_rejects(--jobs ${RUN_ARGS} --jobs ${value})
+  endforeach()
+  cli(ok ${RUN_ARGS} --n 2 --iters 1 --nodes 4)
+  foreach(value -1 0 +4 1.5 abc 99999999999999999999)
+    cli_rejects(--n ${RUN_ARGS} --n ${value})
+    cli_rejects(--iters ${RUN_ARGS} --iters ${value})
+  endforeach()
+  foreach(value -1 0 x 99999999999999999999)
+    cli_rejects(--nodes ${RUN_ARGS} --nodes ${value})
+    cli_rejects(--nodes sweep --workload cg:m=2048,n=4,iters=1 --config Flex+LRU
+                --nodes 1,${value})
   endforeach()
   set(ENV{CELLO_FAILPOINTS} "sweep.cell=throw@key=0")
   foreach(value -1 4294967296 x)

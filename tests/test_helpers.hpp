@@ -3,6 +3,7 @@
 // resolved workloads and configurations).
 #pragma once
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,17 @@
 #include "sim/workload_registry.hpp"
 
 namespace cello::test {
+
+/// Scoped setenv: unsets on destruction, so a failing EXPECT cannot leak an
+/// engine toggle (CELLO_DISABLE_AVX512, CELLO_DISABLE_AVX2) into later tests.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) { setenv(name, value, 1); }
+  ~ScopedEnv() { unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
 
 /// Run `dag` under the registered configuration `config` (names normalize:
 /// "Cello", "flex+lru", ...).  `matrix` supplies real sparsity to the
