@@ -321,11 +321,8 @@ size_t parse_trace_cell(const std::string& text, const sim::SweepGrid& grid) {
   if (parts.size() != 2 && parts.size() != 3)
     throw Error("--trace-cell expects W,C or W,F,C (0-based indices), got '" + text + "'");
   std::vector<size_t> idx;
-  for (const auto& part : parts) {
-    if (part.empty() || part.find_first_not_of("0123456789") != std::string::npos)
-      throw Error("--trace-cell expects numeric indices, got '" + text + "'");
-    idx.push_back(static_cast<size_t>(std::stoull(part)));
-  }
+  for (const auto& part : parts)
+    idx.push_back(parse_uint("--trace-cell", part, 0, std::numeric_limits<size_t>::max()));
   if (parts.size() == 2 && grid.has_fabric_axis())
     throw Error("this sweep has a fabric axis: --trace-cell needs W,F,C");
   const size_t wi = idx[0];

@@ -2,6 +2,20 @@
 
 namespace cello::sim {
 
+ArtifactCache::RouteKey ArtifactCache::RouteKey::of(const Configuration& config,
+                                                    const AcceleratorConfig& arch) {
+  return {config.schedule, config.allow_delayed_hold, arch.hold_budget_bytes, arch.line_bytes,
+          arch.rf_bytes};
+}
+
+AcceleratorConfig ArtifactCache::RouteKey::arch() const {
+  AcceleratorConfig a;
+  a.hold_budget_bytes = hold_budget_bytes;
+  a.line_bytes = line_bytes;
+  a.rf_bytes = rf_bytes;
+  return a;
+}
+
 const AddressMap& ArtifactCache::address_map(const ir::TensorDag& dag) {
   return maps_.get(&dag, [&] { return AddressMap::build(dag); });
 }
@@ -23,7 +37,7 @@ const RouterTables& ArtifactCache::router_tables(const ir::TensorDag& dag,
                                                  const score::Schedule& sched,
                                                  const RouteKey& key) {
   return tables_.get({&dag, &sched, key}, [&] {
-    return RouterTables::build(dag, sched, key.policy, key.allow_delayed_hold, key.arch);
+    return RouterTables::build(dag, sched, key.policy, key.allow_delayed_hold, key.arch());
   });
 }
 
@@ -34,7 +48,7 @@ const AccessStream& ArtifactCache::access_stream(const ir::TensorDag& dag,
                                                  const sparse::CsrMatrix* matrix) {
   return streams_.get({&dag, &sched, &map, &tables, key, matrix}, [&] {
     const Router router(dag, sched, key.policy, tables);
-    return AccessStream::capture(dag, sched, map, matrix, key.arch, router);
+    return AccessStream::capture(dag, sched, map, matrix, key.arch(), router);
   });
 }
 

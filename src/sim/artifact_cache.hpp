@@ -15,6 +15,9 @@
 //   Partition        per (DAG, nodes)
 //   baseline seconds per (DAG, matrix, configuration, 1-node arch)
 //
+// RouteKey holds only the routing policy and the arch fields routing and
+// capture read, so archs differing in bandwidth or SRAM size share them.
+//
 // A derived artifact is keyed by the addresses of the artifacts it is built
 // from, so it is always derived from exactly the objects passed in: the
 // cache's own, or ones a caller supplied.  Simulator::run fills every
@@ -54,13 +57,24 @@ namespace cello::sim {
 
 class ArtifactCache {
  public:
-  /// Everything RouterTables::build consumes beyond the DAG and schedule.
+  /// Everything RouterTables::build and AccessStream::capture read beyond
+  /// the DAG, schedule, address map and matrix: the configuration's routing
+  /// policy and the three arch fields routing and capture consult.
   /// Configurations sharing a schedule (FLAT and Cello) can still route
-  /// differently.
+  /// differently; archs differing only elsewhere (bandwidth, SRAM size)
+  /// share tables and streams.
   struct RouteKey {
     SchedulePolicy policy = SchedulePolicy::OpByOp;
     bool allow_delayed_hold = false;
-    AcceleratorConfig arch;  ///< the configuration's effective arch
+    Bytes hold_budget_bytes = 0;
+    u32 line_bytes = 0;
+    Bytes rf_bytes = 0;
+
+    /// The key of `config` running on its effective arch `arch`.
+    static RouteKey of(const Configuration& config, const AcceleratorConfig& arch);
+    /// An arch carrying the key's fields, every other field at its default:
+    /// what the builds see, so they depend on nothing outside the key.
+    AcceleratorConfig arch() const;
     auto operator<=>(const RouteKey&) const = default;
   };
 

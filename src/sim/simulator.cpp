@@ -190,7 +190,7 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
   const score::ReuseIndex& reuse_index = artifacts.reuse_index != nullptr
                                              ? *artifacts.reuse_index
                                              : cache.reuse_index(dag, sched, map);
-  const ArtifactCache::RouteKey route{config.schedule, config.allow_delayed_hold, arch};
+  const auto route = ArtifactCache::RouteKey::of(config, arch);
   const RouterTables& tables = artifacts.router_tables != nullptr
                                    ? *artifacts.router_tables
                                    : cache.router_tables(dag, sched, route);

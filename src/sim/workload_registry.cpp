@@ -49,6 +49,20 @@ std::string WorkloadParams::get_string(const std::string& key, std::string fallb
   return it == spec_.params.end() ? std::move(fallback) : it->second;
 }
 
+std::shared_ptr<const sparse::CsrMatrix> WorkloadParams::matrix(
+    const std::string& source, const std::function<sparse::CsrMatrix()>& build) const {
+  {
+    std::lock_guard<std::mutex> lock(registry_.cache_mu_);
+    const auto it = registry_.matrices_.find(source);
+    if (it != registry_.matrices_.end()) return it->second;
+  }
+  auto built = std::make_shared<const sparse::CsrMatrix>(build());
+  std::lock_guard<std::mutex> lock(registry_.cache_mu_);
+  // A concurrent build of the same source may have finished first; share it
+  // so every spec naming this source holds one matrix.
+  return registry_.matrices_.emplace(source, std::move(built)).first->second;
+}
+
 void WorkloadParams::check_all_consumed() const {
   std::string unknown;
   for (const auto& [key, value] : spec_.params)
@@ -103,36 +117,31 @@ MatrixSource resolve_matrix(WorkloadParams& p, const char* default_dataset) {
     bad_spec(p.spec(), "seed= only applies to gen= mode");
 
   MatrixSource out;
+  std::shared_ptr<const sparse::CsrMatrix> matrix;
   if (!mm.empty()) {
     if (has_m || has_nnz)
       bad_spec(p.spec(), "m=/nnz= conflict with mm= (the file defines the shape)");
-    auto matrix = std::make_shared<sparse::CsrMatrix>(sparse::read_matrix_market_file(mm));
-    out.rows = matrix->rows();
-    out.nnz = matrix->nnz();
-    out.matrix = std::move(matrix);
-    return out;
-  }
-  if (!gen.empty()) {
+    matrix = p.matrix("mm=" + mm, [&] { return sparse::read_matrix_market_file(mm); });
+  } else if (!gen.empty()) {
     if (!has_m) bad_spec(p.spec(), "gen= needs m=<rows>");
     const i64 target = has_nnz ? nnz : default_nnz;
-    Rng rng(static_cast<u64>(seed));
-    sparse::CsrMatrix built;
+    sparse::CsrMatrix (*make)(i64, i64, Rng&) = nullptr;
     if (gen == "fem") {
-      built = sparse::make_fem_banded(m, target, rng);
+      make = sparse::make_fem_banded;
     } else if (gen == "circuit") {
-      built = sparse::make_circuit(m, target, rng);
+      make = sparse::make_circuit;
     } else if (gen == "graph") {
-      built = sparse::make_powerlaw_graph(m, target, rng);
+      make = sparse::make_powerlaw_graph;
     } else {
       bad_spec(p.spec(), "unknown gen='" + gen + "' (fem | circuit | graph)");
     }
-    auto matrix = std::make_shared<sparse::CsrMatrix>(std::move(built));
-    out.rows = matrix->rows();
-    out.nnz = matrix->nnz();
-    out.matrix = std::move(matrix);
-    return out;
-  }
-  if (!dataset.empty() || !has_m) {
+    const std::string source = "gen=" + gen + ",m=" + std::to_string(m) +
+                               ",nnz=" + std::to_string(target) + ",seed=" + std::to_string(seed);
+    matrix = p.matrix(source, [&] {
+      Rng rng(static_cast<u64>(seed));
+      return make(m, target, rng);
+    });
+  } else if (!dataset.empty() || !has_m) {
     if (!dataset.empty()) {
       if (has_m || has_nnz)
         bad_spec(p.spec(), "m=/nnz= conflict with dataset= (the preset defines the shape)");
@@ -140,17 +149,18 @@ MatrixSource resolve_matrix(WorkloadParams& p, const char* default_dataset) {
       bad_spec(p.spec(), "nnz= needs m= (shape-only mode)");
     }
     const auto& spec = sparse::dataset_by_name(dataset.empty() ? default_dataset : dataset);
-    auto matrix = std::make_shared<sparse::CsrMatrix>(sparse::instantiate(spec));
     out.dataset = &spec;
-    out.rows = matrix->rows();
-    out.nnz = matrix->nnz();
-    out.matrix = std::move(matrix);
+    matrix = p.matrix("dataset=" + spec.name, [&] { return sparse::instantiate(spec); });
+  } else {
+    // Shape-only: analytic statistics without a backing matrix (trace-driven
+    // policies then fall back to their synthetic occupancy model).
+    out.rows = m;
+    out.nnz = has_nnz ? nnz : default_nnz;
     return out;
   }
-  // Shape-only: analytic statistics without a backing matrix (trace-driven
-  // policies then fall back to their synthetic occupancy model).
-  out.rows = m;
-  out.nnz = has_nnz ? nnz : default_nnz;
+  out.rows = matrix->rows();
+  out.nnz = matrix->nnz();
+  out.matrix = std::move(matrix);
   return out;
 }
 
@@ -409,7 +419,7 @@ Workload WorkloadRegistry::resolve(const WorkloadSpec& spec) const {
     if (it != cache_.end()) return it->second;
   }
   const WorkloadKind& kind = at(spec.kind);
-  WorkloadParams params(spec);
+  WorkloadParams params(spec, *this);
   Workload built = kind.build(params);
   params.check_all_consumed();
   CELLO_CHECK_MSG(built.dag != nullptr, "workload kind '" << kind.name << "' built no DAG");
@@ -428,6 +438,7 @@ Workload WorkloadRegistry::resolve(const std::string& spec_text) const {
 void WorkloadRegistry::clear_cache() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   cache_.clear();
+  matrices_.clear();
 }
 
 }  // namespace cello::sim

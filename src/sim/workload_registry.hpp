@@ -13,6 +13,8 @@
 // resolve() builds each distinct (canonical) spec exactly once per process
 // and returns shared_ptr<const ...> handles, so sweep cells, benches and
 // tests share one immutable DAG + matrix instead of rebuilding per cell.
+// Each distinct matrix source is likewise built once: "cg:shallow_water1"
+// and "spmv:shallow_water1" hold the same matrix.
 //
 // Matrix sources, common to every matrix-backed kind (exactly one):
 //   dataset=<name>   Table VI preset, instantiated synthetically (a bare
@@ -49,17 +51,27 @@ struct Workload {
   std::shared_ptr<const sparse::CsrMatrix> matrix;
 };
 
+class WorkloadRegistry;
+
 /// Typed accessor over a spec's parameters, handed to kind builders.  Every
 /// getter records its key; after the builder returns, the registry rejects
 /// any parameter no getter looked at, so "itres=5" fails loudly instead of
 /// silently falling back to the default.
 class WorkloadParams {
  public:
-  explicit WorkloadParams(const WorkloadSpec& spec) : spec_(spec) {}
+  WorkloadParams(const WorkloadSpec& spec, const WorkloadRegistry& registry)
+      : spec_(spec), registry_(registry) {}
 
   /// Integer parameter; throws cello::Error on a malformed number.
   i64 get_i64(const std::string& key, i64 fallback);
   std::string get_string(const std::string& key, std::string fallback);
+
+  /// The registry's matrix for `source`, the canonical text of a matrix
+  /// source ("dataset=cora", "gen=fem,m=4096,nnz=32768,seed=1", "mm=a.mtx"):
+  /// built by `build` on the first request, then shared by every spec that
+  /// names the same source until WorkloadRegistry::clear_cache().
+  std::shared_ptr<const sparse::CsrMatrix> matrix(
+      const std::string& source, const std::function<sparse::CsrMatrix()>& build) const;
 
   const WorkloadSpec& spec() const { return spec_; }
   /// Throws cello::Error listing parameters no getter consumed.
@@ -67,6 +79,7 @@ class WorkloadParams {
 
  private:
   const WorkloadSpec& spec_;
+  const WorkloadRegistry& registry_;
   std::set<std::string> consumed_;
 };
 
@@ -116,17 +129,21 @@ class WorkloadRegistry {
   Workload resolve(const WorkloadSpec& spec) const;
   Workload resolve(const std::string& spec_text) const;
 
-  /// Drop every cached build.  Outstanding Workload handles stay valid (they
-  /// share ownership); subsequent resolves rebuild.
+  /// Drop every cached build, matrices included.  Outstanding Workload
+  /// handles stay valid (they share ownership); subsequent resolves rebuild.
   void clear_cache() const;
 
  private:
+  friend class WorkloadParams;
+
   mutable std::mutex mu_;        ///< guards kinds_/by_name_
   std::deque<WorkloadKind> kinds_;
   std::map<std::string, size_t> by_name_;
 
-  mutable std::mutex cache_mu_;  ///< guards cache_
+  mutable std::mutex cache_mu_;  ///< guards cache_ and matrices_
   mutable std::map<std::string, Workload> cache_;  ///< canonical spec -> built
+  /// Matrix source (see WorkloadParams::matrix) -> built matrix.
+  mutable std::map<std::string, std::shared_ptr<const sparse::CsrMatrix>> matrices_;
 };
 
 }  // namespace cello::sim

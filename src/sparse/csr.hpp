@@ -20,10 +20,17 @@ struct Triplet {
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-  CsrMatrix(i64 rows, i64 cols) : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
 
-  /// Build from triplets; duplicate coordinates are summed.
+  /// Build from triplets in any order; duplicate coordinates are summed in
+  /// input order.  Linear in rows + entries when rows are short (a counting
+  /// sort by row, then an insertion sort of each row by column).  Throws
+  /// cello::Error on an out-of-range coordinate.
   static CsrMatrix from_triplets(i64 rows, i64 cols, std::vector<Triplet> entries);
+
+  /// Adopt CSR arrays as they are.  Throws cello::Error unless they satisfy
+  /// the validate() invariants.
+  static CsrMatrix from_rows(i64 rows, i64 cols, std::vector<i64> row_ptr,
+                             std::vector<i64> col_idx, std::vector<double> values);
 
   i64 rows() const { return rows_; }
   i64 cols() const { return cols_; }

@@ -99,36 +99,42 @@ CsrMatrix make_powerlaw_graph(i64 n, i64 target_nnz, Rng& rng) {
     ++made;
   }
   // Row-normalize (random-walk normalization used by GCN pipelines).
-  auto m = CsrMatrix::from_triplets(n, n, std::move(ts));
-  std::vector<Triplet> norm;
-  norm.reserve(static_cast<size_t>(m.nnz()));
+  const auto m = CsrMatrix::from_triplets(n, n, std::move(ts));
+  std::vector<double> norm(m.values().begin(), m.values().end());
   for (i64 r = 0; r < n; ++r) {
     const double deg = static_cast<double>(m.row_nnz(r));
-    for (i64 k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k)
-      norm.push_back({r, m.col_idx()[k], m.values()[k] / deg});
+    for (i64 k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) norm[k] /= deg;
   }
-  return CsrMatrix::from_triplets(n, n, std::move(norm));
+  return CsrMatrix::from_rows(n, n, {m.row_ptr().begin(), m.row_ptr().end()},
+                              {m.col_idx().begin(), m.col_idx().end()}, std::move(norm));
 }
 
 CsrMatrix diagonally_dominant(const CsrMatrix& a, double margin) {
-  std::vector<Triplet> ts;
-  ts.reserve(static_cast<size_t>(a.nnz()) + a.rows());
-  std::vector<double> rowsum(a.rows(), 0.0);
-  std::vector<bool> has_diag(a.rows(), false);
+  std::vector<i64> row_ptr(static_cast<size_t>(a.rows()) + 1, 0);
+  std::vector<i64> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(static_cast<size_t>(a.nnz() + a.rows()));
+  values.reserve(static_cast<size_t>(a.nnz() + a.rows()));
+  const auto push = [&](i64 c, double v) {
+    col_idx.push_back(c);
+    values.push_back(v);
+  };
   for (i64 r = 0; r < a.rows(); ++r) {
-    for (i64 k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      const i64 c = a.col_idx()[k];
-      const double v = a.values()[k];
-      if (c == r) {
-        has_diag[r] = true;
-        continue;  // replaced below
-      }
-      rowsum[r] += std::abs(v);
-      ts.push_back({r, c, v});
-    }
+    const i64 end = a.row_ptr()[r + 1];
+    double rowsum = 0.0;
+    for (i64 k = a.row_ptr()[r]; k < end; ++k)
+      if (a.col_idx()[k] != r) rowsum += std::abs(a.values()[k]);
+    // The row's off-diagonal entries, with the lifted diagonal (replacing
+    // any stored one) at its sorted position.
+    i64 k = a.row_ptr()[r];
+    for (; k < end && a.col_idx()[k] < r; ++k) push(a.col_idx()[k], a.values()[k]);
+    push(r, rowsum + margin);
+    for (; k < end; ++k)
+      if (a.col_idx()[k] != r) push(a.col_idx()[k], a.values()[k]);
+    row_ptr[r + 1] = static_cast<i64>(col_idx.size());
   }
-  for (i64 r = 0; r < a.rows(); ++r) ts.push_back({r, r, rowsum[r] + margin});
-  return CsrMatrix::from_triplets(a.rows(), a.cols(), std::move(ts));
+  return CsrMatrix::from_rows(a.rows(), a.cols(), std::move(row_ptr), std::move(col_idx),
+                              std::move(values));
 }
 
 }  // namespace cello::sparse

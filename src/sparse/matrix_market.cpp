@@ -16,6 +16,10 @@ namespace {
 /// reserve().  The vector still grows to any honest nnz.
 constexpr size_t kMaxTrustedReserve = size_t{1} << 20;
 
+/// Largest row or column count a size line may claim (2^31 - 1, the
+/// 32-bit index range Matrix Market tools use).
+constexpr i64 kMaxDimension = (i64{1} << 31) - 1;
+
 }  // namespace
 
 CsrMatrix read_matrix_market(std::istream& in) {
@@ -50,6 +54,11 @@ CsrMatrix read_matrix_market(std::istream& in) {
   i64 rows = 0, cols = 0, nnz = 0;
   CELLO_CHECK_MSG(sizes >> rows >> cols >> nnz, "bad size line: " << line);
   CELLO_CHECK_MSG(rows > 0 && cols > 0 && nnz >= 0, "bad size line: " << line);
+  // Assembly allocates per row, so an absurd shape fails here as a typed
+  // error, not as a bad_alloc (or an OOM kill) during assembly.
+  CELLO_CHECK_MSG(rows <= kMaxDimension && cols <= kMaxDimension,
+                  "size line claims a " << rows << " x " << cols << " matrix; at most "
+                                        << kMaxDimension << " rows and columns are supported");
   // Division form of nnz <= rows*cols, immune to the i64 overflow a hostile
   // header could provoke in the product.
   CELLO_CHECK_MSG(nnz / cols <= rows, "size line claims " << nnz << " entries for a " << rows

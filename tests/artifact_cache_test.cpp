@@ -27,7 +27,7 @@ using sim::Simulator;
 
 /// The routing key Simulator::run resolves a configuration to.
 ArtifactCache::RouteKey route_key(const Simulator& simulator, const Configuration& config) {
-  return {config.schedule, config.allow_delayed_hold, simulator.effective_arch(config)};
+  return ArtifactCache::RouteKey::of(config, simulator.effective_arch(config));
 }
 
 struct Fixture {
@@ -123,6 +123,31 @@ TEST(ArtifactCache, FlatAndCelloShareTheScheduleButNotTheRouterTables) {
 
   // Op-by-op (Flexagon) schedules separately.
   EXPECT_NE(&cache.schedule(f.dag, simulator.schedule_options(registry.at("Flexagon"))), &sched);
+}
+
+TEST(ArtifactCache, ArchsDifferingOnlyOutsideRoutingShareTablesAndStreams) {
+  // Bandwidth and SRAM size are read by neither routing nor capture.
+  const Fixture f;
+  const Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
+  AcceleratorConfig slow;
+  slow.dram_bytes_per_sec = 250e9;
+  AcceleratorConfig big = slow;
+  big.dram_bytes_per_sec = 1e12;
+  big.sram_bytes = 16ull * 1024 * 1024;
+  const Simulator a(slow, f.matrix_a.get());
+  const Simulator b(big, f.matrix_a.get());
+  ASSERT_NE(a.effective_arch(config), b.effective_arch(config));
+  ArtifactCache cache;
+  EXPECT_EQ(resolve(cache, f.dag, a, config, f.matrix_a.get()),
+            resolve(cache, f.dag, b, config, f.matrix_a.get()));
+
+  // A field routing reads still splits them.
+  AcceleratorConfig wide = slow;
+  wide.line_bytes = 64;
+  const Resolved base = resolve(cache, f.dag, a, config, f.matrix_a.get());
+  const Resolved other = resolve(cache, f.dag, Simulator(wide), config, f.matrix_a.get());
+  EXPECT_NE(other.tables, base.tables);
+  EXPECT_NE(other.stream, base.stream);
 }
 
 TEST(ArtifactCache, DerivesFromTheScheduleItIsHanded) {

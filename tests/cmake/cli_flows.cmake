@@ -9,8 +9,8 @@
 #   keep_going    a persistently failing cell is quarantined (nonzero exit,
 #                 result file still written); --resume completes it
 #   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries/
-#                 --n/--iters/--nodes) are rejected with an `error:` line
-#                 naming the flag
+#                 --n/--iters/--nodes/--trace-cell) are rejected with an
+#                 `error:` line naming the flag
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -93,6 +93,10 @@ if(FLOW STREQUAL "bad_flags")
     cli_rejects(--nodes ${RUN_ARGS} --nodes ${value})
     cli_rejects(--nodes sweep --workload cg:m=2048,n=4,iters=1 --config Flex+LRU
                 --nodes 1,${value})
+  endforeach()
+  foreach(value 99999999999999999999,0 0,-1 +0,0 x,0)
+    cli_rejects(--trace-cell sweep --workload cg:m=2048,n=4,iters=1 --config Flex+LRU
+                --trace trace.json --trace-cell ${value})
   endforeach()
   set(ENV{CELLO_FAILPOINTS} "sweep.cell=throw@key=0")
   foreach(value -1 4294967296 x)

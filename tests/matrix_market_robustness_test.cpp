@@ -69,9 +69,16 @@ TEST(MatrixMarketRobustness, MalformedInputsFailCleanlyAndNameTheProblem) {
       {"nnz beyond capacity", "%%MatrixMarket matrix coordinate real general\n2 2 9\n"
        "1 1 1\n",
        "size line claims"},
+      // The largest accepted shape, full: the reservation stays capped.
       {"huge lying nnz", "%%MatrixMarket matrix coordinate real general\n"
-       "3000000000 3000000000 8999999999999999999\n1 1 1\n",
+       "2147483647 2147483647 4611686014132420609\n1 1 1\n",
        "truncated matrix market body"},
+      {"rows beyond 2^31-1", "%%MatrixMarket matrix coordinate real general\n"
+       "1000000000000 1 0\n",
+       "size line claims a 1000000000000 x 1 matrix"},
+      {"cols beyond 2^31-1", "%%MatrixMarket matrix coordinate real general\n"
+       "1 2147483648 0\n",
+       "size line claims a 1 x 2147483648 matrix"},
       {"truncated body", "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1\n",
        "truncated matrix market body at entry 1"},
       {"malformed entry", "%%MatrixMarket matrix coordinate real general\n3 3 1\nx y z\n",
