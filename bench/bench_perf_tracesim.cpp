@@ -181,8 +181,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 // Construct + destroy the sweep CG workload's DAG (the cold half of a
-// WorkloadRegistry::resolve of "cg:iters=20,n=16").  The arena backing makes
-// both ends cheap: payloads bump-allocate, teardown frees chunks not nodes.
+// WorkloadRegistry::resolve of "cg:iters=20,n=16").  Each node's payloads
+// are plain std::vectors, so both ends pay one heap block per payload.
 void BM_DagBuild(benchmark::State& state) {
   const auto shape = bench::cg_shape_for(sparse::dataset_by_name("shallow_water1"), 16,
                                          /*iterations=*/20);

@@ -84,7 +84,7 @@
 // and a tensor no op produces is an external input:
 //   cello::ir::TensorDag dag;
 //   auto x = dag.add_tensor(...), y = dag.add_tensor(...);
-//   cello::ir::EinsumOp op = dag.new_op();
+//   cello::ir::EinsumOp op;
 //   op.name = "scale"; op.inputs = {x}; op.output = y; op.ranks = {...};
 //   dag.add_op(std::move(op));  // x is external; later readers of y get edges
 #pragma once

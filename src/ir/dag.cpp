@@ -8,77 +8,14 @@
 
 namespace cello::ir {
 
-TensorDag::TensorDag(const TensorDag& other)
-    : arena_(std::make_unique<Arena>()),
-      tensors_(other.tensors_),
-      ops_(other.ops_),
-      edges_(other.edges_),
-      producer_of_(other.producer_of_) {
-  // The member copies are self-owned (ArenaVector copies never alias the
-  // source arena); re-intern them so the copy is arena-backed like any DAG.
-  for (auto& t : tensors_) {
-    t.ranks.intern(*arena_);
-    t.dims.intern(*arena_);
-  }
-  for (auto& op : ops_) {
-    op.ranks.intern(*arena_);
-    op.inputs.intern(*arena_);
-  }
-  // Adjacency lists are rebuilt against the copy's own arena.
-  consumers_of_ = other.consumers_of_;
-  tensor_edges_ = other.tensor_edges_;
-  out_edges_ = other.out_edges_;
-  in_edges_ = other.in_edges_;
-  for (auto& v : consumers_of_) v.intern(*arena_);
-  for (auto& v : tensor_edges_) v.intern(*arena_);
-  for (auto& v : out_edges_) v.intern(*arena_);
-  for (auto& v : in_edges_) v.intern(*arena_);
-}
-
-TensorDag& TensorDag::operator=(TensorDag&& other) noexcept {
-  if (this != &other) {
-    // Arena-resident payloads must die before their arena: a defaulted
-    // member-wise move assigns arena_ first, freeing the chunks this DAG's
-    // nodes still point into.
-    tensors_.clear();
-    ops_.clear();
-    edges_.clear();
-    producer_of_.clear();
-    consumers_of_.clear();
-    tensor_edges_.clear();
-    out_edges_.clear();
-    in_edges_.clear();
-    arena_ = std::move(other.arena_);
-    tensors_ = std::move(other.tensors_);
-    ops_ = std::move(other.ops_);
-    edges_ = std::move(other.edges_);
-    producer_of_ = std::move(other.producer_of_);
-    consumers_of_ = std::move(other.consumers_of_);
-    tensor_edges_ = std::move(other.tensor_edges_);
-    out_edges_ = std::move(other.out_edges_);
-    in_edges_ = std::move(other.in_edges_);
-  }
-  return *this;
-}
-
-TensorDag& TensorDag::operator=(const TensorDag& other) {
-  if (this != &other) {
-    TensorDag copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
 TensorId TensorDag::add_tensor(TensorDesc t) {
   t.id = static_cast<TensorId>(tensors_.size());
   CELLO_CHECK_MSG(t.ranks.size() == t.dims.size(),
                   "tensor " << t.name << ": ranks/dims size mismatch");
-  t.ranks.intern(*arena_);
-  t.dims.intern(*arena_);
   tensors_.push_back(std::move(t));
   producer_of_.push_back(kInvalidOp);
-  consumers_of_.emplace_back(arena_.get());
-  tensor_edges_.emplace_back(arena_.get());
+  consumers_of_.emplace_back();
+  tensor_edges_.emplace_back();
   return tensors_.back().id;
 }
 
@@ -93,8 +30,6 @@ OpId TensorDag::add_op(EinsumOp op) {
                       std::find(op.inputs.begin(), op.inputs.end(), op.output) == op.inputs.end(),
                   "op " << op.name << ": output " << tensors_[op.output].name
                         << " is already consumed (ops must be added in dataflow order)");
-  out_edges_.emplace_back(arena_.get());
-  in_edges_.emplace_back(arena_.get());
   for (size_t i = 0; i < op.inputs.size(); ++i) {
     const TensorId in = op.inputs[i];
     bool repeat = false;  // an op consuming a tensor twice (R^T R) lists once
@@ -105,13 +40,9 @@ OpId TensorDag::add_op(EinsumOp op) {
     if (src == kInvalidOp) continue;  // external input
     const auto e = static_cast<EdgeId>(edges_.size());
     edges_.push_back(Edge{e, src, op.id, in});
-    out_edges_[src].push_back(e);
-    in_edges_[op.id].push_back(e);
     tensor_edges_[in].push_back(e);
   }
   producer_of_[op.output] = op.id;
-  op.ranks.intern(*arena_);
-  op.inputs.intern(*arena_);
   ops_.push_back(std::move(op));
   return ops_.back().id;
 }
@@ -168,7 +99,7 @@ std::vector<OpId> TensorDag::longest_path(OpId src, OpId dst) const {
   // Ids are topological and edges point forward, so only src..dst matter.
   for (OpId u = src; u < dst; ++u) {
     if (dist[u] < 0) continue;
-    for (const EdgeId eid : out_edges_[u]) {
+    for (const EdgeId eid : out_edges(u)) {
       const Edge& e = edges_[eid];
       if (dist[u] + 1 > dist[e.dst]) {
         dist[e.dst] = dist[u] + 1;

@@ -18,12 +18,10 @@
 //    such as X(line 3, iter i) -> X(line 3, iter i+1) in CG.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "ir/arena.hpp"
 #include "ir/einsum.hpp"
 #include "ir/tensor.hpp"
 
@@ -41,28 +39,6 @@ struct Edge {
 class TensorDag {
  public:
   // ---- construction -------------------------------------------------------
-  // Every node's variable-length payload (rank names, dims, operand lists)
-  // ends up in one bump arena owned by the DAG: new_tensor()/new_op() hand
-  // out nodes whose payloads allocate there directly (the zero-heap-churn
-  // builder path), while free-standing TensorDesc/EinsumOp values are
-  // interned — copied into the arena — by add_tensor()/add_op().  Either way
-  // the stored nodes are arena-backed, so traversal is cache-friendly and
-  // destruction frees a handful of chunks instead of one block per node.
-  TensorDag() : arena_(std::make_unique<Arena>()) {}
-  TensorDag(TensorDag&&) noexcept = default;
-  /// Member-wise move would replace the arena before the old node vectors
-  /// (whose payloads live in it) are destroyed — drop them first.
-  TensorDag& operator=(TensorDag&& other) noexcept;
-  /// Deep copy: nodes are re-interned into the copy's own arena, so copies
-  /// never alias the source DAG's storage.
-  TensorDag(const TensorDag& other);
-  TensorDag& operator=(const TensorDag& other);
-
-  /// A node pre-bound to this DAG's arena (fill fields, then add_tensor).
-  TensorDesc new_tensor() { return TensorDesc(*arena_); }
-  /// A node pre-bound to this DAG's arena (fill fields, then add_op).
-  EinsumOp new_op() { return EinsumOp(*arena_); }
-
   TensorId add_tensor(TensorDesc t);
   /// Append `op` and its in-edges (see the header comment); throws
   /// cello::Error if its output already has a producer or a consumer.
@@ -89,16 +65,17 @@ class TensorDag {
   const EinsumOp& op(OpId o) const;
   const Edge& edge(EdgeId e) const;
 
-  // Adjacency queries are O(1) lookups into incrementally-maintained,
-  // arena-backed index lists (ascending-id order, matching what a full scan
-  // of edges()/ops() used to produce) — schedule construction and per-run
-  // routing consult them on their hot paths.
-  const ArenaVector<EdgeId>& out_edges(OpId o) const { return out_edges_[o]; }
-  const ArenaVector<EdgeId>& in_edges(OpId o) const { return in_edges_[o]; }
+  // Adjacency queries are O(1) lookups into incrementally-maintained index
+  // lists (ascending-id order, matching what a full scan of edges()/ops()
+  // would produce) — schedule construction and per-run routing consult them
+  // on their hot paths.
+  /// Edges leaving op `o`: an op writes one tensor, so these are the edges
+  /// carrying its output.
+  const std::vector<EdgeId>& out_edges(OpId o) const { return tensor_edges_[ops_[o].output]; }
   /// Consumers of tensor `t` (ops that list it as input; each op once).
-  const ArenaVector<OpId>& consumers(TensorId t) const { return consumers_of_[t]; }
+  const std::vector<OpId>& consumers(TensorId t) const { return consumers_of_[t]; }
   /// Edges carrying tensor `t`.
-  const ArenaVector<EdgeId>& tensor_edges(TensorId t) const { return tensor_edges_[t]; }
+  const std::vector<EdgeId>& tensor_edges(TensorId t) const { return tensor_edges_[t]; }
   /// Producer of tensor `t` within the DAG, or nullopt for external inputs.
   std::optional<OpId> producer(TensorId t) const {
     return producer_of_[t] == kInvalidOp ? std::nullopt : std::optional<OpId>(producer_of_[t]);
@@ -124,23 +101,15 @@ class TensorDag {
   /// Graphviz DOT with nodes annotated by dominance (Fig. 7 style).
   std::string to_dot() const;
 
-  /// The backing store for node payloads; alive exactly as long as the DAG.
-  const Arena& arena() const { return *arena_; }
-
  private:
-  // Declared first so node payloads (which live in arena chunks) are
-  // destroyed before the arena itself releases the memory.
-  std::unique_ptr<Arena> arena_;  ///< unique_ptr: stable address across moves
   std::vector<TensorDesc> tensors_;
   std::vector<EinsumOp> ops_;
   std::vector<Edge> edges_;
 
   // Incremental adjacency (see the accessor block above).
-  std::vector<OpId> producer_of_;                ///< per tensor; kInvalidOp = external
-  std::vector<ArenaVector<OpId>> consumers_of_;  ///< per tensor
-  std::vector<ArenaVector<EdgeId>> tensor_edges_;  ///< per tensor
-  std::vector<ArenaVector<EdgeId>> out_edges_;   ///< per op
-  std::vector<ArenaVector<EdgeId>> in_edges_;    ///< per op
+  std::vector<OpId> producer_of_;                 ///< per tensor; kInvalidOp = external
+  std::vector<std::vector<OpId>> consumers_of_;    ///< per tensor
+  std::vector<std::vector<EdgeId>> tensor_edges_;  ///< per tensor
 };
 
 }  // namespace cello::ir

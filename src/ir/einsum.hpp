@@ -43,17 +43,12 @@ struct OpRank {
 };
 
 struct EinsumOp {
-  EinsumOp() = default;
-  /// Arena-bound node (TensorDag::new_op()): rank/operand payloads bump-
-  /// allocate straight into the DAG's arena instead of the heap.
-  explicit EinsumOp(Arena& arena) : ranks(&arena), inputs(&arena) {}
-
   OpId id = kInvalidOp;
   std::string name;
   OpKind kind = OpKind::TensorMac;
 
-  ArenaVector<OpRank> ranks;
-  ArenaVector<TensorId> inputs;
+  std::vector<OpRank> ranks;
+  std::vector<TensorId> inputs;
   TensorId output = kInvalidTensor;
 
   /// Multiply-accumulate count; derived from rank extents unless overridden

@@ -7,10 +7,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "ir/arena.hpp"
 
 namespace cello::ir {
 
@@ -24,18 +24,13 @@ enum class Storage {
 };
 
 struct TensorDesc {
-  TensorDesc() = default;
-  /// Arena-bound node (TensorDag::new_tensor()): rank/dim payloads bump-
-  /// allocate straight into the DAG's arena instead of the heap.
-  explicit TensorDesc(Arena& arena) : ranks(&arena), dims(&arena) {}
-
   TensorId id = kInvalidTensor;
   std::string name;
 
   /// Rank names in layout-major order (outermost first), e.g. {"m", "n"}.
-  ArenaVector<std::string> ranks;
+  std::vector<std::string> ranks;
   /// Extent of each rank, aligned with `ranks`.
-  ArenaVector<i64> dims;
+  std::vector<i64> dims;
 
   Bytes word_bytes = 4;
   Storage storage = Storage::Dense;

@@ -6,15 +6,6 @@
 
 namespace cello::sim {
 
-const char* to_string(ShardClass c) {
-  switch (c) {
-    case ShardClass::Local: return "local";
-    case ShardClass::Reduce: return "reduce";
-    case ShardClass::Broadcast: return "broadcast";
-  }
-  return "?";
-}
-
 std::string pick_shard_rank(const ir::TensorDag& dag) {
   std::string best;
   i64 best_size = 1;
@@ -45,12 +36,12 @@ Partition build_partition(const ir::TensorDag& dag, i64 nodes) {
   CELLO_CHECK_MSG(nodes <= extent, "partition: " << nodes << " nodes exceed the shard rank '"
                                                  << rank << "' extent " << extent);
 
-  // One node's slice, rebuilt node-for-node through the arena builders so
+  // One node's slice, rebuilt node-for-node through add_tensor/add_op so
   // ids and marks line up with the full DAG (add_op derives the same edges).
   // Every extent of the shard rank divides as ceil(extent / nodes): the
   // straggler's share, since whole-system time is the slowest node's.
   for (const auto& src : dag.tensors()) {
-    ir::TensorDesc t = part.shard.new_tensor();
+    ir::TensorDesc t;
     t.name = src.name;
     t.word_bytes = src.word_bytes;
     t.storage = src.storage;
@@ -72,7 +63,7 @@ Partition build_partition(const ir::TensorDag& dag, i64 nodes) {
     CELLO_CHECK(id == src.id);
   }
   for (const auto& src : dag.ops()) {
-    ir::EinsumOp op = part.shard.new_op();
+    ir::EinsumOp op;
     op.name = src.name;
     op.kind = src.kind;
     op.output = src.output;

@@ -9,8 +9,8 @@
 // every multi-node RunMetrics.
 //
 // `build_partition` emits ONE node's shard as a structurally identical
-// TensorDag (same ids, same edges, sharded extents) via the arena builders,
-// so the existing Simulator/policy machinery runs it unchanged.
+// TensorDag (same ids, same edges, sharded extents) through add_tensor /
+// add_op, so the existing Simulator/policy machinery runs it unchanged.
 #pragma once
 
 #include <string>
@@ -30,8 +30,6 @@ enum class ShardClass {
   Reduce,     ///< contracted-dominant partial: per-node copies combine at a root
   Broadcast,  ///< shard-rank-free operand every node needs a full copy of
 };
-
-const char* to_string(ShardClass c);
 
 struct Partition {
   i64 nodes = 1;

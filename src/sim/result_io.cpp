@@ -78,11 +78,6 @@ const std::string& JsonValue::as_string() const {
   return scalar;
 }
 
-bool JsonValue::as_bool() const {
-  if (type != Type::Bool) throw Error("JSON: expected a boolean");
-  return boolean;
-}
-
 i64 JsonValue::as_i64() const {
   if (type != Type::Number) throw Error("JSON: expected a number");
   char* end = nullptr;

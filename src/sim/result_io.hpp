@@ -43,7 +43,6 @@ struct JsonValue {
   const JsonValue& at(const std::string& key) const;
 
   const std::string& as_string() const;
-  bool as_bool() const;
   i64 as_i64() const;
   u64 as_u64() const;
   /// Number token, or a String holding a hexfloat/decimal literal.

@@ -73,9 +73,6 @@ void write_args(std::ostream& out, const std::vector<TraceArg>& args) {
 TraceArg arg(const std::string& key, i64 value) { return {key, render(value)}; }
 TraceArg arg(const std::string& key, u64 value) { return {key, render(value)}; }
 TraceArg arg(const std::string& key, double value) { return {key, render(value)}; }
-TraceArg arg(const std::string& key, const std::string& value) {
-  return {key, quote(value)};
-}
 
 std::ostream& ChromeTraceWriter::begin_event() {
   std::ostream& out = *out_;

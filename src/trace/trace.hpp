@@ -21,8 +21,8 @@
 
 namespace cello::trace {
 
-/// One event argument: a key plus a pre-rendered JSON value token ("3",
-/// "1.5", "\"cg\"").  Pre-rendering keeps the sink interface free of a
+/// One event argument: a key plus a pre-rendered JSON number token ("3",
+/// "1.5").  Pre-rendering keeps the sink interface free of a
 /// variant type and makes the emitted bytes deterministic by construction.
 struct TraceArg {
   std::string key;
@@ -32,7 +32,6 @@ struct TraceArg {
 TraceArg arg(const std::string& key, i64 value);
 TraceArg arg(const std::string& key, u64 value);
 TraceArg arg(const std::string& key, double value);
-TraceArg arg(const std::string& key, const std::string& value);
 
 /// Consumer of one run's trace events.  (pid, tid) pairs name "tracks": the
 /// simulator uses one pid per run with tid lanes for the schedule (compute),

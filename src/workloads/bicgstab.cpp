@@ -11,7 +11,7 @@ using ir::TensorDesc;
 using ir::TensorId;
 
 TensorId add_vector(TensorDag& dag, const std::string& name, i64 m, i64 n, Bytes w) {
-  TensorDesc t = dag.new_tensor();
+  TensorDesc t;
   t.name = name;
   t.ranks = {"m", "n"};
   t.dims = {m, n};
@@ -20,7 +20,7 @@ TensorId add_vector(TensorDag& dag, const std::string& name, i64 m, i64 n, Bytes
 }
 
 TensorId add_scalar(TensorDag& dag, const std::string& name, i64 n, Bytes w) {
-  TensorDesc t = dag.new_tensor();
+  TensorDesc t;
   t.name = name;
   t.ranks = {"n'", "n"};
   t.dims = {n, n};
@@ -37,7 +37,7 @@ ir::TensorDag build_bicgstab_dag(const BiCgStabShape& shape) {
   const Bytes w = shape.word_bytes;
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
-  TensorDesc a = dag.new_tensor();
+  TensorDesc a;
   a.name = "A";
   a.ranks = {"m", "k"};
   a.dims = {m, m};
@@ -53,7 +53,7 @@ ir::TensorDag build_bicgstab_dag(const BiCgStabShape& shape) {
   TensorId x_prev = add_vector(dag, "x@0", m, n, w);
 
   auto dot_op = [&](const std::string& name, std::vector<TensorId> ins, TensorId out) {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = name;
     op.inputs = std::move(ins);
     op.output = out;
@@ -61,7 +61,7 @@ ir::TensorDag build_bicgstab_dag(const BiCgStabShape& shape) {
     dag.add_op(std::move(op));
   };
   auto update_op = [&](const std::string& name, std::vector<TensorId> ins, TensorId out) {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = name;
     op.inputs = std::move(ins);
     op.output = out;
@@ -70,7 +70,7 @@ ir::TensorDag build_bicgstab_dag(const BiCgStabShape& shape) {
     dag.add_op(std::move(op));
   };
   auto spmv_op = [&](const std::string& name, TensorId in, TensorId out) {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = name;
     op.inputs = {A, in};
     op.output = out;

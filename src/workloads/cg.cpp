@@ -19,7 +19,7 @@ using ir::TensorDesc;
 using ir::TensorId;
 
 TensorId add_skewed(TensorDag& dag, const std::string& name, i64 m, i64 n, Bytes word) {
-  TensorDesc t = dag.new_tensor();
+  TensorDesc t;
   t.name = name;
   t.ranks = {"m", "n"};
   t.dims = {m, n};
@@ -28,7 +28,7 @@ TensorId add_skewed(TensorDag& dag, const std::string& name, i64 m, i64 n, Bytes
 }
 
 TensorId add_small(TensorDag& dag, const std::string& name, i64 n1, i64 n2, Bytes word) {
-  TensorDesc t = dag.new_tensor();
+  TensorDesc t;
   t.name = name;
   t.ranks = {"n'", "n"};
   t.dims = {n1, n2};
@@ -46,7 +46,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
   // External inputs: the sparse matrix A and the iteration-0 state.
-  TensorDesc a = dag.new_tensor();
+  TensorDesc a;
   a.name = "A";
   a.ranks = {"m", "k"};
   a.dims = {m, m};
@@ -68,7 +68,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // uncontracted-dominant (the 'U*' node of Fig. 7).
     const TensorId S = add_skewed(dag, "S" + v, m, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "1" + v;
       op.inputs = {A, P_prev};
       op.output = S;
@@ -81,7 +81,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 2a: Delta = P^T S — contraction over the big m rank ('C' node).
     const TensorId Delta = add_small(dag, "Delta" + v, n, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "2a" + v;
       op.inputs = {P_prev, S};
       op.output = Delta;
@@ -93,7 +93,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 2b: Lambda = Delta^{-1} Gamma — small inverse-and-multiply.
     const TensorId Lambda = add_small(dag, "Lambda" + v, n, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "2b" + v;
       op.kind = OpKind::Inverse;
       op.inputs = {Delta, G_prev};
@@ -106,7 +106,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 3: X = X + P Lambda — the delayed self-dependency tensor.
     const TensorId X = add_skewed(dag, "X" + v, m, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "3" + v;
       op.inputs = {X_prev, P_prev, Lambda};
       op.output = X;
@@ -118,7 +118,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 4: R = R - S Lambda.
     const TensorId R = add_skewed(dag, "R" + v, m, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "4" + v;
       op.inputs = {R_prev, S, Lambda};
       op.output = R;
@@ -130,7 +130,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 5: Gamma = R^T R ('C' node).
     const TensorId Gamma = add_small(dag, "Gamma" + v, n, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "5" + v;
       op.inputs = {R};
       op.output = Gamma;
@@ -142,7 +142,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 6: Phi = Gamma_prev^{-1} Gamma — small inverse ('inv' node).
     const TensorId Phi = add_small(dag, "Phi" + v, n, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "6" + v;
       op.kind = OpKind::Inverse;
       op.inputs = {G_prev, Gamma};
@@ -155,7 +155,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
     // Line 7: P = R + P Phi — the new search direction.
     const TensorId P = add_skewed(dag, "P" + v, m, n, w);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "7" + v;
       op.inputs = {R, P_prev, Phi};
       op.output = P;

@@ -12,7 +12,7 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
   const Bytes w = shape.word_bytes;
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.vertices);
 
-  ir::TensorDesc a = dag.new_tensor();
+  ir::TensorDesc a;
   a.name = "A_hat";
   a.ranks = {"m", "k"};
   a.dims = {m, m};
@@ -21,28 +21,28 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
   a.nnz = shape.nnz;
   const ir::TensorId A = dag.add_tensor(std::move(a));
 
-  ir::TensorDesc x = dag.new_tensor();
+  ir::TensorDesc x;
   x.name = "X";
   x.ranks = {"m", "n"};
   x.dims = {m, n};
   x.word_bytes = w;
   const ir::TensorId X = dag.add_tensor(std::move(x));
 
-  ir::TensorDesc wt = dag.new_tensor();
+  ir::TensorDesc wt;
   wt.name = "W";
   wt.ranks = {"n", "o"};
   wt.dims = {n, o};
   wt.word_bytes = w;
   const ir::TensorId W = dag.add_tensor(std::move(wt));
 
-  ir::TensorDesc h = dag.new_tensor();
+  ir::TensorDesc h;
   h.name = "H";
   h.ranks = {"m", "n"};
   h.dims = {m, n};
   h.word_bytes = w;
   const ir::TensorId H = dag.add_tensor(std::move(h));
 
-  ir::TensorDesc y = dag.new_tensor();
+  ir::TensorDesc y;
   y.name = "Y";
   y.ranks = {"m", "o"};
   y.dims = {m, o};
@@ -50,7 +50,7 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
   const ir::TensorId Y = dag.add_tensor(std::move(y));
 
   {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = "aggregate";
     op.inputs = {A, X};
     op.output = H;
@@ -60,7 +60,7 @@ ir::TensorDag build_gnn_dag(const GnnShape& shape) {
     dag.add_op(std::move(op));
   }
   {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = "transform";
     op.inputs = {H, W};
     op.output = Y;
@@ -80,7 +80,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
   const Bytes w = shape.word_bytes;
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.vertices);
 
-  ir::TensorDesc a = dag.new_tensor();
+  ir::TensorDesc a;
   a.name = "A_hat";
   a.ranks = {"m", "k"};
   a.dims = {m, m};
@@ -90,7 +90,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
   const ir::TensorId A = dag.add_tensor(std::move(a));
 
   auto add_fmap = [&](const std::string& name, i64 feats) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {"m", "n"};
     t.dims = {m, feats};
@@ -105,7 +105,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
     const i64 feats_out = (l == layers) ? shape.out_features : hidden_features;
     const std::string v = "@" + std::to_string(l);
 
-    ir::TensorDesc wt = dag.new_tensor();
+    ir::TensorDesc wt;
     wt.name = "W" + v;
     wt.ranks = {"n", "o"};
     wt.dims = {feats_prev, feats_out};
@@ -114,7 +114,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
 
     const ir::TensorId G = add_fmap("G" + v, feats_prev);  // aggregated features
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "aggregate" + v;
       op.inputs = {A, h_prev};
       op.output = G;
@@ -125,7 +125,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
     }
     const ir::TensorId H = add_fmap("H" + v, feats_out);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "transform" + v;
       op.inputs = {G, W};
       op.output = H;

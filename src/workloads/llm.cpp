@@ -33,7 +33,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
   const Bytes w = shape.word_bytes;
 
   auto add_vec = [&](const std::string& name, const std::string& col_rank, i64 cols) {
-    TensorDesc t = dag.new_tensor();
+    TensorDesc t;
     t.name = name;
     t.ranks = {"m", col_rank};
     t.dims = {1, cols};
@@ -42,7 +42,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
   };
   auto add_weight = [&](const std::string& name, const std::string& row_rank, i64 rows,
                         const std::string& col_rank, i64 cols) {
-    TensorDesc t = dag.new_tensor();
+    TensorDesc t;
     t.name = name;
     t.ranks = {row_rank, col_rank};
     t.dims = {rows, cols};
@@ -50,7 +50,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
     return dag.add_tensor(std::move(t));
   };
   auto add_cache = [&](const std::string& base, i64 extent, i64 t_idx) {
-    TensorDesc t = dag.new_tensor();
+    TensorDesc t;
     t.name = base + "@" + std::to_string(t_idx);
     t.ranks = {"j", "dk"};
     t.dims = {extent, kv_width};
@@ -84,7 +84,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       // Fused Q/K/V projection of the step's single token.
       const TensorId qkv = add_vec("qkv" + L + S, "n", d + 2 * kv_width);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "qkv" + L + S;
         op.inputs = {h[t], Wqkv};
         op.output = qkv;
@@ -99,7 +99,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       dag.mark_append(K_prev, K);
       dag.mark_append(V_prev, V);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "k_append" + L + S;
         op.kind = OpKind::Elementwise;
         op.inputs = {K_prev, qkv};
@@ -109,7 +109,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
         dag.add_op(std::move(op));
       }
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "v_append" + L + S;
         op.kind = OpKind::Elementwise;
         op.inputs = {V_prev, qkv};
@@ -123,7 +123,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       // regardless of how many KV heads the queries share under GQA).
       const TensorId att = add_vec("att" + L + S, "j", extent);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "attn" + L + S;
         op.inputs = {qkv, K};
         op.output = att;
@@ -136,7 +136,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       // softmax(att) . V: aggregate the cached values through the scores.
       const TensorId ctx = add_vec("ctx" + L + S, "k", d);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "ctx" + L + S;
         op.inputs = {att, V};
         op.output = ctx;
@@ -149,7 +149,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       // Output projection, then the two MLP GEMMs.
       const TensorId out = add_vec("out" + L + S, "n", d);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "proj" + L + S;
         op.inputs = {ctx, Wo};
         op.output = out;
@@ -159,7 +159,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       }
       const TensorId f = add_vec("f" + L + S, "f", d_ff);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "mlp1" + L + S;
         op.inputs = {out, W1};
         op.output = f;
@@ -169,7 +169,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       }
       const TensorId y = add_vec("h" + std::to_string(l) + S, "k", d);
       {
-        ir::EinsumOp op = dag.new_op();
+        ir::EinsumOp op;
         op.name = "mlp2" + L + S;
         op.inputs = {f, W2};
         op.output = y;

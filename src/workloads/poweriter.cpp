@@ -11,7 +11,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
   const Bytes w = shape.word_bytes;
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
-  ir::TensorDesc a = dag.new_tensor();
+  ir::TensorDesc a;
   a.name = "A";
   a.ranks = {"m", "k"};
   a.dims = {m, m};
@@ -21,7 +21,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
   const ir::TensorId A = dag.add_tensor(std::move(a));
 
   auto add_vec = [&](const std::string& name) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {"m", "n"};
     t.dims = {m, 1};
@@ -29,7 +29,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
     return dag.add_tensor(std::move(t));
   };
   auto add_scalar = [&](const std::string& name) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {"n'", "n"};
     t.dims = {1, 1};
@@ -44,7 +44,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
 
     const ir::TensorId y = add_vec("y" + v);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "spmv" + v;
       op.inputs = {A, x_prev};
       op.output = y;
@@ -56,7 +56,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
 
     const ir::TensorId sigma = add_scalar("sigma" + v);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "norm" + v;
       op.inputs = {y};
       op.output = sigma;
@@ -67,7 +67,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
 
     const ir::TensorId x = add_vec("x" + v);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "scale" + v;
       op.inputs = {y, sigma};
       op.output = x;

@@ -13,7 +13,7 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
   const Bytes w = shape.word_bytes;
 
   auto add_fmap = [&](const std::string& name, const std::string& chan_rank, i64 channels) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {"m", chan_rank};
     t.dims = {m, channels};
@@ -22,7 +22,7 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
   };
   auto add_weight = [&](const std::string& name, const std::string& rin, i64 cin,
                         const std::string& rout, i64 cout) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {rin, rout};
     t.dims = {cin, cout};
@@ -46,7 +46,7 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
   auto conv = [&](const std::string& name, ir::TensorId in, ir::TensorId weight,
                   ir::TensorId out, const std::string& rin, i64 cin, const std::string& rout,
                   i64 cout, i64 window) {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = name;
     op.inputs = {in, weight};
     op.output = out;
@@ -66,7 +66,7 @@ ir::TensorDag build_resnet_block_dag(const ResNetBlockShape& shape) {
 
   {
     // Elementwise residual add: Out = T3 + T0 (the skip consumer).
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = "add";
     op.kind = ir::OpKind::TensorMac;  // modelled as a MAC op so it can pipeline
     op.inputs = {T3, T0};
@@ -89,7 +89,7 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
   const Bytes w = shape.word_bytes;
 
   auto add_fmap = [&](const std::string& name, const std::string& chan_rank, i64 channels) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {"m", chan_rank};
     t.dims = {m, channels};
@@ -98,7 +98,7 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
   };
   auto add_weight = [&](const std::string& name, const std::string& rin, i64 cin,
                         const std::string& rout, i64 cout) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {rin, rout};
     t.dims = {cin, cout};
@@ -108,7 +108,7 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
   auto conv = [&](const std::string& name, ir::TensorId in, ir::TensorId weight,
                   ir::TensorId out, const std::string& rin, i64 cin, const std::string& rout,
                   i64 cout, i64 window) {
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = name;
     op.inputs = {in, weight};
     op.output = out;
@@ -140,7 +140,7 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
     conv("conv2" + v, T1, W2, T2, r1, c_mid, r2, c_mid, shape.kernel * shape.kernel);
     conv("conv3" + v, T2, W3, T3, r2, c_mid, r3, c_in, 1);
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "add" + v;
       op.inputs = {T3, block_in};
       op.output = Out;

@@ -13,7 +13,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
   const Bytes w = shape.word_bytes;
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.rows);
 
-  ir::TensorDesc mask = dag.new_tensor();
+  ir::TensorDesc mask;
   mask.name = "M";
   mask.ranks = {"m", "j"};
   mask.dims = {m, m};
@@ -23,7 +23,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
   const ir::TensorId M = dag.add_tensor(std::move(mask));
 
   auto add_dense = [&](const std::string& name, const std::string& row_rank) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {row_rank, "d"};
     t.dims = {m, d};
@@ -39,7 +39,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     const ir::TensorId Q = add_dense("Q" + v, "m");
     const ir::TensorId K = add_dense("K" + v, "j");
 
-    ir::TensorDesc s = dag.new_tensor();
+    ir::TensorDesc s;
     s.name = "S" + v;
     s.ranks = {"m", "j"};
     s.dims = {m, m};
@@ -51,7 +51,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     {
       // Only the mask's nnz positions are computed: the "j" rank traverses
       // the row occupancy, and the contraction runs over the d features.
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "sddmm" + v;
       op.inputs = {M, Q, K};
       op.output = S;
@@ -69,7 +69,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     const ir::TensorId V = add_dense("V" + v, "j");
     const ir::TensorId O = add_dense("O" + v, "m");
     {
-      ir::EinsumOp op = dag.new_op();
+      ir::EinsumOp op;
       op.name = "spmm" + v;
       op.inputs = {S, V};
       op.output = O;

@@ -13,7 +13,7 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
   const Bytes w = shape.word_bytes;
   const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
-  ir::TensorDesc a = dag.new_tensor();
+  ir::TensorDesc a;
   a.name = "A";
   a.ranks = {"m", "k"};
   a.dims = {m, m};
@@ -23,7 +23,7 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
   const ir::TensorId A = dag.add_tensor(std::move(a));
 
   auto add_iterate = [&](const std::string& name) {
-    ir::TensorDesc t = dag.new_tensor();
+    ir::TensorDesc t;
     t.name = name;
     t.ranks = {"m", "n"};
     t.dims = {m, n};
@@ -35,7 +35,7 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
     const ir::TensorId x = add_iterate("x@" + std::to_string(it));
-    ir::EinsumOp op = dag.new_op();
+    ir::EinsumOp op;
     op.name = "spmv@" + std::to_string(it);
     op.inputs = {A, x_prev};
     op.output = x;

@@ -11,6 +11,9 @@
 #   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries/
 #                 --n/--iters/--nodes/--trace-cell) are rejected with an
 #                 `error:` line naming the flag
+#   bad_files     `merge` over missing, truncated, duplicate and absent shard
+#                 files, `merge` without shard arguments and `run --trace`
+#                 into a missing directory fail with a message naming the cause
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -104,6 +107,48 @@ if(FLOW STREQUAL "bad_flags")
                 --keep-going --retries ${value})
   endforeach()
   unset(ENV{CELLO_FAILPOINTS})
+  return()
+endif()
+
+# cli_fails_with(<text> <args>...): the CLI must exit non-zero and print <text>.
+function(cli_fails_with text)
+  execute_process(COMMAND ${CLI} ${ARGN} WORKING_DIRECTORY ${WORKDIR} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "cello_cli ${ARGN} should have failed, got '${rc}':\n${out}${err}")
+  endif()
+  string(FIND "${out}${err}" "${text}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "cello_cli ${ARGN}: expected '${text}', got:\n${out}${err}")
+  endif()
+endfunction()
+
+if(FLOW STREQUAL "bad_files")
+  set(SMALL_GRID sweep --workload cg:m=2048,n=4,iters=1 --workload cg:m=1024,n=4,iters=1
+                 --config Cello)
+  foreach(i 1 2)
+    cli(ok ${SMALL_GRID} --shard ${i}/2 --out shard-${i}.json)
+  endforeach()
+  file(READ ${WORKDIR}/shard-1.json whole)
+  string(LENGTH "${whole}" size)
+  math(EXPR half "${size} / 2")
+  string(SUBSTRING "${whole}" 0 ${half} truncated)
+  file(WRITE ${WORKDIR}/truncated.json "${truncated}")
+
+  cli_fails_with("shard file 'absent.json'" merge merged.json shard-1.json absent.json)
+  cli_fails_with("shard file 'truncated.json'" merge merged.json shard-1.json truncated.json)
+  cli_fails_with("duplicate shard 1/2" merge merged.json shard-1.json shard-1.json)
+  cli_fails_with("split 2 ways but 1 shard(s)" merge merged.json shard-1.json)
+  cli_fails_with("usage: cello_cli merge" merge)
+  cli_fails_with("usage: cello_cli merge" merge merged.json)
+  if(EXISTS ${WORKDIR}/merged.json)
+    message(FATAL_ERROR "${FLOW}: a failed merge wrote merged.json")
+  endif()
+  cli(ok merge merged.json shard-2.json shard-1.json)
+
+  cli_fails_with("cannot write '/nonexistent/dir/t.json'"
+                 run --workload cg:m=2048,n=4,iters=1 --config Cello
+                 --trace /nonexistent/dir/t.json)
   return()
 endif()
 

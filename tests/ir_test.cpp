@@ -2,8 +2,13 @@
 // structure and the transitivity analyses Algorithm 2 depends on.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <utility>
+
 #include "common/error.hpp"
 #include "ir/dag.hpp"
+#include "workloads/cg.hpp"
+#include "workloads/resnet.hpp"
 
 namespace {
 
@@ -136,8 +141,8 @@ struct DiamondFixture {
     b = mk_op("b", {ta}, tb);
     c = mk_op("c", {ta, tb}, tc);
     d = mk_op("d", {ta, tc}, td);
-    for (const ir::EdgeId e : dag.in_edges(d))
-      if (dag.edge(e).src == a) shortcut = e;
+    for (const ir::EdgeId e : dag.out_edges(a))
+      if (dag.edge(e).dst == d) shortcut = e;
   }
 };
 
@@ -154,7 +159,7 @@ TEST(TensorDag, AddOpDerivesOneEdgePerProducedInputInOperandOrder) {
     EXPECT_EQ(e.tensor, f.dag.op(e.src).output) << i;
   }
   EXPECT_EQ(f.shortcut, 3);
-  EXPECT_TRUE(f.dag.in_edges(f.a).empty());  // Tin has no producer: external
+  EXPECT_TRUE(f.dag.tensor_edges(f.tin).empty());  // Tin has no producer: external
   EXPECT_EQ(f.dag.consumers(f.tin).size(), 1u);
 }
 
@@ -170,7 +175,7 @@ TEST(TensorDag, RepeatedOperandGivesOneEdge) {
   EXPECT_EQ(dag.edge(0).src, p);
   EXPECT_EQ(dag.edge(0).dst, g);
   EXPECT_EQ(dag.edge(0).tensor, r);
-  EXPECT_EQ(dag.in_edges(g).size(), 1u);
+  EXPECT_EQ(dag.out_edges(p).size(), 1u);
   EXPECT_EQ(dag.consumers(r).size(), 1u);
   EXPECT_EQ(dag.tensor_edges(r).size(), 1u);
 }
@@ -252,6 +257,90 @@ TEST(TensorDag, DotExportMentionsNodesAndTransitivity) {
   const std::string dot = f.dag.to_dot();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("(T)"), std::string::npos);  // transitive edge marker
+}
+
+// ---- ownership --------------------------------------------------------------
+
+/// Every node payload and adjacency list of `dag`, as text.  Reading it
+/// touches each byte the DAG owns, so under the asan preset a copy or move
+/// that left a dangling payload fails here.
+std::string structure_of(const TensorDag& dag) {
+  std::ostringstream os;
+  for (const auto& t : dag.tensors()) {
+    os << "t" << t.id << " " << t.name << " " << t.bytes() << " " << t.append_prev << ":";
+    for (size_t i = 0; i < t.ranks.size(); ++i) os << " " << t.ranks[i] << "=" << t.dims[i];
+    os << " |";
+    for (const ir::OpId c : dag.consumers(t.id)) os << " c" << c;
+    for (const ir::EdgeId e : dag.tensor_edges(t.id)) os << " e" << e;
+    os << "\n";
+  }
+  for (const auto& op : dag.ops()) {
+    os << "o" << op.id << " " << op.name << " " << op.macs() << " ->" << op.output << ":";
+    for (const auto& r : op.ranks) os << " " << r.name << "=" << r.effective();
+    for (const ir::TensorId in : op.inputs) os << " i" << in;
+    os << " |";
+    for (const ir::EdgeId e : dag.out_edges(op.id)) os << " out" << e;
+    os << "\n";
+  }
+  return os.str() + dag.to_dot();
+}
+
+workloads::CgShape small_cg() { return {1024, 4, 8192, 2, 4}; }
+
+TEST(TensorDagOwnership, CopyOutlivesTheOriginal) {
+  TensorDag copy;
+  std::string before;
+  {
+    const TensorDag original = workloads::build_resnet_block_dag({});
+    before = structure_of(original);
+    copy = original;
+  }  // the original is destroyed here
+  EXPECT_EQ(structure_of(copy), before);
+  EXPECT_EQ(structure_of(TensorDag(copy)), before);  // and the copy constructor
+}
+
+TEST(TensorDagOwnership, MovesKeepAdjacencyAndPayloadReferences) {
+  TensorDag source = workloads::build_cg_dag(small_cg());
+  const std::string before = structure_of(source);
+  const ir::TensorId a = 0;  // CG's external sparse matrix, read by every SpMM
+  ASSERT_EQ(source.tensor(a).name, "A");
+  ASSERT_FALSE(source.consumers(a).empty());
+  const std::vector<ir::EdgeId>* out0 = &source.out_edges(0);
+  const std::vector<ir::OpId>* consumers_a = &source.consumers(a);
+  const std::string* rank0 = &source.tensor(a).ranks[0];
+  const ir::OpRank* op_rank0 = &source.op(0).ranks[0];
+
+  TensorDag moved(std::move(source));
+  EXPECT_EQ(&moved.out_edges(0), out0);
+  EXPECT_EQ(&moved.consumers(a), consumers_a);
+  EXPECT_EQ(&moved.tensor(a).ranks[0], rank0);
+  EXPECT_EQ(&moved.op(0).ranks[0], op_rank0);
+  EXPECT_EQ(structure_of(moved), before);
+
+  // Move-assign over a non-empty DAG: the old nodes go, the references stay.
+  TensorDag target = workloads::build_resnet_block_dag({});
+  ASSERT_FALSE(target.ops().empty());
+  target = std::move(moved);
+  EXPECT_EQ(&target.out_edges(0), out0);
+  EXPECT_EQ(&target.consumers(a), consumers_a);
+  EXPECT_EQ(&target.tensor(a).ranks[0], rank0);
+  EXPECT_EQ(&target.op(0).ranks[0], op_rank0);
+  EXPECT_EQ(structure_of(target), before);
+
+  // Copy-assign over a non-empty DAG leaves both sides intact.
+  TensorDag other = workloads::build_resnet_block_dag({});
+  other = target;
+  EXPECT_EQ(structure_of(other), before);
+  EXPECT_EQ(structure_of(target), before);
+}
+
+TEST(TensorDagOwnership, BuildDestroyCyclesAreStable) {
+  const std::string first = structure_of(workloads::build_cg_dag(small_cg()));
+  for (int i = 0; i < 20; ++i) {
+    const TensorDag dag = workloads::build_cg_dag(small_cg());
+    EXPECT_EQ(dag.ops().size(), 16u);  // 8 ops per CG iteration
+    EXPECT_EQ(structure_of(dag), first);
+  }
 }
 
 }  // namespace

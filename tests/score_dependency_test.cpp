@@ -62,8 +62,8 @@ struct ChainBuilder {
 
   /// The edge from `src` into `dst`.
   ir::EdgeId edge(ir::OpId src, ir::OpId dst) const {
-    for (const ir::EdgeId e : dag.in_edges(dst))
-      if (dag.edge(e).src == src) return e;
+    for (const ir::EdgeId e : dag.out_edges(src))
+      if (dag.edge(e).dst == dst) return e;
     ADD_FAILURE() << "no edge " << src << " -> " << dst;
     return -1;
   }
