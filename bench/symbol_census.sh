@@ -14,6 +14,9 @@
 # A symbol whose every call was inlined leaves no out-of-line copy behind, so
 # it is listed here although its code runs.  Read each entry before deleting.
 #
+# Above the lists it prints the line counts of src/ and tests/*.cpp, the size
+# trajectory the census is meant to shrink.
+#
 # Usage: bench/symbol_census.sh [build-dir]
 #   build-dir  reused (and kept) when given; a temporary directory otherwise
 set -euo pipefail
@@ -38,10 +41,24 @@ make -C "$build/cello" -j "$(nproc)" >/dev/null
 lib="$build/cello/libcello.a"
 [[ -f "$lib" ]] || { echo "error: $lib was not built" >&2; exit 1; }
 
-python3 - "$build" "$lib" <<'EOF'
-import os, subprocess, sys
+python3 - "$repo" "$build" "$lib" <<'EOF'
+import glob, os, subprocess, sys
 
-build, lib = sys.argv[1:3]
+repo, build, lib = sys.argv[1:4]
+
+
+def lines(paths):
+    total = 0
+    for path in paths:
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
+src_files = [p for p in glob.glob(os.path.join(repo, "src", "**", "*"), recursive=True)
+             if os.path.isfile(p)]
+print(f"src/: {lines(src_files)} lines in {len(src_files)} files")
+print(f"tests/*.cpp: {lines(glob.glob(os.path.join(repo, 'tests', '*.cpp')))} lines\n")
 
 
 def defined(path):

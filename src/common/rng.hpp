@@ -50,15 +50,10 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Approximately standard-normal deviate (Box–Muller on cached pairs).
-  double normal();
-
  private:
   static constexpr u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
 
   u64 state_[4]{};
-  bool have_cached_ = false;
-  double cached_ = 0.0;
 };
 
 }  // namespace cello

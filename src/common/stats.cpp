@@ -1,18 +1,10 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 
 namespace cello {
-
-double mean(std::span<const double> xs) {
-  CELLO_CHECK(!xs.empty());
-  double s = 0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
 
 double geomean(std::span<const double> xs) {
   CELLO_CHECK(!xs.empty());
@@ -22,33 +14,6 @@ double geomean(std::span<const double> xs) {
     s += std::log(x);
   }
   return std::exp(s / static_cast<double>(xs.size()));
-}
-
-double median(std::vector<double> xs) {
-  CELLO_CHECK(!xs.empty());
-  std::sort(xs.begin(), xs.end());
-  const size_t n = xs.size();
-  return (n % 2 == 1) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-double min_of(std::span<const double> xs) {
-  CELLO_CHECK(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  CELLO_CHECK(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.mean = mean(xs);
-  s.geomean = geomean(xs);
-  s.median = median(std::vector<double>(xs.begin(), xs.end()));
-  s.min = min_of(xs);
-  s.max = max_of(xs);
-  return s;
 }
 
 }  // namespace cello

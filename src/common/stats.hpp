@@ -1,22 +1,11 @@
-// Small statistics helpers used by the benchmark harness when aggregating
-// per-dataset results (geomean speedups, means, summaries).
+// Statistics helper used by the figure drivers when aggregating per-dataset
+// results (geomean speedups).
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace cello {
 
-double mean(std::span<const double> xs);
 double geomean(std::span<const double> xs);
-double median(std::vector<double> xs);  // by value: sorts a copy
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
-struct Summary {
-  double mean = 0, geomean = 0, median = 0, min = 0, max = 0;
-};
-
-Summary summarize(std::span<const double> xs);
 
 }  // namespace cello

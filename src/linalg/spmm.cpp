@@ -17,6 +17,4 @@ void spmm(const sparse::CsrMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
   }
 }
 
-i64 spmm_macs(const sparse::CsrMatrix& a, i64 dense_cols) { return a.nnz() * dense_cols; }
-
 }  // namespace cello::linalg

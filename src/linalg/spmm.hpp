@@ -9,8 +9,4 @@ namespace cello::linalg {
 /// C = A * B where A is M×K CSR and B is K×N dense.
 void spmm(const sparse::CsrMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 
-/// MAC count of an SpMM (nnz times the dense width) — the simulator's
-/// compute-cost input for sparse operators.
-i64 spmm_macs(const sparse::CsrMatrix& a, i64 dense_cols);
-
 }  // namespace cello::linalg

@@ -13,7 +13,7 @@ ReuseIndex ReuseIndex::build(const ir::TensorDag& dag, const Schedule& sched,
   r.offsets_.assign(num_bases + 1, 0);
 
   // Counting pass: one slot per use event.  Duplicate operands of one op
-  // count twice, exactly like Schedule::use_positions records them.
+  // count twice.
   for (const auto& step : sched.steps)
     for (ir::TensorId in : dag.op(step.op).inputs) ++r.offsets_[static_cast<size_t>(base_of[in]) + 1];
   for (size_t b = 1; b <= num_bases; ++b) r.offsets_[b] += r.offsets_[b - 1];

@@ -17,25 +17,6 @@ const char* to_string(Residency r) {
   return "?";
 }
 
-i32 Schedule::remaining_uses_after(ir::TensorId t, i64 pos) const {
-  i32 n = 0;
-  for (i64 p : use_positions[t])
-    if (p > pos) ++n;
-  return n;
-}
-
-i64 Schedule::next_use_distance(ir::TensorId t, i64 pos) const {
-  for (i64 p : use_positions[t])
-    if (p > pos) return p - pos;
-  return -1;
-}
-
-i64 Schedule::position_of(ir::OpId op) const {
-  for (size_t i = 0; i < steps.size(); ++i)
-    if (steps[i].op == op) return static_cast<i64>(i);
-  return -1;
-}
-
 namespace {
 
 /// Loop order: ranks by descending effective extent (dominant outermost, so
@@ -199,12 +180,6 @@ Schedule build_schedule(const ir::TensorDag& dag, const ScheduleOptions& opts) {
     }
     s.steps[i].pipeline_group = group;
   }
-
-  // ---- use positions ----------------------------------------------------------
-  s.use_positions.assign(dag.tensors().size(), {});
-  for (size_t i = 0; i < s.steps.size(); ++i)
-    for (ir::TensorId in : dag.op(s.steps[i].op).inputs)
-      s.use_positions[in].push_back(static_cast<i64>(i));
 
   // ---- residency binding --------------------------------------------------------
   s.residency.assign(dag.tensors().size(), Residency::Dram);

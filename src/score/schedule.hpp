@@ -13,9 +13,11 @@
 //    sequential (operand written back),
 //  * binds every tensor to a residency class: register file (small tensors,
 //    no search needed), pipeline buffer (all consumers pipeline/hold), CHORD
-//    (delayed-writeback/sequential consumers), or DRAM (dead outputs),
-//  * computes the coarse-grained reuse metadata (per-use frequency and
-//    distance) that SCORE hands to CHORD's RIFF policy.
+//    (delayed-writeback/sequential consumers), or DRAM (dead outputs).
+//
+// The coarse-grained reuse metadata SCORE hands to CHORD's RIFF policy
+// (per-use frequency and distance) is derived from the schedule's step order
+// by score::ReuseIndex (score/reuse_index.hpp).
 #pragma once
 
 #include <string>
@@ -55,16 +57,6 @@ struct Schedule {
   std::vector<Residency> residency;    ///< per TensorId
   std::vector<std::string> layout;     ///< per TensorId: stored major rank ("" = any)
   i32 swizzle_count = 0;               ///< layout transforms the schedule could not avoid
-
-  /// Per TensorId: step indices at which the tensor is consumed.
-  std::vector<std::vector<i64>> use_positions;
-
-  /// Number of consumptions strictly after step `pos` (RIFF frequency).
-  i32 remaining_uses_after(ir::TensorId t, i64 pos) const;
-  /// Distance (in steps) from `pos` to the next consumption, or -1 (RIFF distance).
-  i64 next_use_distance(ir::TensorId t, i64 pos) const;
-  /// Step index of an op.
-  i64 position_of(ir::OpId op) const;
 };
 
 Schedule build_schedule(const ir::TensorDag& dag, const ScheduleOptions& opts = {});

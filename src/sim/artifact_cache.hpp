@@ -70,7 +70,7 @@ class ArtifactCache {
     u32 line_bytes = 0;
     Bytes rf_bytes = 0;
 
-    /// The key of `config` running on its effective arch `arch`.
+    /// The key of `config` running on `arch`.
     static RouteKey of(const Configuration& config, const AcceleratorConfig& arch);
     /// An arch carrying the key's fields, every other field at its default:
     /// what the builds see, so they depend on nothing outside the key.

@@ -46,7 +46,7 @@ struct AcceleratorConfig {
   double dram_seconds(Bytes b) const { return static_cast<double>(b) / dram_bytes_per_sec; }
 
   /// Field-wise comparison — RunScratch keys its pooled buffer policies on
-  /// the effective arch so a scratch reused across architectures rebuilds
+  /// the run's arch so a scratch reused across architectures rebuilds
   /// instead of silently replaying against stale geometry, and
   /// sim::ArtifactCache orders its routing keys by it.
   auto operator<=>(const AcceleratorConfig&) const = default;

@@ -1,11 +1,11 @@
 // sim::Configuration: a composable simulation configuration — one schedule
-// policy paired with one buffer policy, plus pipeline-style and hold-budget
-// knobs.  The seven Table IV rows are presets of this type (see
-// ConfigRegistry); any other pairing (SCORE+LRU, FLAT+CHORD, ...) is equally
-// expressible.
+// policy paired with one buffer policy.  The seven Table IV rows are presets
+// of this type (see ConfigRegistry); any other pairing (SCORE+LRU,
+// FLAT+CHORD, ...) is equally expressible.  The architecture (Table V: SRAM,
+// bandwidth, pipeline style, hold budget, node count, topology) is not part
+// of a configuration; it lives in the AcceleratorConfig the Simulator owns.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "sim/config.hpp"
@@ -24,15 +24,6 @@ struct Configuration {
   /// delayed consumer (SET) or is pipelining strictly adjacent (FLAT)?
   /// SCORE always supports holds, bounded by the hold budget.
   bool allow_delayed_hold = false;
-
-  /// Knobs overriding the AcceleratorConfig for this configuration.
-  std::optional<PipelineStyle> pipeline_style;
-  std::optional<Bytes> hold_budget_bytes;
-  /// Multi-chip knobs (Sec. V-B): shard across `nodes` chips wired as
-  /// `topology` (a noc::TopologySpec string or bare kind).  Unset = inherit
-  /// the arch (whose default is the classic single chip).
-  std::optional<i64> nodes;
-  std::optional<std::string> topology;
 
   /// "<schedule> + <buffer>" summary, e.g. "SCORE + CHORD".
   std::string describe() const;

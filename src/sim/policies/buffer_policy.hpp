@@ -63,15 +63,11 @@ class BufferPolicy {
   virtual const char* name() const = 0;
   virtual bool trace_driven() const { return false; }
 
-  /// True when reset() restores the exact freshly-constructed state, making
-  /// the instance safe to pool across runs (sim::RunScratch reuses such
-  /// policies reset-not-reconstructed between sweep cells).  Policies that
-  /// cannot guarantee this keep the default and are rebuilt per run.
-  virtual bool reusable() const { return false; }
-  /// Restore constructed state without releasing storage.  Only meaningful
-  /// when reusable() is true; runs through a pool must be bit-identical to
+  /// Restore the exact freshly-constructed state without releasing storage.
+  /// sim::RunScratch pools every policy and resets it between runs instead
+  /// of reconstructing it, so runs through a pool must be bit-identical to
   /// runs on a fresh instance.
-  virtual void reset() {}
+  virtual void reset() = 0;
 
   // ---- analytic interface (tensor granularity) -----------------------------
   virtual BufferService read_tensor(const chord::TensorMeta&) { return {}; }

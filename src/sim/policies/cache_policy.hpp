@@ -26,7 +26,6 @@ class CachePolicy final : public BufferPolicy {
   }
   bool trace_driven() const override { return true; }
 
-  bool reusable() const override { return true; }
   void reset() override { cache_.reset(); }
 
   /// Requires a stream compatible with this policy's arch and a freshly

@@ -16,7 +16,6 @@ class ChordPolicy final : public BufferPolicy {
 
   const char* name() const override { return riff_ ? "CHORD" : "PRELUDE"; }
 
-  bool reusable() const override { return true; }
   void reset() override { buf_.reset(); }
 
   BufferService read_tensor(const chord::TensorMeta& t) override;

@@ -45,7 +45,6 @@ class KvCachePolicy final : public BufferPolicy {
 
   const char* name() const override { return "KV-cache"; }
 
-  bool reusable() const override { return true; }
   void reset() override;
 
   BufferService read_tensor(const chord::TensorMeta& t) override;

@@ -47,11 +47,4 @@ std::string per_tensor_report(const RunMetrics& m, size_t max_rows) {
   return t.to_string();
 }
 
-std::string per_op_csv(const RunMetrics& m) {
-  std::ostringstream os;
-  os << "op,macs,dram_bytes\n";
-  for (const auto& row : m.per_op) os << row.op << ',' << row.macs << ',' << row.dram_bytes << '\n';
-  return os.str();
-}
-
 }  // namespace cello::sim

@@ -1,4 +1,4 @@
-// Human-readable and CSV reports over simulation metrics: per-op compute vs
+// Human-readable reports over simulation metrics: per-op compute vs
 // traffic breakdown (which stage is memory-bound and why) and per-tensor
 // traffic attribution (which operand pays for the DRAM bytes).
 #pragma once
@@ -17,8 +17,5 @@ std::string per_op_report(const RunMetrics& m, const AcceleratorConfig& arch,
 
 /// Per-tensor traffic attribution, largest consumer first.
 std::string per_tensor_report(const RunMetrics& m, size_t max_rows = 16);
-
-/// Machine-readable CSV: one row per op ("op,macs,dram_bytes").
-std::string per_op_csv(const RunMetrics& m);
 
 }  // namespace cello::sim

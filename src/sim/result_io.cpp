@@ -1,6 +1,7 @@
 #include "sim/result_io.hpp"
 
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -81,9 +82,11 @@ const std::string& JsonValue::as_string() const {
 i64 JsonValue::as_i64() const {
   if (type != Type::Number) throw Error("JSON: expected a number");
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(scalar.c_str(), &end, 10);
   if (end != scalar.c_str() + scalar.size())
     throw Error("JSON: malformed integer '" + scalar + "'");
+  if (errno == ERANGE) throw Error("JSON: integer '" + scalar + "' is out of range");
   return static_cast<i64>(v);
 }
 
@@ -92,9 +95,11 @@ u64 JsonValue::as_u64() const {
   if (!scalar.empty() && scalar[0] == '-')
     throw Error("JSON: expected a non-negative integer, got '" + scalar + "'");
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(scalar.c_str(), &end, 10);
   if (end != scalar.c_str() + scalar.size())
     throw Error("JSON: malformed integer '" + scalar + "'");
+  if (errno == ERANGE) throw Error("JSON: integer '" + scalar + "' is out of range");
   return static_cast<u64>(v);
 }
 
@@ -472,8 +477,6 @@ constexpr const char* kCsvHeader =
     "offchip_energy_pj,onchip_energy_pj,sram_line_accesses,nodes,noc_bytes,naive_noc_bytes,"
     "noc_seconds,max_link_utilization,parallel_efficiency,traffic_by_tensor,per_op,error";
 
-constexpr size_t kCsvFields = 20;
-
 std::string csv_field(const std::string& raw) {
   if (raw.find_first_of(",\"\n\r") == std::string::npos) return raw;
   std::string quoted = "\"";
@@ -491,87 +494,6 @@ void check_packable_name(const std::string& name, const char* what) {
   if (name.find_first_of("=;:|,\"\n\r") != std::string::npos)
     throw Error(std::string(what) + " name '" + name +
                 "' contains a CSV-reserved character (one of = ; : | , \" or a newline)");
-}
-
-/// Split on `sep`, dropping nothing: "a;b" -> {"a","b"}; "" -> {}.
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  if (text.empty()) return parts;
-  size_t start = 0;
-  while (true) {
-    const size_t at = text.find(sep, start);
-    parts.push_back(text.substr(start, at - start));
-    if (at == std::string::npos) return parts;
-    start = at + 1;
-  }
-}
-
-u64 parse_u64(const std::string& text, const char* what) {
-  if (text.empty() || text[0] == '-') throw Error(std::string(what) + ": malformed '" + text + "'");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size())
-    throw Error(std::string(what) + ": malformed '" + text + "'");
-  return static_cast<u64>(v);
-}
-
-i64 parse_i64(const std::string& text, const char* what) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size())
-    throw Error(std::string(what) + ": malformed '" + text + "'");
-  return static_cast<i64>(v);
-}
-
-/// Parse CSV text into records of fields, honoring quoted fields.
-std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;  ///< true once the current record has content
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      field_started = true;
-    } else if (c == ',') {
-      record.push_back(std::move(field));
-      field.clear();
-      field_started = true;
-    } else if (c == '\n' || c == '\r') {
-      if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') ++i;
-      if (field_started || !field.empty() || !record.empty()) {
-        record.push_back(std::move(field));
-        field.clear();
-        records.push_back(std::move(record));
-        record.clear();
-        field_started = false;
-      }
-    } else {
-      field += c;
-      field_started = true;
-    }
-  }
-  if (in_quotes) throw Error("CSV: unterminated quoted field");
-  if (field_started || !field.empty() || !record.empty()) {
-    record.push_back(std::move(field));
-    records.push_back(std::move(record));
-  }
-  return records;
 }
 
 }  // namespace
@@ -610,61 +532,6 @@ std::string results_to_csv(const std::vector<SweepResult>& rows) {
     out += csv_field(traffic) + ',' + csv_field(per_op) + ',' + csv_field(r.error) + '\n';
   }
   return out;
-}
-
-std::vector<SweepResult> results_from_csv(const std::string& text) {
-  const auto records = parse_csv(text);
-  if (records.empty()) throw Error("CSV: empty document");
-  {
-    std::string header;
-    for (size_t i = 0; i < records[0].size(); ++i)
-      header += (i ? "," : "") + records[0][i];
-    if (header != kCsvHeader)
-      throw Error("CSV: unexpected header '" + header + "'");
-  }
-  std::vector<SweepResult> rows;
-  rows.reserve(records.size() - 1);
-  for (size_t ri = 1; ri < records.size(); ++ri) {
-    const auto& rec = records[ri];
-    if (rec.size() != kCsvFields)
-      throw Error("CSV: row " + std::to_string(ri) + " has " + std::to_string(rec.size()) +
-                  " fields, expected " + std::to_string(kCsvFields));
-    SweepResult r;
-    r.workload = rec[0];
-    r.config = rec[1];
-    r.fabric = rec[2];
-    r.metrics.seconds = parse_hex_double(rec[3]);
-    r.metrics.total_macs = parse_i64(rec[4], "total_macs");
-    r.metrics.dram_bytes = parse_u64(rec[5], "dram_bytes");
-    r.metrics.dram_read_bytes = parse_u64(rec[6], "dram_read_bytes");
-    r.metrics.dram_write_bytes = parse_u64(rec[7], "dram_write_bytes");
-    r.metrics.offchip_energy_pj = parse_hex_double(rec[8]);
-    r.metrics.onchip_energy_pj = parse_hex_double(rec[9]);
-    r.metrics.sram_line_accesses = parse_u64(rec[10], "sram_line_accesses");
-    r.metrics.nodes = parse_i64(rec[11], "nodes");
-    r.metrics.noc_bytes = parse_u64(rec[12], "noc_bytes");
-    r.metrics.naive_noc_bytes = parse_u64(rec[13], "naive_noc_bytes");
-    r.metrics.noc_seconds = parse_hex_double(rec[14]);
-    r.metrics.max_link_utilization = parse_hex_double(rec[15]);
-    r.metrics.parallel_efficiency = parse_hex_double(rec[16]);
-    for (const std::string& entry : split(rec[17], ';')) {
-      const size_t eq = entry.find('=');
-      if (eq == std::string::npos) throw Error("CSV: malformed traffic entry '" + entry + "'");
-      if (!r.metrics.traffic_by_tensor
-               .emplace(entry.substr(0, eq), parse_u64(entry.substr(eq + 1), "traffic bytes"))
-               .second)
-        throw Error("CSV: duplicate tensor '" + entry.substr(0, eq) + "' in traffic column");
-    }
-    for (const std::string& entry : split(rec[18], '|')) {
-      const auto parts = split(entry, ':');
-      if (parts.size() != 3) throw Error("CSV: malformed per_op entry '" + entry + "'");
-      r.metrics.per_op.push_back({parts[0], parse_i64(parts[1], "per_op macs"),
-                                  parse_u64(parts[2], "per_op dram_bytes")});
-    }
-    r.error = rec[19];
-    rows.push_back(std::move(r));
-  }
-  return rows;
 }
 
 }  // namespace cello::sim

@@ -1,5 +1,5 @@
-// Machine-readable result I/O: JSON and CSV serialization of RunMetrics /
-// SweepResult rows, exact to the bit.
+// Machine-readable result I/O: JSON serialization of RunMetrics /
+// SweepResult rows, exact to the bit, plus a write-only CSV export.
 //
 // Doubles are emitted as C99 hexadecimal floating-point literals ("%a", e.g.
 // "0x1.5c28f5c28f5c3p-3") inside JSON strings, because decimal JSON numbers
@@ -28,7 +28,7 @@ double parse_hex_double(const std::string& text);
 /// Minimal JSON document model — arrays, objects, strings, bools, null and
 /// number tokens — just enough for the sweep result formats.  Numbers keep
 /// their literal token; the typed getters convert (and throw cello::Error on
-/// a type or syntax mismatch).
+/// a type or syntax mismatch, or an integer outside the target type).
 struct JsonValue {
   enum class Type { Null, Bool, Number, String, Array, Object };
   Type type = Type::Null;
@@ -74,12 +74,12 @@ RunMetrics metrics_from_json(const JsonValue& v);
 void result_to_json(std::string& out, const SweepResult& r, int indent);
 SweepResult result_from_json(const JsonValue& v);
 
-/// CSV export of sweep cells, one row per cell, with the same bit-exact
-/// hexfloat doubles.  Nested fields are packed into single cells
-/// ("tensor=bytes;..." / "op:macs:bytes|...") so the round-trip stays exact;
-/// tensor/op names containing CSV- or packing-reserved characters are
-/// rejected at serialization time.
+/// CSV export of sweep cells (`cello_cli sweep --out x.csv`), one row per
+/// cell, with the same bit-exact hexfloat doubles.  Nested fields are packed
+/// into single cells ("tensor=bytes;..." / "op:macs:bytes|..."); tensor/op
+/// names containing CSV- or packing-reserved characters are rejected at
+/// serialization time.  Nothing reads CSV back: shard files and journals
+/// are JSON.
 std::string results_to_csv(const std::vector<SweepResult>& rows);
-std::vector<SweepResult> results_from_csv(const std::string& text);
 
 }  // namespace cello::sim

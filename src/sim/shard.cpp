@@ -171,14 +171,11 @@ u64 grid_fingerprint(const SweepGrid& grid) {
     const Configuration& c = registry.at(name);
     const score::ScheduleOptions opts = scheduler.schedule_options(c);
     std::ostringstream os;
+    // The "-|-" fills two retired slots (per-configuration pipeline-style
+    // and hold-budget overrides), so existing grids keep their fingerprints.
     os << "c:" << c.name << '|' << to_string(c.schedule) << '|' << c.buffer_name << '|'
-       << c.allow_delayed_hold << '|'
-       << (c.pipeline_style ? pipeline_style_name(*c.pipeline_style) : "-") << '|'
-       << (c.hold_budget_bytes ? std::to_string(*c.hold_budget_bytes) : "-") << '|'
-       << opts.rf_bytes << '|' << opts.enable_pipelining << '|' << opts.minimize_swizzle;
-    // Multi-chip knobs fold in only when set, preserving historical hashes.
-    if (c.nodes) os << "|nodes:" << *c.nodes;
-    if (c.topology) os << "|topology:" << *c.topology;
+       << c.allow_delayed_hold << "|-|-|" << opts.rf_bytes << '|' << opts.enable_pipelining
+       << '|' << opts.minimize_swizzle;
     h = fnv1a(h, os.str());
   }
   h = fnv1a(h, "arch:" + arch_json(grid.arch));

@@ -74,9 +74,9 @@ SweepGrid make_grid(const std::vector<std::string>& workload_specs,
                     const std::vector<std::string>& fabrics = {});
 
 /// FNV-1a over the canonical grid definition: spec strings, configuration
-/// names plus their schedule options / buffer composition / knob overrides,
-/// and every architecture parameter (doubles in hexfloat).  Shards whose
-/// recorded fingerprints differ refuse to merge.
+/// names plus their schedule options and buffer composition, and every
+/// architecture parameter (doubles in hexfloat).  Shards whose recorded
+/// fingerprints differ refuse to merge.
 u64 grid_fingerprint(const SweepGrid& grid);
 
 /// One shard's slice of the grid, fully determined by (index, count, mode).

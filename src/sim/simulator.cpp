@@ -105,19 +105,13 @@ RunScratch::~RunScratch() = default;
 RunScratch::RunScratch(RunScratch&&) noexcept = default;
 RunScratch& RunScratch::operator=(RunScratch&&) noexcept = default;
 
-AcceleratorConfig Simulator::effective_arch(const Configuration& config) const {
-  AcceleratorConfig arch = arch_;
-  if (config.pipeline_style) arch.pipeline_style = *config.pipeline_style;
-  if (config.hold_budget_bytes) arch.hold_budget_bytes = *config.hold_budget_bytes;
-  if (config.nodes) arch.nodes = *config.nodes;
-  if (config.topology) arch.topology = *config.topology;
-  return arch;
+AcceleratorConfig Simulator::effective_arch(const Configuration& /*config*/) const {
+  return arch_;
 }
 
 score::ScheduleOptions Simulator::schedule_options(const Configuration& config) const {
-  const AcceleratorConfig arch = effective_arch(config);
   score::ScheduleOptions opts;
-  opts.rf_bytes = arch.rf_bytes;
+  opts.rf_bytes = arch_.rf_bytes;
   opts.enable_pipelining = config.schedule != SchedulePolicy::OpByOp;
   return opts;
 }
@@ -130,7 +124,7 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
 
 RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                           const RunArtifacts& artifacts, ArtifactCache& cache) const {
-  const AcceleratorConfig arch = effective_arch(config);
+  const AcceleratorConfig& arch = arch_;
   if (arch.nodes > 1) {
     // Multi-chip path (Sec. V-B): shard the dominant rank, run one node's
     // slice through the exact single-chip machinery, then fold NoC traffic
@@ -152,19 +146,16 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
     AcceleratorConfig single = arch;
     single.nodes = 1;
     single.topology = noc::TopologySpec{}.to_string();
-    Configuration inner = config;
-    inner.nodes.reset();
-    inner.topology.reset();
     const Simulator node_sim(single, matrix_);
     // The node's shard run carries the trace; the 1-node baseline stays
     // untraced (its only contribution is the parallel-efficiency scalar).
     RunArtifacts node_artifacts;
     node_artifacts.scratch = artifacts.scratch;
     node_artifacts.trace = artifacts.trace;
-    const RunMetrics per_node = node_sim.run(part.shard, inner, node_artifacts, cache);
+    const RunMetrics per_node = node_sim.run(part.shard, config, node_artifacts, cache);
     node_artifacts.trace = nullptr;
     const double baseline = cache.baseline_seconds(dag, matrix_, config, single, [&] {
-      return node_sim.run(dag, inner, node_artifacts, cache).seconds;
+      return node_sim.run(dag, config, node_artifacts, cache).seconds;
     });
     RunMetrics folded = fold_multinode(per_node, baseline, part, topo, arch);
     if (artifacts.trace != nullptr) trace_collectives(*artifacts.trace, folded, per_node.seconds);
@@ -200,12 +191,11 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
   RunScratch local;
   RunScratch& scratch = artifacts.scratch != nullptr ? *artifacts.scratch : local;
 
-  // The buffer policy: pooled policies are reset to constructed state instead
-  // of reconstructed (cache arrays, CHORD tables keep their storage); configs
-  // whose policy cannot guarantee that — or whose effective arch changed
-  // since the pooled instance was built — get a fresh instance.
+  // The buffer policy: a pooled policy is reset to constructed state instead
+  // of reconstructed (cache arrays, CHORD tables keep their storage); one
+  // built under another arch than this run's gets a fresh instance.
   RunScratch::PooledPolicy& slot = scratch.policies_[config.name];
-  if (slot.policy != nullptr && slot.policy->reusable() && slot.arch == arch) {
+  if (slot.policy != nullptr && slot.arch == arch) {
     slot.policy->reset();
   } else {
     slot.policy = config.buffers(arch);

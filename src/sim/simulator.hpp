@@ -58,8 +58,8 @@ class ArtifactCache;   // sim/artifact_cache.hpp
 /// SweepRunner owns one per pool worker, so a sweep cell's setup reuses the
 /// previous cell's capacity instead of reallocating.
 /// Runs through a scratch are bit-identical to fresh-state runs: every vector
-/// is re-assigned per run and pooled policies must restore constructed state
-/// in reset() (see BufferPolicy::reusable()).
+/// is re-assigned per run and pooled policies restore constructed state in
+/// BufferPolicy::reset().
 class RunScratch {
  public:
   RunScratch();
@@ -80,8 +80,8 @@ class RunScratch {
   std::vector<double> group_dram_;
   std::vector<i32> retire_bases_;
   /// Pooled policies by configuration name.  The constructing arch rides
-  /// along so a reuse with a different effective arch rebuilds instead of
-  /// silently replaying against stale geometry.
+  /// along so a reuse under a different arch rebuilds instead of silently
+  /// replaying against stale geometry.
   struct PooledPolicy {
     std::unique_ptr<BufferPolicy> policy;
     AcceleratorConfig arch;
@@ -140,10 +140,10 @@ class Simulator {
   /// Evaluate one configuration.  THE run signature: every optional input
   /// (shared immutable setup, pooled scratch, trace sink) rides in
   /// `artifacts`; the default bundle builds everything in a private
-  /// ArtifactCache.  With arch().nodes > 1 (after the configuration's
-  /// overrides) this is the multi-chip model of Sec. V-B: one node's shard
-  /// runs on a single chip and fold_multinode adds the routed collectives and
-  /// the parallel efficiency against the 1-node run of the whole DAG.
+  /// ArtifactCache.  With arch().nodes > 1 this is the multi-chip model of
+  /// Sec. V-B: one node's shard runs on a single chip and fold_multinode adds
+  /// the routed collectives and the parallel efficiency against the 1-node
+  /// run of the whole DAG.
   RunMetrics run(const ir::TensorDag& dag, const Configuration& config,
                  const RunArtifacts& artifacts = {}) const;
 
@@ -154,7 +154,8 @@ class Simulator {
   /// knob that affects scheduling must be folded in here.
   score::ScheduleOptions schedule_options(const Configuration& config) const;
 
-  /// Architecture after applying the configuration's knob overrides.
+  /// The architecture a configuration runs under.  Configurations carry no
+  /// architecture of their own, so this is arch() for every configuration.
   AcceleratorConfig effective_arch(const Configuration& config) const;
 
   const AcceleratorConfig& arch() const { return arch_; }

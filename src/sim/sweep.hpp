@@ -23,10 +23,10 @@
 // cells build nothing.  A fabric cell is the workload under the grid's arch
 // with the fabric's node count and topology, i.e. Simulator::run's multi-node
 // path.  Without a fabric axis a cell runs under the arch as given, so an
-// arch or configuration with nodes > 1 takes that same multi-node path and
-// equals the one-shot run.  Mutable per-run state lives in one RunScratch per pool worker (reuse
-// cursors, attribution scratch, pooled reset-between-cells buffer policies);
-// workers never share it.  Cells are handed out in configuration-major
+// arch with nodes > 1 takes that same multi-node path and equals the
+// one-shot run.  Mutable per-run state lives in one RunScratch per pool
+// worker (reuse cursors, attribution scratch, pooled reset-between-cells
+// buffer policies); workers never share it.  Cells are handed out in configuration-major
 // run-length chunks (worker-affine tiling), so consecutive cells on one
 // worker usually share a pooled policy and reset it instead of rebuilding —
 // results still land in row-major order and every cell stays bit-identical

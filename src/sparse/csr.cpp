@@ -106,23 +106,8 @@ CsrMatrix CsrMatrix::from_rows(i64 rows, i64 cols, std::vector<i64> row_ptr,
   return m;
 }
 
-double CsrMatrix::max_row_nnz() const {
-  i64 mx = 0;
-  for (i64 r = 0; r < rows_; ++r) mx = std::max(mx, row_nnz(r));
-  return static_cast<double>(mx);
-}
-
 double CsrMatrix::avg_row_nnz() const {
   return rows_ == 0 ? 0.0 : static_cast<double>(nnz()) / static_cast<double>(rows_);
-}
-
-CsrMatrix CsrMatrix::transpose() const {
-  std::vector<Triplet> ts;
-  ts.reserve(values_.size());
-  for (i64 r = 0; r < rows_; ++r)
-    for (i64 k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      ts.push_back({col_idx_[k], r, values_[k]});
-  return from_triplets(cols_, rows_, std::move(ts));
 }
 
 void CsrMatrix::spmv(std::span<const double> x, std::span<double> y) const {

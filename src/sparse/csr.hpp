@@ -41,7 +41,6 @@ class CsrMatrix {
   std::span<const double> values() const { return values_; }
 
   i64 row_nnz(i64 r) const { return row_ptr_[r + 1] - row_ptr_[r]; }
-  double max_row_nnz() const;
   double avg_row_nnz() const;
 
   /// Bytes moved when streaming this matrix (values + column ids + row ptrs),
@@ -49,8 +48,6 @@ class CsrMatrix {
   Bytes stream_bytes(Bytes word_bytes = 4) const {
     return static_cast<Bytes>(nnz()) * (word_bytes + 4) + static_cast<Bytes>(rows_ + 1) * 4;
   }
-
-  CsrMatrix transpose() const;
 
   /// y = A * x for a single dense vector.
   void spmv(std::span<const double> x, std::span<double> y) const;

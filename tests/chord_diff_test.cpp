@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "chord/chord.hpp"
-#include "chord/chord_ref.hpp"
+#include "oracles/chord_ref.hpp"
 #include "common/rng.hpp"
 
 namespace {

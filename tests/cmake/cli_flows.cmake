@@ -14,6 +14,8 @@
 #   bad_files     `merge` over missing, truncated, duplicate and absent shard
 #                 files, `merge` without shard arguments and `run --trace`
 #                 into a missing directory fail with a message naming the cause
+#   csv_export    `--out full.csv` writes exactly tests/goldens/cli_sweep_grid.csv;
+#                 a shard of a split sweep refuses a .csv --out
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -149,6 +151,19 @@ if(FLOW STREQUAL "bad_files")
   cli_fails_with("cannot write '/nonexistent/dir/t.json'"
                  run --workload cg:m=2048,n=4,iters=1 --config Cello
                  --trace /nonexistent/dir/t.json)
+  return()
+endif()
+
+if(FLOW STREQUAL "csv_export")
+  cli(ok sweep ${GRID_ARGS} --out full.csv)
+  configure_file(${CMAKE_CURRENT_LIST_DIR}/../goldens/cli_sweep_grid.csv
+                 ${WORKDIR}/golden.csv COPYONLY)
+  expect_same(full.csv golden.csv)
+  cli_fails_with("CSV cannot describe a mergeable shard" sweep ${GRID_ARGS} --shard 1/2
+                 --out part.csv)
+  if(EXISTS ${WORKDIR}/part.csv)
+    message(FATAL_ERROR "${FLOW}: a refused shard export wrote part.csv")
+  endif()
   return()
 endif()
 

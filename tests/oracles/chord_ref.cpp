@@ -1,4 +1,4 @@
-#include "chord/chord_ref.hpp"
+#include "chord_ref.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -16,8 +16,9 @@
 // RIFF table matches the slot contents.
 //
 // This model is intentionally slow (O(words)); `ChordBuffer` is the fast
-// operand-granularity model the simulator uses.  `tests/chord_diff_test.cpp`
-// drives both with identical traces and asserts they agree byte-for-byte.
+// operand-granularity model the simulator uses.  It is a test oracle only:
+// `tests/chord_diff_test.cpp` drives both with identical traces and asserts
+// they agree byte-for-byte.
 #pragma once
 
 #include <optional>

@@ -109,39 +109,6 @@ TEST(NovelCombos, UserRegistrationIsLookupable) {
   EXPECT_EQ(registry.find("MY COMBO"), registry.find("My-Combo"));
 }
 
-TEST(ConfigurationKnobs, PipelineStyleOverrideChangesTimingOnly) {
-  const auto dag = workloads::build_gnn_dag({2708, 9464, 1433, 7});
-  AcceleratorConfig arch;
-  arch.dram_bytes_per_sec = 250e9;
-  Configuration sequential = ConfigRegistry::global().at("Cello");
-  sequential.name = "Cello-SP";
-  sequential.pipeline_style = sim::PipelineStyle::Sequential;
-  const Simulator simulator(arch);
-  const auto pp = simulator.run(dag, ConfigRegistry::global().at("Cello"));
-  const auto sp = simulator.run(dag, sequential);
-  EXPECT_EQ(pp.dram_bytes, sp.dram_bytes);
-  EXPECT_LT(pp.seconds, sp.seconds);
-}
-
-TEST(ConfigurationKnobs, HoldBudgetOverrideDemotesHolds) {
-  const auto dag = workloads::build_resnet_block_dag({});
-  const AcceleratorConfig arch;
-  Configuration tight = ConfigRegistry::global().at("Cello");
-  tight.name = "Cello-tight-hold";
-  tight.hold_budget_bytes = 64 * 1024;  // cannot hold the 784 KiB skip tensor
-  const Simulator simulator(arch);
-  const auto roomy_m = simulator.run(dag, ConfigRegistry::global().at("Cello"));
-  const auto tight_m = simulator.run(dag, tight);
-  EXPECT_GT(tight_m.dram_bytes, 0u);
-  EXPECT_LE(roomy_m.dram_bytes, tight_m.dram_bytes);
-  // The override must behave exactly like setting the knob on the arch.
-  AcceleratorConfig tight_arch = arch;
-  tight_arch.hold_budget_bytes = 64 * 1024;
-  const auto via_arch = Simulator(tight_arch).run(dag, ConfigRegistry::global().at("Cello"));
-  EXPECT_EQ(tight_m.dram_bytes, via_arch.dram_bytes);
-  EXPECT_EQ(tight_m.seconds, via_arch.seconds);
-}
-
 TEST(Simulator, UnknownNameThrowsWithListing) {
   EXPECT_THROW(ConfigRegistry::global().at("definitely-not-registered"), Error);
 }

@@ -54,12 +54,4 @@ TEST(Report, PerTensorSharesSumBelowHundred) {
   EXPECT_NE(text.find("A"), std::string::npos);  // the sparse matrix appears
 }
 
-TEST(Report, CsvHasHeaderAndRows) {
-  const auto m = cg_metrics("Cello");
-  const auto csv = sim::per_op_csv(m);
-  EXPECT_EQ(csv.find("op,macs,dram_bytes"), 0u);
-  // header + 24 rows
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 25);
-}
-
 }  // namespace

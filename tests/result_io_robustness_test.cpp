@@ -1,9 +1,11 @@
 // Robustness tests for sweep result persistence (sim/result_io, sim/shard):
-// truncated or garbled result files must fail with precise typed errors, a
-// merge must name its bad input file, and quarantined-failure records must
-// round-trip both JSON and CSV bit-exactly.
+// truncated or garbled result files must fail with precise typed errors
+// (out-of-range integers included), a merge must name its bad input file,
+// quarantined-failure records must round-trip JSON bit-exactly, and the CSV
+// export keeps its exact bytes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -83,42 +85,101 @@ TEST(ResultIoRobustness, EmptyErrorMessageIsRejected) {
   EXPECT_THROW(sim::result_from_json(sim::json_parse(empty_error)), Error);
 }
 
-TEST(ResultIoRobustness, ErrorRecordRoundTripsCsvWithHostileCharacters) {
-  std::vector<SweepResult> rows(2);
-  rows[0].workload = "cg:m=16,n=4";
-  rows[0].config = "Cello";
+// The CSV export's exact bytes for a fixed row set: a clean single-chip row
+// (quoted spec, packed traffic and per-op cells, a denormal), a multi-node
+// row, and a quarantined error row whose message needs quoting, with an empty
+// traffic map.
+TEST(ResultIoRobustness, CsvExportBytesArePinned) {
+  std::vector<SweepResult> rows(3);
+  rows[0].workload = "cg:iters=2,m=2048,n=8";
+  rows[0].config = "Flex+LRU";
+  rows[0].metrics.seconds = 1.0 / 7.0;
+  rows[0].metrics.total_macs = 99;
+  rows[0].metrics.dram_bytes = 12345;
+  rows[0].metrics.dram_read_bytes = 12000;
+  rows[0].metrics.dram_write_bytes = 345;
+  rows[0].metrics.offchip_energy_pj = 0.3;
+  rows[0].metrics.onchip_energy_pj = 5e-324;
+  rows[0].metrics.sram_line_accesses = 77;
+  rows[0].metrics.traffic_by_tensor = {{"A", 7}, {"p", 11}};
+  rows[0].metrics.per_op.push_back({"spmv.0", 5, 9});
+  rows[0].metrics.per_op.push_back({"dot.1", 0, 0});
   rows[1].workload = "gnn:cora";
-  rows[1].config = "FLAT";
-  rows[1].error = "failed: \"quoted\", with, commas\nand a newline";
-  const std::string csv = sim::results_to_csv(rows);
-  const auto back = sim::results_from_csv(csv);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_TRUE(back[0].ok());
-  EXPECT_EQ(back[1].error, rows[1].error);
+  rows[1].config = "Cello";
+  rows[1].fabric = "mesh:2x2";
+  rows[1].metrics.seconds = 2.5e-3;
+  rows[1].metrics.total_macs = 4000;
+  rows[1].metrics.dram_bytes = 9007199254740993ull;  // 2^53 + 1
+  rows[1].metrics.dram_read_bytes = 9007199254740990ull;
+  rows[1].metrics.dram_write_bytes = 3;
+  rows[1].metrics.nodes = 4;
+  rows[1].metrics.noc_bytes = 4096;
+  rows[1].metrics.naive_noc_bytes = 8192;
+  rows[1].metrics.noc_seconds = 1.0 / 3.0;
+  rows[1].metrics.max_link_utilization = 0.75;
+  rows[1].metrics.parallel_efficiency = 0.875;
+  rows[1].metrics.traffic_by_tensor = {{"X_0", 1}};
+  rows[1].metrics.per_op.push_back({"agg", 4000, 9007199254740993ull});
+  rows[2].workload = "sddmm:dataset=cora,heads=2";
+  rows[2].config = "SCORE+LRU";
+  rows[2].fabric = "1";
+  rows[2].error = "failed: \"quoted\", with, commas\nand a newline";
+
+  const std::string expected =
+      "workload,config,fabric,seconds,total_macs,dram_bytes,dram_read_bytes,dram_write_bytes,"
+      "offchip_energy_pj,onchip_energy_pj,sram_line_accesses,nodes,noc_bytes,naive_noc_bytes,"
+      "noc_seconds,max_link_utilization,parallel_efficiency,traffic_by_tensor,per_op,error\n"
+      "\"cg:iters=2,m=2048,n=8\",Flex+LRU,,0x1.2492492492492p-3,99,12345,12000,345,"
+      "0x1.3333333333333p-2,0x1p-1074,77,1,0,0,0x0p+0,0x0p+0,0x0p+0,A=7;p=11,"
+      "spmv.0:5:9|dot.1:0:0,\n"
+      "gnn:cora,Cello,mesh:2x2,0x1.47ae147ae147bp-9,4000,9007199254740993,9007199254740990,3,"
+      "0x0p+0,0x0p+0,0,4,4096,8192,0x1.5555555555555p-2,0x1.8p-1,0x1.cp-1,X_0=1,"
+      "agg:4000:9007199254740993,\n"
+      "\"sddmm:dataset=cora,heads=2\",SCORE+LRU,1,0x0p+0,0,0,0,0,0x0p+0,0x0p+0,0,1,0,0,0x0p+0,"
+      "0x0p+0,0x0p+0,,,\"failed: \"\"quoted\"\", with, commas\nand a newline\"\n";
+  EXPECT_EQ(sim::results_to_csv(rows), expected);
 }
 
-TEST(ResultIoRobustness, TruncatedCsvFailsWithPreciseMessage) {
-  std::vector<SweepResult> rows(1);
-  rows[0].workload = "w";
-  rows[0].config = "c";
-  const std::string csv = sim::results_to_csv(rows);
-
-  EXPECT_THROW(sim::results_from_csv(""), Error);
-  try {
-    sim::results_from_csv(csv.substr(0, csv.size() / 2));
-    FAIL() << "expected cello::Error";
-  } catch (const Error& e) {
-    // Either the header or a row is cut; both must say what is wrong.
-    const std::string msg = e.what();
-    EXPECT_TRUE(msg.find("CSV") != std::string::npos) << msg;
+TEST(ResultIoRobustness, OutOfRangeIntegersAreRejected) {
+  const auto number = [](const std::string& literal) {
+    return sim::json_parse("{\"n\": " + literal + "}").at("n");
+  };
+  // Both ends of each range still read back exactly.
+  EXPECT_EQ(number("18446744073709551615").as_u64(), 18446744073709551615ull);
+  EXPECT_EQ(number("9223372036854775807").as_i64(), INT64_MAX);
+  EXPECT_EQ(number("-9223372036854775808").as_i64(), INT64_MIN);
+  for (const std::string literal : {"99999999999999999999", "18446744073709551616"}) {
+    try {
+      number(literal).as_u64();
+      FAIL() << literal << " read as a u64";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(literal), std::string::npos) << e.what();
+    }
   }
-  // A file with a drifted header is a different format, not a sweep export.
-  const std::string drifted = "nope," + csv;
+  for (const std::string literal :
+       {"99999999999999999999", "-99999999999999999999", "9223372036854775808"}) {
+    try {
+      number(literal).as_i64();
+      FAIL() << literal << " read as an i64";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(literal), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ResultIoRobustness, ShardWithOutOfRangeCountIsRejected) {
+  const std::string text = sim::shard_to_json(synthetic_shard());
+  const std::string key = "\"total_macs\": 0";
+  const size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::string huge = "99999999999999999999";
+  std::string drifted = text;
+  drifted.replace(at, key.size(), "\"total_macs\": " + huge);
   try {
-    sim::results_from_csv(drifted);
-    FAIL() << "expected cello::Error";
+    sim::shard_from_json(drifted);
+    FAIL() << "a total_macs of " << huge << " loaded";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unexpected header"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(huge), std::string::npos) << e.what();
   }
 }
 

@@ -39,14 +39,19 @@ void expect_same_metrics(const sim::RunMetrics& a, const sim::RunMetrics& b,
   }
 }
 
-/// The retired per-cell construction: interleave every tensor's use
-/// positions into its base's bucket, then sort each bucket.
+/// The retired per-cell construction: collect every tensor's use positions
+/// (one per operand occurrence, in step order), interleave them into their
+/// base's bucket, then sort each bucket.
 std::vector<std::vector<i64>> sort_based_reference(const ir::TensorDag& dag,
                                                    const score::Schedule& sched,
                                                    const sim::AddressMap& map) {
+  std::vector<std::vector<i64>> use_positions(dag.tensors().size());
+  for (size_t i = 0; i < sched.steps.size(); ++i)
+    for (ir::TensorId in : dag.op(sched.steps[i].op).inputs)
+      use_positions[in].push_back(static_cast<i64>(i));
   std::vector<std::vector<i64>> uses(map.entries.size());
   for (const auto& t : dag.tensors())
-    for (i64 p : sched.use_positions[t.id]) uses[map.base_id(t.id)].push_back(p);
+    for (i64 p : use_positions[t.id]) uses[map.base_id(t.id)].push_back(p);
   for (auto& u : uses) std::sort(u.begin(), u.end());
   return uses;
 }

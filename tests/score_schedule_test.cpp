@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <vector>
 
+#include "score/reuse_index.hpp"
 #include "score/schedule.hpp"
 #include "score/search_space.hpp"
 #include "workloads/cg.hpp"
@@ -149,26 +152,25 @@ TEST(Schedule, PipelineGroupsSplitAtUnrealizedEdges) {
 TEST(Schedule, ReuseMetadataForChord) {
   const auto& dag = cg_dag();
   const auto& s = cg_schedule();
+  // One reuse slot per tensor (identity base mapping), so the index answers
+  // per-tensor RIFF queries.
+  std::vector<i32> base_of(dag.tensors().size());
+  std::iota(base_of.begin(), base_of.end(), 0);
+  const auto index = score::ReuseIndex::build(dag, s, base_of, base_of.size());
+  score::ReuseCursor cursor;
+  cursor.reset(index);
   // X@1 produced at step of op 3@1, consumed only by 3@2 (8 steps later).
   ir::TensorId x1 = ir::kInvalidTensor;
   for (const auto& t : dag.tensors())
     if (t.name == "X@1") x1 = t.id;
   ASSERT_NE(x1, ir::kInvalidTensor);
   const i64 produce_step = find_step(dag, s, "3@1");
-  EXPECT_EQ(s.remaining_uses_after(x1, produce_step), 1);
-  EXPECT_EQ(s.next_use_distance(x1, produce_step), 8);
+  EXPECT_EQ(cursor.remaining_after(index, x1, produce_step), 1);
+  EXPECT_EQ(cursor.next_distance(index, x1, produce_step), 8);
   // After its single consumption there is no further use.
   const i64 consume_step = find_step(dag, s, "3@2");
-  EXPECT_EQ(s.remaining_uses_after(x1, consume_step), 0);
-  EXPECT_EQ(s.next_use_distance(x1, consume_step), -1);
-}
-
-TEST(Schedule, PositionOf) {
-  const auto& dag = cg_dag();
-  const auto& s = cg_schedule();
-  EXPECT_EQ(s.position_of(s.steps[3].op), 3);
-  EXPECT_EQ(s.position_of(static_cast<ir::OpId>(9999)), -1);
-  (void)dag;
+  EXPECT_EQ(cursor.remaining_after(index, x1, consume_step), 0);
+  EXPECT_EQ(cursor.next_distance(index, x1, consume_step), -1);
 }
 
 // ---- search-space model (Sec. VI-B) -----------------------------------------

@@ -72,35 +72,24 @@ TEST(ResultIo, MetricsJsonRoundTripIsHexfloatExact) {
   }
 }
 
-TEST(ResultIo, SweepResultJsonAndCsvRoundTrip) {
-  std::vector<SweepResult> rows(2);
-  rows[0].workload = "cg:iters=2,m=2048,n=8";
-  rows[0].config = "Flex+LRU";
-  rows[0].metrics.seconds = 1.0 / 7.0;
-  rows[0].metrics.total_macs = 99;
-  rows[0].metrics.dram_bytes = 12345;
-  rows[0].metrics.offchip_energy_pj = 0.3;
-  rows[0].metrics.traffic_by_tensor = {{"A", 7}, {"p", 11}};
-  rows[0].metrics.per_op.push_back({"spmv.0", 5, 9});
-  rows[1].workload = "w,with \"commas\"";  // CSV quoting path
-  rows[1].config = "SCORE+LRU";
-  rows[1].metrics.onchip_energy_pj = 5e-324;
+TEST(ResultIo, SweepResultJsonRoundTrip) {
+  SweepResult row;
+  row.workload = "cg:iters=2,m=2048,n=8";
+  row.config = "Flex+LRU";
+  row.metrics.seconds = 1.0 / 7.0;
+  row.metrics.total_macs = 99;
+  row.metrics.dram_bytes = 12345;
+  row.metrics.offchip_energy_pj = 0.3;
+  row.metrics.onchip_energy_pj = 5e-324;
+  row.metrics.traffic_by_tensor = {{"A", 7}, {"p", 11}};
+  row.metrics.per_op.push_back({"spmv.0", 5, 9});
 
   std::string text;
-  sim::result_to_json(text, rows[0], 0);
+  sim::result_to_json(text, row, 0);
   const SweepResult back = sim::result_from_json(sim::json_parse(text));
-  EXPECT_EQ(back.workload, rows[0].workload);
-  EXPECT_EQ(back.config, rows[0].config);
-  expect_bit_equal(rows[0].metrics, back.metrics, "json result");
-
-  const std::string csv = sim::results_to_csv(rows);
-  const std::vector<SweepResult> parsed = sim::results_from_csv(csv);
-  ASSERT_EQ(parsed.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(parsed[i].workload, rows[i].workload);
-    EXPECT_EQ(parsed[i].config, rows[i].config);
-    expect_bit_equal(rows[i].metrics, parsed[i].metrics, "csv row " + std::to_string(i));
-  }
+  EXPECT_EQ(back.workload, row.workload);
+  EXPECT_EQ(back.config, row.config);
+  expect_bit_equal(row.metrics, back.metrics, "json result");
 }
 
 TEST(ResultIo, MalformedInputFailsLoudly) {
@@ -183,6 +172,16 @@ TEST(Shard, FingerprintTracksTheGridDefinition) {
                                          {"Flexagon", "SCORE+CHORD"}, arch);
   EXPECT_EQ(alias.configs[1], "Cello");
   EXPECT_EQ(a.fingerprint, alias.fingerprint);
+}
+
+// A classic two-axis grid over every registered configuration keeps the
+// fingerprint that its shard files and journals already carry.
+TEST(Shard, TwoAxisFingerprintIsPinned) {
+  const SweepGrid grid = sim::make_grid({"cg:m=9604,n=16", "gnn:cora"},
+                                        sim::ConfigRegistry::global().names(),
+                                        AcceleratorConfig{});
+  EXPECT_FALSE(grid.has_fabric_axis());
+  EXPECT_EQ(grid.fingerprint, 0xaea8eddcc0f88eb3ull);
 }
 
 // ---- merge ------------------------------------------------------------------

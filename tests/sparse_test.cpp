@@ -2,6 +2,7 @@
 // (parameterized over the Table VI datasets) and Matrix Market I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -34,21 +35,6 @@ TEST(Csr, RejectsOutOfRangeTriplets) {
   EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{0, -1, 1.0}}), Error);
 }
 
-TEST(Csr, TransposeRoundTrip) {
-  Rng rng(5);
-  std::vector<Triplet> ts;
-  for (int i = 0; i < 50; ++i)
-    ts.push_back({static_cast<i64>(rng.bounded(10)), static_cast<i64>(rng.bounded(7)),
-                  rng.uniform()});
-  const auto m = CsrMatrix::from_triplets(10, 7, ts);
-  const auto mtt = m.transpose().transpose();
-  ASSERT_EQ(mtt.nnz(), m.nnz());
-  for (i64 k = 0; k < m.nnz(); ++k) {
-    EXPECT_EQ(mtt.col_idx()[k], m.col_idx()[k]);
-    EXPECT_DOUBLE_EQ(mtt.values()[k], m.values()[k]);
-  }
-}
-
 TEST(Csr, SpmvMatchesDense) {
   const auto m = CsrMatrix::from_triplets(3, 3, {{0, 0, 2.0}, {0, 2, 1.0}, {1, 1, 3.0},
                                                  {2, 0, -1.0}, {2, 2, 4.0}});
@@ -67,7 +53,7 @@ TEST(Csr, StreamBytesFormula) {
 
 TEST(Csr, RowOccupancyStats) {
   const auto m = CsrMatrix::from_triplets(3, 3, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 1, 1.0}});
-  EXPECT_DOUBLE_EQ(m.max_row_nnz(), 2.0);
+  EXPECT_EQ(m.row_nnz(0), 2);
   EXPECT_NEAR(m.avg_row_nnz(), 1.0, 1e-12);
 }
 
@@ -119,7 +105,9 @@ TEST(Generators, FemBandedIsDiagonallyDominant) {
 TEST(Generators, CircuitHasIrregularRows) {
   Rng rng(2);
   const auto m = sparse::make_circuit(2000, 14000, rng);
-  EXPECT_GT(m.max_row_nnz(), 2.0 * m.avg_row_nnz());  // hub rows exist
+  i64 max_row = 0;
+  for (i64 r = 0; r < m.rows(); ++r) max_row = std::max(max_row, m.row_nnz(r));
+  EXPECT_GT(static_cast<double>(max_row), 2.0 * m.avg_row_nnz());  // hub rows exist
 }
 
 TEST(Generators, PowerLawGraphRowsAreNormalized) {
