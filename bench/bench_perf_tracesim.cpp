@@ -202,11 +202,11 @@ void BM_DagBuild(benchmark::State& state) {
 
 // The 8-cell analytic CG grid with *fully shared* immutable setup — one
 // AddressMap, one Schedule + ReuseIndex per schedule-options slot — and one
-// pooled RunScratch reset between cells.  The recorded baseline row is the
-// same grid pre-PR (shared Schedule+AddressMap, but per-cell BaseReuse
-// rebuild and fresh per-cell run state), so the speedup isolates the
-// ReuseIndex share + scratch pooling.  setup_ms reports the one-time shared
-// prebuild.
+// RunScratch whose vectors every cell reuses (each cell still builds its own
+// buffer policy).  The recorded baseline row is the same grid with shared
+// Schedule+AddressMap but a per-cell BaseReuse rebuild and fresh per-cell
+// scratch, so the speedup isolates the ReuseIndex share + scratch reuse.
+// setup_ms reports the one-time shared prebuild.
 void BM_ReuseIndexShared(benchmark::State& state) {
   const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
   const auto& wl = sweep_cg_workload();
@@ -272,7 +272,7 @@ void BM_LlmDecodeCello(benchmark::State& s) {
 }
 
 // One llm workload over the analytic grid + Flex+KV through the shared-setup
-// sweep path, so llm cells ride the same cache/pool trajectory as CG.
+// sweep path, so llm cells ride the same shared-setup trajectory as CG.
 void BM_LlmDecodeSweepShared(benchmark::State& state) {
   const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
   std::vector<std::string> names = sweep_config_names();

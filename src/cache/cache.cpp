@@ -43,10 +43,6 @@ SetAssocCache::SetAssocCache(Bytes capacity, u32 line_bytes, u32 associativity, 
     set_shift_ = static_cast<i32>(std::countr_zero(sets_));
     set_mask_ = sets_ - 1;
   }
-  reset();
-}
-
-void SetAssocCache::reset() {
   const bool lru = policy_ == Policy::Lru;
   if (fast8_) {
     tags32_.assign(sets_ * assoc_, kInvalidTag32);
@@ -56,9 +52,6 @@ void SetAssocCache::reset() {
   }
   meta_.assign(sets_ * assoc_, fresh_meta());
   mru_way_.assign(fast8_ && lru ? 0 : sets_, 0);
-  stats_ = CacheStats{};
-  clock_ = 0;
-  brrip_insert_counter_ = 0;
 }
 
 // ---- generic path: any associativity ---------------------------------------

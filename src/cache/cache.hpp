@@ -103,12 +103,6 @@ class SetAssocCache {
   /// Write back all dirty lines (end-of-run drain) and invalidate.
   void flush();
 
-  /// Restore the exact freshly-constructed state — tags invalidated, meta
-  /// and recency lanes re-seeded, stats and deterministic counters zeroed —
-  /// without reallocating the lanes.  Pooled trace-driven policies reset
-  /// between runs instead of rebuilding multi-MiB simulated caches.
-  void reset();
-
   bool contains(Addr addr) const { return contains_line(line_of(addr)); }
   bool contains_line(u64 line) const;
   /// Lines currently holding valid data — an on-demand tag-lane scan, meant

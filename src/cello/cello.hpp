@@ -53,14 +53,14 @@
 //   // Drivers doing their own cell loops share the same immutable artifacts
 //   // through one sim::RunArtifacts bundle (bit-identical to the one-shot
 //   // run above).  This bundle IS the run API: every optional input —
-//   // prebuilt schedule/map/reuse/router tables, pooled scratch, trace sink —
+//   // prebuilt schedule/map/reuse/router tables, reusable scratch, trace sink —
 //   // rides in it, and run(dag, config) is just the empty-bundle default.
 //   auto sched = cello::score::build_schedule(
 //       *cg.dag, simulator.schedule_options(registry.at("Cello")));
 //   auto map   = cello::sim::AddressMap::build(*cg.dag);
 //   auto reuse = cello::score::ReuseIndex::build(*cg.dag, sched, map.base_of,
 //                                                map.entries.size());
-//   cello::sim::RunScratch scratch;  // pooled per-run state, reset per run
+//   cello::sim::RunScratch scratch;  // per-run vectors, reused across runs
 //   cello::sim::RunArtifacts art;
 //   art.schedule = &sched; art.address_map = &map;
 //   art.reuse_index = &reuse; art.scratch = &scratch;

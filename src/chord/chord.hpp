@@ -117,15 +117,6 @@ class ChordBuffer {
   /// count <= max_entries, consistent index-table bookkeeping.  Throws.
   void check_invariants() const;
 
-  /// Restore the exact freshly-constructed state (empty index table, zeroed
-  /// stats and op clock) without releasing the entry storage — pooled
-  /// policies reset between runs instead of reconstructing.
-  void reset() {
-    entries_.clear();
-    stats_ = ChordStats{};
-    op_clock_ = 0;
-  }
-
  private:
   struct Priority {
     i64 dist;  ///< -1 normalized to +inf

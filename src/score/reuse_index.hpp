@@ -46,7 +46,7 @@ class ReuseIndex {
 };
 
 /// Per-run cursor state over a (shared) ReuseIndex.  Cheap to reset between
-/// runs: the vector keeps its capacity, so pooled callers reallocate nothing.
+/// runs: the vector keeps its capacity, so a reused cursor reallocates nothing.
 class ReuseCursor {
  public:
   /// Size to `index` and rewind every base's cursor to the start of its

@@ -45,10 +45,8 @@ struct AcceleratorConfig {
   }
   double dram_seconds(Bytes b) const { return static_cast<double>(b) / dram_bytes_per_sec; }
 
-  /// Field-wise comparison — RunScratch keys its pooled buffer policies on
-  /// the run's arch so a scratch reused across architectures rebuilds
-  /// instead of silently replaying against stale geometry, and
-  /// sim::ArtifactCache orders its routing keys by it.
+  /// Field-wise comparison — sim::ArtifactCache keys its 1-node baselines
+  /// on the arch.
   auto operator<=>(const AcceleratorConfig&) const = default;
 };
 

@@ -63,12 +63,6 @@ class BufferPolicy {
   virtual const char* name() const = 0;
   virtual bool trace_driven() const { return false; }
 
-  /// Restore the exact freshly-constructed state without releasing storage.
-  /// sim::RunScratch pools every policy and resets it between runs instead
-  /// of reconstructing it, so runs through a pool must be bit-identical to
-  /// runs on a fresh instance.
-  virtual void reset() = 0;
-
   // ---- analytic interface (tensor granularity) -----------------------------
   virtual BufferService read_tensor(const chord::TensorMeta&) { return {}; }
   virtual BufferService write_tensor(const chord::TensorMeta&) { return {}; }

@@ -15,7 +15,7 @@ void CachePolicy::replay(const AccessStream& stream, std::vector<BufferService>&
                       << ", rf_bytes=" << stream.rf_bytes << "; this cache has line_bytes="
                       << arch_.line_bytes << ", rf_bytes=" << arch_.rf_bytes);
   CELLO_CHECK_MSG(cache_.stats().accesses == 0,
-                  "stream replay requires a fresh cache; reset() the policy between runs");
+                  "stream replay requires a fresh cache: build one policy per run");
   const cache::ReplaySpans view = stream.replay_view();
   std::vector<cache::ReplayService> rs;
   cache::StreamReplayer(cache_, view).run(rs);

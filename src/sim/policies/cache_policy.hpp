@@ -26,10 +26,8 @@ class CachePolicy final : public BufferPolicy {
   }
   bool trace_driven() const override { return true; }
 
-  void reset() override { cache_.reset(); }
-
   /// Requires a stream compatible with this policy's arch and a freshly
-  /// constructed or reset cache; throws cello::Error otherwise.
+  /// constructed cache; throws cello::Error otherwise.
   void replay(const AccessStream& stream, std::vector<BufferService>& services) override;
 
   /// End-of-run flush of dirty lines.

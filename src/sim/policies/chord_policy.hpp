@@ -16,8 +16,6 @@ class ChordPolicy final : public BufferPolicy {
 
   const char* name() const override { return riff_ ? "CHORD" : "PRELUDE"; }
 
-  void reset() override { buf_.reset(); }
-
   BufferService read_tensor(const chord::TensorMeta& t) override;
   BufferService write_tensor(const chord::TensorMeta& t) override;
   void retire(i32 base_id) override { buf_.retire(base_id); }

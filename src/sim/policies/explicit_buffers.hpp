@@ -13,8 +13,6 @@ class ExplicitBuffersPolicy final : public BufferPolicy {
 
   const char* name() const override { return "explicit"; }
 
-  void reset() override { sram_lines_ = 0; }
-
   BufferService read_tensor(const chord::TensorMeta& t) override;
   BufferService write_tensor(const chord::TensorMeta& t) override;
 

@@ -6,14 +6,6 @@
 
 namespace cello::sim {
 
-void KvCachePolicy::reset() {
-  ring_.clear();
-  bases_.clear();
-  resident_total_ = 0;
-  sram_lines_ = 0;
-  stats_ = {};
-}
-
 KvCachePolicy::BaseState& KvCachePolicy::base_state(const chord::TensorMeta& t) {
   BaseState& b = bases_[t.id];
   if (b.name.empty()) b.name = t.name;

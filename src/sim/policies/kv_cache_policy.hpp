@@ -16,10 +16,6 @@
 // at full footprint like ExplicitBuffersPolicy: the policy spends its entire
 // SRAM budget on the cache, which is the design point real decode
 // accelerators pick once the KV footprint dominates.
-//
-// reset() restores constructed state without releasing storage, so the
-// policy pools in sim::RunScratch across sweep cells like cache/explicit/
-// CHORD.
 #pragma once
 
 #include <deque>
@@ -44,8 +40,6 @@ class KvCachePolicy final : public BufferPolicy {
   explicit KvCachePolicy(const AcceleratorConfig& arch) : arch_(arch) {}
 
   const char* name() const override { return "KV-cache"; }
-
-  void reset() override;
 
   BufferService read_tensor(const chord::TensorMeta& t) override;
   BufferService write_tensor(const chord::TensorMeta& t) override;

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -99,11 +100,9 @@ void trace_collectives(trace::TraceSink& sink, const RunMetrics& folded,
 
 }  // namespace
 
-// Out-of-line so the header can hold BufferPolicy by forward declaration.
+// Out-of-line so the header can hold BufferService by forward declaration.
 RunScratch::RunScratch() = default;
 RunScratch::~RunScratch() = default;
-RunScratch::RunScratch(RunScratch&&) noexcept = default;
-RunScratch& RunScratch::operator=(RunScratch&&) noexcept = default;
 
 AcceleratorConfig Simulator::effective_arch(const Configuration& /*config*/) const {
   return arch_;
@@ -186,31 +185,23 @@ RunMetrics Simulator::run(const ir::TensorDag& dag, const Configuration& config,
                                    ? *artifacts.router_tables
                                    : cache.router_tables(dag, sched, route);
 
-  // All per-run mutable state lives in a RunScratch; without a caller-owned
+  // The per-run scratch vectors live in a RunScratch; without a caller-owned
   // one this run uses a private scratch (identical behavior, fresh storage).
   RunScratch local;
   RunScratch& scratch = artifacts.scratch != nullptr ? *artifacts.scratch : local;
 
-  // The buffer policy: a pooled policy is reset to constructed state instead
-  // of reconstructed (cache arrays, CHORD tables keep their storage); one
-  // built under another arch than this run's gets a fresh instance.
-  RunScratch::PooledPolicy& slot = scratch.policies_[config.name];
-  if (slot.policy != nullptr && slot.arch == arch) {
-    slot.policy->reset();
-  } else {
-    slot.policy = config.buffers(arch);
-    slot.arch = arch;
-  }
+  // Every run starts on a freshly constructed buffer, as in the paper.
+  const std::unique_ptr<BufferPolicy> policy = config.buffers(arch);
 
   // Trace-driven policies replay the run's access stream; analytic ones
   // never fetch (or capture) one.
   const AccessStream* stream = nullptr;
-  if (slot.policy->trace_driven())
+  if (policy->trace_driven())
     stream = artifacts.access_stream != nullptr
                  ? artifacts.access_stream
                  : &cache.access_stream(dag, sched, map, tables, route, matrix_);
-  return run_impl(dag, config, arch, sched, map, reuse_index, tables, scratch, *slot.policy,
-                  stream, artifacts.trace);
+  return run_impl(dag, config, arch, sched, map, reuse_index, tables, scratch, *policy, stream,
+                  artifacts.trace);
 }
 
 RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& config,

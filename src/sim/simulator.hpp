@@ -8,23 +8,21 @@
 // decides where each operand access is serviced and the BufferPolicy models
 // the buffer hierarchy.  Analytic policies account traffic at tensor
 // granularity per scheduled op; trace-driven cache policies replay the run's
-// captured line-granularity access stream.  run() is const and reentrant — a
-// fresh BufferPolicy is built per run — which is what SweepRunner exploits.
+// captured line-granularity access stream.  run() is const and reentrant —
+// every run builds its own BufferPolicy and drops it when it ends — which is
+// what SweepRunner exploits.
 //
 // Every optional per-run input travels in one RunArtifacts bundle (shared
-// immutable schedule/address-map/reuse-index/router-tables/stream, a pooled
+// immutable schedule/address-map/reuse-index/router-tables/stream, a reusable
 // RunScratch, a trace sink), so run() has exactly one signature; whatever
 // the bundle leaves null comes from a sim::ArtifactCache:
 //
 //   sim::RunArtifacts art;
-//   art.scratch = &scratch;                          // reused across runs
+//   art.scratch = &scratch;                          // vectors reused across runs
 //   art.trace = &writer;                             // op-level Perfetto trace
 //   auto m = simulator.run(dag, config, art);
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "ir/dag.hpp"
@@ -48,24 +46,14 @@ struct RouterTables;   // sim/policies/schedule_policy.hpp
 struct AccessStream;   // sim/access_stream.hpp
 class ArtifactCache;   // sim/artifact_cache.hpp
 
-/// Reusable per-run state: the simulator's per-base scratch vectors, the
-/// reuse cursors, and a pool of reset-instead-of-reconstructed BufferPolicy
-/// instances (keyed by configuration name + the constructing arch, so a
-/// scratch reused across architectures rebuilds instead of replaying stale
-/// geometry).  One RunScratch belongs to one caller thread at a time and to
-/// one configuration set — names must identify policies uniquely, since a
-/// pooled policy is reused whenever its configuration name recurs.
-/// SweepRunner owns one per pool worker, so a sweep cell's setup reuses the
-/// previous cell's capacity instead of reallocating.
-/// Runs through a scratch are bit-identical to fresh-state runs: every vector
-/// is re-assigned per run and pooled policies restore constructed state in
-/// BufferPolicy::reset().
+/// Reusable per-run scratch: the simulator's per-base vectors and the reuse
+/// cursor.  Every vector is re-assigned per run, so a run through a scratch
+/// is bit-identical to one on fresh storage; reusing it only keeps the
+/// capacity.  One RunScratch belongs to one caller thread at a time.
 class RunScratch {
  public:
   RunScratch();
   ~RunScratch();
-  RunScratch(RunScratch&&) noexcept;
-  RunScratch& operator=(RunScratch&&) noexcept;
   RunScratch(const RunScratch&) = delete;
   RunScratch& operator=(const RunScratch&) = delete;
 
@@ -79,16 +67,7 @@ class RunScratch {
   std::vector<double> group_compute_;
   std::vector<double> group_dram_;
   std::vector<i32> retire_bases_;
-  /// Pooled policies by configuration name.  The constructing arch rides
-  /// along so a reuse under a different arch rebuilds instead of silently
-  /// replaying against stale geometry.
-  struct PooledPolicy {
-    std::unique_ptr<BufferPolicy> policy;
-    AcceleratorConfig arch;
-  };
-  std::map<std::string, PooledPolicy> policies_;
-  /// Per-step services of the run's stream replay (capacity pooled across
-  /// runs).
+  /// Per-step services of the run's stream replay.
   std::vector<BufferService> replay_services_;
 };
 
@@ -115,9 +94,8 @@ struct RunArtifacts {
   /// config.allow_delayed_hold, effective_arch(config)); requires `schedule`
   /// alongside.
   const RouterTables* router_tables = nullptr;
-  /// Reusable per-run mutable state: vectors and pooled buffer policies are
-  /// reset — not reallocated — for this run.  Bit-identical to running
-  /// without one.
+  /// Reusable per-run scratch vectors, re-assigned — not reallocated — for
+  /// this run.  Bit-identical to running without one.
   RunScratch* scratch = nullptr;
   /// Op-level trace sink (see trace/trace.hpp); null = no tracing, at the
   /// cost of one pointer test per scheduled step.  Traced runs return the
@@ -138,7 +116,7 @@ class Simulator {
       : arch_(arch), matrix_(matrix) {}
 
   /// Evaluate one configuration.  THE run signature: every optional input
-  /// (shared immutable setup, pooled scratch, trace sink) rides in
+  /// (shared immutable setup, reusable scratch, trace sink) rides in
   /// `artifacts`; the default bundle builds everything in a private
   /// ArtifactCache.  With arch().nodes > 1 this is the multi-chip model of
   /// Sec. V-B: one node's shard runs on a single chip and fold_multinode adds

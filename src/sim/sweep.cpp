@@ -135,9 +135,9 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
   // One ArtifactCache serves every cell: schedules, address maps, reuse
   // indexes, router tables, streams, partitions and 1-node baselines are each
   // built once, by the first pending cell that needs them, and shared
-  // read-only afterwards.  Each pool worker owns one RunScratch: per-cell
-  // mutable state (reuse cursors, attribution scratch, pooled buffer
-  // policies) is reset, not reallocated, between the cells it executes.
+  // read-only afterwards.  Each pool worker owns one RunScratch, so the
+  // per-cell scratch vectors and reuse cursor keep their capacity across the
+  // cells it executes.
   ArtifactCache cache;
   std::vector<RunScratch> scratches(worker_count(threads, total));
 
@@ -188,35 +188,7 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
     if (journal.active() && completed) journal.append(cell, out[job]);
   };
 
-  // ---- worker-affine tiling ----
-  // Jobs are claimed in configuration-major run-length chunks instead of one
-  // by one: a worker executing a chunk runs the same configuration repeatedly,
-  // so its scratch's pooled buffer policy is reset — not rebuilt — between
-  // consecutive cells.  Each configuration run splits into at most
-  // worker_count pieces to keep the pool load-balanced.  Results are written
-  // by job index and each cell's simulation is untouched, so output order and
-  // bits match the one-job-at-a-time claiming at any thread count.
-  const u32 nworkers = worker_count(threads, total);
-  std::vector<size_t> order(total);
-  for (size_t j = 0; j < total; ++j) order[j] = j;
-  auto config_of = [&](size_t job) { return (cells != nullptr ? (*cells)[job] : job) % C; };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return config_of(a) < config_of(b); });
-  struct Chunk {
-    size_t begin, end;  ///< half-open range into `order`
-  };
-  std::vector<Chunk> chunks;
-  for (size_t s = 0; s < total;) {
-    size_t e = s;
-    while (e < total && config_of(order[e]) == config_of(order[s])) ++e;
-    const size_t pieces = std::min<size_t>(nworkers, e - s);
-    const size_t step = (e - s + pieces - 1) / pieces;
-    for (size_t p = s; p < e; p += step) chunks.push_back({p, std::min(p + step, e)});
-    s = e;
-  }
-  parallel_for(threads, chunks.size(), [&](size_t cj, u32 worker) {
-    for (size_t k = chunks[cj].begin; k < chunks[cj].end; ++k) run_cell(order[k], worker);
-  });
+  parallel_for(threads, total, run_cell);
   return out;
 }
 

@@ -24,13 +24,11 @@
 // with the fabric's node count and topology, i.e. Simulator::run's multi-node
 // path.  Without a fabric axis a cell runs under the arch as given, so an
 // arch with nodes > 1 takes that same multi-node path and equals the
-// one-shot run.  Mutable per-run state lives in one RunScratch per pool
-// worker (reuse cursors, attribution scratch, pooled reset-between-cells
-// buffer policies); workers never share it.  Cells are handed out in configuration-major
-// run-length chunks (worker-affine tiling), so consecutive cells on one
-// worker usually share a pooled policy and reset it instead of rebuilding —
-// results still land in row-major order and every cell stays bit-identical
-// to a fresh serial run at any thread count.
+// one-shot run.  Each cell builds its own buffer policy, and the per-run
+// scratch vectors live in one RunScratch per pool worker; workers never
+// share it.  Workers claim cells one at a time, results land in row-major
+// order, and every cell is bit-identical to a fresh serial run at any
+// thread count.
 #pragma once
 
 #include <functional>

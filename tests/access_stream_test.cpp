@@ -302,7 +302,7 @@ TEST(AccessStream, FastForwardOccurrencesArePinned) {
 }
 
 // Replay is a checked call: a geometry-incompatible stream and a policy that
-// already serviced accesses both throw; a reset policy replays again.
+// already serviced accesses both throw; a fresh policy replays identically.
 TEST(AccessStream, ReplayRefusesIncompatibleOrDirtyState) {
   const ir::TensorDag dag = workloads::build_cg_dag({81920, 16, 327680, 3, 4});
   const AcceleratorConfig arch;
@@ -325,9 +325,9 @@ TEST(AccessStream, ReplayRefusesIncompatibleOrDirtyState) {
   CachePolicy dirty(arch, cache::Policy::Lru);
   dirty.replay(stream, services);
   std::vector<BufferService> again;
-  EXPECT_THROW(dirty.replay(stream, again), Error) << "second replay without reset";
-  dirty.reset();
-  dirty.replay(stream, again);
+  EXPECT_THROW(dirty.replay(stream, again), Error) << "second replay on a used policy";
+  CachePolicy fresh(arch, cache::Policy::Lru);
+  fresh.replay(stream, again);
   ASSERT_EQ(services.size(), again.size());
   for (size_t s = 0; s < services.size(); ++s) {
     EXPECT_EQ(services[s].dram_read, again[s].dram_read) << "step " << s;

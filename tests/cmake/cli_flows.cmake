@@ -14,8 +14,9 @@
 #   bad_files     `merge` over missing, truncated, duplicate and absent shard
 #                 files, `merge` without shard arguments and `run --trace`
 #                 into a missing directory fail with a message naming the cause
-#   csv_export    `--out full.csv` writes exactly tests/goldens/cli_sweep_grid.csv;
-#                 a shard of a split sweep refuses a .csv --out
+#   csv_export    `--out full.csv` writes exactly tests/goldens/cli_sweep_grid.csv,
+#                 and so do `--jobs 1` and `--jobs 3`; a shard of a split sweep
+#                 refuses a .csv --out
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -159,6 +160,10 @@ if(FLOW STREQUAL "csv_export")
   configure_file(${CMAKE_CURRENT_LIST_DIR}/../goldens/cli_sweep_grid.csv
                  ${WORKDIR}/golden.csv COPYONLY)
   expect_same(full.csv golden.csv)
+  foreach(jobs 1 3)
+    cli(ok sweep ${GRID_ARGS} --jobs ${jobs} --out jobs-${jobs}.csv)
+    expect_same(jobs-${jobs}.csv golden.csv)
+  endforeach()
   cli_fails_with("CSV cannot describe a mergeable shard" sweep ${GRID_ARGS} --shard 1/2
                  --out part.csv)
   if(EXISTS ${WORKDIR}/part.csv)

@@ -1,6 +1,6 @@
 // Tests for the LLM decode subsystem: the llm: workload builder (append-only
 // KV-cache chains in the TensorDag), the KvCachePolicy buffer model, and the
-// sweep-pool bit-identity guarantees the policy must uphold.
+// sweep bit-identity guarantees the policy must uphold.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -161,30 +161,6 @@ TEST(KvCachePolicy, DrainWritesBackLiveDirtyRowsOnce) {
   EXPECT_FALSE(policy.drain({}).has_value());  // second drain: nothing dirty
 }
 
-TEST(KvCachePolicy, ResetRestoresConstructedState) {
-  AcceleratorConfig arch;
-  arch.sram_bytes = 1000;
-  sim::KvCachePolicy policy(arch);
-
-  auto exercise = [&]() {
-    std::vector<Bytes> trace;
-    for (i32 step = 0; step < 6; ++step) {
-      const Bytes extent = 250u * (step + 1);
-      trace.push_back(policy.write_tensor(kv_meta(1, extent, 250)).dram_write);
-      trace.push_back(policy.read_tensor(kv_meta(1, extent, 0)).dram_read);
-    }
-    const auto items = policy.drain({});
-    trace.push_back(items ? items->size() : 0);
-    trace.push_back(policy.stats().kv_spill_bytes);
-    trace.push_back(policy.stats().peak_resident_bytes);
-    return trace;
-  };
-  const auto fresh = exercise();
-  policy.reset();
-  EXPECT_EQ(policy.resident_bytes(), 0u);
-  EXPECT_EQ(exercise(), fresh);  // bit-identical replay through the pool path
-}
-
 // ---- end-to-end decode behavior ----------------------------------------------
 
 TEST(LlmDecode, PerStepKvGrowthVisibleInMetrics) {
@@ -232,11 +208,11 @@ TEST(LlmDecode, KvCacheBeatsLruOnDocumentedConfig) {
   EXPECT_LT(kv.dram_bytes, explicit_buf.dram_bytes);
 }
 
-// ---- sweep pooling bit-identity ----------------------------------------------
+// ---- sweep bit-identity ------------------------------------------------------
 
 TEST(LlmSweep, PooledCellsBitIdenticalToFreshRuns) {
-  // llm cells across the sweep pool (shared prebuild + RunScratch reset with
-  // pooled KV policies) must match cache-free per-cell Simulator runs and be
+  // llm cells across the sweep pool (shared prebuild + per-worker RunScratch,
+  // one KV policy per cell) must match cache-free per-cell Simulator runs and be
   // thread-count invariant — mirroring sweep_test for the new policy.
   const std::vector<std::string> spec_texts = {
       "llm:layers=1,seq=256,decode_steps=4",

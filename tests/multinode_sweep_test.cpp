@@ -2,7 +2,7 @@
 // nodes x {mesh,torus} x two presets on GNN, as a first-class fabric axis of
 // the sharded sweep.  Pins:
 //  * sweep-path results are bit-identical to the direct Simulator::run
-//    multi-node path (same fold, same pooled artifacts);
+//    multi-node path (same fold, same shared artifacts);
 //  * shard / merge / checkpoint round-trips stay byte-identical with the
 //    fabric axis in play;
 //  * the Sec. V-B score-vs-naive traffic gap is visible in every multi-node

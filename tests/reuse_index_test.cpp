@@ -1,9 +1,9 @@
 // score::ReuseIndex / ReuseCursor / RunScratch pinning.
 //
-// The shared-setup fast path (immutable ReuseIndex + pooled RunScratch) must
+// The shared-setup fast path (immutable ReuseIndex + reused RunScratch) must
 // be bit-identical to a fresh, all-state-rebuilt Simulator::run for every
 // Table IV preset — this is what lets SweepRunner share one index per
-// (workload, schedule-policy) pair and reset one scratch per worker between
+// (workload, schedule-policy) pair and reuse one scratch per worker across
 // cells.  Also pins the counting-pass index builder against a reference
 // sort-based construction (the retired BaseReuse algorithm).
 #include <gtest/gtest.h>
@@ -63,8 +63,8 @@ const std::vector<std::string>& workload_specs() {
 }
 
 // Shared immutable index + one RunScratch reused sequentially across every
-// (workload, preset) cell — cursor resets and pooled-policy resets included —
-// must reproduce fresh per-cell runs exactly.
+// (workload, preset) cell — cursor rewinds and vector re-assignments included
+// — must reproduce fresh per-cell runs exactly.
 TEST(ReuseIndex, SharedIndexAndScratchBitIdenticalAcrossPresets) {
   const sim::AcceleratorConfig arch;
   const auto& registry = sim::ConfigRegistry::global();
@@ -95,7 +95,7 @@ TEST(ReuseIndex, SharedIndexAndScratchBitIdenticalAcrossPresets) {
 }
 
 // Re-running the same cell through the same scratch must change nothing: the
-// cursor rewind and every pooled policy's reset() restore constructed state.
+// cursor rewind and the vector re-assignments restore fresh-run state.
 TEST(ReuseIndex, ScratchResetIsCompleteBetweenRuns) {
   const sim::AcceleratorConfig arch;
   const auto& registry = sim::ConfigRegistry::global();

@@ -237,13 +237,12 @@ TEST(Sweep, SpecResolutionSharesOneDag) {
   EXPECT_EQ(cells[0].metrics.dram_bytes, cells[1].metrics.dram_bytes);
 }
 
-// Worker-affine tiling hands each worker a run of consecutive same-config
-// cells (so pooled policies reset instead of rebuilding), but the tiling must
-// be invisible in the output: any thread count, including counts that don't
-// divide the grid, produces bit-identical row-major results.
-TEST(Sweep, WorkerAffineTilingBitIdenticalAcrossThreadCounts) {
-  // 3 workloads x 7 configs = 21 cells: prime-ish shapes so chunk boundaries
-  // land mid-run for every thread count below.
+// Which worker claims which cell must be invisible in the output: any thread
+// count, including counts that don't divide the grid, produces bit-identical
+// row-major results.
+TEST(Sweep, BitIdenticalAcrossThreadCounts) {
+  // 3 workloads x 7 configs = 21 cells, which 2, 5 and 8 threads do not
+  // divide.
   const auto specs =
       test::workloads({"cg:m=4096,n=8,iters=2", "gnn:cora", "spmv:dataset=fv1,iters=2"});
   const auto configs = test::configs(
@@ -268,6 +267,33 @@ TEST(Sweep, WorkerAffineTilingBitIdenticalAcrossThreadCounts) {
           << threads << " threads cell " << i;
     }
   }
+}
+
+// A configuration's name is a label, not an identity: two configurations
+// sharing one name must each run on their own buffer policy, in a sweep and
+// through one caller-owned RunScratch alike.
+TEST(Sweep, ConfigurationsSharingANameRunTheirOwnPolicies) {
+  const auto rows = test::workloads({"cg:m=4096,n=8,iters=2"});
+  auto configs = test::configs({"SCORE+LRU", "SCORE+CHORD"});
+  for (auto& config : configs) config.name = "X";
+  const AcceleratorConfig arch;
+  const Simulator simulator(arch, rows[0].matrix.get());
+
+  const auto cells = SweepRunner(/*threads=*/1).run(rows, configs, arch);
+  ASSERT_EQ(cells.size(), configs.size());
+  sim::RunScratch scratch;
+  for (size_t ci = 0; ci < configs.size(); ++ci) {
+    const auto oneshot = simulator.run(*rows[0].dag, configs[ci]);
+    sim::RunArtifacts art;
+    art.scratch = &scratch;
+    const auto shared = simulator.run(*rows[0].dag, configs[ci], art);
+    const std::string ctx = std::string(ci == 0 ? "SCORE+LRU" : "SCORE+CHORD") + " as X";
+    EXPECT_EQ(cells[ci].metrics.dram_bytes, oneshot.dram_bytes) << ctx;
+    EXPECT_EQ(cells[ci].metrics.seconds, oneshot.seconds) << ctx;
+    EXPECT_EQ(shared.dram_bytes, oneshot.dram_bytes) << ctx;
+    EXPECT_EQ(shared.seconds, oneshot.seconds) << ctx;
+  }
+  EXPECT_NE(cells[0].metrics.dram_bytes, cells[1].metrics.dram_bytes);
 }
 
 TEST(Sweep, CellErrorsPropagateAfterJoin) {

@@ -158,7 +158,7 @@ TEST(Trace, TracedRunMetricsEqualUntracedRun) {
 
 // A trace_sink_for that selects one cell narrates exactly that cell, and the bytes
 // equal a direct Simulator::run of that cell with the same sink — shared
-// schedules, reuse indexes, router tables and pooled scratch included.
+// schedules, reuse indexes, router tables and per-worker scratch included.
 TEST(Trace, SweepTraceCellBytesEqualDirectRun) {
   const std::vector<std::string> specs = {"cg:m=2048,n=8,iters=2", "gnn:cora"};
   const std::vector<std::string> configs = {"Flexagon", "Cello", "SCORE+LRU"};
