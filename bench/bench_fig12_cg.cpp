@@ -15,17 +15,14 @@ int main() {
   std::vector<sim::SweepResult> fv1_roofline;  // fv1, N=16, 1 TB/s: the roofline panel
 
   for (const char* name : datasets) {
-    const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = bench::instantiate(name);
     for (i64 n : {1, 16}) {
-      workloads::CgShape shape = bench::cg_shape_for(spec, n);
-      shape.nnz = matrix->nnz();  // exact generated count
-      const std::vector<sim::Workload> row{
-          bench::workload(name, "cg", workloads::build_cg_dag(shape), matrix)};
+      const std::vector<sim::Workload> row{sim::WorkloadRegistry::global().resolve(
+          "cg:" + std::string(name) + ",n=" + std::to_string(n))};
+      const auto& matrix = row.front().matrix;
       for (double bw : {250e9, 1e12}) {
         const auto cells = bench::sweep(row, bench::table5_config(bw));
 
-        std::cout << "dataset=" << name << " (M=" << spec.rows << ", nnz=" << matrix->nnz()
+        std::cout << "dataset=" << name << " (M=" << matrix->rows() << ", nnz=" << matrix->nnz()
                   << ")  N=" << n << "  BW=" << format_rate(bw, "B/s") << "\n";
         TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
         const double base = cells.front().metrics.seconds;  // Flexagon

@@ -1,15 +1,13 @@
 // Fig. 13: GNN layers (cora, protein) and BiCGStab (fv1, shallow_water1,
 // nasa4704, N=1) across all configurations.
 #include "bench_util.hpp"
-#include "workloads/bicgstab.hpp"
-#include "workloads/gnn.hpp"
 
 namespace {
 
 /// One Table IV table for a single workload row.
-void print_table(const std::vector<cello::sim::Workload>& row) {
+void print_table(const cello::sim::Workload& row) {
   using namespace cello;
-  const auto cells = bench::sweep(row, bench::table5_config());
+  const auto cells = bench::sweep({row}, bench::table5_config());
   TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
   const double base = cells.front().metrics.seconds;  // Flexagon
   for (const auto& cell : cells) {
@@ -30,31 +28,19 @@ int main() {
   std::cout << "--- GCN layers ---\n";
   for (const char* name : {"cora", "protein"}) {
     const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = bench::instantiate(name);
-    workloads::GnnShape g;
-    g.vertices = spec.rows;
-    g.nnz = matrix->nnz();
-    g.in_features = spec.gnn_in_features;
-    g.out_features = spec.gnn_out_features;
-
-    std::cout << "dataset=" << name << " (M=" << g.vertices << ", N=" << g.in_features
-              << ", O=" << g.out_features << ")\n";
-    print_table({bench::workload(name, "gnn", workloads::build_gnn_dag(g), matrix)});
+    std::cout << "dataset=" << name << " (M=" << spec.rows << ", N=" << spec.gnn_in_features
+              << ", O=" << spec.gnn_out_features << ")\n";
+    print_table(sim::WorkloadRegistry::global().resolve("gnn:" + std::string(name)));
   }
   std::cout << "Expected shape: Cello == FLAT (the single intermediate is pipelineable\n"
                "with no delayed dependency); caches suffer on cora's large feature map.\n\n";
 
   std::cout << "--- BiCGStab (N=1) ---\n";
   for (const char* name : {"fv1", "shallow_water1", "nasa4704"}) {
-    const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = bench::instantiate(name);
-    workloads::BiCgStabShape b;
-    b.m = spec.rows;
-    b.nnz = matrix->nnz();
-    b.iterations = 10;
-
-    std::cout << "dataset=" << name << " (M=" << b.m << ", nnz=" << b.nnz << ")\n";
-    print_table({bench::workload(name, "bicgstab", workloads::build_bicgstab_dag(b), matrix)});
+    const auto row = sim::WorkloadRegistry::global().resolve("bicgstab:" + std::string(name));
+    std::cout << "dataset=" << name << " (M=" << row.matrix->rows()
+              << ", nnz=" << row.matrix->nnz() << ")\n";
+    print_table(row);
   }
   std::cout << "Expected shape: like CG, every BiCGStab vector has delayed downstream\n"
                "consumers, so Cello outperforms the pipelining-only baselines.\n";

@@ -3,53 +3,24 @@
 #include <map>
 
 #include "bench_util.hpp"
-#include "workloads/bicgstab.hpp"
-#include "workloads/gnn.hpp"
 
 int main() {
   using namespace cello;
   bench::print_header("Relative off-chip energy per workload (geomean)", "Fig. 14");
 
-  // Every dataset is instantiated once and shared by all rows built on it.
-  std::map<std::string, std::shared_ptr<const sparse::CsrMatrix>> matrices;
-  auto matrix_of = [&](const std::string& name) {
-    auto& m = matrices[name];
-    if (!m) m = bench::instantiate(name);
-    return m;
-  };
-
   // One grid: every (workload class, dataset) row under every configuration.
+  // The registry instantiates each dataset once and shares it across rows.
   std::vector<sim::Workload> rows;
   std::vector<std::string> row_class;
-  for (const char* name : {"fv1", "shallow_water1", "G2_circuit"}) {
-    const auto matrix = matrix_of(name);
-    for (i64 n : {1, 16}) {
-      auto shape = bench::cg_shape_for(sparse::dataset_by_name(name), n);
-      shape.nnz = matrix->nnz();
-      rows.push_back(bench::workload(name, "cg", workloads::build_cg_dag(shape), matrix));
-      row_class.push_back("PDE solvers (CG)");
-    }
-  }
-  for (const char* name : {"fv1", "shallow_water1", "nasa4704"}) {
-    const auto matrix = matrix_of(name);
-    workloads::BiCgStabShape b;
-    b.m = sparse::dataset_by_name(name).rows;
-    b.nnz = matrix->nnz();
-    b.iterations = 10;
-    rows.push_back(bench::workload(name, "bicgstab", workloads::build_bicgstab_dag(b), matrix));
-    row_class.push_back("PDE solvers (BiCGStab)");
-  }
-  for (const char* name : {"cora", "protein"}) {
-    const auto& spec = sparse::dataset_by_name(name);
-    const auto matrix = matrix_of(name);
-    workloads::GnnShape g;
-    g.vertices = spec.rows;
-    g.nnz = matrix->nnz();
-    g.in_features = spec.gnn_in_features;
-    g.out_features = spec.gnn_out_features;
-    rows.push_back(bench::workload(name, "gnn", workloads::build_gnn_dag(g), matrix));
-    row_class.push_back("GNN");
-  }
+  auto add_row = [&](const std::string& spec, const char* klass) {
+    rows.push_back(sim::WorkloadRegistry::global().resolve(spec));
+    row_class.push_back(klass);
+  };
+  for (const std::string name : {"fv1", "shallow_water1", "G2_circuit"})
+    for (const char* n : {"1", "16"}) add_row("cg:" + name + ",n=" + n, "PDE solvers (CG)");
+  for (const std::string name : {"fv1", "shallow_water1", "nasa4704"})
+    add_row("bicgstab:" + name, "PDE solvers (BiCGStab)");
+  for (const std::string name : {"cora", "protein"}) add_row("gnn:" + name, "GNN");
   const auto cells = bench::sweep(rows, bench::table5_config());
 
   // workload class -> config -> list of relative energies across datasets.

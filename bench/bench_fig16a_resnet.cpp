@@ -1,14 +1,12 @@
 // Fig. 16(a): ResNet conv3_x residual block — performance and off-chip energy
 // for all configurations including the SET baseline, at 250 GB/s and 1 TB/s.
 #include "bench_util.hpp"
-#include "workloads/resnet.hpp"
 
 int main() {
   using namespace cello;
   bench::print_header("ResNet residual block performance and energy", "Fig. 16(a)");
 
-  const std::vector<sim::Workload> row{
-      bench::workload("resnet", "resnet", workloads::build_resnet_block_dag({}))};
+  const std::vector<sim::Workload> row{sim::WorkloadRegistry::global().resolve("resnet")};
   for (double bw : {250e9, 1e12}) {
     const auto arch = bench::table5_config(bw);
     const auto cells = bench::sweep(row, arch);

@@ -6,15 +6,11 @@ int main() {
   using namespace cello;
   bench::print_header("PRELUDE-only ablation on CG", "Fig. 16(c)");
 
-  const auto& spec = sparse::dataset_by_name("shallow_water1");
-  const auto matrix = bench::instantiate("shallow_water1");
   const auto configs = bench::configs({"Flexagon", "FLAT", "Prelude-only", "Cello"});
 
   for (i64 n : {1, 16}) {
-    auto shape = bench::cg_shape_for(spec, n);
-    shape.nnz = matrix->nnz();
     const auto cells = bench::sweep(
-        {bench::workload("shallow_water1", "cg", workloads::build_cg_dag(shape), matrix)},
+        {sim::WorkloadRegistry::global().resolve("cg:shallow_water1,n=" + std::to_string(n))},
         bench::table5_config(), configs);
 
     std::cout << "dataset=shallow_water1  N=" << n << "\n";

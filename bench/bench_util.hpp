@@ -2,9 +2,7 @@
 #pragma once
 
 #include <iostream>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cello/cello.hpp"
@@ -45,19 +43,6 @@ inline const std::vector<sim::Configuration>& table4_configs() {
   static const std::vector<sim::Configuration> kConfigs =
       configs(sim::ConfigRegistry::table4_names());
   return kConfigs;
-}
-
-/// One Table VI matrix, instantiated once and shared by every row built on it.
-inline std::shared_ptr<const sparse::CsrMatrix> instantiate(const std::string& dataset) {
-  return std::make_shared<const sparse::CsrMatrix>(
-      sparse::instantiate(sparse::dataset_by_name(dataset)));
-}
-
-/// A sweep row over a prebuilt DAG and an optional shared matrix.
-inline sim::Workload workload(std::string name, std::string kind, ir::TensorDag dag,
-                              std::shared_ptr<const sparse::CsrMatrix> matrix = nullptr) {
-  return {std::move(name), std::move(kind),
-          std::make_shared<const ir::TensorDag>(std::move(dag)), std::move(matrix)};
 }
 
 /// Run `rows` x `configs` as one parallel SweepRunner grid: result

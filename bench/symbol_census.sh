@@ -14,8 +14,9 @@
 # A symbol whose every call was inlined leaves no out-of-line copy behind, so
 # it is listed here although its code runs.  Read each entry before deleting.
 #
-# Above the lists it prints the line counts of src/ and tests/*.cpp, the size
-# trajectory the census is meant to shrink.
+# Above the lists it prints the line counts of src/ (in total and per
+# top-level directory, so a shrink shows which layer it cut) and tests/*.cpp,
+# the size trajectory the census is meant to shrink.
 #
 # Usage: bench/symbol_census.sh [build-dir]
 #   build-dir  reused (and kept) when given; a temporary directory otherwise
@@ -58,6 +59,12 @@ def lines(paths):
 src_files = [p for p in glob.glob(os.path.join(repo, "src", "**", "*"), recursive=True)
              if os.path.isfile(p)]
 print(f"src/: {lines(src_files)} lines in {len(src_files)} files")
+by_dir = {}
+for path in src_files:
+    top = os.path.relpath(path, os.path.join(repo, "src")).split(os.sep)[0]
+    by_dir.setdefault(top, []).append(path)
+for top in sorted(by_dir):
+    print(f"  src/{top}: {lines(by_dir[top])}")
 print(f"tests/*.cpp: {lines(glob.glob(os.path.join(repo, 'tests', '*.cpp')))} lines\n")
 
 

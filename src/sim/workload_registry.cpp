@@ -168,11 +168,17 @@ std::shared_ptr<const ir::TensorDag> share(ir::TensorDag dag) {
   return std::make_shared<const ir::TensorDag>(std::move(dag));
 }
 
+/// An integer parameter that must be >= 1 when given; `fallback` applies when
+/// it is absent (and may be a 0 "derive it" sentinel the builder resolves).
+i64 get_positive(WorkloadParams& p, const std::string& key, i64 fallback) {
+  const i64 v = p.get_i64(key, fallback);
+  if (v <= 0 && p.spec().params.count(key))
+    bad_spec(p.spec(), key + "= must be positive, got " + std::to_string(v));
+  return v;
+}
+
 Bytes word_bytes(WorkloadParams& p, i64 fallback) {
-  const i64 words = p.get_i64("words", fallback);
-  if (words <= 0)
-    bad_spec(p.spec(), "words= must be positive, got " + std::to_string(words));
-  return static_cast<Bytes>(words);
+  return static_cast<Bytes>(get_positive(p, "words", fallback));
 }
 
 const std::vector<WorkloadParamDoc>& matrix_source_docs() {
@@ -262,7 +268,7 @@ WorkloadRegistry::WorkloadRegistry() {
            w.dag = share(workloads::build_gnn_dag(shape));
          } else {
            w.dag = share(
-               workloads::build_gnn_multilayer_dag(shape, layers, p.get_i64("hidden", 64)));
+               workloads::build_gnn_multilayer_dag(shape, layers, get_positive(p, "hidden", 64)));
          }
          w.matrix = src.matrix;
          return w;
@@ -296,7 +302,7 @@ WorkloadRegistry::WorkloadRegistry() {
          shape.spatial = p.get_i64("spatial", shape.spatial);
          shape.in_channels = p.get_i64("channels", shape.in_channels);
          shape.bottleneck = p.get_i64("bottleneck", shape.bottleneck);
-         shape.kernel = p.get_i64("kernel", shape.kernel);
+         shape.kernel = get_positive(p, "kernel", shape.kernel);
          shape.word_bytes = word_bytes(p, 2);
          const i64 blocks = p.get_i64("blocks", 1);
          Workload w;
@@ -338,7 +344,10 @@ WorkloadRegistry::WorkloadRegistry() {
          shape.features = p.get_i64("d", 64);
          shape.heads = p.get_i64("heads", 1);
          shape.word_bytes = word_bytes(p, 4);
-         shape.with_spmm = p.get_i64("spmm", 1) != 0;
+         const i64 spmm = p.get_i64("spmm", 1);
+         if (spmm != 0 && spmm != 1)
+           bad_spec(p.spec(), "spmm= must be 0 or 1, got " + std::to_string(spmm));
+         shape.with_spmm = spmm == 1;
          Workload w;
          w.dag = share(workloads::build_sddmm_dag(shape));
          w.matrix = src.matrix;
@@ -361,8 +370,8 @@ WorkloadRegistry::WorkloadRegistry() {
          shape.d_model = p.get_i64("d_model", shape.d_model);
          shape.seq = p.get_i64("seq", shape.seq);
          shape.decode_steps = p.get_i64("decode_steps", shape.decode_steps);
-         shape.d_ff = p.get_i64("d_ff", 0);
-         shape.gqa = p.get_i64("gqa", 0);
+         shape.d_ff = get_positive(p, "d_ff", 0);  // absent: 0 = 4 * d_model
+         shape.gqa = get_positive(p, "gqa", 0);    // absent: 0 = heads
          shape.word_bytes = word_bytes(p, 2);
          Workload w;
          w.dag = share(workloads::build_llm_decode_dag(shape));

@@ -1,113 +1,60 @@
 #include "workloads/bicgstab.hpp"
 
 #include "common/error.hpp"
+#include "workloads/dag_builder.hpp"
 
 namespace cello::workloads {
-namespace {
-
-using ir::OpRank;
-using ir::TensorDag;
-using ir::TensorDesc;
-using ir::TensorId;
-
-TensorId add_vector(TensorDag& dag, const std::string& name, i64 m, i64 n, Bytes w) {
-  TensorDesc t;
-  t.name = name;
-  t.ranks = {"m", "n"};
-  t.dims = {m, n};
-  t.word_bytes = w;
-  return dag.add_tensor(std::move(t));
-}
-
-TensorId add_scalar(TensorDag& dag, const std::string& name, i64 n, Bytes w) {
-  TensorDesc t;
-  t.name = name;
-  t.ranks = {"n'", "n"};
-  t.dims = {n, n};
-  t.word_bytes = w;
-  return dag.add_tensor(std::move(t));
-}
-
-}  // namespace
 
 ir::TensorDag build_bicgstab_dag(const BiCgStabShape& shape) {
   CELLO_CHECK(shape.m > 0 && shape.nnz > 0 && shape.iterations > 0);
-  TensorDag dag;
+  ir::TensorDag dag;
   const i64 m = shape.m, n = shape.n;
   const Bytes w = shape.word_bytes;
-  const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
-  TensorDesc a;
-  a.name = "A";
-  a.ranks = {"m", "k"};
-  a.dims = {m, m};
-  a.word_bytes = w;
-  a.storage = ir::Storage::CompressedSparse;
-  a.nnz = shape.nnz;
-  const TensorId A = dag.add_tensor(std::move(a));
+  const ir::TensorId A = add_csr(dag, "A", "m", "k", m, shape.nnz, w);
 
-  const TensorId Rhat = add_vector(dag, "r_hat", m, n, w);
-  TensorId r_prev = add_vector(dag, "r@0", m, n, w);
-  TensorId p_prev = add_vector(dag, "p@0", m, n, w);
-  TensorId v_prev = add_vector(dag, "v@0", m, n, w);
-  TensorId x_prev = add_vector(dag, "x@0", m, n, w);
+  const ir::TensorId Rhat = add_dense(dag, "r_hat", "m", m, "n", n, w);
+  ir::TensorId r_prev = add_dense(dag, "r@0", "m", m, "n", n, w);
+  ir::TensorId p_prev = add_dense(dag, "p@0", "m", m, "n", n, w);
+  ir::TensorId v_prev = add_dense(dag, "v@0", "m", m, "n", n, w);
+  ir::TensorId x_prev = add_dense(dag, "x@0", "m", m, "n", n, w);
 
-  auto dot_op = [&](const std::string& name, std::vector<TensorId> ins, TensorId out) {
-    ir::EinsumOp op;
-    op.name = name;
-    op.inputs = std::move(ins);
-    op.output = out;
-    op.ranks = {OpRank{"m", m, true, -1}, OpRank{"n'", n, false, -1}, OpRank{"n", n, false, -1}};
-    dag.add_op(std::move(op));
+  auto dot_op = [&](std::string name, std::vector<ir::TensorId> ins, ir::TensorId out) {
+    add_einsum(dag, std::move(name), std::move(ins), out, {{"m", m, true}, {"n'", n}, {"n", n}});
   };
-  auto update_op = [&](const std::string& name, std::vector<TensorId> ins, TensorId out) {
-    ir::EinsumOp op;
-    op.name = name;
-    op.inputs = std::move(ins);
-    op.output = out;
-    // Vector update = degenerate skewed GEMM (contracted rank of extent n).
-    op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1}, OpRank{"n", n, false, -1}};
-    dag.add_op(std::move(op));
-  };
-  auto spmv_op = [&](const std::string& name, TensorId in, TensorId out) {
-    ir::EinsumOp op;
-    op.name = name;
-    op.inputs = {A, in};
-    op.output = out;
-    op.ranks = {OpRank{"m", m, false, -1}, OpRank{"k", m, true, occupancy},
-                OpRank{"n", n, false, -1}};
-    op.macs_override = shape.nnz * n;
-    dag.add_op(std::move(op));
+  // Vector update = degenerate skewed GEMM (contracted rank of extent n).
+  auto update_op = [&](std::string name, std::vector<ir::TensorId> ins, ir::TensorId out) {
+    add_einsum(dag, std::move(name), std::move(ins), out, {{"m", m}, {"j", n, true}, {"n", n}});
   };
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
     const std::string v = "@" + std::to_string(it);
 
-    const TensorId rho = add_scalar(dag, "rho" + v, n, w);
+    const ir::TensorId rho = add_dense(dag, "rho" + v, "n'", n, "n", n, w);
     dot_op("rho" + v, {Rhat, r_prev}, rho);
 
-    const TensorId p = add_vector(dag, "p" + v, m, n, w);
+    const ir::TensorId p = add_dense(dag, "p" + v, "m", m, "n", n, w);
     update_op("pupd" + v, {r_prev, p_prev, v_prev, rho}, p);
 
-    const TensorId vv = add_vector(dag, "v" + v, m, n, w);
-    spmv_op("spmv_v" + v, p, vv);
+    const ir::TensorId vv = add_dense(dag, "v" + v, "m", m, "n", n, w);
+    add_spmm(dag, "spmv_v" + v, A, p, vv);
 
-    const TensorId alpha = add_scalar(dag, "alpha" + v, n, w);
+    const ir::TensorId alpha = add_dense(dag, "alpha" + v, "n'", n, "n", n, w);
     dot_op("alpha" + v, {Rhat, vv, rho}, alpha);
 
-    const TensorId s = add_vector(dag, "s" + v, m, n, w);
+    const ir::TensorId s = add_dense(dag, "s" + v, "m", m, "n", n, w);
     update_op("supd" + v, {r_prev, vv, alpha}, s);
 
-    const TensorId t = add_vector(dag, "t" + v, m, n, w);
-    spmv_op("spmv_t" + v, s, t);
+    const ir::TensorId t = add_dense(dag, "t" + v, "m", m, "n", n, w);
+    add_spmm(dag, "spmv_t" + v, A, s, t);
 
-    const TensorId omega = add_scalar(dag, "omega" + v, n, w);
+    const ir::TensorId omega = add_dense(dag, "omega" + v, "n'", n, "n", n, w);
     dot_op("omega" + v, {t, s}, omega);
 
-    const TensorId x = add_vector(dag, "x" + v, m, n, w);
+    const ir::TensorId x = add_dense(dag, "x" + v, "m", m, "n", n, w);
     update_op("xupd" + v, {x_prev, p, s, alpha, omega}, x);
 
-    const TensorId r = add_vector(dag, "r" + v, m, n, w);
+    const ir::TensorId r = add_dense(dag, "r" + v, "m", m, "n", n, w);
     update_op("rupd" + v, {s, t, omega}, r);
 
     r_prev = r;

@@ -1,6 +1,7 @@
 #include "workloads/cg.hpp"
 
 #include "common/error.hpp"
+#include "workloads/dag_builder.hpp"
 
 namespace cello::workloads {
 
@@ -9,160 +10,55 @@ std::string base_name(const std::string& instance_name) {
   return at == std::string::npos ? instance_name : instance_name.substr(0, at);
 }
 
-namespace {
-
-using ir::OpKind;
-using ir::OpRank;
-using ir::Storage;
-using ir::TensorDag;
-using ir::TensorDesc;
-using ir::TensorId;
-
-TensorId add_skewed(TensorDag& dag, const std::string& name, i64 m, i64 n, Bytes word) {
-  TensorDesc t;
-  t.name = name;
-  t.ranks = {"m", "n"};
-  t.dims = {m, n};
-  t.word_bytes = word;
-  return dag.add_tensor(std::move(t));
-}
-
-TensorId add_small(TensorDag& dag, const std::string& name, i64 n1, i64 n2, Bytes word) {
-  TensorDesc t;
-  t.name = name;
-  t.ranks = {"n'", "n"};
-  t.dims = {n1, n2};
-  t.word_bytes = word;
-  return dag.add_tensor(std::move(t));
-}
-
-}  // namespace
-
 ir::TensorDag build_cg_dag(const CgShape& shape) {
   CELLO_CHECK(shape.m > 0 && shape.n > 0 && shape.nnz > 0 && shape.iterations > 0);
-  TensorDag dag;
+  ir::TensorDag dag;
   const i64 m = shape.m, n = shape.n;
   const Bytes w = shape.word_bytes;
-  const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
   // External inputs: the sparse matrix A and the iteration-0 state.
-  TensorDesc a;
-  a.name = "A";
-  a.ranks = {"m", "k"};
-  a.dims = {m, m};
-  a.word_bytes = w;
-  a.storage = Storage::CompressedSparse;
-  a.nnz = shape.nnz;
-  const TensorId A = dag.add_tensor(std::move(a));
-
-  TensorId P_prev = add_skewed(dag, "P@0", m, n, w);
-  TensorId R_prev = add_skewed(dag, "R@0", m, n, w);
-  TensorId X_prev = add_skewed(dag, "X@0", m, n, w);
-  TensorId G_prev = add_small(dag, "Gamma@0", n, n, w);
+  const ir::TensorId A = add_csr(dag, "A", "m", "k", m, shape.nnz, w);
+  ir::TensorId P_prev = add_dense(dag, "P@0", "m", m, "n", n, w);
+  ir::TensorId R_prev = add_dense(dag, "R@0", "m", m, "n", n, w);
+  ir::TensorId X_prev = add_dense(dag, "X@0", "m", m, "n", n, w);
+  ir::TensorId G_prev = add_dense(dag, "Gamma@0", "n'", n, "n", n, w);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
     const std::string v = "@" + std::to_string(it);
 
-    // Line 1: S = A (.) P  — SpMM; the contracted rank is compressed, so its
-    // effective traversal extent is the row occupancy and the op stays
-    // uncontracted-dominant (the 'U*' node of Fig. 7).
-    const TensorId S = add_skewed(dag, "S" + v, m, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "1" + v;
-      op.inputs = {A, P_prev};
-      op.output = S;
-      op.ranks = {OpRank{"m", m, false, -1}, OpRank{"k", m, true, occupancy},
-                  OpRank{"n", n, false, -1}};
-      op.macs_override = shape.nnz * n;
-      dag.add_op(std::move(op));
-    }
+    // Line 1: S = A (.) P  — SpMM (the 'U*' node of Fig. 7).
+    const ir::TensorId S = add_dense(dag, "S" + v, "m", m, "n", n, w);
+    add_spmm(dag, "1" + v, A, P_prev, S);
 
     // Line 2a: Delta = P^T S — contraction over the big m rank ('C' node).
-    const TensorId Delta = add_small(dag, "Delta" + v, n, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "2a" + v;
-      op.inputs = {P_prev, S};
-      op.output = Delta;
-      op.ranks = {OpRank{"m", m, true, -1}, OpRank{"n'", n, false, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId Delta = add_dense(dag, "Delta" + v, "n'", n, "n", n, w);
+    add_einsum(dag, "2a" + v, {P_prev, S}, Delta, {{"m", m, true}, {"n'", n}, {"n", n}});
 
     // Line 2b: Lambda = Delta^{-1} Gamma — small inverse-and-multiply.
-    const TensorId Lambda = add_small(dag, "Lambda" + v, n, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "2b" + v;
-      op.kind = OpKind::Inverse;
-      op.inputs = {Delta, G_prev};
-      op.output = Lambda;
-      op.ranks = {OpRank{"n'", n, false, -1}, OpRank{"j", n, true, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId Lambda = add_dense(dag, "Lambda" + v, "n'", n, "n", n, w);
+    add_einsum(dag, "2b" + v, {Delta, G_prev}, Lambda, {{"n'", n}, {"j", n, true}, {"n", n}},
+               -1, ir::OpKind::Inverse);
 
     // Line 3: X = X + P Lambda — the delayed self-dependency tensor.
-    const TensorId X = add_skewed(dag, "X" + v, m, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "3" + v;
-      op.inputs = {X_prev, P_prev, Lambda};
-      op.output = X;
-      op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId X = add_dense(dag, "X" + v, "m", m, "n", n, w);
+    add_einsum(dag, "3" + v, {X_prev, P_prev, Lambda}, X, {{"m", m}, {"j", n, true}, {"n", n}});
 
     // Line 4: R = R - S Lambda.
-    const TensorId R = add_skewed(dag, "R" + v, m, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "4" + v;
-      op.inputs = {R_prev, S, Lambda};
-      op.output = R;
-      op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId R = add_dense(dag, "R" + v, "m", m, "n", n, w);
+    add_einsum(dag, "4" + v, {R_prev, S, Lambda}, R, {{"m", m}, {"j", n, true}, {"n", n}});
 
     // Line 5: Gamma = R^T R ('C' node).
-    const TensorId Gamma = add_small(dag, "Gamma" + v, n, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "5" + v;
-      op.inputs = {R};
-      op.output = Gamma;
-      op.ranks = {OpRank{"m", m, true, -1}, OpRank{"n'", n, false, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId Gamma = add_dense(dag, "Gamma" + v, "n'", n, "n", n, w);
+    add_einsum(dag, "5" + v, {R}, Gamma, {{"m", m, true}, {"n'", n}, {"n", n}});
 
     // Line 6: Phi = Gamma_prev^{-1} Gamma — small inverse ('inv' node).
-    const TensorId Phi = add_small(dag, "Phi" + v, n, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "6" + v;
-      op.kind = OpKind::Inverse;
-      op.inputs = {G_prev, Gamma};
-      op.output = Phi;
-      op.ranks = {OpRank{"n'", n, false, -1}, OpRank{"j", n, true, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId Phi = add_dense(dag, "Phi" + v, "n'", n, "n", n, w);
+    add_einsum(dag, "6" + v, {G_prev, Gamma}, Phi, {{"n'", n}, {"j", n, true}, {"n", n}}, -1,
+               ir::OpKind::Inverse);
 
     // Line 7: P = R + P Phi — the new search direction.
-    const TensorId P = add_skewed(dag, "P" + v, m, n, w);
-    {
-      ir::EinsumOp op;
-      op.name = "7" + v;
-      op.inputs = {R, P_prev, Phi};
-      op.output = P;
-      op.ranks = {OpRank{"m", m, false, -1}, OpRank{"j", n, true, -1},
-                  OpRank{"n", n, false, -1}};
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId P = add_dense(dag, "P" + v, "m", m, "n", n, w);
+    add_einsum(dag, "7" + v, {R, P_prev, Phi}, P, {{"m", m}, {"j", n, true}, {"n", n}});
 
     P_prev = P;
     R_prev = R;

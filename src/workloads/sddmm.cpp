@@ -1,8 +1,7 @@
 #include "workloads/sddmm.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "workloads/dag_builder.hpp"
 
 namespace cello::workloads {
 
@@ -11,73 +10,32 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
   ir::TensorDag dag;
   const i64 m = shape.rows, d = shape.features;
   const Bytes w = shape.word_bytes;
-  const i64 occupancy = std::max<i64>(1, shape.nnz / shape.rows);
 
-  ir::TensorDesc mask;
-  mask.name = "M";
-  mask.ranks = {"m", "j"};
-  mask.dims = {m, m};
-  mask.word_bytes = w;
-  mask.storage = ir::Storage::CompressedSparse;
-  mask.nnz = shape.nnz;
-  const ir::TensorId M = dag.add_tensor(std::move(mask));
-
-  auto add_dense = [&](const std::string& name, const std::string& row_rank) {
-    ir::TensorDesc t;
-    t.name = name;
-    t.ranks = {row_rank, "d"};
-    t.dims = {m, d};
-    t.word_bytes = w;
-    return dag.add_tensor(std::move(t));
-  };
+  const ir::TensorId M = add_csr(dag, "M", "m", "j", m, shape.nnz, w);
+  const i64 occupancy = row_occupancy(dag.tensor(M));
 
   for (i64 h = 1; h <= shape.heads; ++h) {
     // '_' rather than the '@' versioning convention: each head's projections
     // are distinct buffers, and '@' suffixes would make the AddressMap alias
     // them onto one shared base (only the mask M is genuinely shared).
     const std::string v = "_" + std::to_string(h);
-    const ir::TensorId Q = add_dense("Q" + v, "m");
-    const ir::TensorId K = add_dense("K" + v, "j");
+    const ir::TensorId Q = add_dense(dag, "Q" + v, "m", m, "d", d, w);
+    const ir::TensorId K = add_dense(dag, "K" + v, "j", m, "d", d, w);
+    const ir::TensorId S = add_csr(dag, "S" + v, "m", "j", m, shape.nnz, w);
 
-    ir::TensorDesc s;
-    s.name = "S" + v;
-    s.ranks = {"m", "j"};
-    s.dims = {m, m};
-    s.word_bytes = w;
-    s.storage = ir::Storage::CompressedSparse;
-    s.nnz = shape.nnz;
-    const ir::TensorId S = dag.add_tensor(std::move(s));
-
-    {
-      // Only the mask's nnz positions are computed: the "j" rank traverses
-      // the row occupancy, and the contraction runs over the d features.
-      ir::EinsumOp op;
-      op.name = "sddmm" + v;
-      op.inputs = {M, Q, K};
-      op.output = S;
-      op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"j", m, false, occupancy},
-                  ir::OpRank{"d", d, true, -1}};
-      op.macs_override = shape.nnz * d;
-      dag.add_op(std::move(op));
-    }
+    // Only the mask's nnz positions are computed: the "j" rank traverses the
+    // row occupancy, and the contraction runs over the d features.
+    add_einsum(dag, "sddmm" + v, {M, Q, K}, S,
+               {{"m", m}, {"j", m, false, occupancy}, {"d", d, true}}, shape.nnz * d);
 
     if (!shape.with_spmm) {
       dag.mark_result(S);
       continue;
     }
 
-    const ir::TensorId V = add_dense("V" + v, "j");
-    const ir::TensorId O = add_dense("O" + v, "m");
-    {
-      ir::EinsumOp op;
-      op.name = "spmm" + v;
-      op.inputs = {S, V};
-      op.output = O;
-      op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"j", m, true, occupancy},
-                  ir::OpRank{"d", d, false, -1}};
-      op.macs_override = shape.nnz * d;
-      dag.add_op(std::move(op));
-    }
+    const ir::TensorId V = add_dense(dag, "V" + v, "j", m, "d", d, w);
+    const ir::TensorId O = add_dense(dag, "O" + v, "m", m, "d", d, w);
+    add_spmm(dag, "spmm" + v, S, V, O);
     dag.mark_result(O);
   }
 

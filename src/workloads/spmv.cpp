@@ -1,8 +1,7 @@
 #include "workloads/spmv.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "workloads/dag_builder.hpp"
 
 namespace cello::workloads {
 
@@ -11,38 +10,13 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
   ir::TensorDag dag;
   const i64 m = shape.m, n = shape.n;
   const Bytes w = shape.word_bytes;
-  const i64 occupancy = std::max<i64>(1, shape.nnz / shape.m);
 
-  ir::TensorDesc a;
-  a.name = "A";
-  a.ranks = {"m", "k"};
-  a.dims = {m, m};
-  a.word_bytes = w;
-  a.storage = ir::Storage::CompressedSparse;
-  a.nnz = shape.nnz;
-  const ir::TensorId A = dag.add_tensor(std::move(a));
-
-  auto add_iterate = [&](const std::string& name) {
-    ir::TensorDesc t;
-    t.name = name;
-    t.ranks = {"m", "n"};
-    t.dims = {m, n};
-    t.word_bytes = w;
-    return dag.add_tensor(std::move(t));
-  };
-
-  ir::TensorId x_prev = add_iterate("x@0");
+  const ir::TensorId A = add_csr(dag, "A", "m", "k", m, shape.nnz, w);
+  ir::TensorId x_prev = add_dense(dag, "x@0", "m", m, "n", n, w);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
-    const ir::TensorId x = add_iterate("x@" + std::to_string(it));
-    ir::EinsumOp op;
-    op.name = "spmv@" + std::to_string(it);
-    op.inputs = {A, x_prev};
-    op.output = x;
-    op.ranks = {ir::OpRank{"m", m, false, -1}, ir::OpRank{"k", m, true, occupancy},
-                ir::OpRank{"n", n, false, -1}};
-    op.macs_override = shape.nnz * n;
-    dag.add_op(std::move(op));
+    const ir::TensorId x = add_dense(dag, "x@" + std::to_string(it), "m", m, "n", n, w);
+    add_spmm(dag, "spmv@" + std::to_string(it), A, x_prev, x);
     x_prev = x;
   }
 

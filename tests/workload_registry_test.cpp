@@ -114,6 +114,17 @@ TEST(WorkloadRegistry, MalformedParameterValueThrows) {
   EXPECT_THROW(WorkloadRegistry::global().resolve("cg:m=0"), Error);
   EXPECT_THROW(WorkloadRegistry::global().resolve("cg:m=-5"), Error);
   EXPECT_THROW(WorkloadRegistry::global().resolve("spmv:gen=fem,m=100,nnz=0"), Error);
+  // Values a builder would otherwise wrap, ignore or replace with a default.
+  EXPECT_THROW(WorkloadRegistry::global().resolve("gnn:layers=2,hidden=-3"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("gnn:layers=2,hidden=0"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("resnet:kernel=0"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("resnet:kernel=-1"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("llm:d_ff=-8"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("llm:d_ff=0"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("llm:gqa=-2"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("llm:gqa=0"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("sddmm:spmm=7"), Error);
+  EXPECT_THROW(WorkloadRegistry::global().resolve("sddmm:spmm=-1"), Error);
 }
 
 TEST(WorkloadRegistry, ConflictingMatrixSourcesThrow) {
