@@ -4,6 +4,9 @@
 // fill long insertion).  Random span streams — 1-line gathers, short runs and
 // multi-set sweeps, reads and writes — are built as prefix + a repeated
 // period block + suffix, so the replayer's fixed-point fast-forward fires.
+// A second, streaming family replays long sequential sweeps (8-40 set wraps,
+// starting off an 8-set group boundary) on the compact engine, at small
+// geometries and at the shipped 4 MiB one.
 // Per-step services, final CacheStats, valid_lines(), the lines held and the
 // drain's bytes must match on every geometry and engine:
 //  * 8-way, power-of-two sets: the compact AVX-512 engine (where the host
@@ -216,14 +219,114 @@ struct Geometry {
   u32 assoc;
 };
 
+/// Long sequential sweeps, the bulk of real replay traffic: 1-3 per step,
+/// each 8-40 set wraps long and starting at a set off an 8-set group boundary
+/// (so every set-wrap segment ends in a partial group), reads and writes
+/// mixed, over a window of 3-10x the cache's capacity.
+Stream streaming_stream(Rng& rng, const Geometry& g) {
+  Stream s;
+  s.prefix = rng.bounded(2);
+  s.period = 1 + rng.bounded(3);
+  s.count = 2 + rng.bounded(3);
+  s.suffix = rng.bounded(2);
+  const u64 base_line = 0x4000000 + rng.bounded(5 * g.sets);
+  const u64 window_wraps = g.assoc * (3 + rng.bounded(8));
+  const u64 steps = s.prefix + s.period + s.suffix;
+  for (u64 step = 0; step < steps; ++step) {
+    const u64 spans = 1 + rng.bounded(3);
+    for (u64 i = 0; i < spans; ++i) {
+      const u64 wraps = 8 + rng.bounded(std::min<u64>(33, window_wraps - 9));
+      const u64 lines = wraps * g.sets + rng.bounded(g.sets);
+      u64 first = rng.bounded(window_wraps * g.sets - lines - 7);
+      if ((base_line + first) % 8 == 0) first += 1 + rng.bounded(7);
+      s.addr.push_back((base_line + first) * g.line_bytes);
+      s.len.push_back(static_cast<u32>(lines * g.line_bytes));
+      s.write.push_back(rng.bounded(2) == 0);
+    }
+    s.op_end.push_back(static_cast<u32>(s.addr.size()));
+  }
+  return s;
+}
+
 struct Engine {
   const char* name;
   bool no_avx512;
   bool no_avx2;
 };
 
-/// Replays every stream under one geometry, policy and engine and compares
-/// it with the reference; returns how many streams fast-forwarded.
+std::string label(const Geometry& g, Policy policy, const char* engine, int n) {
+  return std::string(cache::to_string(policy)) + " " + engine + " sets=" +
+         std::to_string(g.sets) + " line=" + std::to_string(g.line_bytes) +
+         " assoc=" + std::to_string(g.assoc) + " stream " + std::to_string(n);
+}
+
+/// Replays one stream under one geometry and policy on whichever engine the
+/// environment selects and compares it with the reference; true when the
+/// replay fast-forwarded.
+bool check_stream(const Geometry& g, Policy policy, const Stream& s, const std::string& what) {
+  cache::SetAssocCache c(g.sets * g.assoc * g.line_bytes, g.line_bytes, g.assoc, policy);
+  const cache::ReplaySpans view = s.view();
+  cache::StreamReplayer replayer(c, view);
+  std::vector<cache::ReplayService> got;
+  replayer.run(got);
+
+  RefCache ref(g.sets, g.assoc, g.line_bytes, policy);
+  std::vector<cache::ReplayService> want;
+  auto run_step = [&](u64 step) {
+    const CacheStats before = ref.stats;
+    for (u32 i = step == 0 ? 0 : s.op_end[step - 1]; i < s.op_end[step]; ++i)
+      ref.access_range(s.addr[i], s.len[i], s.write[i] != 0);
+    const CacheStats& after = ref.stats;
+    want.push_back({after.dram_read_bytes - before.dram_read_bytes,
+                    after.dram_write_bytes - before.dram_write_bytes,
+                    (after.misses - after.evictions) - (before.misses - before.evictions)});
+  };
+  for (u64 i = 0; i < s.prefix; ++i) run_step(i);
+  for (u64 o = 0; o < s.count; ++o)
+    for (u64 i = 0; i < s.period; ++i) run_step(s.prefix + i);
+  for (u64 i = 0; i < s.suffix; ++i) run_step(s.prefix + s.period + i);
+
+  EXPECT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+    if (got[i].dram_read != want[i].dram_read || got[i].dram_write != want[i].dram_write ||
+        got[i].fills != want[i].fills) {
+      ADD_FAILURE() << what << " step " << i << ": got (" << got[i].dram_read << ", "
+                    << got[i].dram_write << ", " << got[i].fills << "), want ("
+                    << want[i].dram_read << ", " << want[i].dram_write << ", "
+                    << want[i].fills << ")";
+      break;
+    }
+  const CacheStats& a = c.stats();
+  const CacheStats& b = ref.stats;
+  EXPECT_EQ(a.accesses, b.accesses) << what;
+  EXPECT_EQ(a.tag_lookups, b.accesses) << what;
+  EXPECT_EQ(a.data_accesses, b.accesses) << what;
+  EXPECT_EQ(a.hits, b.hits) << what;
+  EXPECT_EQ(a.misses, b.misses) << what;
+  EXPECT_EQ(a.evictions, b.evictions) << what;
+  EXPECT_EQ(a.writebacks, b.writebacks) << what;
+  EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes) << what;
+  EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes) << what;
+  EXPECT_EQ(c.valid_lines(), ref.valid_lines()) << what;
+  // Which lines the cache holds (the compact engine rebases tags, so this
+  // checks its write-back too).
+  for (u64 line = view.min_addr / g.line_bytes; line <= view.max_addr / g.line_bytes; ++line)
+    if (c.contains_line(line) != ref.contains_line(line)) {
+      ADD_FAILURE() << what << ": line " << line << " held " << c.contains_line(line);
+      break;
+    }
+
+  const Bytes written = c.stats().dram_write_bytes;
+  c.flush();
+  EXPECT_EQ(c.stats().dram_write_bytes - written, ref.dirty_lines() * g.line_bytes) << what;
+  EXPECT_EQ(c.valid_lines(), 0u) << what;
+  c.flush();  // a drained cache has nothing left to write
+  EXPECT_EQ(c.stats().dram_write_bytes - written, ref.dirty_lines() * g.line_bytes) << what;
+  return replayer.occurrences_replayed() < s.count;
+}
+
+/// Replays random streams under one geometry, policy and engine and compares
+/// each with the reference; returns how many streams fast-forwarded.
 u64 check_engine(const Geometry& g, Policy policy, const Engine& e, u64 seed) {
   std::optional<ScopedEnv> no512, no2;
   if (e.no_avx512) no512.emplace("CELLO_DISABLE_AVX512", "1");
@@ -234,71 +337,16 @@ u64 check_engine(const Geometry& g, Policy policy, const Engine& e, u64 seed) {
     // Footprints from well inside the cache to several times its size.
     const u64 window = g.sets * (1 + rng.bounded(5 * g.assoc));
     const Stream s = random_stream(rng, g.sets, g.line_bytes, window);
-    const std::string what = std::string(cache::to_string(policy)) + " " + e.name + " sets=" +
-                             std::to_string(g.sets) + " line=" + std::to_string(g.line_bytes) +
-                             " assoc=" + std::to_string(g.assoc) + " stream " + std::to_string(n);
-
-    cache::SetAssocCache c(g.sets * g.assoc * g.line_bytes, g.line_bytes, g.assoc, policy);
-    const cache::ReplaySpans view = s.view();
-    cache::StreamReplayer replayer(c, view);
-    std::vector<cache::ReplayService> got;
-    replayer.run(got);
-    fast_forwarded += replayer.occurrences_replayed() < s.count;
-
-    RefCache ref(g.sets, g.assoc, g.line_bytes, policy);
-    std::vector<cache::ReplayService> want;
-    auto run_step = [&](u64 step) {
-      const CacheStats before = ref.stats;
-      for (u32 i = step == 0 ? 0 : s.op_end[step - 1]; i < s.op_end[step]; ++i)
-        ref.access_range(s.addr[i], s.len[i], s.write[i] != 0);
-      const CacheStats& after = ref.stats;
-      want.push_back({after.dram_read_bytes - before.dram_read_bytes,
-                      after.dram_write_bytes - before.dram_write_bytes,
-                      (after.misses - after.evictions) - (before.misses - before.evictions)});
-    };
-    for (u64 i = 0; i < s.prefix; ++i) run_step(i);
-    for (u64 o = 0; o < s.count; ++o)
-      for (u64 i = 0; i < s.period; ++i) run_step(s.prefix + i);
-    for (u64 i = 0; i < s.suffix; ++i) run_step(s.prefix + s.period + i);
-
-    EXPECT_EQ(got.size(), want.size()) << what;
-    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i)
-      if (got[i].dram_read != want[i].dram_read || got[i].dram_write != want[i].dram_write ||
-          got[i].fills != want[i].fills) {
-        ADD_FAILURE() << what << " step " << i << ": got (" << got[i].dram_read << ", "
-                      << got[i].dram_write << ", " << got[i].fills << "), want ("
-                      << want[i].dram_read << ", " << want[i].dram_write << ", "
-                      << want[i].fills << ")";
-        break;
-      }
-    const CacheStats& a = c.stats();
-    const CacheStats& b = ref.stats;
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.tag_lookups, b.accesses) << what;
-    EXPECT_EQ(a.data_accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.evictions, b.evictions) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-    EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes) << what;
-    EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes) << what;
-    EXPECT_EQ(c.valid_lines(), ref.valid_lines()) << what;
-    // Which lines the cache holds (the compact engine rebases tags, so this
-    // checks its write-back too).
-    for (u64 line = view.min_addr / g.line_bytes; line <= view.max_addr / g.line_bytes; ++line)
-      if (c.contains_line(line) != ref.contains_line(line)) {
-        ADD_FAILURE() << what << ": line " << line << " held " << c.contains_line(line);
-        break;
-      }
-
-    const Bytes written = c.stats().dram_write_bytes;
-    c.flush();
-    EXPECT_EQ(c.stats().dram_write_bytes - written, ref.dirty_lines() * g.line_bytes) << what;
-    EXPECT_EQ(c.valid_lines(), 0u) << what;
-    c.flush();  // a drained cache has nothing left to write
-    EXPECT_EQ(c.stats().dram_write_bytes - written, ref.dirty_lines() * g.line_bytes) << what;
+    fast_forwarded += check_stream(g, policy, s, label(g, policy, e.name, n));
   }
   return fast_forwarded;
+}
+
+/// Replays `streams` streaming-family streams on the compact engine.
+void check_streaming(const Geometry& g, Policy policy, int streams, u64 seed) {
+  Rng rng(seed);
+  for (int n = 0; n < streams; ++n)
+    check_stream(g, policy, streaming_stream(rng, g), label(g, policy, "compact streaming", n));
 }
 
 constexpr Engine kCompact{"compact", false, false};
@@ -324,6 +372,17 @@ TEST(CacheDiff, EightWayNonPowerOfTwoSets) {
 TEST(CacheDiff, FourAndSixteenWay) {
   for (const Geometry g : {Geometry{64, 32, 4}, Geometry{40, 24, 4}, Geometry{32, 64, 16}})
     for (const Policy p : {Policy::Lru, Policy::Brrip}) check_engine(g, p, kCompact, 0xF00D);
+}
+
+TEST(CacheDiff, LongSweepsOnTheCompactEngine) {
+  for (const Geometry g : {Geometry{64, 64, 8}, Geometry{128, 16, 8}})
+    for (const Policy p : {Policy::Lru, Policy::Brrip}) check_streaming(g, p, 24, 0x5EED + g.sets);
+}
+
+TEST(CacheDiff, LongSweepsAtTheShippedGeometry) {
+  // 4 MiB, 16 B lines, 8-way: the Table V cache every trace-driven preset runs.
+  const Geometry g{32768, 16, 8};
+  for (const Policy p : {Policy::Lru, Policy::Brrip}) check_streaming(g, p, 2, 0x5EED);
 }
 
 }  // namespace

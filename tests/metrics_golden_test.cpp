@@ -1,7 +1,9 @@
 // Golden regression test: RunMetrics for all seven Table IV presets on CG,
 // GNN and ResNet (plus CG over a real sparse matrix, which exercises the CSR
 // gather path of the trace-driven caches) must stay bit-identical across
-// refactors of the simulation hot path.
+// refactors of the simulation hot path.  A second test runs the
+// trace-driven presets at 250 GB/s and 1 TB/s and checks that bandwidth moves
+// only the time-derived fields.
 //
 // Doubles are serialized as hexfloats, so comparison is exact.  To refresh
 // after an *intended* behavioral change:
@@ -55,11 +57,10 @@ u64 per_op_hash(const sim::RunMetrics& m) {
   return h;
 }
 
-std::string format_record(const std::string& workload, const std::string& config,
-                          const sim::RunMetrics& m) {
+/// Every byte and event field of `m` (everything but the time-derived ones).
+std::string byte_and_event_fields(const sim::RunMetrics& m) {
   std::ostringstream os;
-  os << workload << '|' << config << " seconds=" << hex_double(m.seconds)
-     << " macs=" << m.total_macs << " read=" << m.dram_read_bytes
+  os << "macs=" << m.total_macs << " read=" << m.dram_read_bytes
      << " write=" << m.dram_write_bytes << " dram=" << m.dram_bytes
      << " offchip=" << hex_double(m.offchip_energy_pj)
      << " onchip=" << hex_double(m.onchip_energy_pj) << " sram=" << m.sram_line_accesses
@@ -74,23 +75,48 @@ std::string format_record(const std::string& workload, const std::string& config
   return os.str();
 }
 
-std::vector<std::string> current_lines() {
-  struct Workload {
-    std::string name;
-    ir::TensorDag dag;
-    const sparse::CsrMatrix* matrix = nullptr;
-  };
-  static const sparse::CsrMatrix fv1 =
-      sparse::instantiate(sparse::dataset_by_name("fv1"));
+std::string format_record(const std::string& workload, const std::string& config,
+                          const sim::RunMetrics& m) {
+  return workload + '|' + config + " seconds=" + hex_double(m.seconds) + ' ' +
+         byte_and_event_fields(m);
+}
 
+struct Workload {
+  std::string name;
+  ir::TensorDag dag;
+  const sparse::CsrMatrix* matrix = nullptr;
+};
+
+Workload cg_workload() {
+  return {"cg", workloads::build_cg_dag({81920, 16, 327680, 5, 4}), nullptr};
+}
+
+/// CG over the real fv1 matrix: the CSR gather path of the trace-driven caches.
+Workload cg_fv1_workload() {
+  static const sparse::CsrMatrix fv1 = sparse::instantiate(sparse::dataset_by_name("fv1"));
+  return {"cg_fv1",
+          workloads::build_cg_dag({sparse::dataset_by_name("fv1").rows, 16, fv1.nnz(), 3, 4}),
+          &fv1};
+}
+
+/// The two LLM decode specs; the second is the documented budget-exceeding
+/// decode where Flex+KV beats LRU.
+std::vector<Workload> llm_workloads() {
   std::vector<Workload> wls;
-  wls.push_back({"cg", workloads::build_cg_dag({81920, 16, 327680, 5, 4}), nullptr});
+  for (const char* spec : {"llm:layers=1,seq=256,decode_steps=4",
+                           "llm:d_model=512,seq=2048,decode_steps=8,layers=2"}) {
+    const sim::Workload wl = sim::WorkloadRegistry::global().resolve(spec);
+    wls.push_back({wl.name, *wl.dag, nullptr});
+  }
+  return wls;
+}
+
+std::vector<std::string> current_lines() {
+  std::vector<Workload> wls;
+  wls.push_back(cg_workload());
   wls.push_back({"gnn", workloads::build_gnn_dag({2708, 9464, 1433, 7}), nullptr});
   wls.push_back({"resnet", workloads::build_resnet_block_dag({}), nullptr});
-  wls.push_back(
-      {"cg_fv1",
-       workloads::build_cg_dag({sparse::dataset_by_name("fv1").rows, 16, fv1.nnz(), 3, 4}),
-       &fv1});
+  wls.push_back(cg_fv1_workload());
 
   const sim::AcceleratorConfig arch;
   const auto& registry = sim::ConfigRegistry::global();
@@ -102,16 +128,13 @@ std::vector<std::string> current_lines() {
   }
 
   // LLM decode rows: the Table IV presets plus the KV-cache configuration
-  // (registered after the combos, so not part of table4_names).  The second
-  // spec is the documented budget-exceeding decode where Flex+KV beats LRU.
+  // (registered after the combos, so not part of table4_names).
   std::vector<std::string> llm_configs = sim::ConfigRegistry::table4_names();
   llm_configs.push_back("Flex+KV");
-  for (const char* spec : {"llm:layers=1,seq=256,decode_steps=4",
-                           "llm:d_model=512,seq=2048,decode_steps=8,layers=2"}) {
-    const sim::Workload wl = sim::WorkloadRegistry::global().resolve(spec);
+  for (const auto& wl : llm_workloads()) {
     const sim::Simulator simulator(arch);
     for (const auto& name : llm_configs)
-      lines.push_back(format_record(wl.name, name, simulator.run(*wl.dag, registry.at(name))));
+      lines.push_back(format_record(wl.name, name, simulator.run(wl.dag, registry.at(name))));
   }
   return lines;
 }
@@ -135,6 +158,31 @@ TEST(MetricsGolden, Table4PresetsBitIdentical) {
 
   ASSERT_EQ(golden.size(), lines.size());
   for (size_t i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], golden[i]) << "record " << i;
+}
+
+// DRAM bandwidth only prices time: the trace-driven presets replay the same
+// stream at any bandwidth, so every byte and event field must come out
+// identical at Table V's 250 GB/s and 1 TB/s.
+TEST(MetricsGolden, TraceDrivenBytesAndEventsIgnoreBandwidth) {
+  std::vector<Workload> wls;
+  wls.push_back(cg_workload());
+  wls.push_back(cg_fv1_workload());
+  for (auto& wl : llm_workloads()) wls.push_back(std::move(wl));
+
+  sim::AcceleratorConfig slow, fast;
+  slow.dram_bytes_per_sec = 250e9;
+  fast.dram_bytes_per_sec = 1e12;
+  const auto& registry = sim::ConfigRegistry::global();
+  for (const auto& wl : wls) {
+    const sim::Simulator at_slow(slow, wl.matrix), at_fast(fast, wl.matrix);
+    for (const char* name : {"Flex+LRU", "Flex+BRRIP", "SCORE+LRU", "SCORE+BRRIP"}) {
+      const sim::RunMetrics a = at_slow.run(wl.dag, registry.at(name));
+      const sim::RunMetrics b = at_fast.run(wl.dag, registry.at(name));
+      EXPECT_EQ(byte_and_event_fields(a), byte_and_event_fields(b)) << wl.name << '|' << name;
+      EXPECT_GT(a.dram_bytes, 0u) << wl.name << '|' << name;
+      EXPECT_GE(a.seconds, b.seconds) << wl.name << '|' << name;
+    }
+  }
 }
 
 }  // namespace
