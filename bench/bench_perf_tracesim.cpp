@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "bench_util.hpp"
+#include "cache/cache_replay.hpp"
 #include "noc/topology.hpp"
 #include "sim/access_stream.hpp"
 #include "sim/policies/schedule_policy.hpp"
@@ -329,6 +330,34 @@ void BM_ReplayCapture(benchmark::State& state) {
   state.counters["spans"] = benchmark::Counter(static_cast<double>(spans));
 }
 
+// Replay alone over the mixed-sweep LLM decode stream, whose traffic is almost
+// all long sequential spans: the stream is captured once outside the timing
+// loop and each iteration replays it into a fresh Table V cache (4 MiB, 16 B
+// lines, 8-way), so the row prices only cache::StreamReplayer::run.
+void BM_ReplayStreamLlm(benchmark::State& state, cache::Policy policy) {
+  const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
+  const auto& wl = llm_workload();
+  const sim::Simulator simulator(arch);
+  const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
+  const score::Schedule sched = score::build_schedule(*wl.dag, simulator.schedule_options(config));
+  const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
+  const sim::RouterTables tables = sim::RouterTables::build(*wl.dag, sched, config.schedule,
+                                                            config.allow_delayed_hold, arch);
+  const sim::Router router(*wl.dag, sched, config.schedule, tables);
+  const sim::AccessStream stream =
+      sim::AccessStream::capture(*wl.dag, sched, map, nullptr, arch, router);
+  const cache::ReplaySpans view = stream.replay_view();
+  std::vector<cache::ReplayService> services;
+  Bytes dram_bytes = 0;
+  for (auto _ : state) {
+    cache::SetAssocCache c(arch.sram_bytes, arch.line_bytes, arch.cache_associativity, policy);
+    cache::StreamReplayer(c, view).run(services);
+    dram_bytes = c.stats().dram_bytes();
+    benchmark::DoNotOptimize(dram_bytes);
+  }
+  state.counters["dram_bytes"] = benchmark::Counter(static_cast<double>(dram_bytes));
+}
+
 // ---- multi-chip rows --------------------------------------------------------
 // The arch-driven scale-out path (Sec. V-B): partition the dominant rank,
 // simulate one node's shard, price the routed NoC collectives, fold back.
@@ -391,6 +420,9 @@ BENCHMARK(BM_LlmDecodeCello)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeSweepShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplaySweepTable4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayCapture)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReplayStreamLlm, lru, cache::Policy::Lru)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReplayStreamLlm, brrip, cache::Policy::Brrip)
+    ->Unit(benchmark::kMillisecond);
 // Node count on the torus fabric — the scale-out single-cell row.
 BENCHMARK(BM_MultinodeGnn)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeCgScaling)->Unit(benchmark::kMillisecond);

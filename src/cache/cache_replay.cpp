@@ -78,10 +78,11 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
       state_.line_bytes = cache_.line_bytes_;
       state_.base_tag = static_cast<u32>(base_tag);
       state_.policy = cache_.policy_;
-      // +64B / +8 words of tail padding keep the masked group loads inside
-      // the allocations at the last sets.
-      state_.tags.assign(state_.sets * 8 + 64, 0xFF);
-      state_.aux.assign(state_.sets + 8, cache_.fresh_meta() * SetAssocCache::kLane);
+      // 64 B of head slack for the lane alignment, plus 64 B of tail
+      // padding that keeps the masked group loads inside the allocations at
+      // the last sets.
+      state_.tags.assign(state_.sets * 8 + 128, 0xFF);
+      state_.aux.assign(state_.sets + 16, cache_.fresh_meta() * SetAssocCache::kLane);
     }
   }
   compact_ = compact;
@@ -132,13 +133,13 @@ bool StreamReplayer::update_snapshot(std::vector<u8>& blob) const {
   // outcome, and including it would hide real fixed points.  Overwritten in
   // place, so one blob is all the detection ever holds.
   const u64 sets = cache_.sets_;
-  const void* tags = compact_ ? static_cast<const void*>(state_.tags.data())
+  const void* tags = compact_ ? static_cast<const void*>(state_.tag_lane())
                               : static_cast<const void*>(cache_.tags32_.data());
   const size_t tag_bytes = sets * 8 * (compact_ ? sizeof(u8) : sizeof(u32));
-  const void* meta = compact_ ? static_cast<const void*>(state_.aux.data())
+  const void* meta = compact_ ? static_cast<const void*>(state_.aux_lane())
                               : static_cast<const void*>(cache_.meta_.data());
   const u8 phase =
-      static_cast<u8>((compact_ ? state_.counter : cache_.brrip_insert_counter_) % 32);
+      static_cast<u8>((compact_ ? state_.fill_counter() : cache_.brrip_insert_counter_) % 32);
   const bool same = blob.size() == tag_bytes + sets * 8 + 1 &&
                     std::memcmp(blob.data(), tags, tag_bytes) == 0 &&
                     std::memcmp(blob.data() + tag_bytes, meta, sets * 8) == 0 &&
@@ -180,12 +181,10 @@ void StreamReplayer::set_stats(const CacheStats& st) {
 void StreamReplayer::fast_forward(u64 remaining, const CacheStats& per_occurrence) {
   set_stats(stats_add(current_stats(), stats_scale(per_occurrence, remaining)));
   // The bimodal fill counter bumps exactly once per miss (and only under
-  // BRRIP), so the absolute counter is recoverable from the final stats.
-  if (compact_) {
-    if (state_.policy == Policy::Brrip) state_.counter = state_.s.misses;
-  } else if (cache_.policy_ == Policy::Brrip) {
+  // BRRIP), so the absolute counter is recoverable from the final stats (the
+  // compact engine derives it from them throughout).
+  if (!compact_ && cache_.policy_ == Policy::Brrip)
     cache_.brrip_insert_counter_ = cache_.stats_.misses;
-  }
 }
 
 void StreamReplayer::write_back() {
@@ -196,13 +195,13 @@ void StreamReplayer::write_back() {
   // Locals, so the compiler can see the loop writes nothing it reads and
   // vectorize it.
   const size_t n = state_.sets * 8;
-  const u8* in = state_.tags.data();
+  const u8* in = state_.tag_lane();
   u32* out = cache_.tags32_.data();
   const u32 base = state_.base_tag;
   for (size_t i = 0; i < n; ++i)
     out[i] = in[i] == 0xFF ? SetAssocCache::kInvalidTag32 : base + in[i];
-  std::memcpy(cache_.meta_.data(), state_.aux.data(), n);
-  cache_.brrip_insert_counter_ = state_.counter;  // stays 0 under LRU
+  std::memcpy(cache_.meta_.data(), state_.aux_lane(), n);
+  cache_.brrip_insert_counter_ = state_.fill_counter();
   cache_.stats_ = current_stats();
 }
 

@@ -122,8 +122,9 @@ TEST(MultinodeSweep, ScoreVsNaiveTrafficGapIsVisible) {
     // nodes even the routed byte-hops stay well under the naive byte count
     // (at 64 the per-hop inflation overtakes it — exactly the saturation the
     // busiest-link term is there to show).
-    if (cell.metrics.nodes <= 16)
+    if (cell.metrics.nodes <= 16) {
       EXPECT_LT(cell.metrics.noc_bytes, cell.metrics.naive_noc_bytes / 4) << cell.fabric;
+    }
   }
 }
 

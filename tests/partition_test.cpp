@@ -71,8 +71,9 @@ TEST(BuildPartition, ShardKeepsIdsEdgesAndDividesExtents) {
   }
   // The adjacency is compressed and sharded on its row rank: nnz divides too.
   for (const auto& t : dag.tensors()) {
-    if (t.storage == ir::Storage::CompressedSparse && !t.ranks.empty() && t.ranks[0] == "m")
+    if (t.storage == ir::Storage::CompressedSparse && !t.ranks.empty() && t.ranks[0] == "m") {
       EXPECT_EQ(part.shard.tensor(t.id).nnz, ceil_div<i64>(t.nnz, 4)) << t.name;
+    }
   }
   // Op MAC counts shrink with the sharded rank.
   for (const auto& op : dag.ops())
