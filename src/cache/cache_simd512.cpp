@@ -20,20 +20,22 @@
 //
 // Steady streaming: most replayed lines belong to long sequential spans
 // that sweep sets whose ways are all valid and none of which holds the
-// line.  A full group in that state takes a branch with no per-lane
-// selection: under LRU every set evicts way 7, so tags and dirty bytes are
-// one shift each with the new line ORed in at way 0; under BRRIP every set
-// ages and evicts its first distant way.
+// line.  A full LRU group in that state takes a branch with no per-lane
+// selection: every set evicts way 7, so tags and dirty bytes are one shift
+// each with the new line ORed in at way 0.  (The BRRIP analogue, aging and
+// evicting without the hit/empty bookkeeping, measured no faster on
+// BM_ReplayStreamLlm, so BRRIP has no such branch.)
 //
 // Span walk: each span is cut at set wraps into segments of constant
 // (rebased) tag; a segment runs its full 8-set groups in a straight loop
 // and ends with at most one partial group.
 //
-// Counters: a call keeps hits, evictions, writebacks and the BRRIP fill
-// counter in registers (local to the call, so the kernel's byte stores
-// cannot alias them) and sums lines once per span.  Misses (lines - hits)
-// and the DRAM bytes (misses and writebacks times the line size) are derived
-// when the call folds its totals into CompactState::s.
+// Counters: a call keeps misses (which is also BRRIP's bimodal fill
+// counter), evictions and writebacks in registers (local to the call, so the
+// kernel's byte stores cannot alias them) and sums lines once per span.
+// Hits (lines - misses) and the DRAM bytes (misses and writebacks times the
+// line size) are derived when the call folds its totals into
+// CompactState::s.
 //
 // Tags are stored rebased against the stream's address window (tag8 = tag -
 // base_tag, 0xFF = empty) so real multi-GiB address spaces fit the byte
@@ -107,10 +109,9 @@ inline __m512i shr(__m512i v) {
 /// Running totals of one replay_spans_avx512 call.
 struct Tally {
   u64 lines = 0;
-  u64 hits = 0;
+  u64 misses = 0;  ///< absolute (starts at CompactState::s.misses): BRRIP's fill counter
   u64 evictions = 0;
   u64 writebacks = 0;
-  u64 fills = 0;  ///< BRRIP bimodal fill counter (absolute; equals the misses so far)
 };
 
 /// One segment's probe: the rebased tag in every byte, and its line image
@@ -145,6 +146,7 @@ struct Lru {
     if (kFull && (hit | inv) == 0) {
       // Steady streaming: every set misses with no empty way, so each evicts
       // way 7 and the line lands at way 0 of a one-way-shifted set.
+      t.misses += 8;
       t.evictions += 8;
       t.writebacks += static_cast<u64>(std::popcount(_mm512_movepi8_mask(D) & kHigh));
       const __m512i W0 = _mm512_set1_epi64(p.write ? 0x80 : 0);
@@ -153,7 +155,7 @@ struct Lru {
       return;
     }
     const unsigned nh = static_cast<unsigned>(std::popcount(hit));
-    t.hits += nh;
+    t.misses += (kFull ? 8 : k) - nh;
     if (hit == lanem) {
       // Every set hit its MRU way: nothing moves; a write dirties way 0.
       if (p.write) _mm512_mask_storeu_epi8(dp, static_cast<__mmask64>(lanem), K80);
@@ -210,7 +212,6 @@ struct Brrip {
     const __m512i WV = _mm512_set1_epi8(p.write ? static_cast<char>(0x80) : 0);
     const u64 hb = any_way(hit);
     const u64 nh = static_cast<u64>(std::popcount(hit));
-    t.hits += nh;
     if (hb == lanem) {
       // Every set hit: RRPV -> 0, dirty absorbed.
       const __m512i ch = _mm512_or_si512(_mm512_and_si512(M, K80), WV);
@@ -247,8 +248,8 @@ struct Brrip {
     // in set order, so the chosen fill is the jstar-th set bit of the miss
     // mask — a single PDEP.
     const u64 nf = (kFull ? 8 : k) - nh;
-    const u64 jstar = 32 - t.fills % 32;
-    t.fills += nf;
+    const u64 jstar = 32 - t.misses % 32;
+    t.misses += nf;
     __m512i M2 = _mm512_mask_mov_epi8(M, static_cast<__mmask64>(sel_miss),
                                       _mm512_or_si512(WV, K3));
     if (jstar <= nf) {
@@ -280,7 +281,7 @@ void replay(CompactState& st, const Addr* addr, const u32* len, const u8* write,
   const i32 ls = st.line_shift, set_shift = st.set_shift;
   const u64 base_tag = st.base_tag;
   Tally t;
-  t.fills = st.s.misses;  // only BRRIP reads it; it equals the misses so far
+  t.misses = st.s.misses;
   for (size_t si = begin; si < end; ++si) {
     if (si + 4 < end) {
       // Same lookahead the direct engine's prefetch_range provides: pull the
@@ -307,10 +308,10 @@ void replay(CompactState& st, const Addr* addr, const u32* len, const u8* write,
       line += n;
     }
   }
-  const u64 misses = t.lines - t.hits;
+  const u64 misses = t.misses - st.s.misses;
   st.s.lines += t.lines;
-  st.s.hits += t.hits;
-  st.s.misses += misses;
+  st.s.hits += t.lines - misses;
+  st.s.misses = t.misses;
   st.s.evictions += t.evictions;
   st.s.writebacks += t.writebacks;
   st.s.dram_read += misses * st.line_bytes;
