@@ -13,8 +13,8 @@
 //    registers and folds them in once per replayed op, and full LRU groups
 //    of a steady sequential sweep (every set full, none holding the line)
 //    take a one-shift path.  On the LLM decode stream of BM_ReplayStreamLlm
-//    (4-core AVX-512 VM) that is ~0.7 ns per line under LRU and ~2.2 ns
-//    under BRRIP, against ~7.5 ns in the direct engine.
+//    (4-core AVX-512 VM) that is ~0.6 ns per line under LRU and ~1.8 ns
+//    under BRRIP, against 7.5-10 ns in the direct engine.
 //    Tags are rebased against the stream's address window so they fit the
 //    byte lane; write_back() widens them back into the cache's u32 tag lane
 //    and copies the meta lane as is.
