@@ -101,6 +101,15 @@ std::string arch_json(const AcceleratorConfig& a) {
   return out;
 }
 
+/// A u32 arch field: a value past 2^32 - 1 is refused, not wrapped (a file
+/// saying line_bytes 2^32 + 16 would otherwise load as 16).
+u32 arch_u32(const JsonValue& v, const char* key) {
+  const u64 x = v.at(key).as_u64();
+  if (x > 0xffffffffull)
+    throw Error(std::string("arch: ") + key + " " + std::to_string(x) + " does not fit in 32 bits");
+  return static_cast<u32>(x);
+}
+
 AcceleratorConfig arch_from_json(const JsonValue& v) {
   if (v.type != JsonValue::Type::Object) throw Error("arch: expected a JSON object");
   reject_unknown_keys(v,
@@ -114,13 +123,13 @@ AcceleratorConfig arch_from_json(const JsonValue& v) {
   a.sram_bytes = v.at("sram_bytes").as_u64();
   a.num_macs = v.at("num_macs").as_i64();
   a.clock_hz = v.at("clock_hz").as_double();
-  a.line_bytes = static_cast<u32>(v.at("line_bytes").as_u64());
-  a.cache_associativity = static_cast<u32>(v.at("cache_associativity").as_u64());
+  a.line_bytes = arch_u32(v, "line_bytes");
+  a.cache_associativity = arch_u32(v, "cache_associativity");
   a.dram_bytes_per_sec = v.at("dram_bytes_per_sec").as_double();
   a.dram_energy_pj_per_byte = v.at("dram_energy_pj_per_byte").as_double();
   a.rf_bytes = v.at("rf_bytes").as_u64();
   a.hold_budget_bytes = v.at("hold_budget_bytes").as_u64();
-  a.chord_entries = static_cast<u32>(v.at("chord_entries").as_u64());
+  a.chord_entries = arch_u32(v, "chord_entries");
   a.pipeline_style = pipeline_style_from_name(v.at("pipeline_style").as_string());
   // Conditionally-emitted multi-chip parameters: absent = defaults.
   if (const JsonValue* nodes = v.find("nodes")) a.nodes = nodes->as_i64();

@@ -321,6 +321,32 @@ TEST(Shard, ShardFilesAreSelfDescribingAndTamperEvident) {
   EXPECT_THROW(sim::shard_from_json(sim::shard_to_json(renamed)), Error);
 }
 
+TEST(Shard, ArchFieldsPast32BitsRefuseToLoad) {
+  // line_bytes, cache_associativity and chord_entries are u32: a value of
+  // 2^32 + 16 must be refused by name, not wrapped to 16 and merged.
+  const AcceleratorConfig arch;
+  const SweepGrid grid = sim::make_grid({"cg:m=512,n=4,iters=1"}, {"Flexagon"}, arch);
+  const std::string text = sim::shard_to_json(run_one_shard(grid, 1, 1, ShardMode::Contiguous));
+  for (const std::string key : {"line_bytes", "cache_associativity", "chord_entries"}) {
+    const std::string field = "\"" + key + "\": ";
+    const size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << key;
+    const size_t value = at + field.size();
+    std::string tampered = text;
+    tampered.replace(value, text.find(',', value) - value, "4294967312");
+    try {
+      sim::shard_from_json(tampered);
+      ADD_FAILURE() << key << " 2^32 + 16 loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+    // The largest u32 still loads.
+    std::string widest = text;
+    widest.replace(value, text.find(',', value) - value, "4294967295");
+    EXPECT_NO_THROW(sim::shard_from_json(widest)) << key;
+  }
+}
+
 TEST(Shard, RunShardPrebuildsOnlyWhatItTouches) {
   // A one-cell shard of a grid whose other row uses a different schedule
   // policy must still be bit-identical to the same cell of the full run —
