@@ -1,7 +1,12 @@
 #include "cache/cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <bit>
+#include <cstring>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/error.hpp"
 
@@ -9,9 +14,87 @@ namespace cello::cache {
 
 namespace {
 
-bool avx2_disabled_by_env() {
-  const char* e = std::getenv("CELLO_DISABLE_AVX2");
-  return e != nullptr && *e != '\0' && *e != '0';
+#if defined(__SSE2__)
+/// An 8-way set's tag lane as two SSE2 halves (ways 0-3 and 4-7).
+struct Lane8 {
+  __m128i lo, hi;
+  explicit Lane8(const u32* tags)
+      : lo(_mm_loadu_si128(reinterpret_cast<const __m128i*>(tags))),
+        hi(_mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + 4))) {}
+  /// Per way, 16 bits: all ones where the tag equals `needle`.
+  __m128i eq16(u32 needle) const {
+    const __m128i n = _mm_set1_epi32(static_cast<int>(needle));
+    return _mm_packs_epi32(_mm_cmpeq_epi32(lo, n), _mm_cmpeq_epi32(hi, n));
+  }
+  /// Bits 0-7: the ways holding `a`; bits 8-15: the ways holding `b`.
+  u32 match2(u32 a, u32 b) const {
+    return static_cast<u32>(_mm_movemask_epi8(_mm_packs_epi16(eq16(a), eq16(b))));
+  }
+};
+#endif
+
+/// The first of a set's `ways` ways holding `needle`, or `ways` if none does.
+template <u32 kWays>
+inline u32 find_way(const u32* tags, u32 ways, u32 needle) {
+#if defined(__SSE2__)
+  if constexpr (kWays == 8) {
+    const u32 m = Lane8(tags).match2(needle, needle) & 0xFF;
+    return static_cast<u32>(std::countr_zero(m | 0x100u));
+  }
+#endif
+  u32 w = 0;
+  while (w < ways && tags[w] != needle) ++w;
+  return w;
+}
+
+/// In a recency-ordered set: the way holding `tag`, else the first empty way,
+/// else the last way.  A line never sits past the first empty way.
+template <u32 kWays>
+inline u32 recency_way(const u32* tags, u32 ways, u32 tag, u32 empty) {
+#if defined(__SSE2__)
+  if constexpr (kWays == 8) {
+    const u32 m = Lane8(tags).match2(tag, empty);
+    return static_cast<u32>(std::countr_zero(m | m >> 8 | 0x80u));
+  }
+#endif
+  u32 j = 0;
+  while (j + 1 < ways && tags[j] != tag && tags[j] != empty) ++j;
+  return j;
+}
+
+/// Move tag ways [0, j) down by one and put `tag` at way 0.
+template <u32 kWays>
+inline void shift_in(u32* tags, u32 j, u32 tag) {
+#if defined(__SSE2__)
+  if constexpr (kWays == 8) {
+    // Each half shifts up one lane: way 0 takes the tag, way 4 takes way 3.
+    // Ways past j keep their tags.
+    const auto [lo, hi] = Lane8(tags);
+    const __m128i lo_down =
+        _mm_or_si128(_mm_slli_si128(lo, 4), _mm_cvtsi32_si128(static_cast<int>(tag)));
+    const __m128i hi_down = _mm_or_si128(_mm_slli_si128(hi, 4), _mm_srli_si128(lo, 12));
+    if (j == 7) {  // a streaming miss: every way moves
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(tags), lo_down);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(tags + 4), hi_down);
+      return;
+    }
+    const __m128i jv = _mm_set1_epi32(static_cast<int>(j));
+    const __m128i keep_lo = _mm_cmpgt_epi32(_mm_setr_epi32(0, 1, 2, 3), jv);
+    const __m128i keep_hi = _mm_cmpgt_epi32(_mm_setr_epi32(4, 5, 6, 7), jv);
+    const auto blend = [](__m128i keep, __m128i old, __m128i down) {
+      return _mm_or_si128(_mm_and_si128(keep, old), _mm_andnot_si128(keep, down));
+    };
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(tags), blend(keep_lo, lo, lo_down));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(tags + 4), blend(keep_hi, hi, hi_down));
+    return;
+  }
+#endif
+  for (u32 i = j; i > 0; --i) tags[i] = tags[i - 1];
+  tags[0] = tag;
+}
+
+[[noreturn, gnu::cold]] void throw_tag_overflow() {
+  throw Error("address space too large for the cache's u32 tag lane");
 }
 
 }  // namespace
@@ -31,196 +114,126 @@ SetAssocCache::SetAssocCache(Bytes capacity, u32 line_bytes, u32 associativity, 
   CELLO_CHECK_MSG(lines % assoc_ == 0, "capacity not divisible into sets");
   sets_ = lines / assoc_;
   CELLO_CHECK(sets_ > 0);
-  fast8_ = assoc_ == 8;
-#if defined(CELLO_HAVE_AVX2)
-  simd_ = fast8_ && __builtin_cpu_supports("avx2") && !avx2_disabled_by_env();
-#else
-  (void)avx2_disabled_by_env;
-#endif
   if (std::has_single_bit(line_bytes_))
     line_shift_ = static_cast<i32>(std::countr_zero(line_bytes_));
   if (std::has_single_bit(sets_)) {
     set_shift_ = static_cast<i32>(std::countr_zero(sets_));
     set_mask_ = sets_ - 1;
   }
-  const bool lru = policy_ == Policy::Lru;
-  if (fast8_) {
-    tags32_.assign(sets_ * assoc_, kInvalidTag32);
-  } else {
-    tags_.assign(sets_ * assoc_, kInvalidTag);
-    if (lru) lru_stamp_.assign(sets_ * assoc_, 0);
-  }
+  tags_.assign(sets_ * assoc_, kInvalidTag);
   meta_.assign(sets_ * assoc_, fresh_meta());
-  mru_way_.assign(fast8_ && lru ? 0 : sets_, 0);
 }
 
-// ---- generic path: any associativity ---------------------------------------
-
-size_t SetAssocCache::victim_in_set_generic(u64 set) {
-  const u64* tags = &tags_[set * assoc_];
-  // Invalid way first.
-  for (u32 w = 0; w < assoc_; ++w)
-    if (tags[w] == kInvalidTag) return w;
-
-  if (policy_ == Policy::Lru) {
-    const u64* stamps = &lru_stamp_[set * assoc_];
-    size_t victim = 0;
-    for (u32 w = 1; w < assoc_; ++w)
-      if (stamps[w] < stamps[victim]) victim = w;
-    return victim;
-  }
-  // BRRIP: evict the first way predicted "distant" (RRPV==3); if none, age
-  // the whole set and rescan — guaranteed to terminate within 3 rounds.
-  u8* meta = &meta_[set * assoc_];
-  for (;;) {
-    for (u32 w = 0; w < assoc_; ++w)
-      if ((meta[w] & kRrpvMask) == 3) return w;
-    for (u32 w = 0; w < assoc_; ++w) ++meta[w];
-  }
-}
-
-bool SetAssocCache::touch_line_generic(u64 set, u64 tag, bool is_write) {
-  ++clock_;
-  const size_t base = set * assoc_;
-  u64* tags = &tags_[base];
+template <u32 kWays>
+inline void SetAssocCache::touch(Walk& w, u64 set, u32 tag, bool is_write) {
+  const u32 ways = kWays != 0 ? kWays : w.ways;
+  u32* const tags = w.tags + set * ways;
+  u8* const meta = w.meta + set * ways;
   const u8 dirty = is_write ? kDirtyBit : 0;
 
-  // MRU probe first, then the associativity-wide scan: a tag lives in at
-  // most one way, so the probe order cannot change the hit/miss outcome.
-  // (A tag match implies validity: empty ways hold kInvalidTag.)
-  u32 w = mru_way_[set];
-  if (tags[w] != tag) {
-    u32 found = assoc_;
-    for (u32 i = 0; i < assoc_; ++i)
-      if (tags[i] == tag) {
-        found = i;
-        break;
-      }
-    if (found == assoc_) {
-      // Miss: allocate (write-allocate for stores too).
-      ++stats_.misses;
-      stats_.dram_read_bytes += line_bytes_;
-      const size_t v = victim_in_set_generic(set);
-      if (tags[v] != kInvalidTag) {
-        ++stats_.evictions;
-        if (meta_[base + v] & kDirtyBit) {
-          ++stats_.writebacks;
-          stats_.dram_write_bytes += line_bytes_;
-        }
-      }
-      u8 rrpv = 2;
-      if (policy_ == Policy::Brrip) {
-        // Bimodal insertion: distant (3) most of the time, long (2) every
-        // 32nd fill — deterministic counter in place of the paper's epsilon
-        // dice.
-        rrpv = (++brrip_insert_counter_ % 32 == 0) ? 2 : 3;
-      } else {
-        lru_stamp_[base + v] = clock_;
-      }
-      tags[v] = tag;
-      meta_[base + v] = dirty | rrpv;
-      mru_way_[set] = static_cast<u32>(v);
-      return false;
+  if (w.lru) {
+    // `j` is the hit way, or on a miss the way the fill takes: the first
+    // empty way, else the last way, whose line it evicts.  The line moves to
+    // way 0 and ways [0, j) shift down by one.
+    const u32 j = recency_way<kWays>(tags, ways, tag, kInvalidTag);
+    const bool hit = tags[j] == tag;
+    if (!hit) {
+      ++w.misses;
+      if (tags[j] == kInvalidTag)
+        ++w.empty_fills;
+      else
+        w.writebacks += meta[j] >> 7;
     }
-    w = found;
-    mru_way_[set] = w;
-  }
-
-  // Hit: refresh recency, predict near-immediate re-reference, absorb write.
-  if (policy_ == Policy::Lru) lru_stamp_[base + w] = clock_;
-  meta_[base + w] = (meta_[base + w] & kDirtyBit) | dirty;
-  return true;
-}
-
-void SetAssocCache::check_tag32(u64 tag) const {
-  CELLO_CHECK_MSG(tag < kInvalidTag32,
-                  "address space too large for the compact 8-way tag lane");
-}
-
-// ---- 8-way fast path, scalar probe -----------------------------------------
-
-bool SetAssocCache::touch_line8(u64 set, u64 tag, bool is_write) {
-  const u32 tag32 = static_cast<u32>(tag);
-  u32* tags = &tags32_[set * 8];
-  if (policy_ == Policy::Lru) {
-    // Recency order: scan from the MRU way; the line cannot sit past the
-    // first empty way, which is also where a miss fills (else way 7).
-    u32 j = 0;
-    while (j < 7 && tags[j] != tag32 && tags[j] != kInvalidTag32) ++j;
-    return lru_access8(set, j, tags[j] == tag32, is_write, [&] {
-      for (u32 i = j; i > 0; --i) tags[i] = tags[i - 1];
-      tags[0] = tag32;
-    });
-  }
-
-  u32 w = mru_way_[set];
-  if (tags[w] != tag32) {
-    u32 found = 8;
-    for (u32 i = 0; i < 8; ++i)
-      if (tags[i] == tag32) {
-        found = i;
-        break;
-      }
-    if (found == 8) {
-      u32 invalid = 0;
-      for (u32 i = 0; i < 8; ++i)
-        if (tags[i] == kInvalidTag32) {
-          invalid = 1u << i;
-          break;
-        }
-      mru_way_[set] = fill8(set, tag32, invalid, is_write);
-      return false;
+    if (!hit || j != 0) shift_in<kWays>(tags, j, tag);
+    if constexpr (kWays == 8) {
+      u64 m;
+      std::memcpy(&m, meta, 8);
+      const u64 d = dirty | (hit ? (m >> (8 * j)) & kDirtyBit : 0);
+      const u64 upto_j = ~0ull >> (8 * (7 - j));  // bytes 0..j
+      m = (m & ~upto_j) | ((m << 8) & upto_j) | d;
+      std::memcpy(meta, &m, 8);
+    } else {
+      const u8 d = dirty | (hit ? meta[j] & kDirtyBit : 0);
+      for (u32 i = j; i > 0; --i) meta[i] = meta[i - 1];
+      meta[0] = d;
     }
-    w = found;
-    mru_way_[set] = w;
+    return;
   }
-  hit_update8(set, w, is_write);
-  return true;
+
+  const u32 hit_way = find_way<kWays>(tags, ways, tag);
+  if (hit_way != ways) {
+    // RRPV -> 0 (near-immediate re-reference), dirty absorbed.
+    meta[hit_way] = (meta[hit_way] & kDirtyBit) | dirty;
+    return;
+  }
+  ++w.misses;
+  u32 v = find_way<kWays>(tags, ways, kInvalidTag);  // first empty way
+  if (v == ways) {
+    // Evict the first way predicted "distant" (RRPV == 3); if none, age the
+    // whole set and rescan — terminates within 3 rounds.  Aging only runs
+    // when every RRPV <= 2, so the +1 never carries into the dirty bit.
+    if constexpr (kWays == 8) {
+      u64 m;
+      std::memcpy(&m, meta, 8);
+      u64 distant;
+      while ((distant = m & (m >> 1) & kLane) == 0) m += kLane;  // bit 0 set where RRPV == 3
+      std::memcpy(meta, &m, 8);
+      v = static_cast<u32>(std::countr_zero(distant)) >> 3;
+    } else {
+      for (;;) {
+        v = 0;
+        while (v < ways && (meta[v] & kRrpvMask) != 3) ++v;
+        if (v != ways) break;
+        for (u32 i = 0; i < ways; ++i) ++meta[i];
+      }
+    }
+    w.writebacks += meta[v] >> 7;
+  } else {
+    ++w.empty_fills;
+  }
+  tags[v] = tag;
+  // Bimodal insertion: distant (3) most of the time, long (2) every 32nd
+  // fill — a deterministic counter in place of the paper's epsilon dice.
+  meta[v] = dirty | ((w.fills_before + w.misses) % 32 == 0 ? 2 : 3);
 }
 
-// ---- public access API ------------------------------------------------------
-
-void SetAssocCache::access(Addr addr, bool is_write) { access_line(line_of(addr), is_write); }
-
-void SetAssocCache::access_line(u64 line, bool is_write) {
-  ++stats_.accesses;
-  ++stats_.tag_lookups;
-  ++stats_.data_accesses;
-  const u64 set = set_of_line(line);
-  const u64 tag = tag_of_line(line);
-  if (fast8_) check_tag32(tag);
-  bool hit;
-#if defined(CELLO_HAVE_AVX2)
-  if (simd_)
-    hit = touch_line8_simd(set, tag, is_write);
-  else
-#endif
-    hit = fast8_ ? touch_line8(set, tag, is_write) : touch_line_generic(set, tag, is_write);
-  if (hit) ++stats_.hits;
+// Flattened so touch() inlines into the per-line loop and the Walk stays in
+// registers.
+template <u32 kWays>
+[[gnu::flatten]] void SetAssocCache::walk_lines(u64 first_line, u64 count, bool is_write) {
+  Walk w{tags_.data(), meta_.data(), assoc_, policy_ == Policy::Lru, fill_counter()};
+  // Consecutive lines: sets advance round-robin, and the tag bumps on each
+  // wrap (line = tag * sets + set).  Tags only grow, and access_lines()
+  // checked the last one against the u32 lane.
+  const u64 sets = sets_;
+  u64 set = set_of_line(first_line);
+  u32 tag = static_cast<u32>(tag_of_line(first_line));
+  for (u64 i = 0; i < count; ++i) {
+    touch<kWays>(w, set, tag, is_write);
+    if (++set == sets) {
+      set = 0;
+      ++tag;
+    }
+  }
+  stats_.accesses += count;
+  stats_.tag_lookups += count;
+  stats_.data_accesses += count;
+  stats_.hits += count - w.misses;
+  stats_.misses += w.misses;
+  stats_.evictions += w.misses - w.empty_fills;
+  stats_.writebacks += w.writebacks;
+  stats_.dram_read_bytes += w.misses * line_bytes_;
+  stats_.dram_write_bytes += w.writebacks * line_bytes_;
 }
 
 void SetAssocCache::access_lines(u64 first_line, u64 count, bool is_write) {
   if (count == 0) return;
   // Tags only grow along the walk: checking the last line covers them all.
-  if (fast8_) check_tag32(tag_of_line(first_line + count - 1));
-#if defined(CELLO_HAVE_AVX2)
-  if (simd_) {
-    access_lines_simd(first_line, count, is_write);
-    return;
-  }
-#endif
-  stats_.accesses += count;
-  stats_.tag_lookups += count;
-  stats_.data_accesses += count;
-
-  if (fast8_)
-    stats_.hits += walk_lines(first_line, count, [&](u64 set, u64 tag) {
-      return touch_line8(set, tag, is_write);
-    });
+  if (tag_of_line(first_line + count - 1) >= kInvalidTag) throw_tag_overflow();
+  if (assoc_ == 8)
+    walk_lines<8>(first_line, count, is_write);
   else
-    stats_.hits += walk_lines(first_line, count, [&](u64 set, u64 tag) {
-      return touch_line_generic(set, tag, is_write);
-    });
+    walk_lines<0>(first_line, count, is_write);
 }
 
 void SetAssocCache::access_range(Addr addr, Bytes len, bool is_write) {
@@ -231,62 +244,36 @@ void SetAssocCache::access_range(Addr addr, Bytes len, bool is_write) {
 }
 
 void SetAssocCache::flush() {
+  // Empty ways are always clean, so the drain just counts the meta lane's
+  // dirty bits: a byte-sum multiply per u64 word (no popcount instruction on
+  // baseline x86-64), then any tail bytes.  Resetting the meta lane keeps
+  // empty ways clean.
+  const size_t n = meta_.size();
+  const u8* meta = meta_.data();
   u64 dirty = 0;
-  if (fast8_) {
-    // Empty 8-way ways are always clean, so the drain just counts each
-    // set's dirty bits (a byte-sum multiply: no popcount instruction on
-    // baseline x86-64); resetting the meta lane keeps empty ways clean.
-    for (u64 s = 0; s < sets_; ++s) {
-      u64 m;
-      std::memcpy(&m, &meta_[s * 8], 8);
-      dirty += (((m & kHigh) >> 7) * kLane) >> 56;
-    }
-    std::fill(tags32_.begin(), tags32_.end(), kInvalidTag32);
-    std::fill(meta_.begin(), meta_.end(), fresh_meta());
-  } else {
-    for (size_t i = 0; i < tags_.size(); ++i)
-      dirty += tags_[i] != kInvalidTag && (meta_[i] & kDirtyBit) != 0;
-    // Stale recency/RRPV metadata is never read before the next fill
-    // overwrites it.
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    u64 m;
+    std::memcpy(&m, meta + i, 8);
+    dirty += (((m & kHigh) >> 7) * kLane) >> 56;
   }
+  for (; i < n; ++i) dirty += meta[i] >> 7;
   stats_.writebacks += dirty;
   stats_.dram_write_bytes += dirty * line_bytes_;
-  std::fill(mru_way_.begin(), mru_way_.end(), 0u);
+  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  std::fill(meta_.begin(), meta_.end(), fresh_meta());
 }
 
 u64 SetAssocCache::valid_lines() const {
-  u64 n = 0;
-  if (fast8_) {
-    for (const u32 tag : tags32_) n += tag != kInvalidTag32;
-  } else {
-    for (const u64 tag : tags_) n += tag != kInvalidTag;
-  }
-  return n;
+  return static_cast<u64>(
+      std::count_if(tags_.begin(), tags_.end(), [](u32 tag) { return tag != kInvalidTag; }));
 }
 
 bool SetAssocCache::contains_line(u64 line) const {
   const u64 tag = tag_of_line(line);
-  const u64 set = set_of_line(line);
-  if (fast8_) {
-    if (tag >= kInvalidTag32) return false;
-    const u32 tag32 = static_cast<u32>(tag);
-    const u32* tags = &tags32_[set * 8];
-    for (u32 w = 0; w < 8; ++w)
-      if (tags[w] == tag32) return true;
-    return false;
-  }
-  const u64* tags = &tags_[set * assoc_];
-  for (u32 w = 0; w < assoc_; ++w)
-    if (tags[w] == tag) return true;
-  return false;
+  if (tag >= kInvalidTag) return false;
+  const u32* tags = &tags_[set_of_line(line) * assoc_];
+  return std::find(tags, tags + assoc_, static_cast<u32>(tag)) != tags + assoc_;
 }
-
-#if !defined(CELLO_HAVE_AVX2)
-// Stubs so the class links when the AVX2 translation unit is compiled out;
-// simd_ is never set in that configuration.
-bool SetAssocCache::touch_line8_simd(u64, u64, bool) { return false; }
-void SetAssocCache::access_lines_simd(u64, u64, bool) {}
-#endif
 
 }  // namespace cello::cache

@@ -60,7 +60,7 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
   // Compact-engine eligibility: the 8-way shift/mask geometry on an AVX-512
   // host, with every tag the stream can touch rebasable into the u8 lane
   // (0xFF is the empty-way sentinel).
-  bool compact = cache_.fast8_ && cache_.line_shift_ >= 0 && cache_.set_shift_ >= 0 &&
+  bool compact = cache_.assoc_ == 8 && cache_.line_shift_ >= 0 && cache_.set_shift_ >= 0 &&
                  spans_.addr != nullptr && detail::avx512_runtime();
   if (compact) {
     const u64 min_line = spans_.min_addr >> cache_.line_shift_;
@@ -69,7 +69,7 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
     const u64 base_line = min_line & ~cache_.set_mask_;
     const u64 base_tag = base_line >> cache_.set_shift_;
     const u64 max_tag = max_line >> cache_.set_shift_;
-    compact = max_tag < SetAssocCache::kInvalidTag32 && max_tag - base_tag < 0xFF;
+    compact = max_tag < SetAssocCache::kInvalidTag && max_tag - base_tag < 0xFF;
     if (compact) {
       state_.sets = cache_.sets_;
       state_.set_mask = cache_.set_mask_;
@@ -86,9 +86,6 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
     }
   }
   compact_ = compact;
-  // The generic (non-8-way) layout stamps recency with a monotonic clock, so
-  // its state never revisits itself — no point snapshotting.
-  can_fast_forward_ = compact_ || cache_.fast8_;
 }
 
 void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService* out) {
@@ -129,24 +126,23 @@ bool StreamReplayer::update_snapshot(std::vector<u8>& blob) const {
   // The blob is everything future replacement decisions can read: the tag
   // lane, the meta lane (dirty + RRPV) and the bimodal counter modulo its
   // period.  Both policies' lanes are canonical as stored (see
-  // cache_replay.hpp); mru_way_ is a probe-order hint — it cannot change any
-  // outcome, and including it would hide real fixed points.  Overwritten in
-  // place, so one blob is all the detection ever holds.
-  const u64 sets = cache_.sets_;
+  // cache_replay.hpp).  Overwritten in place, so one blob is all the
+  // detection ever holds.
+  const size_t ways = cache_.sets_ * cache_.assoc_;
   const void* tags = compact_ ? static_cast<const void*>(state_.tag_lane())
-                              : static_cast<const void*>(cache_.tags32_.data());
-  const size_t tag_bytes = sets * 8 * (compact_ ? sizeof(u8) : sizeof(u32));
+                              : static_cast<const void*>(cache_.tags_.data());
+  const size_t tag_bytes = ways * (compact_ ? sizeof(u8) : sizeof(u32));
   const void* meta = compact_ ? static_cast<const void*>(state_.aux_lane())
                               : static_cast<const void*>(cache_.meta_.data());
   const u8 phase =
-      static_cast<u8>((compact_ ? state_.fill_counter() : cache_.brrip_insert_counter_) % 32);
-  const bool same = blob.size() == tag_bytes + sets * 8 + 1 &&
+      static_cast<u8>((compact_ ? state_.fill_counter() : cache_.fill_counter()) % 32);
+  const bool same = blob.size() == tag_bytes + ways + 1 &&
                     std::memcmp(blob.data(), tags, tag_bytes) == 0 &&
-                    std::memcmp(blob.data() + tag_bytes, meta, sets * 8) == 0 &&
+                    std::memcmp(blob.data() + tag_bytes, meta, ways) == 0 &&
                     blob.back() == phase;
-  blob.resize(tag_bytes + sets * 8 + 1);
+  blob.resize(tag_bytes + ways + 1);
   std::memcpy(blob.data(), tags, tag_bytes);
-  std::memcpy(blob.data() + tag_bytes, meta, sets * 8);
+  std::memcpy(blob.data() + tag_bytes, meta, ways);
   blob.back() = phase;
   return same;
 }
@@ -179,29 +175,24 @@ void StreamReplayer::set_stats(const CacheStats& st) {
 }
 
 void StreamReplayer::fast_forward(u64 remaining, const CacheStats& per_occurrence) {
+  // Both engines derive the bimodal fill counter from the stats, so it
+  // advances with them.
   set_stats(stats_add(current_stats(), stats_scale(per_occurrence, remaining)));
-  // The bimodal fill counter bumps exactly once per miss (and only under
-  // BRRIP), so the absolute counter is recoverable from the final stats (the
-  // compact engine derives it from them throughout).
-  if (!compact_ && cache_.policy_ == Policy::Brrip)
-    cache_.brrip_insert_counter_ = cache_.stats_.misses;
 }
 
 void StreamReplayer::write_back() {
   // Expand the compact state back into the cache's own lanes so flush(),
   // contains(), valid_lines() and stats() behave exactly as after a direct
-  // run: the tags widen, the meta lane has the same layout.  (mru_way_
-  // stays at its reset value: it is a probe hint only.)
+  // run: the tags widen, the meta lane has the same layout.
   // Locals, so the compiler can see the loop writes nothing it reads and
   // vectorize it.
   const size_t n = state_.sets * 8;
   const u8* in = state_.tag_lane();
-  u32* out = cache_.tags32_.data();
+  u32* out = cache_.tags_.data();
   const u32 base = state_.base_tag;
   for (size_t i = 0; i < n; ++i)
-    out[i] = in[i] == 0xFF ? SetAssocCache::kInvalidTag32 : base + in[i];
+    out[i] = in[i] == 0xFF ? SetAssocCache::kInvalidTag : base + in[i];
   std::memcpy(cache_.meta_.data(), state_.aux_lane(), n);
-  cache_.brrip_insert_counter_ = state_.fill_counter();
   cache_.stats_ = current_stats();
 }
 
@@ -218,7 +209,7 @@ void StreamReplayer::run(std::vector<ReplayService>& services) {
   // remaining occurrence starts from the same state, so it repeats the last
   // one's traffic exactly: stats advance arithmetically, per-op services copy.
   std::vector<u8> snapshot;
-  if (can_fast_forward_ && L != 0 && N != 0) update_snapshot(snapshot);
+  if (L != 0 && N != 0) update_snapshot(snapshot);
   u64 executed = 0;
   while (executed < N) {
     const CacheStats start = current_stats();

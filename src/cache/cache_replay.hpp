@@ -14,7 +14,7 @@
 //    of a steady sequential sweep (every set full, none holding the line)
 //    take a one-shift path.  On the LLM decode stream of BM_ReplayStreamLlm
 //    (4-core AVX-512 VM) that is ~0.6 ns per line under LRU and ~1.8 ns
-//    under BRRIP, against 7.5-10 ns in the direct engine.
+//    under BRRIP, against 5.6-8.8 ns in the direct engine.
 //    Tags are rebased against the stream's address window so they fit the
 //    byte lane; write_back() widens them back into the cache's u32 tag lane
 //    and copies the meta lane as is.
@@ -27,13 +27,13 @@
 // started from; once an occurrence leaves it unchanged (a fixed point) the
 // remaining occurrences are pure arithmetic — stats advance by that
 // occurrence's delta times the skipped count and per-op services copy.  Both
-// engines fast-forward (the direct engine for the 8-way layout); this, not
-// raw line throughput, is where the order-of-magnitude sweep speedups on
-// CG-style workloads come from.  The check is a raw compare of the tag and
-// meta lanes for both policies: 8-way LRU sets are stored in recency order
-// with empty ways last, which is already the canonical form of an LRU state
-// (LRU outcomes do not depend on which way holds a line), so a converged
-// LRU state repeats byte for byte.
+// engines fast-forward, at every geometry; this, not raw line throughput, is
+// where the order-of-magnitude sweep speedups on CG-style workloads come
+// from.  The check is a raw compare of the tag and meta lanes for both
+// policies: LRU sets are stored in recency order with empty ways last, which
+// is already the canonical form of an LRU state (LRU outcomes do not depend
+// on which way holds a line), so a converged LRU state repeats byte for
+// byte.
 #pragma once
 
 #include <cstddef>
@@ -87,7 +87,7 @@ struct CompactStats {
 
 /// Compact replacement state: one u8 tag (0xFF = invalid) and one aux byte
 /// per way, set-major — 16 bytes per set, L2-resident for multi-MiB caches.
-/// Both lanes use SetAssocCache's 8-way layout: LRU ways in recency order
+/// Both lanes use SetAssocCache's layout at 8 ways: LRU ways in recency order
 /// (way 0 = MRU, empty ways last), and aux bytes equal to its meta bytes
 /// (dirty in 0x80, plus the RRPV in bits 0..1 under BRRIP).  Each lane starts
 /// at the first 64-byte boundary of its vector (allocated with that much
@@ -160,8 +160,7 @@ class StreamReplayer {
 
   SetAssocCache& cache_;
   const ReplaySpans& spans_;
-  bool compact_ = false;      ///< AVX-512 compact engine active
-  bool can_fast_forward_ = false;  ///< snapshot/compare supported for this geometry
+  bool compact_ = false;  ///< AVX-512 compact engine active
   u64 occurrences_replayed_ = 0;
   detail::CompactState state_;
 };

@@ -15,8 +15,8 @@
 //    closed form — each full missing set ages by (3 - its max RRPV) in one
 //    masked add; the bimodal long-vs-distant insert lands on the exact fill
 //    the deterministic counter selects via a PDEP over the miss mask.
-// Both make bit-for-bit the replacement decisions of SetAssocCache's scalar
-// and AVX2 paths (tests assert full-stats identity through replay).
+// Both make bit-for-bit the replacement decisions of SetAssocCache's direct
+// engine (tests assert full-stats identity through replay).
 //
 // Steady streaming: most replayed lines belong to long sequential spans
 // that sweep sets whose ways are all valid and none of which holds the

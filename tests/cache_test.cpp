@@ -2,7 +2,6 @@
 // naive reference model, BRRIP scan resistance, and stats accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <tuple>
@@ -150,11 +149,14 @@ TEST_P(LruReferenceTest, MatchesNaiveModelOnRandomTrace) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, LruReferenceTest,
-    // The last two geometries have a non-power-of-two set count (12) and a
+    // Two geometries have a non-power-of-two set count (12) and a
     // non-power-of-two line size (24B, 10 sets): they pin the division
-    // fallback path to the same semantics as the shift/mask fast path.
+    // fallback path to the same semantics as the shift/mask fast path.  The
+    // last is one fully associative 128-way set: the way loops have no width
+    // limit (no way mask to wrap at 32 or 64 ways).
     ::testing::Values(CacheGeom{256, 16, 2}, CacheGeom{512, 16, 4}, CacheGeom{1024, 16, 8},
-                      CacheGeom{2048, 32, 4}, CacheGeom{768, 16, 4}, CacheGeom{960, 24, 4}),
+                      CacheGeom{2048, 32, 4}, CacheGeom{768, 16, 4}, CacheGeom{960, 24, 4},
+                      CacheGeom{2048, 16, 128}),
     [](const ::testing::TestParamInfo<CacheGeom>& info) {
       return "cap" + std::to_string(info.param.capacity) + "_l" +
              std::to_string(info.param.line) + "_a" + std::to_string(info.param.assoc);
@@ -189,10 +191,10 @@ TEST(Cache, BrripAgingSaturates) {
   // aging rounds to surface an RRPV==3 victim; the search must terminate and
   // evict exactly one resident line.
   SetAssocCache c(64, 16, 4, Policy::Brrip);
-  for (u64 l = 0; l < 4; ++l) c.access_line(l, false);
-  for (u64 l = 0; l < 4; ++l) c.access_line(l, false);  // hits: all RRPV -> 0
+  for (Addr l = 0; l < 4; ++l) c.access(l * 16, false);
+  for (Addr l = 0; l < 4; ++l) c.access(l * 16, false);  // hits: all RRPV -> 0
   EXPECT_EQ(c.stats().hits, 4u);
-  c.access_line(100, false);
+  c.access(100 * 16, false);
   EXPECT_EQ(c.stats().evictions, 1u);
   EXPECT_TRUE(c.contains_line(100));
   int resident = 0;
@@ -214,37 +216,6 @@ TEST(Cache, FlushWritebackCounts) {
   c.access(0, true);
   c.flush();
   EXPECT_EQ(c.stats().writebacks, 6u);
-}
-
-TEST(Cache, SimdAndScalarPathsAgree) {
-  // The default 8-way geometry may dispatch to the AVX2 probe; forcing the
-  // scalar path via CELLO_DISABLE_AVX2 must not change a single stat.  (On
-  // hosts without AVX2 both caches take the scalar path and this is trivial.)
-  for (Policy p : {Policy::Lru, Policy::Brrip}) {
-    SetAssocCache dispatched(4096, 16, 8, p);
-    ASSERT_EQ(setenv("CELLO_DISABLE_AVX2", "1", 1), 0);
-    SetAssocCache scalar(4096, 16, 8, p);
-    unsetenv("CELLO_DISABLE_AVX2");
-
-    Rng rng(7);
-    for (int i = 0; i < 5000; ++i) {
-      const Addr addr = rng.bounded(16384);
-      const Bytes len = 1 + rng.bounded(200);
-      const bool w = rng.uniform() < 0.3;
-      dispatched.access_range(addr, len, w);
-      scalar.access_range(addr, len, w);
-      const auto& a = dispatched.stats();
-      const auto& b = scalar.stats();
-      ASSERT_EQ(a.hits, b.hits) << "op " << i;
-      ASSERT_EQ(a.misses, b.misses) << "op " << i;
-      ASSERT_EQ(a.evictions, b.evictions) << "op " << i;
-      ASSERT_EQ(a.writebacks, b.writebacks) << "op " << i;
-    }
-    dispatched.flush();
-    scalar.flush();
-    EXPECT_EQ(dispatched.stats().writebacks, scalar.stats().writebacks) << to_string(p);
-    EXPECT_EQ(dispatched.stats().dram_bytes(), scalar.stats().dram_bytes()) << to_string(p);
-  }
 }
 
 TEST(Cache, BulkAccessMatchesPerLineLoop) {

@@ -14,7 +14,7 @@
 namespace cello::test {
 
 /// Scoped setenv: unsets on destruction, so a failing EXPECT cannot leak an
-/// engine toggle (CELLO_DISABLE_AVX512, CELLO_DISABLE_AVX2) into later tests.
+/// engine toggle (CELLO_DISABLE_AVX512) into later tests.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) { setenv(name, value, 1); }
