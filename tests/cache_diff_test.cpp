@@ -14,7 +14,8 @@
 //  * 8-way with a non-power-of-two set count (direct engine);
 //  * 4-way (also with a non-power-of-two line size) and 16-way (direct
 //    engine, per-way loops).
-// Every geometry and engine must fast-forward at least one stream.
+// On the random periodic streams every geometry, policy and engine must
+// fast-forward at least one stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
