@@ -22,7 +22,7 @@ void BM_CacheAccess(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     c.access(addrs[i++ & 4095], false);
-    benchmark::DoNotOptimize(c.stats().hits);
+    benchmark::DoNotOptimize(c.stats().hits());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

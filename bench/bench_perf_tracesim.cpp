@@ -346,13 +346,12 @@ void BM_ReplayStreamLlm(benchmark::State& state, cache::Policy policy) {
   const sim::Router router(*wl.dag, sched, config.schedule, tables);
   const sim::AccessStream stream =
       sim::AccessStream::capture(*wl.dag, sched, map, nullptr, arch, router);
-  const cache::ReplaySpans view = stream.replay_view();
-  std::vector<cache::ReplayService> services;
+  std::vector<cache::BufferService> services;
   Bytes dram_bytes = 0;
   for (auto _ : state) {
     cache::SetAssocCache c(arch.sram_bytes, arch.line_bytes, arch.cache_associativity, policy);
-    cache::StreamReplayer(c, view).run(services);
-    dram_bytes = c.stats().dram_bytes();
+    cache::StreamReplayer(c, stream).run(services);
+    dram_bytes = c.dram_bytes();
     benchmark::DoNotOptimize(dram_bytes);
   }
   state.counters["dram_bytes"] = benchmark::Counter(static_cast<double>(dram_bytes));

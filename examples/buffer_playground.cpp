@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
                  std::to_string(chord_buf.stats().riff_replacements) + " RIFF tail steals"});
   t.add_row({"PRELUDE only", format_bytes(static_cast<double>(prelude_dram)),
              std::to_string(prelude_buf.stats().read_hits) + " full-tensor read hits"});
-  t.add_row({"LRU cache", format_bytes(static_cast<double>(lru.stats().dram_bytes())),
+  t.add_row({"LRU cache", format_bytes(static_cast<double>(lru.dram_bytes())),
              format_double(100 * lru.stats().hit_rate(), 1) + "% line hit rate"});
-  t.add_row({"BRRIP cache", format_bytes(static_cast<double>(brrip.stats().dram_bytes())),
+  t.add_row({"BRRIP cache", format_bytes(static_cast<double>(brrip.dram_bytes())),
              format_double(100 * brrip.stats().hit_rate(), 1) + "% line hit rate"});
   std::cout << t.to_string();
 

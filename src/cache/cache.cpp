@@ -216,14 +216,9 @@ template <u32 kWays>
     }
   }
   stats_.accesses += count;
-  stats_.tag_lookups += count;
-  stats_.data_accesses += count;
-  stats_.hits += count - w.misses;
   stats_.misses += w.misses;
   stats_.evictions += w.misses - w.empty_fills;
   stats_.writebacks += w.writebacks;
-  stats_.dram_read_bytes += w.misses * line_bytes_;
-  stats_.dram_write_bytes += w.writebacks * line_bytes_;
 }
 
 void SetAssocCache::access_lines(u64 first_line, u64 count, bool is_write) {
@@ -259,7 +254,6 @@ void SetAssocCache::flush() {
   }
   for (; i < n; ++i) dirty += meta[i] >> 7;
   stats_.writebacks += dirty;
-  stats_.dram_write_bytes += dirty * line_bytes_;
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   std::fill(meta_.begin(), meta_.end(), fresh_meta());
 }

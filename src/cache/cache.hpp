@@ -2,8 +2,10 @@
 // implicit-buffer baselines of Table IV (Flex+LRU, Flex+BRRIP).
 //
 // Write-allocate, write-back.  Every access pays an associativity-wide tag
-// lookup (tracked for the Fig. 15 energy comparison); misses fill a line from
-// DRAM and dirty evictions write one back.
+// lookup (priced per access in the Fig. 15 energy comparison); misses fill a
+// line from DRAM and dirty evictions write one back.  CacheStats counts four
+// events (accesses, misses, evictions, writebacks); hits and DRAM bytes
+// derive from them.
 //
 // One struct-of-arrays layout serves every associativity, compact enough to
 // stay resident in the host L2 even for multi-MiB simulated caches:
@@ -47,21 +49,33 @@ const char* to_string(Policy p);
 
 class StreamReplayer;
 
+/// The four events the cache counts; everything else derives from them.
+/// Every access reads one associativity-wide tag set and one data line (the
+/// Fig. 15 energy terms), every miss reads one line from DRAM and every
+/// writeback writes one (SetAssocCache::traffic_since prices both).
 struct CacheStats {
   u64 accesses = 0;
-  u64 hits = 0;
   u64 misses = 0;
-  u64 evictions = 0;
-  u64 writebacks = 0;
-  Bytes dram_read_bytes = 0;
-  Bytes dram_write_bytes = 0;
-  u64 tag_lookups = 0;  ///< one per access (reads `assoc` tags in parallel)
-  u64 data_accesses = 0;
+  u64 evictions = 0;   ///< misses that displaced a valid line
+  u64 writebacks = 0;  ///< dirty lines written to DRAM, by eviction or flush
 
-  Bytes dram_bytes() const { return dram_read_bytes + dram_write_bytes; }
+  u64 hits() const { return accesses - misses; }
   double hit_rate() const {
-    return accesses == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(accesses);
+    return accesses == 0 ? 0.0 : static_cast<double>(hits()) / static_cast<double>(accesses);
   }
+};
+
+/// DRAM traffic incurred by one serviced access, or by one replayed schedule
+/// step of a trace-driven cache.
+struct BufferService {
+  Bytes dram_read = 0;
+  Bytes dram_write = 0;
+  /// Trace-driven replay only: cache lines the step newly made valid (misses -
+  /// evictions).  The cache never invalidates mid-run, so the running sum is
+  /// its valid-line count — what a traced run samples as occupancy.
+  u64 fills = 0;
+
+  Bytes total() const { return dram_read + dram_write; }
 };
 
 class SetAssocCache {
@@ -107,6 +121,15 @@ class SetAssocCache {
   /// replay hot path.
   u64 valid_lines() const;
   const CacheStats& stats() const { return stats_; }
+  /// DRAM traffic and line fills since `before`, an earlier stats() of this
+  /// cache: each miss reads one line and each writeback writes one.
+  BufferService traffic_since(const CacheStats& before) const {
+    return {(stats_.misses - before.misses) * line_bytes_,
+            (stats_.writebacks - before.writebacks) * line_bytes_,
+            (stats_.misses - stats_.evictions) - (before.misses - before.evictions)};
+  }
+  /// Every byte moved to or from DRAM so far.
+  Bytes dram_bytes() const { return traffic_since({}).total(); }
 
   u32 line_bytes() const { return line_bytes_; }
   u64 num_sets() const { return sets_; }

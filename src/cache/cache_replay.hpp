@@ -1,10 +1,18 @@
-// StreamReplayer: the replay half of the capture/replay split.
+// The replay half of the trace-driven cache path: the span stream every
+// trace-driven run replays, and the replayer that drives one cache with it.
 //
-// Consumes a pre-captured access-span view (see sim::AccessStream) and drives
-// one SetAssocCache to the exact state + stats the equivalent sequence of
-// access_range calls would produce, while converting span traffic back into
-// per-scheduled-op DRAM service totals and line fills at the recorded op
-// boundaries.
+// SpanStream is the data of a captured stream — its periodic structure over
+// scheduled steps, the struct-of-arrays spans of the materialized steps and
+// their op boundaries.  sim::AccessStream extends it with the capture (and
+// the two architecture knobs the capture read); tests build one directly.
+// The cache layer stays independent of sim.
+//
+// StreamReplayer drives one SetAssocCache to the exact state + stats the
+// equivalent sequence of access_range calls would produce, and converts the
+// span traffic back into one BufferService per scheduled step at the
+// recorded op boundaries.  Both engines count into the cache's own
+// CacheStats, so per-step services and fast-forward are computed once for
+// both.
 //
 // Two engines, selected per cache geometry at construction:
 //  * compact: the default 8-way power-of-two geometry on AVX-512 hosts runs a
@@ -25,15 +33,15 @@
 // iteration (AccessStream detects this at capture).  After each occurrence
 // the replayer compares the replacement state with the one the occurrence
 // started from; once an occurrence leaves it unchanged (a fixed point) the
-// remaining occurrences are pure arithmetic — stats advance by that
-// occurrence's delta times the skipped count and per-op services copy.  Both
-// engines fast-forward, at every geometry; this, not raw line throughput, is
-// where the order-of-magnitude sweep speedups on CG-style workloads come
-// from.  The check is a raw compare of the tag and meta lanes for both
-// policies: LRU sets are stored in recency order with empty ways last, which
-// is already the canonical form of an LRU state (LRU outcomes do not depend
-// on which way holds a line), so a converged LRU state repeats byte for
-// byte.
+// remaining occurrences are pure arithmetic — the four counters advance by
+// that occurrence's delta times the skipped count and per-op services copy.
+// Both engines fast-forward, at every geometry; this, not raw line
+// throughput, is where the order-of-magnitude sweep speedups on CG-style
+// workloads come from.  The check is a raw compare of the tag and meta lanes
+// for both policies: LRU sets are stored in recency order with empty ways
+// last, which is already the canonical form of an LRU state (LRU outcomes do
+// not depend on which way holds a line), so a converged LRU state repeats
+// byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -41,49 +49,52 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/error.hpp"
 
 namespace cello::cache {
 
-/// Borrowed struct-of-arrays view of a captured stream (sim::AccessStream
-/// provides one; the cache layer stays independent of sim).
-struct ReplaySpans {
-  const Addr* addr = nullptr;
-  const u32* len = nullptr;
-  const u8* write = nullptr;
-  const u32* op_end = nullptr;  ///< per materialized step: exclusive span index
-  u64 prefix_steps = 0;
-  u64 period_steps = 0;   ///< 0 = linear stream
-  u64 period_count = 0;
-  u64 suffix_steps = 0;
-  u64 schedule_steps = 0; ///< prefix + period * count + suffix
-  Addr min_addr = 0;
-  Addr max_addr = 0;
-};
+/// A captured span stream: scheduled steps = prefix + period x count +
+/// suffix, of which only prefix + one period + suffix are materialized as
+/// spans.  A stream with period_steps == 0 is linear (everything lives in the
+/// prefix).
+struct SpanStream {
+  // ---- periodic structure over scheduled steps ----
+  u64 schedule_steps = 0;  ///< steps in the source schedule
+  u64 prefix_steps = 0;    ///< materialized leading steps
+  u64 period_steps = 0;    ///< steps per occurrence; 0 = no period (linear)
+  u64 period_count = 0;    ///< occurrences the schedule contains (>= 2 when periodic)
+  u64 suffix_steps = 0;    ///< materialized trailing steps
 
-/// Per-scheduled-op DRAM traffic the replayed spans incurred, plus the lines
-/// the op newly made valid (misses - evictions: every eviction makes room for
-/// a miss of the same op, and nothing invalidates mid-stream, so the running
-/// sum over ops is the cache's valid-line count).
-struct ReplayService {
-  Bytes dram_read = 0;
-  Bytes dram_write = 0;
-  u64 fills = 0;
+  // ---- spans of the materialized steps (prefix, one period, suffix) ----
+  std::vector<Addr> addr;
+  std::vector<u32> len;
+  std::vector<u8> write;
+  /// Per materialized step: exclusive span index — step s owns spans
+  /// [op_end[s-1], op_end[s]).  Replay converts span traffic back into
+  /// per-step services at these boundaries.
+  std::vector<u32> op_end;
+
+  Addr min_addr = 0;  ///< lowest byte any span touches
+  Addr max_addr = 0;  ///< highest byte any span touches (inclusive)
+
+  u64 materialized_steps() const { return prefix_steps + period_steps + suffix_steps; }
+  size_t spans() const { return addr.size(); }
+
+  /// Append a span of `bytes` > 0 bytes to the open step, widening the
+  /// address window; throws cello::Error past the 32-bit span length.
+  void push_span(Addr a, Bytes bytes, bool is_write) {
+    CELLO_CHECK_MSG(bytes <= 0xffffffffull, "access span exceeds the stream's 32-bit length");
+    if (addr.empty() || a < min_addr) min_addr = a;
+    if (addr.empty() || a + bytes - 1 > max_addr) max_addr = a + bytes - 1;
+    addr.push_back(a);
+    len.push_back(static_cast<u32>(bytes));
+    write.push_back(is_write ? 1 : 0);
+  }
+  /// Close the open step: it owns the spans pushed since the last close.
+  void end_step() { op_end.push_back(static_cast<u32>(addr.size())); }
 };
 
 namespace detail {
-
-/// Compact-engine counters; expanded into CacheStats by current_stats()
-/// (accesses, tag lookups and data accesses all equal the walked line count).
-/// The kernel counts misses, evictions and writebacks and derives the rest.
-struct CompactStats {
-  u64 lines = 0;
-  u64 hits = 0;
-  u64 misses = 0;
-  u64 evictions = 0;
-  u64 writebacks = 0;
-  Bytes dram_read = 0;
-  Bytes dram_write = 0;
-};
 
 /// Compact replacement state: one u8 tag (0xFF = invalid) and one aux byte
 /// per way, set-major — 16 bytes per set, L2-resident for multi-MiB caches.
@@ -92,25 +103,21 @@ struct CompactStats {
 /// (dirty in 0x80, plus the RRPV in bits 0..1 under BRRIP).  Each lane starts
 /// at the first 64-byte boundary of its vector (allocated with that much
 /// slack), so a group that starts at a multiple of 8 sets is one aligned
-/// 64-byte line.
+/// 64-byte line.  The counters live in the cache's own CacheStats.
 struct CompactState {
   u64 sets = 0;
   u64 set_mask = 0;
   i32 set_shift = 0;
   i32 line_shift = 0;
-  u32 line_bytes = 0;
   u32 base_tag = 0;  ///< tags stored rebased: tag8 = (line >> set_shift) - base_tag
   Policy policy = Policy::Lru;
   std::vector<u8> tags;
   std::vector<u64> aux;
-  CompactStats s;
 
   u8* tag_lane() { return align64(tags.data()); }
   const u8* tag_lane() const { return align64(tags.data()); }
   u64* aux_lane() { return align64(aux.data()); }
   const u64* aux_lane() const { return align64(aux.data()); }
-  /// BRRIP's bimodal fill counter bumps once per miss (and never under LRU).
-  u64 fill_counter() const { return policy == Policy::Brrip ? s.misses : 0; }
 
  private:
   template <typename T>
@@ -123,21 +130,22 @@ struct CompactState {
 /// CPU-supported, not disabled via CELLO_DISABLE_AVX512).
 bool avx512_runtime();
 
-/// Run spans [begin, end) through the compact state (cache_simd512.cpp).
-void replay_spans_avx512(CompactState& st, const Addr* addr, const u32* len, const u8* write,
-                         size_t begin, size_t end);
+/// Run spans [begin, end) of `stream` through the compact state, counting
+/// into `stats` (cache_simd512.cpp).
+void replay_spans_avx512(CompactState& st, const SpanStream& stream, size_t begin, size_t end,
+                         CacheStats& stats);
 
 }  // namespace detail
 
 class StreamReplayer {
  public:
-  /// Binds one cache (which must be in freshly-reset state) to one span view.
-  /// The view must outlive the replayer.
-  StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans);
+  /// Binds one cache (which must be in freshly-reset state) to one stream.
+  /// The stream must outlive the replayer.
+  StreamReplayer(SetAssocCache& cache, const SpanStream& stream);
 
   /// Replay the whole stream (prefix, every occurrence, suffix) and leave the
   /// cache in its final state; services.size() == schedule_steps afterwards.
-  void run(std::vector<ReplayService>& services);
+  void run(std::vector<BufferService>& services);
 
   /// Period occurrences run() actually replayed before fast-forwarding the
   /// rest (all of them when the state never reached a fixed point).
@@ -146,20 +154,15 @@ class StreamReplayer {
  private:
   /// Replay the spans of materialized steps [step_begin, step_end), recording
   /// one service per step into `out` (contiguous).
-  void run_steps(size_t step_begin, size_t step_end, ReplayService* out);
+  void run_steps(size_t step_begin, size_t step_end, BufferService* out);
   /// Overwrite `blob` with the replacement state; true when that equals
   /// what it held (the state one occurrence earlier).
   bool update_snapshot(std::vector<u8>& blob) const;
-  /// The state is a fixed point of the period: advance stats (and the BRRIP
-  /// counter) over `remaining` occurrences of `per_occurrence` each.
-  void fast_forward(u64 remaining, const CacheStats& per_occurrence);
-  /// Write compact state + stats back into the cache's own lanes.
+  /// Write the compact lanes back into the cache's own lanes.
   void write_back();
-  CacheStats current_stats() const;
-  void set_stats(const CacheStats& st);
 
   SetAssocCache& cache_;
-  const ReplaySpans& spans_;
+  const SpanStream& stream_;
   bool compact_ = false;  ///< AVX-512 compact engine active
   u64 occurrences_replayed_ = 0;
   detail::CompactState state_;

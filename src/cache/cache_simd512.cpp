@@ -30,12 +30,10 @@
 // (rebased) tag; a segment runs its full 8-set groups in a straight loop
 // and ends with at most one partial group.
 //
-// Counters: a call keeps misses (which is also BRRIP's bimodal fill
-// counter), evictions and writebacks in registers (local to the call, so the
-// kernel's byte stores cannot alias them) and sums lines once per span.
-// Hits (lines - misses) and the DRAM bytes (misses and writebacks times the
-// line size) are derived when the call folds its totals into
-// CompactState::s.
+// Counters: a call keeps the four CacheStats counters in a local copy
+// (registers, which the kernel's byte stores cannot alias), sums accesses
+// once per span, and stores the copy back into the cache's stats at the end.
+// The miss count doubles as BRRIP's bimodal fill counter.
 //
 // Tags are stored rebased against the stream's address window (tag8 = tag -
 // base_tag, 0xFF = empty) so real multi-GiB address spaces fit the byte
@@ -77,7 +75,7 @@ bool avx512_runtime() {
 
 /// Never reached: StreamReplayer only selects the compact engine when
 /// avx512_runtime() is true.
-void replay_spans_avx512(CompactState&, const Addr*, const u32*, const u8*, size_t, size_t) {}
+void replay_spans_avx512(CompactState&, const SpanStream&, size_t, size_t, CacheStats&) {}
 
 #endif
 
@@ -106,14 +104,6 @@ inline __m512i shr(__m512i v) {
   return _mm512_maskz_srli_epi64(0xFF, v, kBits);
 }
 
-/// Running totals of one replay_spans_avx512 call.
-struct Tally {
-  u64 lines = 0;
-  u64 misses = 0;  ///< absolute (starts at CompactState::s.misses): BRRIP's fill counter
-  u64 evictions = 0;
-  u64 writebacks = 0;
-};
-
 /// One segment's probe: the rebased tag in every byte, and its line image
 /// for a way-0 fill (tag in byte 0 of every lane, zero elsewhere).
 struct Probe {
@@ -134,7 +124,7 @@ struct Lru {
   /// One group of consecutive sets, all probing `p`: 8 sets when kFull,
   /// else the first `k`.
   template <bool kFull>
-  static void group(u8* tp, u8* dp, const Probe& p, unsigned k, Tally& t) {
+  static void group(u8* tp, u8* dp, const Probe& p, unsigned k, CacheStats& t) {
     const u64 slotm = kFull ? ~0ull : ((1ull << (8 * k)) - 1);
     const u64 lanem = kLane & slotm;  // way 0 of every set in the group
     const __m512i K80 = _mm512_set1_epi8(static_cast<char>(0x80));
@@ -199,7 +189,7 @@ struct Brrip {
   /// One group of consecutive sets, all probing `p`: 8 sets when kFull,
   /// else the first `k`.
   template <bool kFull>
-  static void group(u8* tp, u8* mp, const Probe& p, unsigned k, Tally& t) {
+  static void group(u8* tp, u8* mp, const Probe& p, unsigned k, CacheStats& t) {
     const u64 slotm = kFull ? ~0ull : ((1ull << (8 * k)) - 1);
     const u64 lanem = kLane & slotm;
     const __m512i K3 = _mm512_set1_epi8(3);
@@ -273,15 +263,18 @@ struct Brrip {
 /// loop reads lives in locals, so the kernel's byte stores cannot force
 /// reloads of CompactState.
 template <typename Kernel>
-void replay(CompactState& st, const Addr* addr, const u32* len, const u8* write, size_t begin,
-            size_t end) {
+void replay(CompactState& st, const SpanStream& stream, size_t begin, size_t end,
+            CacheStats& stats) {
+  const Addr* const addr = stream.addr.data();
+  const u32* const len = stream.len.data();
+  const u8* const write = stream.write.data();
   u8* const tags = st.tag_lane();
   u8* const aux = reinterpret_cast<u8*>(st.aux_lane());
   const u64 sets = st.sets, set_mask = st.set_mask;
   const i32 ls = st.line_shift, set_shift = st.set_shift;
   const u64 base_tag = st.base_tag;
-  Tally t;
-  t.misses = st.s.misses;
+  // Running totals in a local copy; its miss count is BRRIP's fill counter.
+  CacheStats t = stats;
   for (size_t si = begin; si < end; ++si) {
     if (si + 4 < end) {
       // Same lookahead the direct engine's prefetch_range provides: pull the
@@ -292,7 +285,7 @@ void replay(CompactState& st, const Addr* addr, const u32* len, const u8* write,
     }
     u64 line = addr[si] >> ls;
     const u64 last = (addr[si] + len[si] - 1) >> ls;
-    t.lines += last - line + 1;
+    t.accesses += last - line + 1;
     const bool w = write[si] != 0;
     // Segment at set wraps: the rebased tag is constant within a segment.
     while (line <= last) {
@@ -308,24 +301,17 @@ void replay(CompactState& st, const Addr* addr, const u32* len, const u8* write,
       line += n;
     }
   }
-  const u64 misses = t.misses - st.s.misses;
-  st.s.lines += t.lines;
-  st.s.hits += t.lines - misses;
-  st.s.misses = t.misses;
-  st.s.evictions += t.evictions;
-  st.s.writebacks += t.writebacks;
-  st.s.dram_read += misses * st.line_bytes;
-  st.s.dram_write += t.writebacks * st.line_bytes;
+  stats = t;
 }
 
 }  // namespace
 
-void replay_spans_avx512(CompactState& st, const Addr* addr, const u32* len, const u8* write,
-                         size_t begin, size_t end) {
+void replay_spans_avx512(CompactState& st, const SpanStream& stream, size_t begin, size_t end,
+                         CacheStats& stats) {
   if (st.policy == Policy::Lru)
-    replay<Lru>(st, addr, len, write, begin, end);
+    replay<Lru>(st, stream, begin, end, stats);
   else
-    replay<Brrip>(st, addr, len, write, begin, end);
+    replay<Brrip>(st, stream, begin, end, stats);
 }
 
 }  // namespace cello::cache::detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/cache_replay.hpp"
 #include "common/error.hpp"
 #include "sim/policies/access_gen.hpp"
 #include "sim/policies/schedule_policy.hpp"
@@ -92,22 +91,6 @@ Period find_period(const std::vector<Sig>& sig) {
 
 }  // namespace
 
-cache::ReplaySpans AccessStream::replay_view() const {
-  cache::ReplaySpans view;
-  view.addr = addr.data();
-  view.len = len.data();
-  view.write = write.data();
-  view.op_end = op_end.data();
-  view.prefix_steps = prefix_steps;
-  view.period_steps = period_steps;
-  view.period_count = period_count;
-  view.suffix_steps = suffix_steps;
-  view.schedule_steps = schedule_steps;
-  view.min_addr = min_addr;
-  view.max_addr = max_addr;
-  return view;
-}
-
 u64 AccessStream::fingerprint() const {
   Sig s;
   s.mix(line_bytes);
@@ -138,9 +121,8 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
   if (n == 0) return s;
 
   // ---- pass 1: resolve each step's serviced inputs + signature ----
-  // Input selection mirrors Simulator::run_impl exactly: duplicate operands
-  // serviced once, in-place-append operands skipped, only Route::Buffer
-  // operands reach the policy.
+  // The simulator's serviced-operand rule; only Route::Buffer operands reach
+  // the cache.
   std::vector<ir::TensorId> in_flat;
   std::vector<u32> in_end(n);
   std::vector<u8> svc_out(n);
@@ -149,14 +131,9 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
   for (size_t i = 0; i < n; ++i) {
     const ir::EinsumOp& op = dag.op(sched.steps[i].op);
     step_inputs.clear();
-    for (size_t ii = 0; ii < op.inputs.size(); ++ii) {
-      const ir::TensorId in = op.inputs[ii];
-      bool repeat = false;
-      for (size_t jj = 0; jj < ii; ++jj) repeat = repeat || op.inputs[jj] == in;
-      if (repeat) continue;
-      if (dag.tensor(op.output).append_prev == in) continue;
-      if (router.route_input(op, in) == Route::Buffer) step_inputs.push_back(in);
-    }
+    router.for_each_serviced_input(op, [&](ir::TensorId in, Route route) {
+      if (route == Route::Buffer) step_inputs.push_back(in);
+    });
     svc_out[i] = router.route_output(op) == Route::Buffer;
     sig[i] = step_signature(dag, map, op, step_inputs, svc_out[i] != 0);
     in_flat.insert(in_flat.end(), step_inputs.begin(), step_inputs.end());
@@ -180,16 +157,10 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
         t, arch, scratch,
         [&](Addr a, Bytes l, bool w) {
           if (l == 0) return;
-          CELLO_CHECK_MSG(l <= 0xffffffffull, "access span exceeds the stream's 32-bit length");
-          if (s.addr.empty() || a < s.min_addr) s.min_addr = a;
-          if (s.addr.empty() || a + l - 1 > s.max_addr) s.max_addr = a + l - 1;
-          s.addr.push_back(a);
-          s.len.push_back(static_cast<u32>(l));
-          s.write.push_back(w ? 1 : 0);
-          block_lines +=
-              (a + l - 1) / s.line_bytes - a / s.line_bytes + 1;
+          s.push_span(a, l, w);
+          block_lines += (a + l - 1) / s.line_bytes - a / s.line_bytes + 1;
         });
-    s.op_end.push_back(static_cast<u32>(s.addr.size()));
+    s.end_step();
   };
 
   Period p = find_period(sig);

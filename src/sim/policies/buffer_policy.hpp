@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "chord/chord.hpp"
 #include "common/error.hpp"
 #include "ir/dag.hpp"
@@ -28,18 +29,9 @@ namespace cello::sim {
 
 struct AccessStream;
 
-/// DRAM traffic incurred by one serviced access (or one whole op for
-/// trace-driven policies).
-struct BufferService {
-  Bytes dram_read = 0;
-  Bytes dram_write = 0;
-  /// Trace-driven replay only: cache lines the op newly made valid (misses -
-  /// evictions).  The cache never invalidates mid-run, so the running sum is
-  /// its valid-line count — what a traced run samples as occupancy.
-  u64 fills = 0;
-
-  Bytes total() const { return dram_read + dram_write; }
-};
+/// DRAM traffic incurred by one serviced access, or by one whole step for
+/// trace-driven policies: the cache replay's per-step service type.
+using cache::BufferService;
 
 struct DrainContext {
   const ir::TensorDag* dag = nullptr;

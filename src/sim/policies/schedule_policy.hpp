@@ -6,6 +6,7 @@
 // SCORE schedule into per-operand routing decisions the simulator executes.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "ir/dag.hpp"
@@ -60,6 +61,20 @@ class Router {
 
   Route route_input(const ir::EinsumOp& op, ir::TensorId in) const;
   Route route_output(const ir::EinsumOp& op) const;
+
+  /// The serviced-operand rule, which the simulator's op loop and
+  /// AccessStream::capture both follow: calls `f(in, route_input(op, in))`
+  /// for each input of `op` that is serviced.  An operand used twice (R^T R)
+  /// is serviced once.  The operand an in-place append extends into its own
+  /// output (KV-cache decode) is not serviced: no data moves for the
+  /// untouched prefix, and the output write prices the step's growth.
+  template <typename F>
+  void for_each_serviced_input(const ir::EinsumOp& op, F&& f) const {
+    const auto& in = op.inputs;
+    for (auto it = in.begin(); it != in.end(); ++it)
+      if (std::find(in.begin(), it, *it) == it && dag_.tensor(op.output).append_prev != *it)
+        f(*it, route_input(op, *it));
+  }
 
   /// True when an edge between two consecutively scheduled ops is serviced on
   /// chip — the steps then share a pipeline timing group.

@@ -324,16 +324,19 @@ ShardResult shard_from_json(const std::string& text) {
     if (fabrics_v->type != JsonValue::Type::Array || fabrics_v->items.empty())
       throw Error("shard file grid: fabrics must be a non-empty array");
     shard.grid.fabrics.clear();
-    for (const JsonValue& f : fabrics_v->items) {
-      const std::string& text = f.as_string();
-      // Parse to validate AND require the canonical spelling: a file saying
-      // "mesh:4" where the canonical axis says "mesh:2x2" is grid drift.
-      if (noc::TopologySpec::parse(text).to_string() != text)
-        throw Error("shard file grid: fabric '" + text + "' is not canonical");
-      shard.grid.fabrics.push_back(text);
-    }
+    for (const JsonValue& f : fabrics_v->items) shard.grid.fabrics.push_back(f.as_string());
   }
   shard.grid.arch = arch_from_json(grid_v.at("arch"));
+  // The recorded grid must be exactly the one its own axes and arch define:
+  // canonical specs and fabrics, registered config names, a single-node arch
+  // and the fingerprint those produce.  An edited field with a stale
+  // fingerprint is refused here, before any merge trusts it.
+  const SweepGrid rebuilt = make_grid(shard.grid.workloads, shard.grid.configs,
+                                      shard.grid.arch, shard.grid.fabrics);
+  if (!same_grid(rebuilt, shard.grid))
+    throw Error("shard file grid: does not match its own definition (fingerprint " +
+                fingerprint_string(shard.grid.fingerprint) + ", recomputed " +
+                fingerprint_string(rebuilt.fingerprint) + ")");
 
   const JsonValue& shard_v = doc.at("shard");
   reject_unknown_keys(shard_v, {"index", "count", "mode"}, "shard file shard");

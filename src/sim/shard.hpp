@@ -109,9 +109,10 @@ struct ShardResult {
 /// the same grid are byte-identical.
 std::string shard_to_json(const ShardResult& shard);
 
-/// Parse and validate a shard file: format tag, grid, plan bounds, result
-/// count, and that every result row names exactly the grid cell its plan
-/// position claims.  Throws cello::Error on any mismatch.  Fail-point site
+/// Parse and validate a shard file: format tag, grid (rebuilt with make_grid
+/// from its own axes and arch, which must reproduce it and its recorded
+/// fingerprint), plan bounds, result count, and that every result row names
+/// exactly the grid cell its plan position claims.  Throws cello::Error on any mismatch.  Fail-point site
 /// "shard.parse" can inject a load failure for recovery-path tests.
 ShardResult shard_from_json(const std::string& text);
 

@@ -328,22 +328,12 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
     Bytes op_dram = 0;
 
     // ---- inputs ----
-    for (size_t ii = 0; ii < op.inputs.size(); ++ii) {
-      const ir::TensorId in = op.inputs[ii];
-      // Same tensor used twice (R^T R): only the first occurrence is serviced.
-      bool repeat = false;
-      for (size_t jj = 0; jj < ii; ++jj) repeat = repeat || op.inputs[jj] == in;
-      if (repeat) continue;
-      // In-place append (KV-cache decode): the op extends this operand into
-      // its own output — same growing base, untouched prefix.  No data moves
-      // for the prefix, so the operand is not serviced; the output write
-      // prices whatever the policy charges for the step's growth.
-      if (dag.tensor(op.output).append_prev == in) continue;
+    router.for_each_serviced_input(op, [&](ir::TensorId in, Route route) {
       const ir::TensorDesc& t = dag.tensor(in);
       const Bytes b = t.bytes();
       const i32 base = map.base_id(in);
 
-      switch (router.route_input(op, in)) {
+      switch (route) {
         case Route::PipelineBuffer:
           pipeline_sram_lines += ceil_div<Bytes>(b, arch.line_bytes);
           break;
@@ -367,7 +357,7 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
         case Route::Discard:
           break;  // not produced by route_input
       }
-    }
+    });
 
     // ---- output ----
     {

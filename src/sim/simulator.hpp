@@ -38,10 +38,14 @@ namespace cello::trace {
 class TraceSink;
 }  // namespace cello::trace
 
+namespace cello::cache {
+struct BufferService;  // cache/cache.hpp
+}  // namespace cello::cache
+
 namespace cello::sim {
 
 class BufferPolicy;
-struct BufferService;  // sim/policies/buffer_policy.hpp
+using cache::BufferService;
 struct RouterTables;   // sim/policies/schedule_policy.hpp
 struct AccessStream;   // sim/access_stream.hpp
 class ArtifactCache;   // sim/artifact_cache.hpp

@@ -28,7 +28,7 @@ ir::TensorDag build_bicgstab_dag(const BiCgStabShape& shape) {
   };
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
-    const std::string v = "@" + std::to_string(it);
+    const std::string v = numbered("@", it);
 
     const ir::TensorId rho = add_dense(dag, "rho" + v, "n'", n, "n", n, w);
     dot_op("rho" + v, {Rhat, r_prev}, rho);

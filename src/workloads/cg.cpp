@@ -24,7 +24,7 @@ ir::TensorDag build_cg_dag(const CgShape& shape) {
   ir::TensorId G_prev = add_dense(dag, "Gamma@0", "n'", n, "n", n, w);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
-    const std::string v = "@" + std::to_string(it);
+    const std::string v = numbered("@", it);
 
     // Line 1: S = A (.) P  — SpMM (the 'U*' node of Fig. 7).
     const ir::TensorId S = add_dense(dag, "S" + v, "m", m, "n", n, w);

@@ -44,7 +44,7 @@ ir::TensorDag build_gnn_multilayer_dag(const GnnShape& shape, i64 layers, i64 hi
 
   for (i64 l = 1; l <= layers; ++l) {
     const i64 feats_out = (l == layers) ? shape.out_features : hidden_features;
-    const std::string v = "@" + std::to_string(l);
+    const std::string v = numbered("@", l);
     const ir::TensorId W = add_dense(dag, "W" + v, "n", feats_prev, "o", feats_out, w);
     const ir::TensorId G = add_dense(dag, "G" + v, "m", m, "n", feats_prev, w);  // aggregated
     const ir::TensorId H = add_dense(dag, "H" + v, "m", m, "n", feats_out, w);

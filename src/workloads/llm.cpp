@@ -27,10 +27,10 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
   // Layer-input hidden states: h0@t are the external token embeddings, hl@t
   // (l >= 1) the outputs of layer l — updated as the layer loop runs.
   std::vector<ir::TensorId> h(static_cast<size_t>(T), ir::kInvalidTensor);
-  for (i64 t = 0; t < T; ++t) h[t] = add_dense(dag, "h0@" + std::to_string(t), "m", 1, "k", d, w);
+  for (i64 t = 0; t < T; ++t) h[t] = add_dense(dag, numbered("h0@", t), "m", 1, "k", d, w);
 
   for (i64 l = 1; l <= shape.layers; ++l) {
-    const std::string L = "_" + std::to_string(l);
+    const std::string L = numbered("_", l);
     // '_' layer suffixes keep each layer's weights and caches distinct bases;
     // '@' step suffixes fold a layer's per-step instances onto one base.
     const ir::TensorId Wqkv = add_dense(dag, "Wqkv" + L, "k", d, "n", qkv_width, w);
@@ -44,8 +44,8 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
     ir::TensorId V_prev = add_dense(dag, "V" + L + "@0", "j", shape.seq, "dk", kv_width, w);
 
     for (i64 t = 0; t < T; ++t) {
-      const std::string S = "@" + std::to_string(t);
-      const std::string next = "@" + std::to_string(t + 1);
+      const std::string S = numbered("@", t);
+      const std::string next = numbered("@", t + 1);
       const i64 extent = shape.seq + t + 1;  ///< cache rows visible to step t
 
       // Fused Q/K/V projection of the step's single token.
@@ -80,7 +80,7 @@ ir::TensorDag build_llm_decode_dag(const LlmShape& shape) {
       add_gemm(dag, "proj" + L + S, ctx, Wo, out);
       const ir::TensorId f = add_dense(dag, "f" + L + S, "m", 1, "f", d_ff, w);
       add_gemm(dag, "mlp1" + L + S, out, W1, f);
-      const ir::TensorId y = add_dense(dag, "h" + std::to_string(l) + S, "m", 1, "k", d, w);
+      const ir::TensorId y = add_dense(dag, numbered("h", l) + S, "m", 1, "k", d, w);
       add_gemm(dag, "mlp2" + L + S, f, W2, y);
       h[t] = y;
 

@@ -15,7 +15,7 @@ ir::TensorDag build_power_iteration_dag(const PowerIterShape& shape) {
   ir::TensorId x_prev = add_dense(dag, "x@0", "m", m, "n", 1, w);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
-    const std::string v = "@" + std::to_string(it);
+    const std::string v = numbered("@", it);
 
     const ir::TensorId y = add_dense(dag, "y" + v, "m", m, "n", 1, w);
     add_spmm(dag, "spmv" + v, A, x_prev, y);

@@ -75,9 +75,9 @@ ir::TensorDag build_resnet_stack_dag(const ResNetBlockShape& shape, i64 blocks) 
   add_conv(dag, "stem", in, W_in, block_in, 1);
 
   for (i64 b = 1; b <= blocks; ++b) {
-    const std::string v = "_b" + std::to_string(b);
-    block_in = add_block(dag, shape, block_in, v, "c1" + v, "c2" + v, "cB" + std::to_string(b),
-                         "B" + std::to_string(b) + "_out");
+    const std::string v = numbered("_b", b);
+    block_in = add_block(dag, shape, block_in, v, "c1" + v, "c2" + v, numbered("cB", b),
+                         numbered("B", b) + "_out");
   }
   dag.mark_result(block_in);
   return dag;

@@ -18,7 +18,7 @@ ir::TensorDag build_sddmm_dag(const SddmmShape& shape) {
     // '_' rather than the '@' versioning convention: each head's projections
     // are distinct buffers, and '@' suffixes would make the AddressMap alias
     // them onto one shared base (only the mask M is genuinely shared).
-    const std::string v = "_" + std::to_string(h);
+    const std::string v = numbered("_", h);
     const ir::TensorId Q = add_dense(dag, "Q" + v, "m", m, "d", d, w);
     const ir::TensorId K = add_dense(dag, "K" + v, "j", m, "d", d, w);
     const ir::TensorId S = add_csr(dag, "S" + v, "m", "j", m, shape.nnz, w);

@@ -15,8 +15,8 @@ ir::TensorDag build_spmv_dag(const SpmvShape& shape) {
   ir::TensorId x_prev = add_dense(dag, "x@0", "m", m, "n", n, w);
 
   for (i64 it = 1; it <= shape.iterations; ++it) {
-    const ir::TensorId x = add_dense(dag, "x@" + std::to_string(it), "m", m, "n", n, w);
-    add_spmm(dag, "spmv@" + std::to_string(it), A, x_prev, x);
+    const ir::TensorId x = add_dense(dag, numbered("x@", it), "m", m, "n", n, w);
+    add_spmm(dag, numbered("spmv@", it), A, x_prev, x);
     x_prev = x;
   }
 

@@ -31,8 +31,10 @@
 namespace {
 
 using namespace cello;
+using cache::BufferService;
 using cache::CacheStats;
 using cache::Policy;
+using cache::SpanStream;
 using test::ScopedEnv;
 
 /// Reference write-allocate, write-back cache.  Sets and tags split the line
@@ -81,6 +83,7 @@ class RefCache {
   }
 
   CacheStats stats;
+  u64 hits = 0;
 
  private:
   struct Way {
@@ -90,16 +93,9 @@ class RefCache {
     int rrpv = 3;
   };
 
-  void miss() {
-    ++stats.misses;
-    stats.dram_read_bytes += line_bytes_;
-  }
   void evict(bool dirty) {
     ++stats.evictions;
-    if (dirty) {
-      ++stats.writebacks;
-      stats.dram_write_bytes += line_bytes_;
-    }
+    stats.writebacks += dirty;
   }
 
   void access_lru(u64 set, u64 tag, bool write) {
@@ -107,14 +103,14 @@ class RefCache {
     const auto it =
         std::find_if(list.begin(), list.end(), [&](const Way& w) { return w.tag == tag; });
     if (it != list.end()) {
-      ++stats.hits;
+      ++hits;
       Way w = *it;
       w.dirty = w.dirty || write;
       list.erase(it);
       list.push_front(w);
       return;
     }
-    miss();
+    ++stats.misses;
     if (list.size() == assoc_) {
       evict(list.back().dirty);
       list.pop_back();
@@ -126,12 +122,12 @@ class RefCache {
     Way* ways = &ways_[set * assoc_];
     for (u32 i = 0; i < assoc_; ++i)
       if (ways[i].valid && ways[i].tag == tag) {
-        ++stats.hits;
+        ++hits;
         ways[i].rrpv = 0;
         ways[i].dirty = ways[i].dirty || write;
         return;
       }
-    miss();
+    ++stats.misses;
     u32 v = assoc_;
     for (u32 i = 0; i < assoc_ && v == assoc_; ++i)
       if (!ways[i].valid) v = i;
@@ -157,43 +153,22 @@ class RefCache {
   u64 fills_ = 0;
 };
 
-/// A materialized periodic span stream: prefix, one period, suffix.
-struct Stream {
-  std::vector<Addr> addr;
-  std::vector<u32> len;
-  std::vector<u8> write;
-  std::vector<u32> op_end;
-  u64 prefix = 0, period = 0, count = 0, suffix = 0;
-
-  cache::ReplaySpans view() const {
-    cache::ReplaySpans v;
-    v.addr = addr.data();
-    v.len = len.data();
-    v.write = write.data();
-    v.op_end = op_end.data();
-    v.prefix_steps = prefix;
-    v.period_steps = period;
-    v.period_count = count;
-    v.suffix_steps = suffix;
-    v.schedule_steps = prefix + period * count + suffix;
-    v.min_addr = *std::min_element(addr.begin(), addr.end());
-    v.max_addr = 0;
-    for (size_t i = 0; i < addr.size(); ++i)
-      v.max_addr = std::max(v.max_addr, addr[i] + len[i] - 1);
-    return v;
-  }
-};
+/// Close a hand-built stream's periodic structure.
+void set_schedule_steps(SpanStream& s) {
+  s.schedule_steps = s.prefix_steps + s.period_steps * s.period_count + s.suffix_steps;
+}
 
 /// Random spans over a window of `window_lines` lines starting at a
 /// non-set-aligned base, so the compact engine's tag rebasing is exercised.
-Stream random_stream(Rng& rng, u64 sets, u32 line_bytes, u64 window_lines) {
-  Stream s;
-  s.prefix = rng.bounded(4);
-  s.period = 1 + rng.bounded(6);
-  s.count = 2 + rng.bounded(9);
-  s.suffix = rng.bounded(3);
+SpanStream random_stream(Rng& rng, u64 sets, u32 line_bytes, u64 window_lines) {
+  SpanStream s;
+  s.prefix_steps = rng.bounded(4);
+  s.period_steps = 1 + rng.bounded(6);
+  s.period_count = 2 + rng.bounded(9);
+  s.suffix_steps = rng.bounded(3);
+  set_schedule_steps(s);
   const Addr base = (0x4000000 + rng.bounded(5 * sets)) * line_bytes;
-  const u64 steps = s.prefix + s.period + s.suffix;
+  const u64 steps = s.materialized_steps();
   for (u64 step = 0; step < steps; ++step) {
     const u64 spans = 1 + rng.bounded(8);
     for (u64 i = 0; i < spans; ++i) {
@@ -206,11 +181,10 @@ Stream random_stream(Rng& rng, u64 sets, u32 line_bytes, u64 window_lines) {
       // Unaligned ends: start up to a line in, and end anywhere after that.
       const u64 lead = rng.bounded(line_bytes);
       const u64 trail = rng.bounded(lines * line_bytes - lead);
-      s.addr.push_back(base + first * line_bytes + lead);
-      s.len.push_back(static_cast<u32>(lines * line_bytes - lead - trail));
-      s.write.push_back(rng.bounded(3) == 0);
+      s.push_span(base + first * line_bytes + lead, lines * line_bytes - lead - trail,
+                  rng.bounded(3) == 0);
     }
-    s.op_end.push_back(static_cast<u32>(s.addr.size()));
+    s.end_step();
   }
   return s;
 }
@@ -225,15 +199,16 @@ struct Geometry {
 /// each 8-40 set wraps long and starting at a set off an 8-set group boundary
 /// (so every set-wrap segment ends in a partial group), reads and writes
 /// mixed, over a window of 3-10x the cache's capacity.
-Stream streaming_stream(Rng& rng, const Geometry& g) {
-  Stream s;
-  s.prefix = rng.bounded(2);
-  s.period = 1 + rng.bounded(3);
-  s.count = 2 + rng.bounded(3);
-  s.suffix = rng.bounded(2);
+SpanStream streaming_stream(Rng& rng, const Geometry& g) {
+  SpanStream s;
+  s.prefix_steps = rng.bounded(2);
+  s.period_steps = 1 + rng.bounded(3);
+  s.period_count = 2 + rng.bounded(3);
+  s.suffix_steps = rng.bounded(2);
+  set_schedule_steps(s);
   const u64 base_line = 0x4000000 + rng.bounded(5 * g.sets);
   const u64 window_wraps = g.assoc * (3 + rng.bounded(8));
-  const u64 steps = s.prefix + s.period + s.suffix;
+  const u64 steps = s.materialized_steps();
   for (u64 step = 0; step < steps; ++step) {
     const u64 spans = 1 + rng.bounded(3);
     for (u64 i = 0; i < spans; ++i) {
@@ -241,11 +216,10 @@ Stream streaming_stream(Rng& rng, const Geometry& g) {
       const u64 lines = wraps * g.sets + rng.bounded(g.sets);
       u64 first = rng.bounded(window_wraps * g.sets - lines - 7);
       if ((base_line + first) % 8 == 0) first += 1 + rng.bounded(7);
-      s.addr.push_back((base_line + first) * g.line_bytes);
-      s.len.push_back(static_cast<u32>(lines * g.line_bytes));
-      s.write.push_back(rng.bounded(2) == 0);
+      s.push_span((base_line + first) * g.line_bytes, lines * g.line_bytes,
+                  rng.bounded(2) == 0);
     }
-    s.op_end.push_back(static_cast<u32>(s.addr.size()));
+    s.end_step();
   }
   return s;
 }
@@ -264,28 +238,28 @@ std::string label(const Geometry& g, Policy policy, const char* engine, int n) {
 /// Replays one stream under one geometry and policy on whichever engine the
 /// environment selects and compares it with the reference; true when the
 /// replay fast-forwarded.
-bool check_stream(const Geometry& g, Policy policy, const Stream& s, const std::string& what) {
+bool check_stream(const Geometry& g, Policy policy, const SpanStream& s,
+                  const std::string& what) {
   cache::SetAssocCache c(g.sets * g.assoc * g.line_bytes, g.line_bytes, g.assoc, policy);
-  const cache::ReplaySpans view = s.view();
-  cache::StreamReplayer replayer(c, view);
-  std::vector<cache::ReplayService> got;
+  cache::StreamReplayer replayer(c, s);
+  std::vector<BufferService> got;
   replayer.run(got);
 
   RefCache ref(g.sets, g.assoc, g.line_bytes, policy);
-  std::vector<cache::ReplayService> want;
+  std::vector<BufferService> want;
   auto run_step = [&](u64 step) {
     const CacheStats before = ref.stats;
     for (u32 i = step == 0 ? 0 : s.op_end[step - 1]; i < s.op_end[step]; ++i)
       ref.access_range(s.addr[i], s.len[i], s.write[i] != 0);
     const CacheStats& after = ref.stats;
-    want.push_back({after.dram_read_bytes - before.dram_read_bytes,
-                    after.dram_write_bytes - before.dram_write_bytes,
+    want.push_back({(after.misses - before.misses) * g.line_bytes,
+                    (after.writebacks - before.writebacks) * g.line_bytes,
                     (after.misses - after.evictions) - (before.misses - before.evictions)});
   };
-  for (u64 i = 0; i < s.prefix; ++i) run_step(i);
-  for (u64 o = 0; o < s.count; ++o)
-    for (u64 i = 0; i < s.period; ++i) run_step(s.prefix + i);
-  for (u64 i = 0; i < s.suffix; ++i) run_step(s.prefix + s.period + i);
+  for (u64 i = 0; i < s.prefix_steps; ++i) run_step(i);
+  for (u64 o = 0; o < s.period_count; ++o)
+    for (u64 i = 0; i < s.period_steps; ++i) run_step(s.prefix_steps + i);
+  for (u64 i = 0; i < s.suffix_steps; ++i) run_step(s.prefix_steps + s.period_steps + i);
 
   EXPECT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < std::min(got.size(), want.size()); ++i)
@@ -300,30 +274,26 @@ bool check_stream(const Geometry& g, Policy policy, const Stream& s, const std::
   const CacheStats& a = c.stats();
   const CacheStats& b = ref.stats;
   EXPECT_EQ(a.accesses, b.accesses) << what;
-  EXPECT_EQ(a.tag_lookups, b.accesses) << what;
-  EXPECT_EQ(a.data_accesses, b.accesses) << what;
-  EXPECT_EQ(a.hits, b.hits) << what;
+  EXPECT_EQ(a.hits(), ref.hits) << what;
   EXPECT_EQ(a.misses, b.misses) << what;
   EXPECT_EQ(a.evictions, b.evictions) << what;
   EXPECT_EQ(a.writebacks, b.writebacks) << what;
-  EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes) << what;
-  EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes) << what;
   EXPECT_EQ(c.valid_lines(), ref.valid_lines()) << what;
   // Which lines the cache holds (the compact engine rebases tags, so this
   // checks its write-back too).
-  for (u64 line = view.min_addr / g.line_bytes; line <= view.max_addr / g.line_bytes; ++line)
+  for (u64 line = s.min_addr / g.line_bytes; line <= s.max_addr / g.line_bytes; ++line)
     if (c.contains_line(line) != ref.contains_line(line)) {
       ADD_FAILURE() << what << ": line " << line << " held " << c.contains_line(line);
       break;
     }
 
-  const Bytes written = c.stats().dram_write_bytes;
+  const CacheStats replayed = c.stats();
   c.flush();
-  EXPECT_EQ(c.stats().dram_write_bytes - written, ref.dirty_lines() * g.line_bytes) << what;
+  EXPECT_EQ(c.traffic_since(replayed).dram_write, ref.dirty_lines() * g.line_bytes) << what;
   EXPECT_EQ(c.valid_lines(), 0u) << what;
   c.flush();  // a drained cache has nothing left to write
-  EXPECT_EQ(c.stats().dram_write_bytes - written, ref.dirty_lines() * g.line_bytes) << what;
-  return replayer.occurrences_replayed() < s.count;
+  EXPECT_EQ(c.traffic_since(replayed).dram_write, ref.dirty_lines() * g.line_bytes) << what;
+  return replayer.occurrences_replayed() < s.period_count;
 }
 
 /// Replays random streams under one geometry, policy and engine and compares
@@ -336,7 +306,7 @@ u64 check_engine(const Geometry& g, Policy policy, const Engine& e, u64 seed) {
   for (int n = 0; n < 48; ++n) {
     // Footprints from well inside the cache to several times its size.
     const u64 window = g.sets * (1 + rng.bounded(5 * g.assoc));
-    const Stream s = random_stream(rng, g.sets, g.line_bytes, window);
+    const SpanStream s = random_stream(rng, g.sets, g.line_bytes, window);
     fast_forwarded += check_stream(g, policy, s, label(g, policy, e.name, n));
   }
   return fast_forwarded;

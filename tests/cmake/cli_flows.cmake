@@ -12,7 +12,8 @@
 #                 --n/--iters/--nodes/--trace-cell) are rejected with an
 #                 `error:` line naming the flag
 #   bad_files     `merge` over missing, truncated, duplicate and absent shard
-#                 files, `merge` without shard arguments and `run --trace`
+#                 files, over a shard whose arch was edited under its recorded
+#                 fingerprint, `merge` without shard arguments and `run --trace`
 #                 into a missing directory fail with a message naming the cause
 #   csv_export    `--out full.csv` writes exactly tests/goldens/cli_sweep_grid.csv,
 #                 and so do `--jobs 1` and `--jobs 3`; a shard of a split sweep
@@ -137,10 +138,21 @@ if(FLOW STREQUAL "bad_files")
   math(EXPR half "${size} / 2")
   string(SUBSTRING "${whole}" 0 ${half} truncated)
   file(WRITE ${WORKDIR}/truncated.json "${truncated}")
+  # Both shards edited alike still agree with each other; only their own
+  # recorded fingerprints give the edit away.
+  foreach(i 1 2)
+    file(READ ${WORKDIR}/shard-${i}.json text)
+    string(REPLACE "\"sram_bytes\": 4194304," "\"sram_bytes\": 1048576," tampered "${text}")
+    if(tampered STREQUAL text)
+      message(FATAL_ERROR "${FLOW}: shard-${i}.json has no 4 MiB sram_bytes field to edit")
+    endif()
+    file(WRITE ${WORKDIR}/tampered-${i}.json "${tampered}")
+  endforeach()
 
   cli_fails_with("shard file 'absent.json'" merge merged.json shard-1.json absent.json)
   cli_fails_with("shard file 'truncated.json'" merge merged.json shard-1.json truncated.json)
   cli_fails_with("duplicate shard 1/2" merge merged.json shard-1.json shard-1.json)
+  cli_fails_with("shard file 'tampered-1.json'" merge merged.json tampered-1.json tampered-2.json)
   cli_fails_with("split 2 ways but 1 shard(s)" merge merged.json shard-1.json)
   cli_fails_with("usage: cello_cli merge" merge)
   cli_fails_with("usage: cello_cli merge" merge merged.json)

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cello/cello.hpp"
@@ -326,8 +328,13 @@ TEST(Shard, ArchFieldsPast32BitsRefuseToLoad) {
   // 2^32 + 16 must be refused by name, not wrapped to 16 and merged.
   const AcceleratorConfig arch;
   const SweepGrid grid = sim::make_grid({"cg:m=512,n=4,iters=1"}, {"Flexagon"}, arch);
-  const std::string text = sim::shard_to_json(run_one_shard(grid, 1, 1, ShardMode::Contiguous));
-  for (const std::string key : {"line_bytes", "cache_associativity", "chord_entries"}) {
+  const ShardResult shard = run_one_shard(grid, 1, 1, ShardMode::Contiguous);
+  const std::string text = sim::shard_to_json(shard);
+  const std::pair<std::string, u32 AcceleratorConfig::*> fields[] = {
+      {"line_bytes", &AcceleratorConfig::line_bytes},
+      {"cache_associativity", &AcceleratorConfig::cache_associativity},
+      {"chord_entries", &AcceleratorConfig::chord_entries}};
+  for (const auto& [key, member] : fields) {
     const std::string field = "\"" + key + "\": ";
     const size_t at = text.find(field);
     ASSERT_NE(at, std::string::npos) << key;
@@ -340,11 +347,49 @@ TEST(Shard, ArchFieldsPast32BitsRefuseToLoad) {
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
-    // The largest u32 still loads.
-    std::string widest = text;
-    widest.replace(value, text.find(',', value) - value, "4294967295");
-    EXPECT_NO_THROW(sim::shard_from_json(widest)) << key;
+    // The largest u32 still loads, from a file whose fingerprint covers it.
+    AcceleratorConfig widest = arch;
+    widest.*member = 0xffffffffu;
+    ShardResult wide = shard;
+    wide.grid = sim::make_grid(grid.workloads, grid.configs, widest);
+    EXPECT_NO_THROW(sim::shard_from_json(sim::shard_to_json(wide))) << key;
   }
+}
+
+TEST(Shard, ArchEditedUnderItsFingerprintRefusesToLoad) {
+  // A file whose arch was edited while its recorded fingerprint was left
+  // alone must not load: shards edited alike would still agree with each
+  // other, and merge.
+  const AcceleratorConfig arch;
+  const SweepGrid grid = sim::make_grid({"cg:m=512,n=4,iters=1"}, {"Flexagon", "FLAT"}, arch);
+  const std::string text = sim::shard_to_json(run_one_shard(grid, 1, 1, ShardMode::Contiguous));
+  const std::string field = "\"sram_bytes\": " + std::to_string(arch.sram_bytes) + ",";
+  const size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  std::string tampered = text;
+  tampered.replace(at, field.size(), "\"sram_bytes\": 1048576,");
+  try {
+    sim::shard_from_json(tampered);
+    ADD_FAILURE() << "a shard with an edited arch loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Shard, NonCanonicalWorkloadSpecRefusesToLoad) {
+  // The grid axis holds canonical specs.  Respelled everywhere it appears
+  // (grid and result rows, so every row still names its cell), the spec
+  // parses to the same workload but is not the grid the fingerprint names.
+  const SweepGrid grid =
+      sim::make_grid({"cg:m=512,n=4,iters=1"}, {"Flexagon"}, AcceleratorConfig{});
+  const std::string canonical = "\"" + grid.workloads[0] + "\"";
+  ASSERT_EQ(canonical, "\"cg:iters=1,m=512,n=4\"");
+  std::string text = sim::shard_to_json(run_one_shard(grid, 1, 1, ShardMode::Contiguous));
+  int respelled = 0;
+  for (size_t at; (at = text.find(canonical)) != std::string::npos; ++respelled)
+    text.replace(at, canonical.size(), "\"cg:m=512,n=4,iters=1\"");
+  ASSERT_EQ(respelled, 2);  // the grid axis and the one result row
+  EXPECT_THROW(sim::shard_from_json(text), Error);
 }
 
 TEST(Shard, RunShardPrebuildsOnlyWhatItTouches) {
