@@ -11,31 +11,40 @@ int main() {
   bench::print_header("CG performance across datasets, N and bandwidth", "Fig. 12");
 
   const char* datasets[] = {"fv1", "shallow_water1", "G2_circuit"};
+  const i64 widths[] = {1, 16};
+  const auto archs = bench::arch_axis(bench::table5_config(),
+                                      &sim::AcceleratorConfig::dram_bytes_per_sec, {250e9, 1e12});
   std::vector<double> cello_speedups;
   std::vector<sim::SweepResult> fv1_roofline;  // fv1, N=16, 1 TB/s: the roofline panel
 
   for (const char* name : datasets) {
-    for (i64 n : {1, 16}) {
-      const std::vector<sim::Workload> row{sim::WorkloadRegistry::global().resolve(
-          "cg:" + std::string(name) + ",n=" + std::to_string(n))};
-      const auto& matrix = row.front().matrix;
-      for (double bw : {250e9, 1e12}) {
-        const auto cells = bench::sweep(row, bench::table5_config(bw));
+    // One sweep per dataset: rows N in {1, 16} x both bandwidths x Table IV,
+    // so the bandwidth variants share every schedule and captured stream.
+    std::vector<sim::Workload> rows;
+    for (i64 n : widths)
+      rows.push_back(sim::WorkloadRegistry::global().resolve("cg:" + std::string(name) +
+                                                             ",n=" + std::to_string(n)));
+    const auto cells = sim::SweepRunner().run(rows, bench::table4_configs(), archs);
+    for (size_t r = 0; r < rows.size() * archs.size(); ++r) {
+      const i64 n = widths[r / archs.size()];
+      const double bw = archs[r % archs.size()].dram_bytes_per_sec;
+      const auto panel = bench::panel(cells, r, bench::table4_configs().size());
 
-        std::cout << "dataset=" << name << " (M=" << matrix->rows() << ", nnz=" << matrix->nnz()
-                  << ")  N=" << n << "  BW=" << format_rate(bw, "B/s") << "\n";
-        TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
-        const double base = cells.front().metrics.seconds;  // Flexagon
-        for (const auto& cell : cells) {
-          const auto& m = cell.metrics;
-          if (cell.config == "Cello") cello_speedups.push_back(base / m.seconds);
-          t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),
-                     format_bytes(static_cast<double>(m.dram_bytes)),
-                     format_double(base / m.seconds, 2) + "x"});
-        }
-        std::cout << t.to_string() << "\n";
-        if (std::string(name) == "fv1" && n == 16 && bw == 1e12) fv1_roofline = cells;
+      std::cout << "dataset=" << name << " (M=" << rows[0].matrix->rows()
+                << ", nnz=" << rows[0].matrix->nnz() << ")  N=" << n
+                << "  BW=" << format_rate(bw, "B/s") << "\n";
+      TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
+      const double base = panel.front().metrics.seconds;  // Flexagon
+      for (const auto& cell : panel) {
+        const auto& m = cell.metrics;
+        if (cell.config == "Cello") cello_speedups.push_back(base / m.seconds);
+        t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),
+                   format_bytes(static_cast<double>(m.dram_bytes)),
+                   format_double(base / m.seconds, 2) + "x"});
       }
+      std::cout << t.to_string() << "\n";
+      if (std::string(name) == "fv1" && n == 16 && bw == 1e12)
+        fv1_roofline.assign(panel.begin(), panel.end());
     }
   }
 

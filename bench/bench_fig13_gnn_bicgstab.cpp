@@ -7,7 +7,8 @@ namespace {
 /// One Table IV table for a single workload row.
 void print_table(const cello::sim::Workload& row) {
   using namespace cello;
-  const auto cells = bench::sweep({row}, bench::table5_config());
+  const auto cells =
+      sim::SweepRunner().run({row}, bench::table4_configs(), {bench::table5_config()});
   TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});
   const double base = cells.front().metrics.seconds;  // Flexagon
   for (const auto& cell : cells) {

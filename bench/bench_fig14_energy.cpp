@@ -21,7 +21,8 @@ int main() {
   for (const std::string name : {"fv1", "shallow_water1", "nasa4704"})
     add_row("bicgstab:" + name, "PDE solvers (BiCGStab)");
   for (const std::string name : {"cora", "protein"}) add_row("gnn:" + name, "GNN");
-  const auto cells = bench::sweep(rows, bench::table5_config());
+  const auto cells =
+      sim::SweepRunner().run(rows, bench::table4_configs(), {bench::table5_config()});
 
   // workload class -> config -> list of relative energies across datasets.
   const size_t C = bench::table4_configs().size();

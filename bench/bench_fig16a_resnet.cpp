@@ -6,14 +6,17 @@ int main() {
   using namespace cello;
   bench::print_header("ResNet residual block performance and energy", "Fig. 16(a)");
 
-  const std::vector<sim::Workload> row{sim::WorkloadRegistry::global().resolve("resnet")};
-  for (double bw : {250e9, 1e12}) {
-    const auto arch = bench::table5_config(bw);
-    const auto cells = bench::sweep(row, arch);
-    std::cout << "memory bandwidth = " << format_rate(bw, "B/s") << "\n";
+  const auto archs = bench::arch_axis(bench::table5_config(),
+                                      &sim::AcceleratorConfig::dram_bytes_per_sec, {250e9, 1e12});
+  const auto cells = sim::SweepRunner().run({sim::WorkloadRegistry::global().resolve("resnet")},
+                                            bench::table4_configs(), archs);
+  for (size_t ai = 0; ai < archs.size(); ++ai) {
+    const auto& arch = archs[ai];
+    const auto panel = bench::panel(cells, ai, bench::table4_configs().size());
+    std::cout << "memory bandwidth = " << format_rate(arch.dram_bytes_per_sec, "B/s") << "\n";
     TextTable t({"config", "GMACs/s", "DRAM traffic", "relative energy", "bound"});
-    const double base_energy = cells.front().metrics.offchip_energy_pj;  // Flexagon
-    for (const auto& cell : cells) {
+    const double base_energy = panel.front().metrics.offchip_energy_pj;  // Flexagon
+    for (const auto& cell : panel) {
       const auto& m = cell.metrics;
       const double compute_s = arch.compute_seconds(m.total_macs);
       t.add_row({cell.config, format_double(m.gmacs_per_sec(), 1),

@@ -6,27 +6,27 @@ int main() {
   using namespace cello;
   bench::print_header("Cello sensitivity to CHORD (SRAM) capacity", "Fig. 16(b)");
 
-  const auto& spec = sparse::dataset_by_name("shallow_water1");
-  const auto matrix = sparse::instantiate(spec);
-  const sim::Configuration& cello = sim::ConfigRegistry::global().at("Cello");
+  const i64 widths[] = {1, 16};
+  std::vector<sim::Workload> rows;
+  for (i64 n : widths)
+    rows.push_back(
+        sim::WorkloadRegistry::global().resolve("cg:shallow_water1,n=" + std::to_string(n)));
+  const auto archs = bench::arch_axis(bench::table5_config(), &sim::AcceleratorConfig::sram_bytes,
+                                      {1ull << 20, 4ull << 20, 16ull << 20});
+  const auto cells = sim::SweepRunner().run(rows, bench::configs({"Cello"}), archs);
 
-  for (i64 n : {1, 16}) {
-    auto shape = bench::cg_shape_for(spec, n);
-    shape.nnz = matrix.nnz();
-    const auto dag = workloads::build_cg_dag(shape);
-
-    std::cout << "dataset=shallow_water1  N=" << n << "\n";
+  for (size_t wi = 0; wi < rows.size(); ++wi) {
+    const auto row = bench::panel(cells, wi, archs.size());  // one Cello cell per arch
+    std::cout << "dataset=shallow_water1  N=" << widths[wi] << "\n";
     TextTable t({"CHORD size", "GMACs/s", "DRAM traffic", "vs 4 MiB"});
-    double base_traffic = 0;
-    for (Bytes mib : {1ull, 4ull, 16ull}) {
-      const auto arch = bench::table5_config(1e12, mib * 1024 * 1024);
-      const auto m = sim::Simulator(arch, &matrix).run(dag, cello);
-      if (mib == 4) base_traffic = static_cast<double>(m.dram_bytes);
-      t.add_row({std::to_string(mib) + " MiB", format_double(m.gmacs_per_sec(), 1),
+    const double base_traffic = static_cast<double>(row[1].metrics.dram_bytes);  // 4 MiB
+    for (size_t ai = 0; ai < archs.size(); ++ai) {
+      const auto& m = row[ai].metrics;
+      t.add_row({std::to_string(archs[ai].sram_bytes >> 20) + " MiB",
+                 format_double(m.gmacs_per_sec(), 1),
                  format_bytes(static_cast<double>(m.dram_bytes)),
-                 base_traffic > 0
-                     ? format_double(static_cast<double>(m.dram_bytes) / base_traffic, 2)
-                     : "-"});
+                 ai == 0 ? "-"
+                         : format_double(static_cast<double>(m.dram_bytes) / base_traffic, 2)});
     }
     std::cout << t.to_string() << "\n";
   }

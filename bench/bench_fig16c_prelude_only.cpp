@@ -9,9 +9,9 @@ int main() {
   const auto configs = bench::configs({"Flexagon", "FLAT", "Prelude-only", "Cello"});
 
   for (i64 n : {1, 16}) {
-    const auto cells = bench::sweep(
+    const auto cells = sim::SweepRunner().run(
         {sim::WorkloadRegistry::global().resolve("cg:shallow_water1,n=" + std::to_string(n))},
-        bench::table5_config(), configs);
+        configs, {bench::table5_config()});
 
     std::cout << "dataset=shallow_water1  N=" << n << "\n";
     TextTable t({"config", "GMACs/s", "DRAM traffic", "speedup vs Flexagon"});

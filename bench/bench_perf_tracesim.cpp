@@ -133,7 +133,7 @@ void BM_SweepCgAnalyticShared(benchmark::State& state) {
   const auto configs = bench::configs(sweep_config_names());
   const sim::SweepRunner runner(/*threads=*/1);
   for (auto _ : state) {
-    const auto cells = runner.run(workloads, configs, arch);
+    const auto cells = runner.run(workloads, configs, {arch});
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
 }
@@ -282,7 +282,7 @@ void BM_LlmDecodeSweepShared(benchmark::State& state) {
   const auto configs = bench::configs(names);
   const sim::SweepRunner runner(/*threads=*/1);
   for (auto _ : state) {
-    const auto cells = runner.run(workloads, configs, arch);
+    const auto cells = runner.run(workloads, configs, {arch});
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
 }
@@ -302,7 +302,7 @@ void BM_ReplaySweepTable4(benchmark::State& state) {
   const std::vector<sim::Workload> workloads = {sweep_cg_workload()};
   const sim::SweepRunner runner(/*threads=*/1);
   for (auto _ : state) {
-    const auto cells = runner.run(workloads, bench::table4_configs(), arch);
+    const auto cells = runner.run(workloads, bench::table4_configs(), {arch});
     benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
   }
 }

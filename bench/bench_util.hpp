@@ -1,8 +1,13 @@
 // Shared helpers for the per-figure bench binaries.
 #pragma once
 
+#include <initializer_list>
 #include <iostream>
+#include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cello/cello.hpp"
@@ -45,12 +50,28 @@ inline const std::vector<sim::Configuration>& table4_configs() {
   return kConfigs;
 }
 
-/// Run `rows` x `configs` as one parallel SweepRunner grid: result
-/// i * configs.size() + j is row i under configuration j.
-inline std::vector<sim::SweepResult> sweep(
-    const std::vector<sim::Workload>& rows, const sim::AcceleratorConfig& arch,
-    const std::vector<sim::Configuration>& configs = table4_configs()) {
-  return sim::SweepRunner().run(rows, configs, arch);
+/// A sweep row over a driver-built DAG (no matrix: analytic statistics).
+inline sim::Workload row(const std::string& name, ir::TensorDag dag) {
+  return {name, name, std::make_shared<const ir::TensorDag>(std::move(dag)), nullptr};
+}
+
+/// An arch axis for SweepRunner::run: `base` once per value, with `field`
+/// set to that value.
+template <class T>
+std::vector<sim::AcceleratorConfig> arch_axis(
+    const sim::AcceleratorConfig& base, T sim::AcceleratorConfig::*field,
+    std::initializer_list<std::type_identity_t<T>> values) {
+  std::vector<sim::AcceleratorConfig> archs;
+  for (const T& value : values) archs.emplace_back(base).*field = value;
+  return archs;
+}
+
+/// The `width` consecutive cells of result row `r` — in SweepRunner::run's
+/// (workload, arch, configuration) row-major order, one (workload, arch) pair
+/// when `width` is the configuration count.
+inline std::span<const sim::SweepResult> panel(const std::vector<sim::SweepResult>& cells,
+                                               size_t r, size_t width) {
+  return std::span(cells).subspan(r * width, width);
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {

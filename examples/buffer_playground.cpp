@@ -9,6 +9,7 @@
 #include "chord/chord.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
+#include "workloads/dag_builder.hpp"
 
 int main(int argc, char** argv) {
   using namespace cello;
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   auto meta = [&](i32 id, i32 uses, i64 dist) {
     chord::TensorMeta m;
     m.id = id;
-    m.name = "T" + std::to_string(id);
+    m.name = cello::workloads::numbered("T", id);
     m.start_addr = 0x1000'0000ull + static_cast<Addr>(id) * 0x100'0000ull;
     m.bytes = tensor_bytes;
     m.remaining_uses = uses;

@@ -48,12 +48,10 @@
 //   ./example_cello_cli configs   (list registry entries)
 //   ./example_cello_cli datasets
 //
-// Legacy flags --dataset/--mtx/--n/--iters still work: they fold into each
-// spec's parameters where the kind accepts them, unless the spec already
-// sets them ("simulate" is kept as an alias of "run").  One behavior change
-// vs the pre-registry CLI: without --dataset, each kind resolves its own
-// documented default dataset (bicgstab -> nasa4704, gnn -> cora, power ->
-// G2_circuit) instead of the old global shallow_water1 default.
+// Every workload parameter (dataset, matrix file, block width, iterations)
+// is a spec parameter: "cg:dataset=fv1,n=4,iters=3", "spmv:mm=file.mtx".
+// Without a dataset, each kind resolves its own documented default
+// (bicgstab -> nasa4704, gnn -> cora, power -> G2_circuit).
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -85,10 +83,6 @@ using namespace cello;
 struct Options {
   std::string command = "run";
   std::vector<std::string> workloads;  ///< registry spec strings; empty = {"cg"}
-  std::optional<std::string> dataset;  ///< legacy flags, folded into the specs
-  std::optional<std::string> mtx;
-  std::optional<i64> n;
-  std::optional<i64> iters;
   std::string config = "all";
   std::optional<double> bw_gbps;  ///< default 1000
   std::optional<Bytes> sram_mib;  ///< default 4
@@ -145,11 +139,6 @@ Options parse(int argc, char** argv) {
       return std::string(argv[++i]);
     };
     if (auto v = next("--workload")) o.workloads.push_back(*v);
-    else if (auto v2 = next("--dataset")) o.dataset = *v2;
-    else if (auto v3 = next("--mtx")) o.mtx = *v3;
-    else if (auto v4 = next("--n")) o.n = static_cast<i64>(parse_uint("--n", *v4, 1, kMaxI64));
-    else if (auto v5 = next("--iters"))
-      o.iters = static_cast<i64>(parse_uint("--iters", *v5, 1, kMaxI64));
     else if (auto v6 = next("--bw")) o.bw_gbps = parse_positive("--bw", *v6);
     // MiB: the byte count (x 2^20) must still fit in Bytes.
     else if (auto v7 = next("--sram")) o.sram_mib = parse_uint("--sram", *v7, 1, ~Bytes{0} >> 20);
@@ -184,14 +173,13 @@ Options parse(int argc, char** argv) {
     throw Error("--shard/--shard-mode/--out apply only to the sweep command");
   if (o.command != "sweep" && (o.checkpoint || o.resume || o.keep_going || o.retries != 0))
     throw Error("--checkpoint/--resume/--keep-going/--retries apply only to the sweep command");
-  if ((o.nodes || o.topology) && o.command != "sweep" && o.command != "run" &&
-      o.command != "simulate")
+  if ((o.nodes || o.topology) && o.command != "sweep" && o.command != "run")
     throw Error("--nodes/--topology apply only to the run and sweep commands");
   if (o.topology && !o.nodes)
     throw Error("--topology needs --nodes to know how many chips to lay out");
   if (o.resume && !o.checkpoint)
     throw Error("--resume needs --checkpoint <journal> to know what to resume from");
-  if (o.trace && o.command != "run" && o.command != "simulate" && o.command != "sweep")
+  if (o.trace && o.command != "run" && o.command != "sweep")
     throw Error("--trace applies only to the run and sweep commands");
   if (!o.trace_cells.empty() && o.command != "sweep")
     throw Error("--trace-cell applies only to the sweep command");
@@ -209,43 +197,10 @@ Options parse(int argc, char** argv) {
       throw Error("--trace records one run: pick a single --config (not 'all')");
   }
   if (o.command == "merge" &&
-      (!o.workloads.empty() || o.dataset || o.mtx || o.n || o.iters || o.bw_gbps ||
-       o.sram_mib || o.config != "all" || o.jobs != 0))
+      (!o.workloads.empty() || o.bw_gbps || o.sram_mib || o.config != "all" || o.jobs != 0))
     throw Error("merge takes only file arguments: merge <out.json> <shard.json>...");
   if (o.workloads.empty()) o.workloads.push_back("cg");
   return o;
-}
-
-/// The legacy flags lose to parameters the spec itself sets, and only fold
-/// into kinds that actually accept the parameter (so `--workload resnet
-/// --dataset fv1` keeps working as it did before specs existed).
-std::vector<sim::WorkloadSpec> workload_specs(const Options& o) {
-  std::vector<sim::WorkloadSpec> specs;
-  for (const auto& text : o.workloads) {
-    sim::WorkloadSpec spec = sim::WorkloadSpec::parse(text);
-    const sim::WorkloadKind* kind = sim::WorkloadRegistry::global().find(spec.kind);
-    auto accepts = [&](const char* key) {
-      if (kind == nullptr) return true;  // unknown kind: let resolve() report it
-      for (const auto& p : kind->params)
-        if (p.name == key) return true;
-      return false;
-    };
-    auto set_if_absent = [&](const char* key, const std::string& value) {
-      if (accepts(key) && !spec.params.count(key)) spec.params[key] = value;
-    };
-    // A spec naming any matrix source (mm/dataset/gen/m) wins outright: the
-    // legacy source flags then apply only to the other --workload rows.
-    const bool spec_has_source = spec.params.count("mm") || spec.params.count("dataset") ||
-                                 spec.params.count("gen") || spec.params.count("m");
-    if (!spec_has_source) {
-      if (o.mtx) set_if_absent("mm", *o.mtx);
-      else if (o.dataset) set_if_absent("dataset", *o.dataset);
-    }
-    if (o.n) set_if_absent("n", std::to_string(*o.n));
-    if (o.iters) set_if_absent("iters", std::to_string(*o.iters));
-    specs.push_back(std::move(spec));
-  }
-  return specs;
 }
 
 int list_configs() {
@@ -427,7 +382,7 @@ int run_cli(int argc, char** argv) {
   // Validate the command before building workloads: a typo must not trigger
   // (or mask its error behind) DAG and matrix construction.
   if (o.command != "classify" && o.command != "report" && o.command != "sweep" &&
-      o.command != "run" && o.command != "simulate") {
+      o.command != "run") {
     std::cerr << "unknown command: " << o.command << "\n";
     return 1;
   }
@@ -436,7 +391,7 @@ int run_cli(int argc, char** argv) {
   arch.dram_bytes_per_sec = o.bw_gbps.value_or(1000) * 1e9;
   arch.sram_bytes = o.sram_mib.value_or(4) * 1024 * 1024;
   if (o.nodes && o.command != "sweep") {
-    // run/simulate: one fabric on the arch itself (sweeps ride the grid's
+    // run: one fabric on the arch itself (sweeps ride the grid's
     // fabric axis instead, keeping the shared arch single-node).
     if (o.nodes->find(',') != std::string::npos)
       throw Error("run takes a single --nodes count; comma lists are for sweep");
@@ -449,8 +404,6 @@ int run_cli(int argc, char** argv) {
   }
 
   {
-    const auto specs = workload_specs(o);
-
     if (o.command == "sweep") {
       // Every workload row under every registered configuration, fanned
       // across a thread pool; each row shares one immutable DAG and one
@@ -459,11 +412,8 @@ int run_cli(int argc, char** argv) {
       // --shard slices taken on different machines merge back losslessly —
       // and resolution happens inside run_shard, scoped to the shard, so a
       // slice never builds (or needs the datasets of) rows it does not run.
-      std::vector<std::string> spec_texts;
-      spec_texts.reserve(specs.size());
-      for (const auto& spec : specs) spec_texts.push_back(spec.to_string());
       const sim::SweepGrid grid = sim::make_grid(
-          spec_texts, sim::ConfigRegistry::global().names(), arch, fabric_specs(o));
+          o.workloads, sim::ConfigRegistry::global().names(), arch, fabric_specs(o));
       u32 shard_index = 1, shard_count = 1;
       if (o.shard) parse_shard_flag(*o.shard, shard_index, shard_count);
       const sim::ShardPlan plan = sim::plan_shard(
@@ -606,8 +556,8 @@ int run_cli(int argc, char** argv) {
     // Resolve through the registry: each distinct spec's DAG is built once
     // and shared immutably with every command below.
     std::vector<sim::Workload> workloads;
-    workloads.reserve(specs.size());
-    for (const auto& spec : specs)
+    workloads.reserve(o.workloads.size());
+    for (const auto& spec : o.workloads)
       workloads.push_back(sim::WorkloadRegistry::global().resolve(spec));
 
     if (o.command == "classify") {
@@ -632,7 +582,7 @@ int run_cli(int argc, char** argv) {
       }
       return 0;
     }
-    // run / simulate
+    // run
     const sim::Configuration* config =
         o.config == "all" ? nullptr : sim::ConfigRegistry::global().find(o.config);
     if (o.config != "all" && config == nullptr) {

@@ -9,9 +9,9 @@
 
 #include "common/format.hpp"
 #include "noc/topology.hpp"
-#include "sim/partition.hpp"
+#include "sim/metrics.hpp"
 #include "sim/registry.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "sim/workload_registry.hpp"
 
 int main(int argc, char** argv) {
@@ -49,28 +49,29 @@ int main(int argc, char** argv) {
   // simulate one node's slice under the Cello preset, and fold per-link NoC
   // traffic back in.  Ring vs mesh shows the topology term: the same
   // collectives saturate a ring's root links long before a mesh's.
-  const sim::Workload wl = sim::WorkloadRegistry::global().resolve("gnn:cora");
-  const sim::Simulator single(arch, wl.matrix.get());
-  const sim::Configuration& cello = sim::ConfigRegistry::global().at("Cello");
-  const double base = single.run(*wl.dag, cello).seconds;
-  std::cout << "gnn:cora under the Cello preset, routed NoC fold (1 node: "
-            << format_double(base * 1e6, 1) << " us):\n";
-  TextTable rt({"fabric", "time", "NoC byte-hops", "naive bytes", "max-link util",
-                "par eff"});
+  // One sweep: the 1-node arch, then each (topology, node count) fabric.
+  std::vector<sim::AcceleratorConfig> archs{arch};
   for (const std::string topo : {"mesh", "torus", "ring"}) {
     for (const i64 nodes : {4, 16, 64}) {
-      sim::AcceleratorConfig multi = arch;
-      const noc::TopologySpec spec = noc::resolve_topology(topo, nodes);
-      multi.nodes = nodes;
-      multi.topology = spec.to_string();
-      const sim::Simulator simulator(multi, wl.matrix.get());
-      const sim::RunMetrics mm = simulator.run(*wl.dag, cello);
-      rt.add_row({spec.to_string(), format_double(mm.seconds * 1e6, 1) + " us",
-                  format_bytes(static_cast<double>(mm.noc_bytes)),
-                  format_bytes(static_cast<double>(mm.naive_noc_bytes)),
-                  format_double(mm.max_link_utilization * 100, 1) + "%",
-                  format_double(mm.parallel_efficiency, 2)});
+      archs.push_back(arch);
+      archs.back().nodes = nodes;
+      archs.back().topology = noc::resolve_topology(topo, nodes).to_string();
     }
+  }
+  const auto cells =
+      sim::SweepRunner().run({sim::WorkloadRegistry::global().resolve("gnn:cora")},
+                             {sim::ConfigRegistry::global().at("Cello")}, archs);
+  std::cout << "gnn:cora under the Cello preset, routed NoC fold (1 node: "
+            << format_double(cells[0].metrics.seconds * 1e6, 1) << " us):\n";
+  TextTable rt({"fabric", "time", "NoC byte-hops", "naive bytes", "max-link util",
+                "par eff"});
+  for (size_t ai = 1; ai < archs.size(); ++ai) {
+    const sim::RunMetrics& mm = cells[ai].metrics;
+    rt.add_row({archs[ai].topology, format_double(mm.seconds * 1e6, 1) + " us",
+                format_bytes(static_cast<double>(mm.noc_bytes)),
+                format_bytes(static_cast<double>(mm.naive_noc_bytes)),
+                format_double(mm.max_link_utilization * 100, 1) + "%",
+                format_double(mm.parallel_efficiency, 2)});
   }
   std::cout << rt.to_string();
   return 0;

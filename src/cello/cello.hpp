@@ -34,14 +34,13 @@
 //   auto scaled = cello::sim::Simulator(multi, gnn.matrix.get())
 //                     .run(*gnn.dag, registry.at("Cello"));
 //
-//   // Parallel {workloads} x {configs} grid with deterministic ordering;
-//   // each workload's DAG, schedule, address map and reuse index are built
-//   // once and shared read-only across the pool, and each pool worker
-//   // resets (not reallocates) its per-run scratch between cells:
+//   // Parallel {workloads} x {archs} x {configs} grid, row-major; each
+//   // workload's DAG, schedule, address map and reuse index are built once
+//   // and shared read-only across the pool and across archs:
 //   std::vector<cello::sim::Configuration> configs;
 //   for (const auto& name : registry.names()) configs.push_back(registry.at(name));
 //   cello::sim::SweepRunner sweep;
-//   auto cells = sweep.run({cg, gnn, workloads.resolve("spmv")}, configs, arch);
+//   auto cells = sweep.run({cg, gnn, workloads.resolve("spmv")}, configs, {arch, multi});
 //
 //   // The same grid by name (what `cello_cli sweep` runs), here as one
 //   // shard of one; plan_shard(grid, i, k) splits it across machines and
@@ -120,7 +119,8 @@
 namespace cello {
 
 /// Render a paper-style comparison table (throughput, traffic, energy, and
-/// speedup / energy ratio relative to the Flexagon baseline).
+/// speedup / energy ratio relative to the Flexagon baseline): one sweep of
+/// `dag` (with `matrix`, may be null) under the seven Table IV configurations.
 std::string compare_table(const ir::TensorDag& dag, const sim::AcceleratorConfig& arch,
                           const sparse::CsrMatrix* matrix = nullptr);
 

@@ -21,9 +21,7 @@ class CachePolicy final : public BufferPolicy {
         replacement_(replacement),
         cache_(arch.sram_bytes, arch.line_bytes, arch.cache_associativity, replacement) {}
 
-  const char* name() const override {
-    return replacement_ == cache::Policy::Lru ? "LRU" : "BRRIP";
-  }
+  const char* name() const override { return cache::to_string(replacement_); }
   bool trace_driven() const override { return true; }
 
   /// Requires a stream compatible with this policy's arch and a freshly

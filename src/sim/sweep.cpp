@@ -73,24 +73,23 @@ std::vector<Configuration> named_configs(const std::vector<std::string>& names) 
 }  // namespace
 
 /// `plan`, when non-null, restricts the run to its flattened row-major cell
-/// ids (shard-scoped sweep): results come back in plan order, and `grid`'s
-/// fabric axis sits between workloads and configs.  Null runs the whole
-/// two-axis grid in row-major order.  `grid`/`plan` also carry the shard
-/// identity a checkpoint journal is keyed by; both are non-null exactly when
-/// the caller is run_shard.
+/// ids (shard-scoped sweep): results come back in plan order.  Null runs the
+/// whole grid in row-major order.  Either way cell (wi * archs + ai) * configs
+/// + ci is workload wi under archs[ai] and configuration ci.  `grid`/`plan`
+/// also carry the shard identity a checkpoint journal is keyed by, and the
+/// grid's fabric labels; both are non-null exactly when the caller is
+/// run_shard.
 std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Workload>& workloads,
                                                const std::vector<Configuration>& configs,
-                                               const AcceleratorConfig& arch,
+                                               const std::vector<AcceleratorConfig>& archs,
                                                const SweepOptions& opts, const SweepGrid* grid,
                                                const ShardPlan* plan) {
-  static const std::vector<std::string> kSingleChip{"1"};
-  const std::vector<std::string>& fabs =
-      grid != nullptr && !grid->fabrics.empty() ? grid->fabrics : kSingleChip;
-  const bool fabric_axis = fabs.size() != 1 || fabs[0] != "1";
+  const std::vector<std::string>* fabrics =
+      grid != nullptr && grid->has_fabric_axis() ? &grid->fabrics : nullptr;
   const std::vector<size_t>* cells = plan != nullptr ? &plan->cells : nullptr;
-  const size_t F = fabs.size();
+  const size_t A = archs.size();
   const size_t C = configs.size();
-  const size_t grid_size = workloads.size() * F * C;
+  const size_t grid_size = workloads.size() * A * C;
   const size_t total = cells != nullptr ? cells->size() : grid_size;
   std::vector<SweepResult> out(total);
   if (total == 0) return out;
@@ -98,17 +97,6 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
     for (const size_t cell : *cells)
       CELLO_CHECK_MSG(cell < grid_size,
                       "shard cell " << cell << " outside the " << grid_size << "-cell grid");
-
-  // Each fabric is a node count plus topology on the grid's arch; a
-  // multi-node cell is simply Simulator::run's multi-node path.  Without a
-  // fabric axis every cell runs under `arch` as given.
-  std::vector<AcceleratorConfig> fabric_arch(F, arch);
-  if (fabric_axis) {
-    for (size_t fi = 0; fi < F; ++fi) {
-      fabric_arch[fi].nodes = noc::TopologySpec::parse(fabs[fi]).nodes();
-      fabric_arch[fi].topology = fabs[fi];
-    }
-  }
 
   // ---- checkpoint journal ----
   // Cells recovered from an existing journal are marked done up front: they
@@ -144,12 +132,12 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
   auto run_cell = [&](size_t job, u32 worker) {
     if (done[job]) return;  // recovered from the checkpoint journal
     const size_t cell = cells != nullptr ? (*cells)[job] : job;
-    const size_t rf = cell / C;
+    const size_t row = cell / C;
     const size_t ci = cell % C;
-    const size_t fi = rf % F;
-    const Workload& wl = workloads[rf / F];
+    const size_t ai = row % A;
+    const Workload& wl = workloads[row / A];
     SweepResult result{wl.name, configs[ci].name, {}, {}, {}};
-    if (fabric_axis) result.fabric = fabs[fi];
+    if (fabrics != nullptr) result.fabric = (*fabrics)[ai];
     RunArtifacts art;
     art.scratch = &scratches[worker];
     if (opts.trace_sink_for) art.trace = opts.trace_sink_for(cell);
@@ -160,7 +148,7 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
       error.clear();
       try {
         failpoint::maybe_throw("sweep.cell", std::to_string(cell));
-        const Simulator simulator(fabric_arch[fi], wl.matrix.get());
+        const Simulator simulator(archs[ai], wl.matrix.get());
         result.metrics = simulator.run(*wl.dag, configs[ci], art, cache);
         break;
       } catch (const std::exception& e) {
@@ -172,7 +160,7 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
       // in a million-cell sweep names exactly what died and under what.
       std::string context = "sweep cell " + std::to_string(cell) + " (workload '" + wl.name +
                             "'";
-      if (fabric_axis) context += ", fabric '" + fabs[fi] + "'";
+      if (fabrics != nullptr) context += ", fabric '" + (*fabrics)[ai] + "'";
       context += ", config '" + configs[ci].name + "') failed";
       if (opts.retries > 0)
         context += " after " + std::to_string(u64{opts.retries} + 1) + " attempts";
@@ -194,14 +182,15 @@ std::vector<SweepResult> SweepRunner::run_grid(u32 threads, const std::vector<Wo
 
 std::vector<SweepResult> SweepRunner::run(const std::vector<Workload>& workloads,
                                           const std::vector<Configuration>& configs,
-                                          const AcceleratorConfig& arch,
+                                          const std::vector<AcceleratorConfig>& archs,
                                           const SweepOptions& options) const {
+  CELLO_CHECK_MSG(!archs.empty(), "a sweep needs at least one arch");
   CELLO_CHECK_MSG(options.checkpoint.empty(),
                   "checkpointing requires a shard-scoped run (SweepRunner::run_shard): the "
                   "journal is keyed by the grid fingerprint");
   for (const auto& w : workloads)
     CELLO_CHECK_MSG(w.dag != nullptr, "sweep workload '" << w.name << "' has no DAG");
-  return run_grid(threads_, workloads, configs, arch, options, nullptr, nullptr);
+  return run_grid(threads_, workloads, configs, archs, options, nullptr, nullptr);
 }
 
 std::vector<SweepResult> SweepRunner::run_shard(const SweepGrid& grid, const ShardPlan& plan,
@@ -222,7 +211,17 @@ std::vector<SweepResult> SweepRunner::run_shard(const SweepGrid& grid, const Sha
     if (needed[wi]) workloads[wi] = WorkloadRegistry::global().resolve(grid.workloads[wi]);
     workloads[wi].name = grid.workloads[wi];
   }
-  return run_grid(threads_, workloads, named_configs(grid.configs), grid.arch, options, &grid,
+  // Each fabric is a node count plus topology on the grid's arch, so a
+  // multi-node cell is simply Simulator::run's multi-node path.  Without a
+  // fabric axis the one arch is the grid's, as given.
+  std::vector<AcceleratorConfig> archs(grid.fabrics.size(), grid.arch);
+  if (grid.has_fabric_axis()) {
+    for (size_t fi = 0; fi < archs.size(); ++fi) {
+      archs[fi].nodes = noc::TopologySpec::parse(grid.fabrics[fi]).nodes();
+      archs[fi].topology = grid.fabrics[fi];
+    }
+  }
+  return run_grid(threads_, workloads, named_configs(grid.configs), archs, options, &grid,
                   &plan);
 }
 

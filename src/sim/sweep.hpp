@@ -1,34 +1,31 @@
-// SweepRunner: fan a {workloads} x {configurations} grid across a
+// SweepRunner: fan a {workloads} x {archs} x {configurations} grid across a
 // std::thread pool.  Results come back in deterministic row-major order
-// (workload-major, configuration-minor) regardless of thread scheduling, and
-// every cell is bit-identical to a serial Simulator::run.
+// (workload, then arch, then configuration) regardless of thread scheduling,
+// and every cell is bit-identical to a serial Simulator::run.
 //
 // Two entry points.  run() takes resolved sim::Workload handles (from
-// WorkloadRegistry::resolve, or a driver's own {name, kind, dag, matrix}) and
-// Configurations; each workload's DAG is shared immutably across its row.
-// run_shard() is the name-driven path: a SweepGrid of registry spec strings
-// and configuration names (make_grid, sim/shard.hpp), optionally with a
-// fabric axis, run over one ShardPlan — plan_shard(grid, 1, 1) is the whole
-// grid — and the only entry point that can checkpoint.
+// WorkloadRegistry::resolve, or a driver's own {name, kind, dag, matrix}),
+// archs and Configurations; an architecture sweep (bandwidth, SRAM, node
+// count, ...) is one run(), and a single arch is {arch}.  run_shard() is the
+// name-driven path: a SweepGrid of registry spec strings and configuration
+// names (make_grid, sim/shard.hpp), optionally with a fabric axis, run over
+// one ShardPlan — plan_shard(grid, 1, 1) is the whole grid — and the only
+// entry point that can checkpoint.  Its fabrics are its arch axis: the
+// grid's arch with each fabric's node count and topology, the fabric string
+// labeling the cell.
 //
 // Every cell is one Simulator::run against a single sim::ArtifactCache shared
 // by the whole call: the first pending cell that needs an artifact builds it
-// (address map per DAG; schedule + reuse index per (DAG, schedule options);
-// router tables per routing key; access stream per (routing key, matrix);
-// partition per (DAG, node count); 1-node baseline per (workload,
-// configuration)), and every later cell shares it read-only.  So
-// configurations differing only in their buffer policy reuse one schedule,
-// the cache presets replay one stream (see sim/access_stream.hpp), a fabric
-// column folds against one baseline, and checkpoint-recovered or out-of-shard
-// cells build nothing.  A fabric cell is the workload under the grid's arch
-// with the fabric's node count and topology, i.e. Simulator::run's multi-node
-// path.  Without a fabric axis a cell runs under the arch as given, so an
-// arch with nodes > 1 takes that same multi-node path and equals the
-// one-shot run.  Each cell builds its own buffer policy, and the per-run
-// scratch vectors live in one RunScratch per pool worker; workers never
-// share it.  Workers claim cells one at a time, results land in row-major
-// order, and every cell is bit-identical to a fresh serial run at any
-// thread count.
+// (see sim/artifact_cache.hpp for the keys), and every later cell shares it
+// read-only.  So configurations differing only in their buffer policy reuse
+// one schedule, the cache presets replay one stream, archs differing only in
+// bandwidth or SRAM size share routing and streams, node counts fold against
+// one 1-node baseline, and checkpoint-recovered or out-of-shard cells build
+// nothing.  An arch with nodes > 1 takes Simulator::run's multi-node path.
+// Each cell builds its own buffer policy, and the per-run scratch vectors
+// live in one RunScratch per pool worker; workers never share it.  Workers
+// claim cells one at a time, results land in row-major order, and every cell
+// is bit-identical to a fresh serial run at any thread count.
 #pragma once
 
 #include <functional>
@@ -59,7 +56,8 @@ struct SweepResult {
   std::string config;
   /// Canonical fabric spec ("1", "mesh:2x2", ...) when the grid carries a
   /// fabric axis (SweepGrid::fabrics beyond the single-chip default); empty
-  /// on classic two-axis grids, keeping their serialized form unchanged.
+  /// on classic two-axis grids, keeping their serialized form unchanged, and
+  /// on run() cells, whose arch is given by their row-major position.
   std::string fabric;
   RunMetrics metrics;
   std::string error;  ///< empty = success
@@ -88,7 +86,7 @@ struct SweepOptions {
   /// Cell tracing: called once per executed cell with its flattened
   /// row-major id; a non-null return traces that cell into the returned sink
   /// (borrowed; must outlive the sweep).  A traced cell's events equal a
-  /// direct Simulator::run of the same workload/fabric/configuration with
+  /// direct Simulator::run of the same workload/arch/configuration with
   /// the same sink; give each traced cell its own sink to keep the output
   /// deterministic.  Called concurrently from pool workers, so the callback
   /// must be thread-safe.  Checkpoint-recovered cells are never consulted
@@ -101,18 +99,20 @@ class SweepRunner {
   /// @param threads  worker count; 0 = std::thread::hardware_concurrency().
   explicit SweepRunner(u32 threads = 0) : threads_(threads) {}
 
-  /// Run every workload under every configuration.  Result i*configs+j holds
-  /// workload i under configuration j.  The first exception thrown by any
-  /// cell is rethrown — wrapped with the failing cell's index, workload and
-  /// configuration — once the workers stop; a failure makes every worker
-  /// abandon the remaining cells instead of burning through the grid.
+  /// Run every workload under every arch and every configuration.  Result
+  /// (i*archs + a)*configs + j holds workload i under archs[a] and
+  /// configuration j.  An empty arch list throws cello::Error.  The first
+  /// exception thrown by any cell is rethrown — wrapped with the failing
+  /// cell's index, workload and configuration — once the workers stop; a
+  /// failure makes every worker abandon the remaining cells instead of
+  /// burning through the grid.
   /// options.keep_going quarantines failing cells as error records instead,
   /// and options.retries re-runs transient failures.  Options requesting a
   /// checkpoint journal are rejected here — journals are keyed by a grid
   /// fingerprint, so they require run_shard.
   std::vector<SweepResult> run(const std::vector<Workload>& workloads,
                                const std::vector<Configuration>& configs,
-                               const AcceleratorConfig& arch,
+                               const std::vector<AcceleratorConfig>& archs,
                                const SweepOptions& options = {}) const;
 
   /// Shard-scoped, name-driven entry point (see sim/shard.hpp): resolve the
@@ -137,7 +137,7 @@ class SweepRunner {
   /// The one grid loop behind run() and run_shard(); see sweep.cpp.
   static std::vector<SweepResult> run_grid(u32 threads, const std::vector<Workload>& workloads,
                                            const std::vector<Configuration>& configs,
-                                           const AcceleratorConfig& arch,
+                                           const std::vector<AcceleratorConfig>& archs,
                                            const SweepOptions& opts, const SweepGrid* grid,
                                            const ShardPlan* plan);
 

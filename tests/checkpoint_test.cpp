@@ -317,7 +317,7 @@ TEST_F(CheckpointTest, PlainRunErrorsAlsoNameTheCell) {
   const std::vector<std::string> config_names = {"Flexagon", "Cello"};
   try {
     SweepRunner(1).run(test::workloads(spec_texts), test::configs(config_names),
-                       AcceleratorConfig{});
+                       {AcceleratorConfig{}});
     FAIL() << "expected the injected fault to abort the sweep";
   } catch (const Error& e) {
     const std::string msg = e.what();
@@ -330,7 +330,7 @@ TEST_F(CheckpointTest, CheckpointRequiresShardScopedRun) {
   SweepOptions opts;
   opts.checkpoint = path_;
   EXPECT_THROW(SweepRunner(1).run(std::vector<sim::Workload>{},
-                                  std::vector<sim::Configuration>{}, AcceleratorConfig{},
+                                  std::vector<sim::Configuration>{}, {AcceleratorConfig{}},
                                   opts),
                Error);
 }

@@ -7,6 +7,7 @@
 #include "chord/chord.hpp"
 #include "oracles/chord_ref.hpp"
 #include "common/rng.hpp"
+#include "workloads/dag_builder.hpp"
 
 namespace {
 
@@ -18,7 +19,7 @@ using chord::TensorMeta;
 TensorMeta meta(i32 id, Bytes bytes, i32 uses, i64 dist) {
   TensorMeta m;
   m.id = id;
-  m.name = "T" + std::to_string(id);
+  m.name = cello::workloads::numbered("T", id);
   m.start_addr = 0x1000'0000ull + static_cast<Addr>(id) * 0x100'0000ull;
   m.bytes = bytes;
   m.remaining_uses = uses;

@@ -9,8 +9,8 @@
 #   keep_going    a persistently failing cell is quarantined (nonzero exit,
 #                 result file still written); --resume completes it
 #   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries/
-#                 --n/--iters/--nodes/--trace-cell) are rejected with an
-#                 `error:` line naming the flag
+#                 --nodes/--trace-cell) and the removed --n/--iters flags are
+#                 rejected with an `error:` line naming the flag
 #   bad_files     `merge` over missing, truncated, duplicate and absent shard
 #                 files, over a shard whose arch was edited under its recorded
 #                 fingerprint, `merge` without shard arguments and `run --trace`
@@ -91,11 +91,11 @@ if(FLOW STREQUAL "bad_flags")
   foreach(value -1 4294967296 1.5 x)
     cli_rejects(--jobs ${RUN_ARGS} --jobs ${value})
   endforeach()
-  cli(ok ${RUN_ARGS} --n 2 --iters 1 --nodes 4)
-  foreach(value -1 0 +4 1.5 abc 99999999999999999999)
-    cli_rejects(--n ${RUN_ARGS} --n ${value})
-    cli_rejects(--iters ${RUN_ARGS} --iters ${value})
-  endforeach()
+  cli(ok ${RUN_ARGS} --nodes 4)
+  # The removed legacy spec flags are unknown flags now: n and iters are
+  # spec parameters ("cg:n=2,iters=1").
+  cli_rejects(--n ${RUN_ARGS} --n 2)
+  cli_rejects(--iters ${RUN_ARGS} --iters 1)
   foreach(value -1 0 x 99999999999999999999)
     cli_rejects(--nodes ${RUN_ARGS} --nodes ${value})
     cli_rejects(--nodes sweep --workload cg:m=2048,n=4,iters=1 --config Flex+LRU

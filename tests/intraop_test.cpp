@@ -66,8 +66,14 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{784, 512, 128, 2},      // ResNet conv
                       GemmShape{2708, 1433, 7, 4}),     // GCN transform
     [](const ::testing::TestParamInfo<GemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "_k" + std::to_string(info.param.k) + "_n" +
-             std::to_string(info.param.n);
+      // Built by append: "m" + to_string trips g++ 12's -Wrestrict at -O3.
+      std::string name = "m";
+      name += std::to_string(info.param.m);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      name += "_n";
+      name += std::to_string(info.param.n);
+      return name;
     });
 
 TEST(IntraOp, SkewedGemmReachesOracleWith4MiB) {

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "ir/dag.hpp"
 #include "workloads/cg.hpp"
+#include "workloads/dag_builder.hpp"
 #include "workloads/resnet.hpp"
 
 namespace {
@@ -208,7 +209,8 @@ TEST(TensorDag, TopoOrderIsInsertionOrder) {
   // Two independent chains, interleaved: the order follows add_op calls.
   TensorDag dag;
   std::vector<ir::TensorId> t;
-  for (int i = 0; i < 6; ++i) t.push_back(dag.add_tensor(dense2d("T" + std::to_string(i), 4, 4)));
+  for (int i = 0; i < 6; ++i)
+    t.push_back(dag.add_tensor(dense2d(cello::workloads::numbered("T", i), 4, 4)));
   dag.add_op(op1d("y0", {t[1]}, t[3]));
   dag.add_op(op1d("x0", {t[0]}, t[2]));
   dag.add_op(op1d("y1", {t[3]}, t[5]));

@@ -224,8 +224,8 @@ TEST(LlmSweep, PooledCellsBitIdenticalToFreshRuns) {
 
   const auto rows = test::workloads(spec_texts);
   const auto configs = test::configs(config_names);
-  const auto serial = SweepRunner(/*threads=*/1).run(rows, configs, arch);
-  const auto parallel = SweepRunner(/*threads=*/4).run(rows, configs, arch);
+  const auto serial = SweepRunner(/*threads=*/1).run(rows, configs, {arch});
+  const auto parallel = SweepRunner(/*threads=*/4).run(rows, configs, {arch});
   ASSERT_EQ(serial.size(), spec_texts.size() * config_names.size());
   ASSERT_EQ(parallel.size(), serial.size());
 

@@ -218,7 +218,7 @@ TEST(Shard, MergedShuffledShardsAreBitIdenticalToSerialSweep) {
 
   // Serial single-process reference over the same grid.
   const std::vector<SweepResult> serial = SweepRunner(/*threads=*/1).run(
-      test::workloads(grid.workloads), test::configs(grid.configs), grid.arch);
+      test::workloads(grid.workloads), test::configs(grid.configs), {grid.arch});
   ASSERT_EQ(merged.size(), serial.size());
   for (size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(merged[i].workload, serial[i].workload);
@@ -247,7 +247,7 @@ TEST(Shard, ContiguousShardsMergeToo) {
     shards.push_back(run_one_shard(grid, i, 3, ShardMode::Contiguous));
   const std::vector<SweepResult> merged = sim::merge_shards(shards);
   const std::vector<SweepResult> full = SweepRunner(/*threads=*/2).run(
-      test::workloads(grid.workloads), test::configs(grid.configs), grid.arch);
+      test::workloads(grid.workloads), test::configs(grid.configs), {grid.arch});
   ASSERT_EQ(merged.size(), full.size());
   for (size_t i = 0; i < merged.size(); ++i)
     expect_bit_equal(merged[i].metrics, full[i].metrics,
@@ -403,7 +403,7 @@ TEST(Shard, RunShardPrebuildsOnlyWhatItTouches) {
     ASSERT_EQ(plan.cells.size(), 1u);
     const auto cells = SweepRunner(/*threads=*/1).run_shard(grid, plan);
     const auto full = SweepRunner(/*threads=*/1).run(
-        test::workloads(grid.workloads), test::configs(grid.configs), grid.arch);
+        test::workloads(grid.workloads), test::configs(grid.configs), {grid.arch});
     ASSERT_EQ(cells.size(), 1u);
     expect_bit_equal(cells[0].metrics, full[plan.cells[0]].metrics,
                      "shard " + std::to_string(i) + "/2");

@@ -43,7 +43,7 @@ TEST(Sweep, MatchesSerialRunsBitIdentical) {
   const AcceleratorConfig arch;
 
   const auto cells =
-      SweepRunner(/*threads=*/4).run(workloads_vec, test::configs(config_names), arch);
+      SweepRunner(/*threads=*/4).run(workloads_vec, test::configs(config_names), {arch});
   ASSERT_EQ(cells.size(), workloads_vec.size() * config_names.size());
 
   for (size_t wi = 0; wi < workloads_vec.size(); ++wi) {
@@ -67,8 +67,8 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
                                                  "FLAT+CHORD"};
   const AcceleratorConfig arch;
   const auto configs = test::configs(config_names);
-  const auto serial = SweepRunner(/*threads=*/1).run(workloads_vec, configs, arch);
-  const auto parallel = SweepRunner(/*threads=*/5).run(workloads_vec, configs, arch);
+  const auto serial = SweepRunner(/*threads=*/1).run(workloads_vec, configs, {arch});
+  const auto parallel = SweepRunner(/*threads=*/5).run(workloads_vec, configs, {arch});
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].workload, parallel[i].workload);
@@ -89,7 +89,7 @@ TEST(Sweep, SharedMatrixContextIsSafeAcrossThreads) {
        matrix}};
   const AcceleratorConfig arch;
   const std::vector<std::string> config_names = {"Flex+LRU", "Flex+BRRIP", "Cello"};
-  const auto cells = SweepRunner(/*threads=*/3).run(w, test::configs(config_names), arch);
+  const auto cells = SweepRunner(/*threads=*/3).run(w, test::configs(config_names), {arch});
   for (size_t ci = 0; ci < config_names.size(); ++ci) {
     const auto reference = test::run(*w[0].dag, config_names[ci], arch, matrix.get());
     EXPECT_EQ(cells[ci].metrics.dram_bytes, reference.dram_bytes) << config_names[ci];
@@ -114,7 +114,7 @@ TEST(Sweep, SharedDagWithDifferentMatricesMatchesOneShot) {
   const AcceleratorConfig arch;
 
   for (u32 threads : {1u, 4u}) {
-    const auto cells = SweepRunner(threads).run(rows, configs, arch);
+    const auto cells = SweepRunner(threads).run(rows, configs, {arch});
     ASSERT_EQ(cells.size(), rows.size() * configs.size());
     for (size_t wi = 0; wi < rows.size(); ++wi) {
       const Simulator simulator(arch, rows[wi].matrix.get());
@@ -146,7 +146,7 @@ TEST(Sweep, MultiNodeCellsMatchOneShot) {
   AcceleratorConfig four;
   four.nodes = 4;
   for (const AcceleratorConfig& arch : {single, four}) {
-    const auto cells = SweepRunner(/*threads=*/2).run(rows, configs, arch);
+    const auto cells = SweepRunner(/*threads=*/2).run(rows, configs, {arch});
     ASSERT_EQ(cells.size(), configs.size());
     const Simulator simulator(arch);
     for (size_t ci = 0; ci < configs.size(); ++ci) {
@@ -167,8 +167,61 @@ TEST(Sweep, MultiNodeCellsMatchOneShot) {
 TEST(Sweep, EmptyGridIsEmpty) {
   const AcceleratorConfig arch;
   EXPECT_TRUE(SweepRunner()
-                  .run(std::vector<sim::Workload>{}, std::vector<sim::Configuration>{}, arch)
+                  .run(std::vector<sim::Workload>{}, std::vector<sim::Configuration>{}, {arch})
                   .empty());
+}
+
+// A sweep without an arch has no cells to define, even with workloads and
+// configurations: it is a caller error, not an empty grid.
+TEST(Sweep, EmptyArchListThrows) {
+  EXPECT_THROW(SweepRunner(/*threads=*/1)
+                   .run(two_workloads(), test::configs({"Cello"}), std::vector<AcceleratorConfig>{}),
+               Error);
+}
+
+// The arch axis shares one ArtifactCache across archs, so every artifact key
+// must carry each arch field its build reads.  Vary one field at a time over
+// a gather-heavy CG, an LLM decode, a GNN layer and the ResNet block (the one
+// whose routing the hold budget changes) under every registered
+// configuration: each cell must serialize exactly as a fresh one-shot run.
+TEST(Sweep, ArchAxisMatchesOneShotRuns) {
+  const auto rows = test::workloads(
+      {"cg:dataset=fv1,iters=2", "llm:layers=1,seq=256,decode_steps=4", "gnn:cora", "resnet"});
+  const auto configs = test::configs(ConfigRegistry::global().names());
+  std::vector<AcceleratorConfig> archs(10);
+  archs[1].dram_bytes_per_sec = 250e9;
+  archs[2].sram_bytes = 1ull << 20;
+  archs[3].line_bytes = 32;
+  archs[4].cache_associativity = 16;
+  archs[5].rf_bytes = 512;
+  archs[6].hold_budget_bytes = 64 * 1024;
+  archs[7].chord_entries = 4;
+  archs[8].pipeline_style = sim::PipelineStyle::Sequential;
+  archs[9].nodes = 4;
+  archs[9].topology = "mesh:2x2";
+
+  std::vector<std::string> expected;
+  for (const auto& row : rows) {
+    for (const auto& arch : archs) {
+      const Simulator simulator(arch, row.matrix.get());
+      for (const auto& config : configs) {
+        std::string json;
+        sim::result_to_json(json, {row.name, config.name, {}, simulator.run(*row.dag, config), {}},
+                            0);
+        expected.push_back(std::move(json));
+      }
+    }
+  }
+  for (u32 threads : {1u, 4u}) {
+    const auto cells = SweepRunner(threads).run(rows, configs, archs);
+    ASSERT_EQ(cells.size(), expected.size());
+    for (size_t cell = 0; cell < cells.size(); ++cell) {
+      std::string json;
+      sim::result_to_json(json, cells[cell], 0);
+      EXPECT_EQ(json, expected[cell]) << threads << " threads, cell " << cell << " (arch "
+                                      << cell / configs.size() % archs.size() << ")";
+    }
+  }
 }
 
 // The schedule/address-map cache must be unobservable in the results: a
@@ -188,7 +241,7 @@ TEST(Sweep, ScheduleCacheBitIdenticalToCacheFreeSerialRuns) {
   const AcceleratorConfig arch;
 
   const auto cells = SweepRunner(/*threads=*/4)
-                         .run(test::workloads(spec_texts), test::configs(config_names), arch);
+                         .run(test::workloads(spec_texts), test::configs(config_names), {arch});
   ASSERT_EQ(cells.size(), spec_texts.size() * config_names.size());
 
   const auto& registry = sim::ConfigRegistry::global();
@@ -230,7 +283,7 @@ TEST(Sweep, SpecResolutionSharesOneDag) {
   const AcceleratorConfig arch;
   const auto cells = SweepRunner(/*threads=*/2)
                          .run(test::workloads({"cg:m=2048,n=8,iters=2", "cg:m=2048,n=8,iters=2"}),
-                              test::configs({"Cello"}), arch);
+                              test::configs({"Cello"}), {arch});
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].workload, "cg:iters=2,m=2048,n=8");
   EXPECT_EQ(cells[0].metrics.seconds, cells[1].metrics.seconds);
@@ -249,10 +302,10 @@ TEST(Sweep, BitIdenticalAcrossThreadCounts) {
       {"Flexagon", "Flex+LRU", "Flex+BRRIP", "FLAT", "SET", "SCORE+BRRIP", "Cello"});
   const AcceleratorConfig arch;
 
-  const auto reference = SweepRunner(/*threads=*/1).run(specs, configs, arch);
+  const auto reference = SweepRunner(/*threads=*/1).run(specs, configs, {arch});
   ASSERT_EQ(reference.size(), specs.size() * configs.size());
   for (u32 threads : {2u, 3u, 5u, 8u}) {
-    const auto cells = SweepRunner(threads).run(specs, configs, arch);
+    const auto cells = SweepRunner(threads).run(specs, configs, {arch});
     ASSERT_EQ(cells.size(), reference.size()) << threads << " threads";
     for (size_t i = 0; i < cells.size(); ++i) {
       EXPECT_EQ(cells[i].workload, reference[i].workload) << threads << " threads cell " << i;
@@ -279,7 +332,7 @@ TEST(Sweep, ConfigurationsSharingANameRunTheirOwnPolicies) {
   const AcceleratorConfig arch;
   const Simulator simulator(arch, rows[0].matrix.get());
 
-  const auto cells = SweepRunner(/*threads=*/1).run(rows, configs, arch);
+  const auto cells = SweepRunner(/*threads=*/1).run(rows, configs, {arch});
   ASSERT_EQ(cells.size(), configs.size());
   sim::RunScratch scratch;
   for (size_t ci = 0; ci < configs.size(); ++ci) {
@@ -301,7 +354,7 @@ TEST(Sweep, CellErrorsPropagateAfterJoin) {
   sim::Configuration broken;  // no buffer factory: Simulator::run throws
   broken.name = "broken";
   const AcceleratorConfig arch;
-  EXPECT_THROW(SweepRunner(/*threads=*/2).run(workloads_vec, {broken}, arch), Error);
+  EXPECT_THROW(SweepRunner(/*threads=*/2).run(workloads_vec, {broken}, {arch}), Error);
 }
 
 TEST(Sweep, FirstFailureAbandonsRemainingCells) {
@@ -332,7 +385,7 @@ TEST(Sweep, FirstFailureAbandonsRemainingCells) {
                                               sim::SchedulePolicy::OpByOp,
                                               counting_factory(runs_after_failure), "EB"));
 
-  EXPECT_THROW(SweepRunner(/*threads=*/1).run(workloads_vec, configs, arch), Error);
+  EXPECT_THROW(SweepRunner(/*threads=*/1).run(workloads_vec, configs, {arch}), Error);
   // Job 0 threw; jobs 1..9 must all have been skipped.
   EXPECT_EQ(runs_after_failure.load(), 0);
 }

@@ -159,10 +159,14 @@ TEST(Trace, TracedRunMetricsEqualUntracedRun) {
 // A trace_sink_for that selects one cell narrates exactly that cell, and the bytes
 // equal a direct Simulator::run of that cell with the same sink — shared
 // schedules, reuse indexes, router tables and per-worker scratch included.
+// Over a 2-arch grid the traced cell is (workload, arch, config) in row-major
+// order, and its trace is the direct run under that arch.
 TEST(Trace, SweepTraceCellBytesEqualDirectRun) {
   const std::vector<std::string> specs = {"cg:m=2048,n=8,iters=2", "gnn:cora"};
   const std::vector<std::string> configs = {"Flexagon", "Cello", "SCORE+LRU"};
-  const sim::AcceleratorConfig arch;
+  sim::AcceleratorConfig small;
+  small.sram_bytes = 1ull << 20;
+  small.dram_bytes_per_sec = 250e9;
   auto& wreg = sim::WorkloadRegistry::global();
   auto& creg = sim::ConfigRegistry::global();
 
@@ -171,21 +175,27 @@ TEST(Trace, SweepTraceCellBytesEqualDirectRun) {
   std::vector<sim::Configuration> cfgs;
   for (const auto& c : configs) cfgs.push_back(creg.at(c));
 
-  // Trace cell (workload 1, config 1): gnn:cora under Cello.
-  const size_t cell = 1 * configs.size() + 1;
-  std::ostringstream from_sweep;
-  {
-    trace::ChromeTraceWriter writer(from_sweep);
-    sim::SweepOptions opts;
-    opts.trace_sink_for = [&](size_t c) -> trace::TraceSink* {
-      return c == cell ? &writer : nullptr;
-    };
-    const auto cells = sim::SweepRunner(/*threads=*/3).run(workloads, cfgs, arch, opts);
-    ASSERT_EQ(cells.size(), specs.size() * configs.size());
+  const std::vector<std::vector<sim::AcceleratorConfig>> grids = {{sim::AcceleratorConfig{}},
+                                                                  {sim::AcceleratorConfig{}, small}};
+  for (const auto& archs : grids) {
+    // Trace cell (workload 1, last arch, config 1): gnn:cora under Cello.
+    const size_t cell = (1 * archs.size() + archs.size() - 1) * configs.size() + 1;
+    std::ostringstream from_sweep;
+    {
+      trace::ChromeTraceWriter writer(from_sweep);
+      sim::SweepOptions opts;
+      opts.trace_sink_for = [&](size_t c) -> trace::TraceSink* {
+        return c == cell ? &writer : nullptr;
+      };
+      const auto cells = sim::SweepRunner(/*threads=*/3).run(workloads, cfgs, archs, opts);
+      ASSERT_EQ(cells.size(), specs.size() * archs.size() * configs.size());
+      EXPECT_EQ(cells[cell].workload, workloads[1].name);
+      EXPECT_EQ(cells[cell].config, "Cello");
+    }
+    const std::string direct = trace_run("gnn:cora", "Cello", archs.back());
+    EXPECT_FALSE(direct.empty());
+    EXPECT_EQ(from_sweep.str(), direct) << archs.size() << " archs";
   }
-  const std::string direct = trace_run("gnn:cora", "Cello", arch);
-  EXPECT_FALSE(direct.empty());
-  EXPECT_EQ(from_sweep.str(), direct);
 }
 
 // Multi-node runs add a NoC track whose "collectives" span starts where the
