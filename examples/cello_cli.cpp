@@ -86,7 +86,7 @@ struct Options {
   std::string config = "all";
   std::optional<double> bw_gbps;  ///< default 1000
   std::optional<Bytes> sram_mib;  ///< default 4
-  u32 jobs = 0;  // 0 = hardware concurrency
+  std::optional<u32> jobs;  ///< sweep: worker threads; 0 = hardware concurrency
   std::optional<std::string> nodes;     ///< run: one count; sweep: comma list
   std::optional<std::string> topology;  ///< run: one spec; sweep: comma list
   std::optional<std::string> shard;       ///< "i/k" slice of the sweep grid
@@ -171,8 +171,10 @@ Options parse(int argc, char** argv) {
   // "merge --workload gnn" must not merge an unrelated grid without comment).
   if (o.command != "sweep" && (o.shard || o.out || o.shard_mode))
     throw Error("--shard/--shard-mode/--out apply only to the sweep command");
-  if (o.command != "sweep" && (o.checkpoint || o.resume || o.keep_going || o.retries != 0))
-    throw Error("--checkpoint/--resume/--keep-going/--retries apply only to the sweep command");
+  if (o.command != "sweep" &&
+      (o.jobs || o.checkpoint || o.resume || o.keep_going || o.retries != 0))
+    throw Error(
+        "--jobs/--checkpoint/--resume/--keep-going/--retries apply only to the sweep command");
   if ((o.nodes || o.topology) && o.command != "sweep" && o.command != "run")
     throw Error("--nodes/--topology apply only to the run and sweep commands");
   if (o.topology && !o.nodes)
@@ -197,7 +199,7 @@ Options parse(int argc, char** argv) {
       throw Error("--trace records one run: pick a single --config (not 'all')");
   }
   if (o.command == "merge" &&
-      (!o.workloads.empty() || o.bw_gbps || o.sram_mib || o.config != "all" || o.jobs != 0))
+      (!o.workloads.empty() || o.bw_gbps || o.sram_mib || o.config != "all"))
     throw Error("merge takes only file arguments: merge <out.json> <shard.json>...");
   if (o.workloads.empty()) o.workloads.push_back("cg");
   return o;
@@ -477,7 +479,7 @@ int run_cli(int argc, char** argv) {
           return &*it->second.writer;
         };
       }
-      const sim::SweepRunner runner(o.jobs);
+      const sim::SweepRunner runner(o.jobs.value_or(0));
       auto cells = runner.run_shard(grid, plan, sweep_options);
       if (tracer) {
         tracer->finish();

@@ -21,17 +21,14 @@
 //    drain are flat scans;
 //  * BRRIP ways stay in place: a fill takes the first empty way (so empty
 //    ways come last here too), else the first distant way after aging.
-// One touch routine runs every access.  Its 8-way instance (the Table V
-// geometry) probes and shifts the tag lane with SSE2, which every x86-64 CPU
-// has, and shifts or ages the meta lane as SWAR over one u64; every other
-// associativity, and the 8-way one on hosts without SSE2, runs the same
-// routine's per-way loops.  access_lines() walks consecutive lines by
-// stepping the (set, tag) pair instead of re-decomposing each address, keeps
-// the walk's event counters in locals and folds them into the stats once per
-// walk, and prefetch_range() lets the stream replayer hide metadata latency
-// for irregular accesses (SpMM gathers).  Power-of-two line sizes and set
-// counts use shift/mask addressing, and a division fallback covers every
-// other geometry.
+// One touch routine runs every access: per-way loops over the set, for every
+// associativity.  access_lines() walks consecutive lines by stepping the
+// (set, tag) pair instead of re-decomposing each address and folds the
+// walk's event counters into the stats once.  Power-of-two line sizes and
+// set counts use shift/mask addressing, and a division fallback covers every
+// other geometry.  Trace-driven runs of the 8-way Table V geometry replay on
+// StreamReplayer's compact lanes instead (cache_replay.hpp), which it writes
+// back into these.
 #pragma once
 
 #include <vector>
@@ -95,21 +92,6 @@ class SetAssocCache {
   /// Access `count` consecutive lines starting at `first_line`, walking the
   /// (set, tag) pair and coalescing the stats updates into one bump.
   void access_lines(u64 first_line, u64 count, bool is_write);
-  /// Hint that [addr, addr+len) is about to be accessed: pulls the covering
-  /// sets' tag + meta lanes toward the host caches.  No simulated effect.
-  void prefetch_range(Addr addr, Bytes len) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (len == 0) return;
-    const u64 first_set = set_of_line(line_of(addr));
-    const u64 last_set = set_of_line(line_of(addr + len - 1));
-    __builtin_prefetch(&tags_[first_set * assoc_], 1, 1);
-    if (last_set != first_set) __builtin_prefetch(&tags_[last_set * assoc_], 1, 1);
-    __builtin_prefetch(&meta_[first_set * assoc_], 1, 1);
-#else
-    (void)addr;
-    (void)len;
-#endif
-  }
 
   /// Write back all dirty lines (end-of-run drain) and invalidate.
   void flush();
@@ -139,7 +121,7 @@ class SetAssocCache {
   /// The stream replayer (cache_replay.cpp) reproduces this cache's exact
   /// replacement state from a captured access stream: it reads and writes the
   /// lanes directly so snapshots, fast-forward restores, and the compact
-  /// AVX-512 engine's final write-back stay bit-identical to direct access.
+  /// lanes' final write-back stay bit-identical to direct access.
   friend class StreamReplayer;
 
   /// Tag-lane sentinel for an empty way.  Tags are stored as u32, and every
@@ -177,12 +159,8 @@ class SetAssocCache {
     u64 empty_fills = 0;
     u64 writebacks = 0;
   };
-  /// One access to `tag` in `set`.  kWays is the associativity the routine
-  /// is compiled for: 8 (the Table V geometry, with SSE2 probes and SWAR
-  /// meta updates) or 0, meaning `w.ways`.
-  template <u32 kWays>
+  /// One access to `tag` in `set`: a per-way scan of the set.
   static void touch(Walk& w, u64 set, u32 tag, bool is_write);
-  template <u32 kWays>
   void walk_lines(u64 first_line, u64 count, bool is_write);
 
   Bytes capacity_;

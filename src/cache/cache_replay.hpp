@@ -10,24 +10,17 @@
 // StreamReplayer drives one SetAssocCache to the exact state + stats the
 // equivalent sequence of access_range calls would produce, and converts the
 // span traffic back into one BufferService per scheduled step at the
-// recorded op boundaries.  Both engines count into the cache's own
-// CacheStats, so per-step services and fast-forward are computed once for
-// both.
+// recorded op boundaries.  Every engine counts into the cache's own
+// CacheStats, so per-step services and fast-forward are computed once.
 //
-// Two engines, selected per cache geometry at construction:
-//  * compact: the default 8-way power-of-two geometry on AVX-512 hosts runs a
-//    u8 tag lane + one u64 meta lane per set, 8 sets per masked 512-bit
-//    group (see cache_simd512.cpp).  The kernel keeps its counters in
-//    registers and folds them in once per replayed op, and full LRU groups
-//    of a steady sequential sweep (every set full, none holding the line)
-//    take a one-shift path.  On the LLM decode stream of BM_ReplayStreamLlm
-//    (4-core AVX-512 VM) that is ~0.6 ns per line under LRU and ~1.8 ns
-//    under BRRIP, against 5.6-8.8 ns in the direct engine.
-//    Tags are rebased against the stream's address window so they fit the
-//    byte lane; write_back() widens them back into the cache's u32 tag lane
-//    and copies the meta lane as is.
-//  * direct: every other geometry (or CELLO_DISABLE_AVX512=1) feeds the spans
-//    through the cache's public access_range — trivially bit-identical.
+// One replay state serves the 8-way power-of-two geometry (Table V) when
+// every tag the stream touches rebases into a byte: the compact lanes
+// (CompactState), written back into the cache's own lanes at the end.  Two
+// walks over them decide bit for bit alike: 8 sets per AVX-512 group where
+// the host has it (cache_simd512.cpp), else, or with CELLO_DISABLE_AVX512=1,
+// a scalar SWAR walk one set at a time (cache_replay.cpp).  Every other
+// geometry, or a wider tag window, replays through the cache's public
+// access_range — trivially bit-identical.
 //
 // Periodic fast-forward: iterative workloads repeat the same span block per
 // iteration (AccessStream detects this at capture).  After each occurrence
@@ -35,7 +28,7 @@
 // started from; once an occurrence leaves it unchanged (a fixed point) the
 // remaining occurrences are pure arithmetic — the four counters advance by
 // that occurrence's delta times the skipped count and per-op services copy.
-// Both engines fast-forward, at every geometry; this, not raw line
+// Every engine fast-forwards, at every geometry; this, not raw line
 // throughput, is where the order-of-magnitude sweep speedups on CG-style
 // workloads come from.  The check is a raw compare of the tag and meta lanes
 // for both policies: LRU sets are stored in recency order with empty ways
@@ -131,9 +124,12 @@ struct CompactState {
 bool avx512_runtime();
 
 /// Run spans [begin, end) of `stream` through the compact state, counting
-/// into `stats` (cache_simd512.cpp).
+/// into `stats`: 8 sets per AVX-512 group (cache_simd512.cpp), or one set at
+/// a time as SWAR over the set's two u64 words on any host (cache_replay.cpp).
 void replay_spans_avx512(CompactState& st, const SpanStream& stream, size_t begin, size_t end,
                          CacheStats& stats);
+void replay_spans_swar(CompactState& st, const SpanStream& stream, size_t begin, size_t end,
+                       CacheStats& stats);
 
 }  // namespace detail
 
@@ -163,7 +159,8 @@ class StreamReplayer {
 
   SetAssocCache& cache_;
   const SpanStream& stream_;
-  bool compact_ = false;  ///< AVX-512 compact engine active
+  /// The compact lanes' walk; null when the stream replays directly.
+  decltype(&detail::replay_spans_swar) replay_ = nullptr;
   u64 occurrences_replayed_ = 0;
   detail::CompactState state_;
 };

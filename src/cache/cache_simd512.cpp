@@ -15,8 +15,8 @@
 //    closed form — each full missing set ages by (3 - its max RRPV) in one
 //    masked add; the bimodal long-vs-distant insert lands on the exact fill
 //    the deterministic counter selects via a PDEP over the miss mask.
-// Both make bit-for-bit the replacement decisions of SetAssocCache's direct
-// engine (tests assert full-stats identity through replay).
+// Both make bit for bit the decisions of the SWAR walk over the same lanes
+// (cache_replay.cpp) and of SetAssocCache (cache_diff_test checks all three).
 //
 // Steady streaming: most replayed lines belong to long sequential spans
 // that sweep sets whose ways are all valid and none of which holds the
@@ -31,17 +31,12 @@
 // and ends with at most one partial group.
 //
 // Counters: a call keeps the four CacheStats counters in a local copy
-// (registers, which the kernel's byte stores cannot alias), sums accesses
-// once per span, and stores the copy back into the cache's stats at the end.
-// The miss count doubles as BRRIP's bimodal fill counter.
-//
-// Tags are stored rebased against the stream's address window (tag8 = tag -
-// base_tag, 0xFF = empty) so real multi-GiB address spaces fit the byte
-// lane; eligibility is checked at StreamReplayer construction.
+// (registers, which the kernel's byte stores cannot alias) and stores it
+// back once; the miss count doubles as BRRIP's bimodal fill counter.
 //
 // This TU is compiled with -mavx512f/bw/dq -mbmi2 when the compiler supports
-// them (CELLO_HAVE_AVX512); the CPU is probed at runtime and
-// CELLO_DISABLE_AVX512=1 forces the portable direct engine.
+// them (CELLO_HAVE_AVX512); the CPU is probed at runtime, and without it, or
+// with CELLO_DISABLE_AVX512=1, StreamReplayer runs the SWAR walk instead.
 #include "cache/cache_replay.hpp"
 
 #include <cstdlib>
@@ -73,8 +68,7 @@ bool avx512_runtime() {
   return false;
 }
 
-/// Never reached: StreamReplayer only selects the compact engine when
-/// avx512_runtime() is true.
+/// Never reached: StreamReplayer runs the SWAR walk unless avx512_runtime().
 void replay_spans_avx512(CompactState&, const SpanStream&, size_t, size_t, CacheStats&) {}
 
 #endif
@@ -277,8 +271,8 @@ void replay(CompactState& st, const SpanStream& stream, size_t begin, size_t end
   CacheStats t = stats;
   for (size_t si = begin; si < end; ++si) {
     if (si + 4 < end) {
-      // Same lookahead the direct engine's prefetch_range provides: pull the
-      // upcoming span's first set's tag + aux lanes toward the host caches.
+      // Pull the upcoming span's first set's tag + aux lanes toward the host
+      // caches, as the SWAR walk does.
       const u64 nset = (addr[si + 4] >> ls) & set_mask;
       _mm_prefetch(reinterpret_cast<const char*>(tags + nset * 8), _MM_HINT_T0);
       _mm_prefetch(reinterpret_cast<const char*>(aux + nset * 8), _MM_HINT_T0);

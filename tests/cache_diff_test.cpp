@@ -5,15 +5,16 @@
 // multi-set sweeps, reads and writes — are built as prefix + a repeated
 // period block + suffix, so the replayer's fixed-point fast-forward fires.
 // A second, streaming family replays long sequential sweeps (8-40 set wraps,
-// starting off an 8-set group boundary) on the compact engine, at small
+// starting off an 8-set group boundary) on the compact lanes, at small
 // geometries and at the shipped 4 MiB one.
 // Per-step services, final CacheStats, valid_lines(), the lines held and the
 // drain's bytes must match on every geometry and engine:
-//  * 8-way, power-of-two sets: the compact AVX-512 engine (where the host
-//    has it) and the direct engine, toggled via CELLO_DISABLE_AVX512;
-//  * 8-way with a non-power-of-two set count (direct engine);
-//  * 4-way (also with a non-power-of-two line size) and 16-way (direct
-//    engine, per-way loops).
+//  * 8-way, power-of-two sets: the compact lanes, walked by the AVX-512 group
+//    kernel (where the host has it) and by the SWAR walk alone, toggled via
+//    CELLO_DISABLE_AVX512;
+//  * 8-way with a non-power-of-two set count, or with a stream spanning more
+//    than 254 tags (too wide for the u8 lane), and 4-way (also with a
+//    non-power-of-two line size), 16-way and wider: the cache's per-way loop.
 // On the random periodic streams every geometry, policy and engine must
 // fast-forward at least one stream.
 #include <gtest/gtest.h>
@@ -159,8 +160,11 @@ void set_schedule_steps(SpanStream& s) {
 }
 
 /// Random spans over a window of `window_lines` lines starting at a
-/// non-set-aligned base, so the compact engine's tag rebasing is exercised.
-SpanStream random_stream(Rng& rng, u64 sets, u32 line_bytes, u64 window_lines) {
+/// non-set-aligned base, so the compact lanes' tag rebasing is exercised.
+/// With `span_window`, the first step opens with a 1-line read at each end of
+/// the window, so the stream's address range is the whole window.
+SpanStream random_stream(Rng& rng, u64 sets, u32 line_bytes, u64 window_lines,
+                         bool span_window = false) {
   SpanStream s;
   s.prefix_steps = rng.bounded(4);
   s.period_steps = 1 + rng.bounded(6);
@@ -169,6 +173,10 @@ SpanStream random_stream(Rng& rng, u64 sets, u32 line_bytes, u64 window_lines) {
   set_schedule_steps(s);
   const Addr base = (0x4000000 + rng.bounded(5 * sets)) * line_bytes;
   const u64 steps = s.materialized_steps();
+  if (span_window) {
+    s.push_span(base, 1, false);
+    s.push_span(base + (window_lines - 1) * line_bytes, 1, false);
+  }
   for (u64 step = 0; step < steps; ++step) {
     const u64 spans = 1 + rng.bounded(8);
     for (u64 i = 0; i < spans; ++i) {
@@ -224,10 +232,18 @@ SpanStream streaming_stream(Rng& rng, const Geometry& g) {
   return s;
 }
 
+/// What a replay runs on.  Only 8-way, power-of-two, rebasable streams take
+/// the compact lanes, where CELLO_DISABLE_AVX512 picks the walk; every other
+/// geometry runs the cache's per-way loop whatever the environment says.
 struct Engine {
   const char* name;
   bool no_avx512;
 };
+
+/// The AVX-512 group kernel where the host has it, else the SWAR walk.
+constexpr Engine kAvx512Groups{"avx512-groups", false};
+constexpr Engine kSwarWalk{"swar-walk", true};
+constexpr Engine kPerWayLoop{"per-way-loop", false};
 
 std::string label(const Geometry& g, Policy policy, const char* engine, int n) {
   return std::string(cache::to_string(policy)) + " " + engine + " sets=" +
@@ -296,11 +312,16 @@ bool check_stream(const Geometry& g, Policy policy, const SpanStream& s,
   return replayer.occurrences_replayed() < s.period_count;
 }
 
+std::optional<ScopedEnv> select(const Engine& e) {
+  std::optional<ScopedEnv> env;
+  if (e.no_avx512) env.emplace("CELLO_DISABLE_AVX512", "1");
+  return env;
+}
+
 /// Replays random streams under one geometry, policy and engine and compares
 /// each with the reference; returns how many streams fast-forwarded.
 u64 check_engine(const Geometry& g, Policy policy, const Engine& e, u64 seed) {
-  std::optional<ScopedEnv> no512;
-  if (e.no_avx512) no512.emplace("CELLO_DISABLE_AVX512", "1");
+  const auto env = select(e);
   Rng rng(seed);
   u64 fast_forwarded = 0;
   for (int n = 0; n < 48; ++n) {
@@ -312,20 +333,19 @@ u64 check_engine(const Geometry& g, Policy policy, const Engine& e, u64 seed) {
   return fast_forwarded;
 }
 
-/// Replays `streams` streaming-family streams on the compact engine.
-void check_streaming(const Geometry& g, Policy policy, int streams, u64 seed) {
+/// Replays `streams` streaming-family streams on one engine.
+void check_streaming(const Geometry& g, Policy policy, const Engine& e, int streams, u64 seed) {
+  const auto env = select(e);
   Rng rng(seed);
   for (int n = 0; n < streams; ++n)
-    check_stream(g, policy, streaming_stream(rng, g), label(g, policy, "compact streaming", n));
+    check_stream(g, policy, streaming_stream(rng, g),
+                 label(g, policy, e.name, n) + " (streaming)");
 }
-
-constexpr Engine kCompact{"compact", false};
-constexpr Engine kDirect{"direct", true};
 
 TEST(CacheDiff, EightWayPowerOfTwoSetsOnEveryEngine) {
   for (const Geometry g : {Geometry{64, 64, 8}, Geometry{128, 16, 8}})
     for (const Policy p : {Policy::Lru, Policy::Brrip})
-      for (const Engine& e : {kCompact, kDirect})
+      for (const Engine& e : {kAvx512Groups, kSwarWalk})
         EXPECT_GT(check_engine(g, p, e, 0xC0FFEE + g.sets), 0u)
             << e.name << ": no stream reached a fixed point";
 }
@@ -333,13 +353,32 @@ TEST(CacheDiff, EightWayPowerOfTwoSetsOnEveryEngine) {
 TEST(CacheDiff, EightWayNonPowerOfTwoSets) {
   const Geometry g{48, 64, 8};
   for (const Policy p : {Policy::Lru, Policy::Brrip})
-    EXPECT_GT(check_engine(g, p, kDirect, 0xBEEF), 0u) << "no stream reached a fixed point";
+    EXPECT_GT(check_engine(g, p, kPerWayLoop, 0xBEEF), 0u) << "no stream reached a fixed point";
+}
+
+TEST(CacheDiff, EightWayWideTagWindow) {
+  // Power-of-two sets, but every stream spans 256-399 tags: past the u8
+  // lane's 255 rebased tags, so it replays on the per-way loop, the only
+  // 8-way code left in SetAssocCache.
+  const Geometry g{16, 16, 8};
+  for (const Policy p : {Policy::Lru, Policy::Brrip}) {
+    Rng rng(0x1DE);
+    u64 fast_forwarded = 0;
+    for (int n = 0; n < 48; ++n) {
+      const u64 window = g.sets * (256 + rng.bounded(144));
+      const SpanStream s = random_stream(rng, g.sets, g.line_bytes, window, true);
+      const u64 sets_lines = g.sets * g.line_bytes;
+      ASSERT_GT(s.max_addr / sets_lines - s.min_addr / sets_lines, 254u);
+      fast_forwarded += check_stream(g, p, s, label(g, p, kPerWayLoop.name, n));
+    }
+    EXPECT_GT(fast_forwarded, 0u) << cache::to_string(p) << ": no stream reached a fixed point";
+  }
 }
 
 TEST(CacheDiff, FourAndSixteenWay) {
   for (const Geometry g : {Geometry{64, 32, 4}, Geometry{40, 24, 4}, Geometry{32, 64, 16}})
     for (const Policy p : {Policy::Lru, Policy::Brrip})
-      EXPECT_GT(check_engine(g, p, kCompact, 0xF00D), 0u)
+      EXPECT_GT(check_engine(g, p, kPerWayLoop, 0xF00D), 0u)
           << g.assoc << "-way: no stream reached a fixed point";
 }
 
@@ -348,19 +387,22 @@ TEST(CacheDiff, AssociativityAbove64) {
   // truncate a set.
   for (const Geometry g : {Geometry{4, 64, 96}, Geometry{2, 16, 128}})
     for (const Policy p : {Policy::Lru, Policy::Brrip})
-      EXPECT_GT(check_engine(g, p, kDirect, 0xA550C), 0u)
+      EXPECT_GT(check_engine(g, p, kPerWayLoop, 0xA550C), 0u)
           << g.assoc << "-way: no stream reached a fixed point";
 }
 
 TEST(CacheDiff, LongSweepsOnTheCompactEngine) {
   for (const Geometry g : {Geometry{64, 64, 8}, Geometry{128, 16, 8}})
-    for (const Policy p : {Policy::Lru, Policy::Brrip}) check_streaming(g, p, 24, 0x5EED + g.sets);
+    for (const Policy p : {Policy::Lru, Policy::Brrip})
+      for (const Engine& e : {kAvx512Groups, kSwarWalk})
+        check_streaming(g, p, e, 24, 0x5EED + g.sets);
 }
 
 TEST(CacheDiff, LongSweepsAtTheShippedGeometry) {
   // 4 MiB, 16 B lines, 8-way: the Table V cache every trace-driven preset runs.
   const Geometry g{32768, 16, 8};
-  for (const Policy p : {Policy::Lru, Policy::Brrip}) check_streaming(g, p, 2, 0x5EED);
+  for (const Policy p : {Policy::Lru, Policy::Brrip})
+    check_streaming(g, p, kAvx512Groups, 2, 0x5EED);
 }
 
 }  // namespace

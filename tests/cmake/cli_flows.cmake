@@ -9,8 +9,9 @@
 #   keep_going    a persistently failing cell is quarantined (nonzero exit,
 #                 result file still written); --resume completes it
 #   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries/
-#                 --nodes/--trace-cell) and the removed --n/--iters flags are
-#                 rejected with an `error:` line naming the flag
+#                 --nodes/--trace-cell), --jobs outside sweep and the removed
+#                 --n/--iters flags are rejected with an `error:` line naming
+#                 the flag
 #   bad_files     `merge` over missing, truncated, duplicate and absent shard
 #                 files, over a shard whose arch was edited under its recorded
 #                 fingerprint, `merge` without shard arguments and `run --trace`
@@ -81,16 +82,20 @@ endfunction()
 
 if(FLOW STREQUAL "bad_flags")
   set(RUN_ARGS run --workload cg:m=2048,n=4,iters=1 --config Flex+LRU)
-  cli(ok ${RUN_ARGS} --sram 8 --bw 500.5 --jobs 0)
+  set(SWEEP_ARGS sweep --workload cg:m=2048,n=4,iters=1 --config Flex+LRU)
+  cli(ok ${RUN_ARGS} --sram 8 --bw 500.5)
   foreach(value -1 0 +4 4x abc 17592186044416 99999999999999999999)
     cli_rejects(--sram ${RUN_ARGS} --sram ${value})
   endforeach()
   foreach(value -5 0 -0 nan inf 1e400 abc 5GB)
     cli_rejects(--bw ${RUN_ARGS} --bw ${value})
   endforeach()
+  cli(ok ${SWEEP_ARGS} --jobs 0)
   foreach(value -1 4294967296 1.5 x)
-    cli_rejects(--jobs ${RUN_ARGS} --jobs ${value})
+    cli_rejects(--jobs ${SWEEP_ARGS} --jobs ${value})
   endforeach()
+  # --jobs sizes the sweep's worker pool; no other command has one.
+  cli_rejects(--jobs ${RUN_ARGS} --jobs 1)
   cli(ok ${RUN_ARGS} --nodes 4)
   # The removed legacy spec flags are unknown flags now: n and iters are
   # spec parameters ("cg:n=2,iters=1").
