@@ -19,6 +19,9 @@
 #   csv_export    `--out full.csv` writes exactly tests/goldens/cli_sweep_grid.csv,
 #                 and so do `--jobs 1` and `--jobs 3`; a shard of a split sweep
 #                 refuses a .csv --out
+#   trace         `sweep --trace t.json --trace-cell W,C` writes the exact bytes
+#                 of `run --trace` on the same cell, and a two-cell sweep writes
+#                 one `.cell<N>` file per cell, each equal to its direct run
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -185,6 +188,50 @@ if(FLOW STREQUAL "csv_export")
                  --out part.csv)
   if(EXISTS ${WORKDIR}/part.csv)
     message(FATAL_ERROR "${FLOW}: a refused shard export wrote part.csv")
+  endif()
+  return()
+endif()
+
+# cli_prints(<regex> <args>...): the CLI must succeed and print a stdout line
+# matching <regex>.
+function(cli_prints regex)
+  execute_process(COMMAND ${CLI} ${ARGN} WORKING_DIRECTORY ${WORKDIR} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cello_cli ${ARGN} exited with ${rc}:\n${out}${err}")
+  endif()
+  if(NOT out MATCHES "${regex}")
+    message(FATAL_ERROR "cello_cli ${ARGN}: expected a line matching '${regex}', got:\n${out}")
+  endif()
+endfunction()
+
+if(FLOW STREQUAL "trace")
+  # Shape-only CG rows keep every traced run fast.  Config 6 is Cello and
+  # config 1 Flex+LRU (registration order), so both the explicit-buffer and
+  # the trace-driven cache paths are covered.
+  set(W0 cg:m=2048,n=4,iters=1)
+  set(W1 cg:m=1024,n=4,iters=2)
+  cli_prints("wrote trace direct-0-6.json \\([0-9]+ events\\)"
+             run --workload ${W0} --config Cello --trace direct-0-6.json)
+  cli(ok run --workload ${W1} --config Flex+LRU --trace direct-1-1.json)
+
+  # One named cell writes the --trace path itself.
+  cli_prints("wrote trace one.json \\([0-9]+ events\\)"
+             sweep --workload ${W0} --trace one.json --trace-cell 0,6)
+  expect_same(one.json direct-0-6.json)
+  if(EXISTS ${WORKDIR}/one.cell6.json)
+    message(FATAL_ERROR "${FLOW}: a one-cell sweep trace wrote one.cell6.json")
+  endif()
+
+  # Several cells write one ".cell<N>" file each, N the flattened row-major
+  # id: (0,6) is cell 6 and (1,1) is cell 13 + 1 = 14 of the 13-config rows.
+  cli_prints("wrote trace two.cell14.json \\(cell 14, [0-9]+ events\\)"
+             sweep --workload ${W0} --workload ${W1} --trace two.json
+             --trace-cell 1,1 --trace-cell 0,6)
+  expect_same(two.cell6.json direct-0-6.json)
+  expect_same(two.cell14.json direct-1-1.json)
+  if(EXISTS ${WORKDIR}/two.json)
+    message(FATAL_ERROR "${FLOW}: a two-cell sweep trace wrote two.json itself")
   endif()
   return()
 endif()
