@@ -53,7 +53,6 @@
 // Without a dataset, each kind resolves its own documented default
 // (bicgstab -> nasa4704, gnn -> cora, power -> G2_circuit).
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -61,14 +60,13 @@
 #include <iostream>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cello/cello.hpp"
+#include "common/codec.hpp"
 #include "common/format.hpp"
 #include "noc/topology.hpp"
 #include "score/dependency.hpp"
@@ -104,13 +102,11 @@ struct Options {
 /// `text` as a whole decimal integer in [lo, hi]; a sign, a suffix or an
 /// out-of-range value is an error naming `flag`.
 u64 parse_uint(const char* flag, const std::string& text, u64 lo, u64 hi) {
-  u64 value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || stop != end || value < lo || value > hi)
+  const std::optional<u64> value = parse_decimal_u64(text);
+  if (!value || *value < lo || *value > hi)
     throw Error(std::string(flag) + " expects an integer in [" + std::to_string(lo) + ", " +
                 std::to_string(hi) + "], got '" + text + "'");
-  return value;
+  return *value;
 }
 
 constexpr u64 kMaxI64 = static_cast<u64>(std::numeric_limits<i64>::max());
@@ -316,12 +312,9 @@ void parse_shard_flag(const std::string& text, u32& index, u32& count) {
   const size_t slash = text.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) fail();
   const auto parse_u32 = [&](const std::string& part) -> u32 {
-    if (part.empty() || part.find_first_not_of("0123456789") != std::string::npos)
-      return fail();
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(part.c_str(), &end, 10);
-    if (end != part.c_str() + part.size() || v > 0xffffffffUL) return fail();
-    return static_cast<u32>(v);
+    const std::optional<u64> v = parse_decimal_u64(part);
+    if (!v || *v > 0xffffffffull) return fail();
+    return static_cast<u32>(*v);
   };
   index = parse_u32(text.substr(0, slash));
   count = parse_u32(text.substr(slash + 1));
@@ -426,71 +419,53 @@ int run_cli(int argc, char** argv) {
       sweep_options.retries = o.retries;
       sweep_options.checkpoint = o.checkpoint.value_or("");
       sweep_options.resume = o.resume;
-      std::ofstream trace_stream;
-      std::optional<trace::ChromeTraceWriter> tracer;
-      // Multi-cell tracing: one lazily-created writer per traced cell (the
-      // callback runs on pool workers, hence the mutex), each writing to the
-      // --trace path with ".cell<id>" spliced in before the extension.
+      // One writer per traced cell, all opened before the sweep runs so an
+      // unwritable path fails before any cell does.  A lone named cell
+      // writes the --trace path itself; several cells, or "all", each write
+      // the --trace path with ".cell<id>" spliced in before the extension.
       struct CellTrace {
         std::string path;
         std::ofstream stream;
         std::optional<trace::ChromeTraceWriter> writer;
       };
       std::map<size_t, CellTrace> cell_traces;
-      std::mutex cell_traces_mu;
-      const bool trace_all = !o.trace_cells.empty() && o.trace_cells.front() == "all";
-      if (o.trace && o.trace_cells.size() == 1 && !trace_all) {
-        // One named cell keeps the historical behavior: the trace lands at
-        // the --trace path itself, no ".cell<id>" tag.
-        const size_t cell = parse_trace_cell(o.trace_cells.front(), grid);
-        if (std::find(plan.cells.begin(), plan.cells.end(), cell) == plan.cells.end())
-          throw Error("--trace-cell " + o.trace_cells.front() + " (cell " +
-                      std::to_string(cell) + ") is not in this shard's slice");
-        trace_stream.open(*o.trace, std::ios::binary);
-        if (!trace_stream) throw Error("cannot write '" + *o.trace + "'");
-        tracer.emplace(trace_stream);
-        sweep_options.trace_sink_for = [cell, sink = &*tracer](size_t c) -> trace::TraceSink* {
-          return c == cell ? sink : nullptr;
-        };
-      } else if (o.trace) {
-        std::set<size_t> selected;
-        if (!trace_all) {
+      const bool trace_all = o.trace_cells == std::vector<std::string>{"all"};
+      const bool one_cell = o.trace_cells.size() == 1 && !trace_all;
+      if (o.trace) {
+        std::vector<size_t> selected;
+        if (trace_all) {
+          selected = plan.cells;
+        } else {
           for (const auto& text : o.trace_cells) {
             const size_t cell = parse_trace_cell(text, grid);
             if (std::find(plan.cells.begin(), plan.cells.end(), cell) == plan.cells.end())
               throw Error("--trace-cell " + text + " (cell " + std::to_string(cell) +
                           ") is not in this shard's slice");
-            selected.insert(cell);
+            selected.push_back(cell);
           }
         }
-        sweep_options.trace_sink_for =
-            [&cell_traces, &cell_traces_mu, &o, trace_all,
-             selected = std::move(selected)](size_t cell) -> trace::TraceSink* {
-          if (!trace_all && selected.find(cell) == selected.end()) return nullptr;
-          std::lock_guard<std::mutex> lock(cell_traces_mu);
-          auto it = cell_traces.find(cell);
-          if (it == cell_traces.end()) {
-            it = cell_traces.try_emplace(cell).first;
-            it->second.path = trace_cell_path(*o.trace, cell);
-            it->second.stream.open(it->second.path, std::ios::binary);
-            if (!it->second.stream) throw Error("cannot write '" + it->second.path + "'");
-            it->second.writer.emplace(it->second.stream);
-          }
-          return &*it->second.writer;
+        for (const size_t cell : selected) {
+          CellTrace& ct = cell_traces[cell];
+          if (ct.writer) continue;  // named twice
+          ct.path = one_cell ? *o.trace : trace_cell_path(*o.trace, cell);
+          ct.stream.open(ct.path, std::ios::binary);
+          if (!ct.stream) throw Error("cannot write '" + ct.path + "'");
+          ct.writer.emplace(ct.stream);
+        }
+        // Read-only lookups from the pool workers: the map is complete.
+        sweep_options.trace_sink_for = [&cell_traces](size_t cell) -> trace::TraceSink* {
+          const auto it = cell_traces.find(cell);
+          return it == cell_traces.end() ? nullptr : &*it->second.writer;
         };
       }
       const sim::SweepRunner runner(o.jobs.value_or(0));
       auto cells = runner.run_shard(grid, plan, sweep_options);
-      if (tracer) {
-        tracer->finish();
-        if (!trace_stream.flush()) throw Error("failed writing '" + *o.trace + "'");
-        std::cout << "wrote trace " << *o.trace << " (" << tracer->events() << " events)\n";
-      }
       for (auto& [cell, ct] : cell_traces) {
         ct.writer->finish();
         if (!ct.stream.flush()) throw Error("failed writing '" + ct.path + "'");
-        std::cout << "wrote trace " << ct.path << " (cell " << cell << ", "
-                  << ct.writer->events() << " events)\n";
+        std::cout << "wrote trace " << ct.path << " (";
+        if (!one_cell) std::cout << "cell " << cell << ", ";
+        std::cout << ct.writer->events() << " events)\n";
       }
       size_t failed = 0;
       for (const auto& cell : cells)

@@ -125,7 +125,6 @@ Bytes ChordBuffer::allocate(const TensorMeta& t, RiffEntry& e, Bytes want) {
 
 AccessResult ChordBuffer::write_tensor(const TensorMeta& t) {
   CELLO_CHECK(t.bytes > 0);
-  ++op_clock_;
   ++stats_.metadata_reads;
 
   RiffEntry* e = find(t.id);
@@ -149,7 +148,6 @@ AccessResult ChordBuffer::write_tensor(const TensorMeta& t) {
   sync_extent(*e, t);
   e->freq = t.remaining_uses;
   e->dist = t.next_use_distance;
-  e->history = (e->history << 1) | 1u;
 
   // PRELUDE: the resident prefix is overwritten in place; growth beyond it
   // is allocated head-first and the unplaced tail spills to DRAM (Fig. 9).
@@ -169,7 +167,6 @@ AccessResult ChordBuffer::write_tensor(const TensorMeta& t) {
 
 AccessResult ChordBuffer::read_tensor(const TensorMeta& t) {
   CELLO_CHECK(t.bytes > 0);
-  ++op_clock_;
   ++stats_.metadata_reads;
 
   RiffEntry* e = find(t.id);
@@ -190,7 +187,6 @@ AccessResult ChordBuffer::read_tensor(const TensorMeta& t) {
   if (e) {
     e->freq = t.remaining_uses;
     e->dist = t.next_use_distance;
-    e->history = (e->history << 1) | 1u;
   }
 
   // Allocate-on-read for tensors with future uses: install the fetched tail

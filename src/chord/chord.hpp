@@ -44,7 +44,7 @@ struct TensorMeta {
 };
 
 /// One RIFF-index-table entry (Fig. 10).  All fields in bytes/words of the
-/// modelled address space; history is the 64-op re-reference bitvector.
+/// modelled address space.
 struct RiffEntry {
   i32 id = -1;
   std::string name;
@@ -55,7 +55,6 @@ struct RiffEntry {
   i64 end_index = 0;      ///< position one past the resident tail (words)
   i32 freq = 0;
   i64 dist = -1;
-  u64 history = 0;
 
   Bytes resident_bytes() const { return end_chord - start_tensor; }
 };
@@ -142,7 +141,6 @@ class ChordBuffer {
   u32 max_entries_;
   std::vector<RiffEntry> entries_;  ///< queue (arrival) order
   ChordStats stats_;
-  u64 op_clock_ = 0;  ///< advances per access for the history bitvector
 };
 
 }  // namespace cello::chord

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace cello::failpoint {
@@ -50,12 +51,12 @@ ArmedSite parse_spec(const std::string& spec) {
     site.key = trigger.substr(4);
     return site;
   }
-  if (trigger.empty() || trigger.find_first_not_of("0123456789") != std::string::npos ||
-      trigger.size() > 18)
+  const std::optional<u64> nth = parse_decimal_u64(trigger);
+  if (!nth)
     throw Error("failpoint: malformed trigger '" + trigger + "' in spec '" + spec +
                 "' (expected *, a 1-based hit number, or key=<value>)");
   site.trigger = TriggerKind::NthHit;
-  site.nth = std::strtoull(trigger.c_str(), nullptr, 10);
+  site.nth = *nth;
   if (site.nth == 0)
     throw Error("failpoint: hit numbers are 1-based; '" + spec + "' asks for hit 0");
   return site;

@@ -102,7 +102,6 @@ u64 AccessStream::fingerprint() const {
   s.mix(suffix_steps);
   s.mix(min_addr);
   s.mix(max_addr);
-  s.mix(total_lines);
   for (Addr a : addr) s.mix(a);
   for (u32 l : len) s.mix(l);
   for (u8 w : write) s.mix(w);
@@ -146,7 +145,6 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
   t.map = &map;
   t.matrix = matrix;
   OpAccessScratch scratch;
-  u64 block_lines = 0;
   auto emit_step = [&](size_t i) {
     const ir::EinsumOp& op = dag.op(sched.steps[i].op);
     t.op = &op;
@@ -156,9 +154,7 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
     emit_op_accesses(
         t, arch, scratch,
         [&](Addr a, Bytes l, bool w) {
-          if (l == 0) return;
-          s.push_span(a, l, w);
-          block_lines += (a + l - 1) / s.line_bytes - a / s.line_bytes + 1;
+          if (l != 0) s.push_span(a, l, w);
         });
     s.end_step();
   };
@@ -166,20 +162,15 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
   Period p = find_period(sig);
   if (p.count >= 2) {
     for (size_t i = 0; i < p.prefix; ++i) emit_step(i);
-    const u64 prefix_lines = block_lines;
-
-    block_lines = 0;
     const size_t period_span_begin = s.addr.size();
     const size_t period_op_begin = s.op_end.size();
     for (size_t i = p.prefix; i < p.prefix + p.steps; ++i) emit_step(i);
-    const u64 period_lines = block_lines;
     const size_t period_span_end = s.addr.size();
     const size_t period_op_end = s.op_end.size();
 
     // Confirm the signature match with the real thing: occurrence 2 must
     // emit byte-identical spans at the same op boundaries.  (Induction to
     // the remaining occurrences rides on the two-lane signatures.)
-    block_lines = 0;
     for (size_t i = p.prefix + p.steps; i < p.prefix + 2 * p.steps; ++i) emit_step(i);
     const size_t nspans = period_span_end - period_span_begin;
     bool periodic =
@@ -201,26 +192,22 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
       s.len.resize(period_span_end);
       s.write.resize(period_span_end);
       s.op_end.resize(period_op_end);
-      block_lines = 0;
       for (size_t i = p.prefix + p.count * p.steps; i < n; ++i) emit_step(i);
       s.prefix_steps = p.prefix;
       s.period_steps = p.steps;
       s.period_count = p.count;
       s.suffix_steps = n - p.prefix - p.count * p.steps;
-      s.total_lines = prefix_lines + period_lines * p.count + block_lines;
       return s;
     }
     // The signatures lied (or the emission is genuinely step-dependent):
     // keep the spans emitted so far and fall through to linear.
     for (size_t i = p.prefix + 2 * p.steps; i < n; ++i) emit_step(i);
     s.prefix_steps = n;
-    s.total_lines = prefix_lines + period_lines + block_lines;
     return s;
   }
 
   for (size_t i = 0; i < n; ++i) emit_step(i);
   s.prefix_steps = n;
-  s.total_lines = block_lines;
   return s;
 }
 

@@ -42,8 +42,6 @@ struct AccessStream : cache::SpanStream {
   u32 line_bytes = 0;
   Bytes rf_bytes = 0;
 
-  u64 total_lines = 0;  ///< line count over the whole schedule (periods expanded)
-
   /// True when `arch` matches the capture-time span-derivation inputs.
   bool compatible(const AcceleratorConfig& arch) const {
     return line_bytes == arch.line_bytes && rf_bytes == arch.rf_bytes;

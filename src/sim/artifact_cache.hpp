@@ -68,6 +68,9 @@ class ArtifactCache {
     bool allow_delayed_hold = false;
     Bytes hold_budget_bytes = 0;
     u32 line_bytes = 0;
+    /// Adds no identity: the schedule key already holds rf_bytes, and tables
+    /// and streams are keyed by the schedule's address.  It stays because
+    /// arch() must carry it to AccessStream::capture's operand split.
     Bytes rf_bytes = 0;
 
     /// The key of `config` running on `arch`.

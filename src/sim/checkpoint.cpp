@@ -4,13 +4,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "sim/result_io.hpp"
@@ -20,38 +20,6 @@ namespace cello::sim {
 namespace {
 
 const char* kJournalTag = "cello-ckpt/1";
-
-u64 fnv1a_bytes(const char* data, size_t len) {
-  u64 h = 14695981039346656037ull;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex_u64(u64 v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Strict "0x" + 16 hex digits; nullopt (not a throw) on damage, because the
-/// record loader treats unparseable framing as a torn tail.
-std::optional<u64> parse_hex_u64(const std::string& text) {
-  if (text.size() != 18 || text[0] != '0' || text[1] != 'x') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str() + 2, &end, 16);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return static_cast<u64>(v);
-}
-
-std::optional<u64> parse_decimal_u64(const std::string& text) {
-  if (text.empty() || text.size() > 19 ||
-      text.find_first_not_of("0123456789") != std::string::npos)
-    return std::nullopt;
-  return std::strtoull(text.c_str(), nullptr, 10);
-}
 
 void write_all(int fd, const char* data, size_t len, const std::string& path) {
   size_t off = 0;
@@ -76,7 +44,7 @@ std::string checkpoint_header(const SweepGrid& grid, const ShardPlan& plan) {
   std::string body = std::string(kJournalTag) + " fp=" + hex_u64(grid.fingerprint) +
                      " shard=" + std::to_string(plan.index) + "/" +
                      std::to_string(plan.count) + " mode=" + to_string(plan.mode);
-  return body + " sum=" + hex_u64(fnv1a_bytes(body.data(), body.size())) + "\n";
+  return body + " sum=" + hex_u64(fnv1a(body)) + "\n";
 }
 
 CheckpointState read_journal(const std::string& bytes, const SweepGrid& grid,
@@ -115,10 +83,13 @@ CheckpointState read_journal(const std::string& bytes, const SweepGrid& grid,
     const auto len = parse_decimal_u64(len_text);
     const auto sum = parse_hex_u64(sum_text);
     if (!cell || !len || !sum) break;
+    // A bound on the remaining bytes rather than on payload_at + len, which
+    // a 20-digit length would wrap.
     const size_t payload_at = frame_end + 1;
-    if (payload_at + *len + 1 > bytes.size()) break;            // mid-record EOF
-    if (bytes[payload_at + *len] != '\n') break;                // frame/payload mismatch
-    if (fnv1a_bytes(bytes.data() + payload_at, *len) != *sum) break;  // garbled payload
+    if (*len >= bytes.size() - payload_at) break;                 // mid-record EOF
+    if (bytes[payload_at + *len] != '\n') break;                  // frame/payload mismatch
+    const std::string_view payload(bytes.data() + payload_at, *len);
+    if (fnv1a(payload) != *sum) break;                            // garbled payload
 
     // The record is checksummed and intact; from here inconsistencies mean a
     // corrupt or foreign journal that happens to checksum, and fail loudly.
@@ -130,21 +101,16 @@ CheckpointState read_journal(const std::string& bytes, const SweepGrid& grid,
       throw Error("checkpoint journal: cell " + std::to_string(*cell) + " recorded twice");
     SweepResult result;
     try {
-      result = result_from_json(json_parse(bytes.substr(payload_at, *len)));
+      result = result_from_json(json_parse(std::string(payload)));
     } catch (const std::exception& e) {
       throw Error("checkpoint journal: record for cell " + std::to_string(*cell) +
                   " passes its checksum but does not parse: " + e.what());
     }
-    const size_t n_fabrics = grid.fabrics.size();
-    const size_t n_configs = grid.configs.size();
-    const std::string& workload = grid.workloads[*cell / (n_fabrics * n_configs)];
-    const std::string fabric =
-        grid.has_fabric_axis() ? grid.fabrics[(*cell / n_configs) % n_fabrics] : std::string();
-    const std::string& config = grid.configs[*cell % n_configs];
-    if (result.workload != workload || result.fabric != fabric || result.config != config)
-      throw Error("checkpoint journal: record for cell " + std::to_string(*cell) +
-                  " names (" + result.workload + ", " + result.fabric + ", " + result.config +
-                  ") but that cell is (" + workload + ", " + fabric + ", " + config + ")");
+    const CellLabels want = grid.labels(*cell);
+    const CellLabels got = CellLabels::of(result);
+    if (got != want)
+      throw Error("checkpoint journal: record for cell " + std::to_string(*cell) + " names " +
+                  got.to_string() + " but that cell is " + want.to_string());
 
     state.completed.emplace_back(static_cast<size_t>(*cell), std::move(result));
     pos = payload_at + *len + 1;
@@ -223,7 +189,7 @@ void CheckpointJournal::append(size_t cell, const SweepResult& result) {
   std::string payload;
   result_to_json(payload, result, 0);
   std::string record = "R " + std::to_string(cell) + " " + std::to_string(payload.size()) +
-                       " " + hex_u64(fnv1a_bytes(payload.data(), payload.size())) + "\n";
+                       " " + hex_u64(fnv1a(payload)) + "\n";
   const size_t payload_at = record.size();
   record += payload;
   record += '\n';

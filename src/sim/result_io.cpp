@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace cello::sim {
@@ -92,15 +93,9 @@ i64 JsonValue::as_i64() const {
 
 u64 JsonValue::as_u64() const {
   if (type != Type::Number) throw Error("JSON: expected a number");
-  if (!scalar.empty() && scalar[0] == '-')
-    throw Error("JSON: expected a non-negative integer, got '" + scalar + "'");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(scalar.c_str(), &end, 10);
-  if (end != scalar.c_str() + scalar.size())
-    throw Error("JSON: malformed integer '" + scalar + "'");
-  if (errno == ERANGE) throw Error("JSON: integer '" + scalar + "' is out of range");
-  return static_cast<u64>(v);
+  const std::optional<u64> v = parse_decimal_u64(scalar);
+  if (!v) throw Error("JSON: expected a 64-bit non-negative integer, got '" + scalar + "'");
+  return *v;
 }
 
 double JsonValue::as_double() const {
@@ -293,29 +288,6 @@ class JsonParser {
 }  // namespace
 
 JsonValue json_parse(const std::string& text) { return JsonParser(text).parse(); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // ---- RunMetrics / SweepResult JSON ------------------------------------------
 

@@ -1,9 +1,11 @@
 // Machine-readable result I/O: JSON serialization of RunMetrics /
 // SweepResult rows, exact to the bit, plus a write-only CSV export.
 //
-// Doubles are emitted as C99 hexadecimal floating-point literals ("%a", e.g.
+// Doubles are emitted as C99 hexadecimal floating-point literals (e.g.
 // "0x1.5c28f5c28f5c3p-3") inside JSON strings, because decimal JSON numbers
 // only round-trip approximately; strtod parses a hexfloat back bit-exactly.
+// The literal is hex_double's own canonical form, not printf's "%a", whose
+// exact text is implementation-defined.
 // All output is byte-deterministic for a given input (fixed key order, sorted
 // traffic maps, locale-independent formatting), which is what lets sharded
 // sweep result files be merged and diffed byte-for-byte (see sim/shard.hpp).
@@ -19,7 +21,9 @@
 
 namespace cello::sim {
 
-/// Exact double -> string: C99 hexfloat ("%a").  Deterministic per value.
+/// Exact double -> string: a canonical C99 hexfloat ("0x1.<hex>p<exp>",
+/// trailing zeros trimmed, denormals normalized to a 1.x mantissa), the same
+/// text on every platform.
 std::string hex_double(double v);
 /// Exact string -> double via strtod (accepts hexfloat and decimal).  Throws
 /// cello::Error when the text is not exactly one float literal.
@@ -52,9 +56,6 @@ struct JsonValue {
 /// Parse one JSON document; throws cello::Error with the byte offset on any
 /// syntax error or trailing garbage.
 JsonValue json_parse(const std::string& text);
-
-/// Escape for embedding inside a JSON string literal (quotes not included).
-std::string json_escape(const std::string& s);
 
 /// Throws cello::Error when the object holds a key outside `allowed` —
 /// format drift fails loudly instead of being silently ignored.  `what`

@@ -1,13 +1,12 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include <fstream>
-
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "noc/topology.hpp"
@@ -33,32 +32,10 @@ PipelineStyle pipeline_style_from_name(const std::string& text) {
   throw Error("unknown pipeline style '" + text + "' (expected parallel|sequential)");
 }
 
-std::string fingerprint_string(u64 fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(fp));
-  return buf;
-}
-
-u64 fingerprint_from_string(const std::string& text) {
-  if (text.size() != 18 || text[0] != '0' || text[1] != 'x')
-    throw Error("malformed grid fingerprint '" + text + "'");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str() + 2, &end, 16);
-  if (end != text.c_str() + text.size())
-    throw Error("malformed grid fingerprint '" + text + "'");
-  return static_cast<u64>(v);
-}
-
-/// FNV-1a 64-bit over one token, folding a terminator so "ab"+"c" and
-/// "a"+"bc" hash differently.
-u64 fnv1a(u64 h, const std::string& token) {
-  for (const unsigned char c : token) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  h ^= 0xffu;
-  h *= 1099511628211ull;
-  return h;
+/// One grid token for the fingerprint: its bytes, then a 0xff terminator so
+/// "ab"+"c" and "a"+"bc" hash differently.
+u64 fold_token(u64 h, std::string_view token) {
+  return fnv1a("\xff", fnv1a(token, h));
 }
 
 void arch_to_json(std::string& out, const AcceleratorConfig& a, int indent) {
@@ -166,14 +143,27 @@ ShardMode shard_mode_from_string(const std::string& text) {
   throw Error("unknown shard mode '" + text + "' (expected contiguous|strided)");
 }
 
+std::string CellLabels::to_string() const {
+  return "(" + std::string(workload) + ", " + std::string(fabric) + ", " + std::string(config) +
+         ")";
+}
+
+CellLabels SweepGrid::labels(size_t cell) const {
+  const size_t n_fabrics = fabrics.size();
+  const size_t n_configs = configs.size();
+  return {workloads[cell / (n_fabrics * n_configs)],
+          has_fabric_axis() ? std::string_view(fabrics[(cell / n_configs) % n_fabrics])
+                            : std::string_view(),
+          configs[cell % n_configs]};
+}
+
 u64 grid_fingerprint(const SweepGrid& grid) {
-  u64 h = 14695981039346656037ull;
-  h = fnv1a(h, kFormatTag);
-  for (const std::string& spec : grid.workloads) h = fnv1a(h, "w:" + spec);
+  u64 h = fold_token(kFnv1aBasis, kFormatTag);
+  for (const std::string& spec : grid.workloads) h = fold_token(h, "w:" + spec);
   // The fabric axis folds in only when present, so classic two-axis grids
   // keep the fingerprints their existing shard files and journals carry.
   if (grid.has_fabric_axis())
-    for (const std::string& fabric : grid.fabrics) h = fnv1a(h, "f:" + fabric);
+    for (const std::string& fabric : grid.fabrics) h = fold_token(h, "f:" + fabric);
   const Simulator scheduler(grid.arch);
   const auto& registry = ConfigRegistry::global();
   for (const std::string& name : grid.configs) {
@@ -185,10 +175,9 @@ u64 grid_fingerprint(const SweepGrid& grid) {
     os << "c:" << c.name << '|' << to_string(c.schedule) << '|' << c.buffer_name << '|'
        << c.allow_delayed_hold << "|-|-|" << opts.rf_bytes << '|' << opts.enable_pipelining
        << '|' << opts.minimize_swizzle;
-    h = fnv1a(h, os.str());
+    h = fold_token(h, os.str());
   }
-  h = fnv1a(h, "arch:" + arch_json(grid.arch));
-  return h;
+  return fold_token(h, "arch:" + arch_json(grid.arch));
 }
 
 SweepGrid make_grid(const std::vector<std::string>& workload_specs,
@@ -256,7 +245,7 @@ std::string shard_to_json(const ShardResult& shard) {
   std::string out = "{\n";
   out += "  \"format\": \"" + std::string(kFormatTag) + "\",\n";
   out += "  \"grid\": {\n";
-  out += "    \"fingerprint\": \"" + fingerprint_string(grid.fingerprint) + "\",\n";
+  out += "    \"fingerprint\": \"" + hex_u64(grid.fingerprint) + "\",\n";
   out += "    \"workloads\": [\n";
   for (size_t i = 0; i < grid.workloads.size(); ++i)
     out += "      \"" + json_escape(grid.workloads[i]) + "\"" +
@@ -311,7 +300,10 @@ ShardResult shard_from_json(const std::string& text) {
   const JsonValue& grid_v = doc.at("grid");
   reject_unknown_keys(grid_v, {"fingerprint", "workloads", "fabrics", "configs", "arch"},
                       "shard file grid");
-  shard.grid.fingerprint = fingerprint_from_string(grid_v.at("fingerprint").as_string());
+  const std::string& fingerprint = grid_v.at("fingerprint").as_string();
+  const std::optional<u64> recorded = parse_hex_u64(fingerprint);
+  if (!recorded) throw Error("malformed grid fingerprint '" + fingerprint + "'");
+  shard.grid.fingerprint = *recorded;
   const JsonValue& workloads_v = grid_v.at("workloads");
   const JsonValue& configs_v = grid_v.at("configs");
   if (workloads_v.type != JsonValue::Type::Array || configs_v.type != JsonValue::Type::Array)
@@ -335,8 +327,8 @@ ShardResult shard_from_json(const std::string& text) {
                                       shard.grid.arch, shard.grid.fabrics);
   if (!same_grid(rebuilt, shard.grid))
     throw Error("shard file grid: does not match its own definition (fingerprint " +
-                fingerprint_string(shard.grid.fingerprint) + ", recomputed " +
-                fingerprint_string(rebuilt.fingerprint) + ")");
+                hex_u64(shard.grid.fingerprint) + ", recomputed " +
+                hex_u64(rebuilt.fingerprint) + ")");
 
   const JsonValue& shard_v = doc.at("shard");
   reject_unknown_keys(shard_v, {"index", "count", "mode"}, "shard file shard");
@@ -362,21 +354,14 @@ ShardResult shard_from_json(const std::string& text) {
     throw Error("shard file " + shard_label(shard.plan) + ": holds " +
                 std::to_string(shard.results.size()) + " results but its plan has " +
                 std::to_string(shard.plan.cells.size()) + " cells");
-  const size_t n_fabrics = shard.grid.fabrics.size();
-  const size_t n_configs = shard.grid.configs.size();
-  const bool fabric_axis = shard.grid.has_fabric_axis();
   for (size_t j = 0; j < shard.results.size(); ++j) {
     const size_t cell = shard.plan.cells[j];
-    const std::string& workload = shard.grid.workloads[cell / (n_fabrics * n_configs)];
-    const std::string& fabric =
-        fabric_axis ? shard.grid.fabrics[(cell / n_configs) % n_fabrics] : std::string();
-    const std::string& config = shard.grid.configs[cell % n_configs];
-    if (shard.results[j].workload != workload || shard.results[j].fabric != fabric ||
-        shard.results[j].config != config)
+    const CellLabels want = shard.grid.labels(cell);
+    const CellLabels got = CellLabels::of(shard.results[j]);
+    if (got != want)
       throw Error("shard file " + shard_label(shard.plan) + ": result " + std::to_string(j) +
-                  " names (" + shard.results[j].workload + ", " + shard.results[j].fabric +
-                  ", " + shard.results[j].config + ") but cell " + std::to_string(cell) +
-                  " is (" + workload + ", " + fabric + ", " + config + ")");
+                  " names " + got.to_string() + " but cell " + std::to_string(cell) + " is " +
+                  want.to_string());
   }
   return shard;
 }
@@ -412,8 +397,8 @@ std::vector<SweepResult> merge_shards(std::vector<ShardResult> shards) {
     if (!same_grid(shard.grid, first.grid))
       throw Error("merge: shard " + shard_label(shard.plan) +
                   " was built against a different grid (fingerprint " +
-                  fingerprint_string(shard.grid.fingerprint) + " vs " +
-                  fingerprint_string(first.grid.fingerprint) + ")");
+                  hex_u64(shard.grid.fingerprint) + " vs " +
+                  hex_u64(first.grid.fingerprint) + ")");
     if (shard.plan.count != count)
       throw Error("merge: shard " + shard_label(shard.plan) + " disagrees on the shard count " +
                   std::to_string(count));

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -44,6 +45,18 @@ const char* to_string(ShardMode m);
 /// Inverse of to_string ("contiguous" / "strided"); throws cello::Error.
 ShardMode shard_mode_from_string(const std::string& text);
 
+/// The (workload, fabric, config) labels of one grid cell, as its
+/// SweepResult names them: the fabric is "" on a grid without a fabric axis.
+/// Views into the grid (or result) they were taken from.
+struct CellLabels {
+  std::string_view workload, fabric, config;
+
+  static CellLabels of(const SweepResult& r) { return {r.workload, r.fabric, r.config}; }
+  bool operator==(const CellLabels&) const = default;
+  /// "(workload, fabric, config)", for error messages.
+  std::string to_string() const;
+};
+
 /// The full grid definition every shard of a distributed sweep must share.
 /// Cells are flattened row-major over (workload, fabric, configuration):
 /// cell = (wi * fabrics.size() + fi) * configs.size() + ci.  The default
@@ -59,6 +72,8 @@ struct SweepGrid {
   size_t cells() const { return workloads.size() * fabrics.size() * configs.size(); }
   /// True when the grid sweeps fabrics beyond the single-chip default.
   bool has_fabric_axis() const { return fabrics.size() != 1 || fabrics[0] != "1"; }
+  /// The labels of flattened cell id `cell` (< cells()).
+  CellLabels labels(size_t cell) const;
 };
 
 /// Canonicalize and validate a grid: every spec is parsed to its canonical

@@ -1,8 +1,9 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+
+#include "common/codec.hpp"
 
 namespace cello::trace {
 
@@ -18,43 +19,8 @@ std::string render(double v) {
   return buf;
 }
 
-std::string render(i64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  return buf;
-}
-
-std::string render(u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
-
-/// Escape for a JSON string literal (quotes included in the result).
-std::string quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
+/// A JSON string literal, quotes included.
+std::string quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
 
 /// Simulated seconds -> the trace_event format's microsecond unit.
 std::string render_us(double seconds) { return render(seconds * 1e6); }
@@ -70,8 +36,8 @@ void write_args(std::ostream& out, const std::vector<TraceArg>& args) {
 
 }  // namespace
 
-TraceArg arg(const std::string& key, i64 value) { return {key, render(value)}; }
-TraceArg arg(const std::string& key, u64 value) { return {key, render(value)}; }
+TraceArg arg(const std::string& key, i64 value) { return {key, std::to_string(value)}; }
+TraceArg arg(const std::string& key, u64 value) { return {key, std::to_string(value)}; }
 TraceArg arg(const std::string& key, double value) { return {key, render(value)}; }
 
 std::ostream& ChromeTraceWriter::begin_event() {
@@ -106,7 +72,7 @@ void ChromeTraceWriter::counter(i32 pid, i32 tid, const std::string& series,
                                 double ts_seconds, Bytes value) {
   begin_event() << "{\"name\":" << quote(series) << ",\"ph\":\"C\",\"ts\":"
                 << render_us(ts_seconds) << ",\"pid\":" << pid << ",\"tid\":" << tid
-                << ",\"args\":{\"bytes\":" << render(static_cast<u64>(value)) << "}}";
+                << ",\"args\":{\"bytes\":" << value << "}}";
 }
 
 void ChromeTraceWriter::finish() {

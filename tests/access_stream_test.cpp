@@ -239,7 +239,6 @@ TEST(AccessStream, CaptureIsDeterministic) {
   EXPECT_EQ(a.op_end, b.op_end);
   EXPECT_EQ(a.min_addr, b.min_addr);
   EXPECT_EQ(a.max_addr, b.max_addr);
-  EXPECT_EQ(a.total_lines, b.total_lines);
 
   EXPECT_GT(a.period_steps, 0u) << "iterative CG should capture as periodic";
   EXPECT_GE(a.period_count, 2u);

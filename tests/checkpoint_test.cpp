@@ -91,6 +91,22 @@ TEST_F(CheckpointTest, HeaderBindsGridShardAndMode) {
   EXPECT_THROW(sim::read_journal("", grid, p12), Error);
 }
 
+// A frame whose length runs past the journal is a torn tail, even one of
+// 2^64 - 1 bytes, which would wrap an offset + length bound back inside it.
+TEST_F(CheckpointTest, OverlongFrameLengthsAreTornTails) {
+  const auto grid = test_grid();
+  const auto plan = sim::plan_shard(grid, 1, 1);
+  const std::string header = sim::checkpoint_header(grid, plan);
+  for (const std::string frame : {"R 0 18446744073709551615 0x0000000000000000\n",
+                                  "R 0 18446744073709551616 0x0000000000000000\n",
+                                  "R 0 3 0x0000000000000000\n{}\n"}) {
+    const CheckpointState state = sim::read_journal(header + frame, grid, plan);
+    EXPECT_TRUE(state.completed.empty()) << frame;
+    EXPECT_EQ(state.valid_bytes, header.size()) << frame;
+    EXPECT_EQ(state.dropped_bytes, frame.size()) << frame;
+  }
+}
+
 TEST_F(CheckpointTest, FreshRunJournalsEveryCellBitExactly) {
   const auto grid = test_grid();
   const auto plan = sim::plan_shard(grid, 1, 1);

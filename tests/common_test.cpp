@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
@@ -114,6 +115,45 @@ TEST(Types, CeilDivAndLiterals) {
   EXPECT_EQ(ceil_div<i64>(9, 3), 3);
   EXPECT_EQ(4_KiB, 4096u);
   EXPECT_EQ(2_MiB, 2u * 1024 * 1024);
+}
+
+// ---- codec ------------------------------------------------------------------
+
+TEST(Codec, JsonEscapeNamesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain \xc3\xa9"), "plain \xc3\xa9");  // UTF-8 passes through
+  EXPECT_EQ(json_escape("a\"b\\c\n\r\t"), "a\\\"b\\\\c\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f\0", 3)), "\\u0001\\u001f\\u0000");
+}
+
+TEST(Codec, HexU64RoundTripsAndRejectsLooseText) {
+  for (const u64 v : {u64{0}, u64{1}, u64{0xaea8eddcc0f88eb3ull}, ~u64{0}}) {
+    const std::string text = hex_u64(v);
+    EXPECT_EQ(text.size(), 18u) << text;
+    EXPECT_EQ(parse_hex_u64(text), v) << text;
+  }
+  EXPECT_EQ(hex_u64(0xaea8eddcc0f88eb3ull), "0xaea8eddcc0f88eb3");
+  EXPECT_EQ(parse_hex_u64("0xAEA8EDDCC0F88EB3"), 0xaea8eddcc0f88eb3ull);
+  for (const char* bad :
+       {"", "0x", "aea8eddcc0f88eb3", "0Xaea8eddcc0f88eb3", "0xaea8eddcc0f88eb",
+        "0xaea8eddcc0f88eb30", "0x-000000000000001", "0x+000000000000001",
+        "0x 000000000000001", "0x0x00000000000001", "0x000000000000000g"})
+    EXPECT_FALSE(parse_hex_u64(bad)) << bad;
+}
+
+TEST(Codec, DecimalIsDigitsOnlyAndOverflowChecked) {
+  EXPECT_EQ(parse_decimal_u64("0"), 0u);
+  EXPECT_EQ(parse_decimal_u64("007"), 7u);
+  EXPECT_EQ(parse_decimal_u64("18446744073709551615"), ~u64{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.0", "1e3",
+                          "18446744073709551616", "99999999999999999999"})
+    EXPECT_FALSE(parse_decimal_u64(bad)) << bad;
+}
+
+TEST(Codec, Fnv1aMatchesPublishedVectorsAndStreams) {
+  EXPECT_EQ(fnv1a(""), kFnv1aBasis);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
 }
 
 }  // namespace

@@ -106,6 +106,9 @@ TEST_F(FailpointTest, MalformedSpecsThrow) {
   EXPECT_THROW(failpoint::arm("s", "throw@"), Error);
   EXPECT_THROW(failpoint::arm("s", "throw@zero"), Error);
   EXPECT_THROW(failpoint::arm("s", "throw@0"), Error);  // hits are 1-based
+  EXPECT_THROW(failpoint::arm("s", "throw@+3"), Error);
+  EXPECT_THROW(failpoint::arm("s", "throw@3 "), Error);
+  EXPECT_THROW(failpoint::arm("s", "throw@18446744073709551616"), Error);  // past u64
   EXPECT_THROW(failpoint::arm_from_string("missing-equals"), Error);
   // Nothing half-armed after the failures above.
   EXPECT_NO_THROW(failpoint::maybe_throw("s"));

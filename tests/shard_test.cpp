@@ -186,6 +186,24 @@ TEST(Shard, TwoAxisFingerprintIsPinned) {
   EXPECT_EQ(grid.fingerprint, 0xaea8eddcc0f88eb3ull);
 }
 
+// Each cell's labels are the ones its run_shard result carries, with and
+// without a fabric axis.
+TEST(Shard, CellLabelsNameWhatRunShardReturns) {
+  for (const auto& fabrics :
+       {std::vector<std::string>{}, std::vector<std::string>{"1", "mesh:2x2"}}) {
+    const SweepGrid grid = sim::make_grid({"cg:m=512,n=4,iters=1", "cg:m=256,n=4,iters=1"},
+                                          {"Flexagon", "FLAT"}, AcceleratorConfig{}, fabrics);
+    const auto results = SweepRunner(2).run_shard(grid, sim::plan_shard(grid, 1, 1));
+    ASSERT_EQ(results.size(), grid.cells());
+    for (size_t cell = 0; cell < grid.cells(); ++cell)
+      EXPECT_TRUE(sim::CellLabels::of(results[cell]) == grid.labels(cell)) << cell;
+    // cell = (wi * fabrics + fi) * configs + ci
+    const std::string fabric = grid.has_fabric_axis() ? "mesh:2x2" : "";
+    EXPECT_EQ(grid.labels(grid.cells() - 1).to_string(),
+              "(" + grid.workloads[1] + ", " + fabric + ", FLAT)");
+  }
+}
+
 // ---- merge ------------------------------------------------------------------
 
 /// Shared fixture grid: two workloads (one with a real matrix, so the
