@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "cache/cache_replay.hpp"
@@ -82,7 +81,7 @@ void BM_CgCello(benchmark::State& s) {
 // ---- trace overhead row -----------------------------------------------------
 // The BM_CgCello cell narrated into an in-memory ChromeTraceWriter every
 // iteration: the delta against BM_CgCello is the full cost of op-level
-// tracing (per-step capture + event formatting + streaming serialization),
+// tracing (per-step capture + event formatting + in-memory serialization),
 // and the trace_events / trace_bytes counters record the trace volume in the
 // BENCH_tracesim.json trajectory so serialization changes stay visible.
 void BM_TraceOverhead(benchmark::State& state) {
@@ -92,14 +91,13 @@ void BM_TraceOverhead(benchmark::State& state) {
   const sim::Configuration& config = sim::ConfigRegistry::global().at("Cello");
   u64 events = 0, bytes = 0;
   for (auto _ : state) {
-    std::ostringstream out;
-    trace::ChromeTraceWriter writer(out);
+    trace::ChromeTraceWriter writer;
     sim::RunArtifacts art;
     art.trace = &writer;
     const sim::RunMetrics m = simulator.run(cg_dag(), config, art);
     writer.finish();
     events = writer.events();
-    bytes = out.str().size();
+    bytes = writer.document().size();
     benchmark::DoNotOptimize(m.dram_bytes);
   }
   state.counters["trace_events"] = benchmark::Counter(static_cast<double>(events));

@@ -10,7 +10,8 @@
 //                                 [--nodes <n>] [--topology mesh|torus:RxC|ring|crossbar]
 //                                 [--trace out.json]  (op-level Perfetto trace;
 //                                  needs one --workload and a named --config)
-//   ./example_cello_cli sweep     [--workload <spec>]... [--jobs <n>]
+//   ./example_cello_cli sweep     [--workload <spec>]... [--config <name>|all]
+//                                 [--jobs <n>]
 //                                 [--nodes <n>[,<n>...]] [--topology <kind>[,<kind>...]]
 //                                 [--shard <i>/<k>] [--shard-mode contiguous|strided]
 //                                 [--out results.json|results.csv]
@@ -26,7 +27,8 @@
 //                                  more than one traced cell each writes
 //                                  out.cell<N>.json, N the flattened
 //                                  row-major cell id)
-//                                 (all registered configs, parallel SweepRunner;
+//                                 (every registered config, or the one
+//                                  --config names; parallel SweepRunner;
 //                                  one immutable DAG/schedule per workload row;
 //                                  --shard runs one deterministic slice of the
 //                                  grid, --out writes a machine-readable,
@@ -232,6 +234,32 @@ void write_file(const std::string& path, const std::string& content) {
   if (!out.flush()) throw Error("failed writing '" + path + "'");
 }
 
+/// The trace documents of one run or sweep by grid cell id (a direct run is
+/// cell 0), each bound for its own file.  add() creates the file and closes
+/// it at once, so an unwritable path fails before anything simulates; the
+/// documents build in memory, holding no descriptor while cells run, and
+/// write_all() stores each one once.
+struct TraceFiles {
+  std::map<size_t, std::pair<std::string, trace::ChromeTraceWriter>> files;
+
+  trace::ChromeTraceWriter& add(size_t cell, const std::string& path) {
+    const auto [it, fresh] = files.try_emplace(cell, path, trace::ChromeTraceWriter{});
+    if (fresh) write_file(path, "");
+    return it->second.second;
+  }
+
+  void write_all(bool name_cells) {
+    for (auto& [cell, file] : files) {
+      auto& [path, writer] = file;
+      writer.finish();
+      write_file(path, writer.document());
+      std::cout << "wrote trace " << path << " (";
+      if (name_cells) std::cout << "cell " << cell << ", ";
+      std::cout << writer.events() << " events)\n";
+    }
+  }
+};
+
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
   size_t at = 0;
@@ -400,15 +428,19 @@ int run_cli(int argc, char** argv) {
 
   {
     if (o.command == "sweep") {
-      // Every workload row under every registered configuration, fanned
-      // across a thread pool; each row shares one immutable DAG and one
-      // schedule per schedule policy.  Ordering is deterministic.  The grid
-      // is pinned (canonical specs + config names + arch fingerprint) so
-      // --shard slices taken on different machines merge back losslessly —
-      // and resolution happens inside run_shard, scoped to the shard, so a
-      // slice never builds (or needs the datasets of) rows it does not run.
+      // Every workload row under every registered configuration (or the
+      // one --config names), fanned across a thread pool; each row shares
+      // one immutable DAG and one schedule per schedule policy.  Ordering
+      // is deterministic.  The grid is pinned (canonical specs + config
+      // names + arch fingerprint) so --shard slices taken on different
+      // machines merge back losslessly — and resolution happens inside
+      // run_shard, scoped to the shard, so a slice never builds (or needs
+      // the datasets of) rows it does not run.
       const sim::SweepGrid grid = sim::make_grid(
-          o.workloads, sim::ConfigRegistry::global().names(), arch, fabric_specs(o));
+          o.workloads,
+          o.config == "all" ? sim::ConfigRegistry::global().names()
+                            : std::vector<std::string>{o.config},
+          arch, fabric_specs(o));
       u32 shard_index = 1, shard_count = 1;
       if (o.shard) parse_shard_flag(*o.shard, shard_index, shard_count);
       const sim::ShardPlan plan = sim::plan_shard(
@@ -419,16 +451,10 @@ int run_cli(int argc, char** argv) {
       sweep_options.retries = o.retries;
       sweep_options.checkpoint = o.checkpoint.value_or("");
       sweep_options.resume = o.resume;
-      // One writer per traced cell, all opened before the sweep runs so an
-      // unwritable path fails before any cell does.  A lone named cell
-      // writes the --trace path itself; several cells, or "all", each write
-      // the --trace path with ".cell<id>" spliced in before the extension.
-      struct CellTrace {
-        std::string path;
-        std::ofstream stream;
-        std::optional<trace::ChromeTraceWriter> writer;
-      };
-      std::map<size_t, CellTrace> cell_traces;
+      // One trace file per traced cell.  A lone named cell writes the --trace
+      // path itself; several cells, or "all", each write the --trace path
+      // with ".cell<id>" spliced in before the extension.
+      TraceFiles traces;
       const bool trace_all = o.trace_cells == std::vector<std::string>{"all"};
       const bool one_cell = o.trace_cells.size() == 1 && !trace_all;
       if (o.trace) {
@@ -444,29 +470,17 @@ int run_cli(int argc, char** argv) {
             selected.push_back(cell);
           }
         }
-        for (const size_t cell : selected) {
-          CellTrace& ct = cell_traces[cell];
-          if (ct.writer) continue;  // named twice
-          ct.path = one_cell ? *o.trace : trace_cell_path(*o.trace, cell);
-          ct.stream.open(ct.path, std::ios::binary);
-          if (!ct.stream) throw Error("cannot write '" + ct.path + "'");
-          ct.writer.emplace(ct.stream);
-        }
+        for (const size_t cell : selected)
+          traces.add(cell, one_cell ? *o.trace : trace_cell_path(*o.trace, cell));
         // Read-only lookups from the pool workers: the map is complete.
-        sweep_options.trace_sink_for = [&cell_traces](size_t cell) -> trace::TraceSink* {
-          const auto it = cell_traces.find(cell);
-          return it == cell_traces.end() ? nullptr : &*it->second.writer;
+        sweep_options.trace_sink_for = [&traces](size_t cell) -> trace::ChromeTraceWriter* {
+          const auto it = traces.files.find(cell);
+          return it == traces.files.end() ? nullptr : &it->second.second;
         };
       }
       const sim::SweepRunner runner(o.jobs.value_or(0));
       auto cells = runner.run_shard(grid, plan, sweep_options);
-      for (auto& [cell, ct] : cell_traces) {
-        ct.writer->finish();
-        if (!ct.stream.flush()) throw Error("failed writing '" + ct.path + "'");
-        std::cout << "wrote trace " << ct.path << " (";
-        if (!one_cell) std::cout << "cell " << cell << ", ";
-        std::cout << ct.writer->events() << " events)\n";
-      }
+      traces.write_all(!one_cell);
       size_t failed = 0;
       for (const auto& cell : cells)
         if (!cell.ok()) ++failed;
@@ -576,24 +590,14 @@ int run_cli(int argc, char** argv) {
       }
       const sim::Simulator simulator(arch, wl.matrix.get());
       sim::RunArtifacts artifacts;
-      std::ofstream trace_stream;
-      std::optional<trace::ChromeTraceWriter> tracer;
-      if (o.trace) {
-        trace_stream.open(*o.trace, std::ios::binary);
-        if (!trace_stream) throw Error("cannot write '" + *o.trace + "'");
-        tracer.emplace(trace_stream);
-        artifacts.trace = &*tracer;
-      }
+      TraceFiles traces;
+      if (o.trace) artifacts.trace = &traces.add(0, *o.trace);
       const auto m = simulator.run(*wl.dag, *config, artifacts);
       std::cout << config->name << " (" << config->describe() << "): "
                 << format_double(m.gmacs_per_sec(), 1) << " GMACs/s, "
                 << format_bytes(static_cast<double>(m.dram_bytes)) << " DRAM, "
                 << format_double(m.seconds * 1e6, 1) << " us\n";
-      if (tracer) {
-        tracer->finish();
-        if (!trace_stream.flush()) throw Error("failed writing '" + *o.trace + "'");
-        std::cout << "wrote trace " << *o.trace << " (" << tracer->events() << " events)\n";
-      }
+      traces.write_all(false);
     }
     return 0;
   }

@@ -52,7 +52,7 @@
 //   // Drivers doing their own cell loops share the same immutable artifacts
 //   // through one sim::RunArtifacts bundle (bit-identical to the one-shot
 //   // run above).  This bundle IS the run API: every optional input —
-//   // prebuilt schedule/map/reuse/router tables, reusable scratch, trace sink —
+//   // prebuilt schedule/map/reuse/router tables, reusable scratch, trace writer —
 //   // rides in it, and run(dag, config) is just the empty-bundle default.
 //   auto sched = cello::score::build_schedule(
 //       *cg.dag, simulator.schedule_options(registry.at("Cello")));
@@ -65,15 +65,17 @@
 //   art.reuse_index = &reuse; art.scratch = &scratch;
 //   auto fast_m = simulator.run(*cg.dag, registry.at("Cello"), art);
 //
-//   // Op-level observability: arm a trace sink and the same run writes a
-//   // Perfetto-loadable Chrome trace_event file (simulated timestamps, fully
-//   // deterministic; see trace/trace.hpp and the README's Observability
-//   // section).  `cello_cli run --trace out.json` is this in flag form.
-//   std::ofstream out("trace.json", std::ios::binary);
-//   cello::trace::ChromeTraceWriter writer(out);
+//   // Op-level observability: arm a trace writer and the same run builds a
+//   // Perfetto-loadable Chrome trace_event document in memory (simulated
+//   // timestamps, fully deterministic; see trace/trace.hpp and the README's
+//   // Observability section).  `cello_cli run --trace out.json` is this in
+//   // flag form.
+//   cello::trace::ChromeTraceWriter writer;
 //   cello::sim::RunArtifacts traced;
 //   traced.trace = &writer;
 //   simulator.run(*cg.dag, registry.at("Cello"), traced);
+//   writer.finish();
+//   std::ofstream("trace.json", std::ios::binary) << writer.document();
 //
 //   std::cout << cello::compare_table(*cg.dag, arch);    // the seven Table IV rows
 //

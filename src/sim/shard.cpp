@@ -131,6 +131,16 @@ std::string shard_label(const ShardPlan& plan) {
   return std::to_string(plan.index) + "/" + std::to_string(plan.count);
 }
 
+/// Append `canonical`, the canonical form of `text`, to a grid axis that
+/// must not hold it yet: two spellings of one entry would run cells twice.
+void push_unique(std::vector<std::string>& axis, std::string canonical, const std::string& text,
+                 const char* what) {
+  if (std::find(axis.begin(), axis.end(), canonical) != axis.end())
+    throw Error(std::string("duplicate ") + what + " '" + text + "' (canonical '" + canonical +
+                "') in the sweep grid");
+  axis.push_back(std::move(canonical));
+}
+
 }  // namespace
 
 const char* to_string(ShardMode m) {
@@ -191,22 +201,16 @@ SweepGrid make_grid(const std::vector<std::string>& workload_specs,
   SweepGrid grid;
   grid.workloads.reserve(workload_specs.size());
   for (const std::string& text : workload_specs)
-    grid.workloads.push_back(WorkloadSpec::parse(text).to_string());
+    push_unique(grid.workloads, WorkloadSpec::parse(text).to_string(), text, "workload");
   if (!fabrics.empty()) {
     grid.fabrics.clear();
-    for (const std::string& text : fabrics) {
-      const std::string canonical = noc::TopologySpec::parse(text).to_string();
-      CELLO_CHECK_MSG(std::find(grid.fabrics.begin(), grid.fabrics.end(), canonical) ==
-                          grid.fabrics.end(),
-                      "duplicate fabric '" << text << "' (canonical '" << canonical
-                                           << "') in the sweep grid");
-      grid.fabrics.push_back(canonical);
-    }
+    for (const std::string& text : fabrics)
+      push_unique(grid.fabrics, noc::TopologySpec::parse(text).to_string(), text, "fabric");
   }
   grid.configs.reserve(config_names.size());
   const auto& registry = ConfigRegistry::global();
-  for (const std::string& name : config_names)
-    grid.configs.push_back(registry.at(name).name);  // normalized registered name
+  for (const std::string& name : config_names)  // normalized registered name
+    push_unique(grid.configs, registry.at(name).name, name, "configuration");
   grid.arch = arch;
   grid.fingerprint = grid_fingerprint(grid);
   return grid;

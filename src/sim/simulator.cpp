@@ -27,7 +27,7 @@ constexpr i32 kDramTid = 1;      ///< per-group DRAM spans + end-of-run drain
 constexpr i32 kBufferTid = 2;    ///< buffer-occupancy counter samples
 constexpr i32 kNocTid = 3;       ///< multi-node collective spans
 
-/// Per-step observations collected (only when a sink is armed) during the
+/// Per-step observations collected (only when a writer is armed) during the
 /// loop and replayed into events once the group times are final — a group's
 /// duration is max(compute, dram) and is only known when the group closes.
 struct TraceStep {
@@ -40,14 +40,14 @@ struct TraceStep {
 /// inside their pipeline group on the schedule track, one aggregated DRAM
 /// span per group (the model prices DRAM per group, not per op), occupancy
 /// counter samples at each step's compute end, and the end-of-run drain.
-void emit_run_trace(trace::TraceSink& sink, const ir::TensorDag& dag, const Schedule& sched,
-                    const AcceleratorConfig& arch, const std::vector<TraceStep>& steps,
-                    const std::vector<double>& group_compute,
+void emit_run_trace(trace::ChromeTraceWriter& writer, const ir::TensorDag& dag,
+                    const Schedule& sched, const AcceleratorConfig& arch,
+                    const std::vector<TraceStep>& steps, const std::vector<double>& group_compute,
                     const std::vector<double>& group_dram, bool drained, Bytes drained_bytes,
                     Bytes final_occupancy) {
-  sink.track(kTracePid, kScheduleTid, "cello-sim", "schedule");
-  sink.track(kTracePid, kDramTid, "cello-sim", "dram");
-  sink.track(kTracePid, kBufferTid, "cello-sim", "buffer");
+  writer.track(kTracePid, kScheduleTid, "cello-sim", "schedule");
+  writer.track(kTracePid, kDramTid, "cello-sim", "dram");
+  writer.track(kTracePid, kBufferTid, "cello-sim", "buffer");
 
   // Groups serialize; within a group compute and DRAM overlap, so group g
   // starts at the sum of max(compute, dram) over the groups before it.
@@ -67,35 +67,35 @@ void emit_run_trace(trace::TraceSink& sink, const ir::TensorDag& dag, const Sche
     gbytes[cur] += ts.dram;
     const ir::EinsumOp& op = dag.op(sched.steps[i].op);
     const double dur = arch.compute_seconds(op.macs());
-    sink.span(kTracePid, kScheduleTid, op.name, cursor, dur,
-              {trace::arg("step", static_cast<u64>(i)), trace::arg("group", i64{cur}),
-               trace::arg("macs", op.macs()), trace::arg("dram_bytes", ts.dram)});
+    writer.span(kTracePid, kScheduleTid, op.name, cursor, dur,
+                {trace::arg("step", static_cast<u64>(i)), trace::arg("group", i64{cur}),
+                 trace::arg("macs", op.macs()), trace::arg("dram_bytes", ts.dram)});
     cursor += dur;
-    sink.counter(kTracePid, kBufferTid, "buffer_occupancy", cursor, ts.occupancy);
+    writer.counter(kTracePid, kBufferTid, "buffer_occupancy", cursor, ts.occupancy);
   }
 
   // The drain, when present, is the one trailing group without steps.
   const size_t run_groups = group_compute.size() - (drained ? 1 : 0);
   for (size_t g = 0; g < run_groups; ++g)
     if (group_dram[g] > 0)
-      sink.span(kTracePid, kDramTid, "dram", gstart[g], group_dram[g],
-                {trace::arg("group", static_cast<u64>(g)), trace::arg("bytes", gbytes[g])});
+      writer.span(kTracePid, kDramTid, "dram", gstart[g], group_dram[g],
+                  {trace::arg("group", static_cast<u64>(g)), trace::arg("bytes", gbytes[g])});
   if (drained)
-    sink.span(kTracePid, kDramTid, "drain", gstart[run_groups], group_dram[run_groups],
-              {trace::arg("bytes", drained_bytes)});
-  sink.counter(kTracePid, kBufferTid, "buffer_occupancy", gstart[group_compute.size()],
-               final_occupancy);
+    writer.span(kTracePid, kDramTid, "drain", gstart[run_groups], group_dram[run_groups],
+                {trace::arg("bytes", drained_bytes)});
+  writer.counter(kTracePid, kBufferTid, "buffer_occupancy", gstart[group_compute.size()],
+                 final_occupancy);
 }
 
-/// Emit the NoC collective span of a folded multi-node run onto `sink`'s noc
+/// Emit the NoC collective span of a folded multi-node run onto `writer`'s noc
 /// track: the routed collectives occupy [per_node_seconds, per_node_seconds +
 /// folded.noc_seconds).
-void trace_collectives(trace::TraceSink& sink, const RunMetrics& folded,
+void trace_collectives(trace::ChromeTraceWriter& writer, const RunMetrics& folded,
                        double per_node_seconds) {
-  sink.track(kTracePid, kNocTid, "cello-sim", "noc");
-  sink.span(kTracePid, kNocTid, "collectives", per_node_seconds, folded.noc_seconds,
-            {trace::arg("nodes", folded.nodes), trace::arg("noc_bytes", folded.noc_bytes),
-             trace::arg("max_link_utilization", folded.max_link_utilization)});
+  writer.track(kTracePid, kNocTid, "cello-sim", "noc");
+  writer.span(kTracePid, kNocTid, "collectives", per_node_seconds, folded.noc_seconds,
+              {trace::arg("nodes", folded.nodes), trace::arg("noc_bytes", folded.noc_bytes),
+               trace::arg("max_link_utilization", folded.max_link_utilization)});
 }
 
 }  // namespace
@@ -208,7 +208,8 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
                                const AcceleratorConfig& arch, const Schedule& sched,
                                const AddressMap& map, const score::ReuseIndex& reuse_index,
                                const RouterTables& tables, RunScratch& s, BufferPolicy& policy,
-                               const AccessStream* stream, trace::TraceSink* sink) const {
+                               const AccessStream* stream,
+                               trace::ChromeTraceWriter* writer) const {
   CELLO_CHECK_MSG(reuse_index.num_bases() == map.entries.size(),
                   "reuse index covers " << reuse_index.num_bases() << " bases, address map "
                                         << map.entries.size()
@@ -305,10 +306,10 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
 
   u64 pipeline_sram_lines = 0;  ///< pipeline-buffer staging accesses
 
-  // Armed only when a sink is present: per-step observations for the trace,
+  // Armed only when a writer is present: per-step observations for the trace,
   // replayed into events after the loop once group durations are final.
   std::vector<TraceStep> tsteps;
-  if (sink != nullptr) tsteps.reserve(sched.steps.size());
+  if (writer != nullptr) tsteps.reserve(sched.steps.size());
 
   for (size_t i = 0; i < sched.steps.size(); ++i) {
     const ir::EinsumOp& op = dag.op(sched.steps[i].op);
@@ -409,7 +410,7 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
         policy.retire(base);
 
     group_dram[cur_group] += arch.dram_seconds(op_dram);
-    if (sink != nullptr)
+    if (writer != nullptr)
       tsteps.push_back({cur_group, op_dram,
                         trace ? valid_lines * arch.line_bytes : policy.occupancy_bytes()});
   }
@@ -452,8 +453,8 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
   policy.finalize(arch, pipeline_sram_lines, metrics);
   metrics.offchip_energy_pj =
       static_cast<double>(metrics.dram_bytes) * arch.dram_energy_pj_per_byte;
-  if (sink != nullptr)
-    emit_run_trace(*sink, dag, sched, arch, tsteps, group_compute, group_dram, did_drain,
+  if (writer != nullptr)
+    emit_run_trace(*writer, dag, sched, arch, tsteps, group_compute, group_dram, did_drain,
                    drained_bytes, policy.occupancy_bytes());
   return metrics;
 }

@@ -14,7 +14,7 @@
 //
 // Every optional per-run input travels in one RunArtifacts bundle (shared
 // immutable schedule/address-map/reuse-index/router-tables/stream, a reusable
-// RunScratch, a trace sink), so run() has exactly one signature; whatever
+// RunScratch, a trace writer), so run() has exactly one signature; whatever
 // the bundle leaves null comes from a sim::ArtifactCache:
 //
 //   sim::RunArtifacts art;
@@ -35,7 +35,7 @@
 #include "sparse/csr.hpp"
 
 namespace cello::trace {
-class TraceSink;
+class ChromeTraceWriter;
 }  // namespace cello::trace
 
 namespace cello::cache {
@@ -76,7 +76,7 @@ class RunScratch {
 };
 
 /// Every optional per-run input to Simulator::run, in one bundle — adding a
-/// cross-cutting input (a scratch, a trace sink, ...) extends this struct
+/// cross-cutting input (a scratch, a trace writer, ...) extends this struct
 /// instead of multiplying overloads.  All pointers are borrowed and may be
 /// null.  Every null artifact is filled from a sim::ArtifactCache — a
 /// private one per one-shot call, the sweep-wide one inside SweepRunner —
@@ -101,10 +101,10 @@ struct RunArtifacts {
   /// Reusable per-run scratch vectors, re-assigned — not reallocated — for
   /// this run.  Bit-identical to running without one.
   RunScratch* scratch = nullptr;
-  /// Op-level trace sink (see trace/trace.hpp); null = no tracing, at the
-  /// cost of one pointer test per scheduled step.  Traced runs return the
-  /// exact metrics of untraced ones.
-  trace::TraceSink* trace = nullptr;
+  /// Op-level trace writer (see trace/trace.hpp) the run appends its events
+  /// to; null = no tracing, at the cost of one pointer test per scheduled
+  /// step.  Traced runs return the exact metrics of untraced ones.
+  trace::ChromeTraceWriter* trace = nullptr;
   /// Pre-captured access stream of (`schedule`, `address_map`) and this
   /// configuration's routing — see AccessStream::capture; requires
   /// `schedule` alongside.  Only trace-driven policies replay a stream, and
@@ -120,7 +120,7 @@ class Simulator {
       : arch_(arch), matrix_(matrix) {}
 
   /// Evaluate one configuration.  THE run signature: every optional input
-  /// (shared immutable setup, reusable scratch, trace sink) rides in
+  /// (shared immutable setup, reusable scratch, trace writer) rides in
   /// `artifacts`; the default bundle builds everything in a private
   /// ArtifactCache.  With arch().nodes > 1 this is the multi-chip model of
   /// Sec. V-B: one node's shard runs on a single chip and fold_multinode adds
@@ -156,7 +156,7 @@ class Simulator {
                       const AcceleratorConfig& arch, const score::Schedule& sched,
                       const AddressMap& map, const score::ReuseIndex& reuse_index,
                       const RouterTables& tables, RunScratch& scratch, BufferPolicy& policy,
-                      const AccessStream* stream, trace::TraceSink* sink) const;
+                      const AccessStream* stream, trace::ChromeTraceWriter* writer) const;
 
   AcceleratorConfig arch_;
   const sparse::CsrMatrix* matrix_;

@@ -38,7 +38,7 @@
 #include "sim/workload_registry.hpp"
 
 namespace cello::trace {
-class TraceSink;
+class ChromeTraceWriter;
 }  // namespace cello::trace
 
 namespace cello::sim {
@@ -84,14 +84,15 @@ struct SweepOptions {
   /// journal file simply starts fresh, so retry loops can always pass this.
   bool resume = false;
   /// Cell tracing: called once per executed cell with its flattened
-  /// row-major id; a non-null return traces that cell into the returned sink
-  /// (borrowed; must outlive the sweep).  A traced cell's events equal a
-  /// direct Simulator::run of the same workload/arch/configuration with
-  /// the same sink; give each traced cell its own sink to keep the output
+  /// row-major id; a non-null return traces that cell into the returned
+  /// in-memory writer (borrowed; must outlive the sweep), whose document the
+  /// caller stores once the sweep returns.  A traced cell's document equals
+  /// the one a direct Simulator::run of the same workload/arch/configuration
+  /// writes; give each traced cell its own writer to keep the output
   /// deterministic.  Called concurrently from pool workers, so the callback
   /// must be thread-safe.  Checkpoint-recovered cells are never consulted
   /// (they re-emit nothing).
-  std::function<trace::TraceSink*(size_t cell)> trace_sink_for;
+  std::function<trace::ChromeTraceWriter*(size_t cell)> trace_sink_for;
 };
 
 class SweepRunner {

@@ -1,9 +1,9 @@
 #include "sim/workload_registry.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sparse/datasets.hpp"
@@ -34,13 +34,15 @@ i64 WorkloadParams::get_i64(const std::string& key, i64 fallback) {
   consumed_.insert(key);
   const auto it = spec_.params.find(key);
   if (it == spec_.params.end()) return fallback;
-  const std::string& v = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno != 0)
-    bad_spec(spec_, "parameter '" + key + "' expects an integer, got '" + v + "'");
-  return static_cast<i64>(parsed);
+  // Digits only, no leading zero: a second spelling of a value would be a
+  // second grid row for the same workload.
+  const std::string& text = it->second;
+  const std::optional<u64> parsed = parse_decimal_u64(text);
+  if (!parsed || *parsed > static_cast<u64>(std::numeric_limits<i64>::max()) ||
+      (text.size() > 1 && text[0] == '0'))
+    bad_spec(spec_, "parameter '" + key + "' expects a plain decimal integer (no sign, space or "
+                    "leading zero), got '" + text + "'");
+  return static_cast<i64>(*parsed);
 }
 
 std::string WorkloadParams::get_string(const std::string& key, std::string fallback) {

@@ -62,7 +62,8 @@ class WorkloadParams {
   WorkloadParams(const WorkloadSpec& spec, const WorkloadRegistry& registry)
       : spec_(spec), registry_(registry) {}
 
-  /// Integer parameter; throws cello::Error on a malformed number.
+  /// Integer parameter: ASCII digits only, at most the i64 maximum; a sign,
+  /// a space, a leading zero or an overflow throws cello::Error naming `key`.
   i64 get_i64(const std::string& key, i64 fallback);
   std::string get_string(const std::string& key, std::string fallback);
 

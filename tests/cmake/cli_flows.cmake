@@ -17,11 +17,14 @@
 #                 fingerprint, `merge` without shard arguments and `run --trace`
 #                 into a missing directory fail with a message naming the cause
 #   csv_export    `--out full.csv` writes exactly tests/goldens/cli_sweep_grid.csv,
-#                 and so do `--jobs 1` and `--jobs 3`; a shard of a split sweep
+#                 and so do `--jobs 1` and `--jobs 3`; `--config Cello` writes
+#                 exactly the golden's Cello rows; a shard of a split sweep
 #                 refuses a .csv --out
 #   trace         `sweep --trace t.json --trace-cell W,C` writes the exact bytes
 #                 of `run --trace` on the same cell, and a two-cell sweep writes
-#                 one `.cell<N>` file per cell, each equal to its direct run
+#                 one `.cell<N>` file per cell, each equal to its direct run; a
+#                 26-cell `--trace-cell all` sweep under `ulimit -n 16` writes
+#                 every file (no descriptor stays open while cells run)
 #
 # The SIGKILL variant of the resume flow depends on timing and stays in CI.
 foreach(var CLI WORKDIR FLOW)
@@ -184,6 +187,22 @@ if(FLOW STREQUAL "csv_export")
     cli(ok sweep ${GRID_ARGS} --jobs ${jobs} --out jobs-${jobs}.csv)
     expect_same(jobs-${jobs}.csv golden.csv)
   endforeach()
+  # --config makes a one-configuration grid: the header plus the golden's
+  # Cello rows, one per workload and fabric.  (";" would split CMake lists,
+  # so it is masked while the golden is cut into lines.)
+  cli(ok sweep ${GRID_ARGS} --config Cello --out cello.csv)
+  file(READ ${WORKDIR}/golden.csv golden)
+  string(REPLACE ";" "<semicolon>" golden "${golden}")
+  string(REGEX MATCHALL "[^\n]+" lines "${golden}")
+  set(cello_rows "")
+  foreach(line IN LISTS lines)
+    if(line MATCHES "^workload,|,Cello,")
+      string(APPEND cello_rows "${line}\n")
+    endif()
+  endforeach()
+  string(REPLACE "<semicolon>" ";" cello_rows "${cello_rows}")
+  file(WRITE ${WORKDIR}/golden-cello.csv "${cello_rows}")
+  expect_same(cello.csv golden-cello.csv)
   cli_fails_with("CSV cannot describe a mergeable shard" sweep ${GRID_ARGS} --shard 1/2
                  --out part.csv)
   if(EXISTS ${WORKDIR}/part.csv)
@@ -233,6 +252,23 @@ if(FLOW STREQUAL "trace")
   if(EXISTS ${WORKDIR}/two.json)
     message(FATAL_ERROR "${FLOW}: a two-cell sweep trace wrote two.json itself")
   endif()
+
+  # Every cell of the 26-cell grid traced under a 16-descriptor limit: more
+  # files than descriptors, so none may stay open while the cells run.
+  execute_process(COMMAND sh -c "ulimit -n 16 && exec \"$0\" \"$@\"" ${CLI}
+                          sweep --workload ${W0} --workload ${W1}
+                          --trace all.json --trace-cell all
+                  WORKING_DIRECTORY ${WORKDIR} TIMEOUT 120
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${FLOW}: --trace-cell all under ulimit -n 16 exited with ${rc}:\n"
+                        "${out}${err}")
+  endif()
+  foreach(cell RANGE 25)
+    expect_nonempty(all.cell${cell}.json)
+  endforeach()
+  expect_same(all.cell6.json direct-0-6.json)
+  expect_same(all.cell14.json direct-1-1.json)
   return()
 endif()
 

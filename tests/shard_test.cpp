@@ -178,6 +178,31 @@ TEST(Shard, FingerprintTracksTheGridDefinition) {
 
 // A classic two-axis grid over every registered configuration keeps the
 // fingerprint that its shard files and journals already carry.
+// Two spellings of one workload or configuration canonicalize to one axis
+// entry; a grid holding both would run, and serialize, the same cells twice.
+TEST(Shard, GridRefusesDuplicatesAfterCanonicalization) {
+  const AcceleratorConfig arch;
+  const auto expect_duplicate = [&](const std::vector<std::string>& specs,
+                                    const std::vector<std::string>& configs,
+                                    const std::string& what) {
+    try {
+      sim::make_grid(specs, configs, arch);
+      FAIL() << "accepted a duplicate " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate " + what), std::string::npos) << e.what();
+    }
+  };
+  expect_duplicate({"cg:m=512,n=4,iters=1", "cg:m=512,n=4,iters=1"}, {"Cello"}, "workload");
+  expect_duplicate({"cg:m=512,n=4,iters=1", "cg:iters=1,n=4,m=512"}, {"Cello"}, "workload");
+  expect_duplicate({"cg:m=512,n=4,iters=1"}, {"Cello", "Cello"}, "configuration");
+  // An alias names the registered configuration it stands for.
+  expect_duplicate({"cg:m=512,n=4,iters=1"}, {"Cello", "SCORE+CHORD"}, "configuration");
+  EXPECT_EQ(sim::make_grid({"cg:m=512,n=4,iters=1", "cg:m=512,n=4,iters=2"},
+                           {"Cello", "Flexagon"}, arch)
+                .cells(),
+            4u);
+}
+
 TEST(Shard, TwoAxisFingerprintIsPinned) {
   const SweepGrid grid = sim::make_grid({"cg:m=9604,n=16", "gnn:cora"},
                                         sim::ConfigRegistry::global().names(),

@@ -5,7 +5,7 @@
 // CG cell and two cache-preset cells (CELLO_UPDATE_GOLDENS=1 ./trace_test to
 // refresh after an intended change),
 // schema assertions pin the Chrome trace_event grammar Perfetto expects, and
-// equality tests pin that (a) arming a sink never perturbs the metrics and
+// equality tests pin that (a) arming a writer never perturbs the metrics and
 // (b) a sweep's --trace-cell bytes equal a direct Simulator::run's bytes.
 #include <gtest/gtest.h>
 
@@ -52,14 +52,12 @@ std::string trace_run(const std::string& spec, const std::string& name,
                       const sim::AcceleratorConfig& arch = {}) {
   const sim::Workload wl = sim::WorkloadRegistry::global().resolve(spec);
   const sim::Simulator simulator(arch, wl.matrix.get());
-  std::ostringstream out;
-  {
-    trace::ChromeTraceWriter writer(out);
-    sim::RunArtifacts art;
-    art.trace = &writer;
-    simulator.run(*wl.dag, sim::ConfigRegistry::global().at(name), art);
-  }
-  return out.str();
+  trace::ChromeTraceWriter writer;
+  sim::RunArtifacts art;
+  art.trace = &writer;
+  simulator.run(*wl.dag, sim::ConfigRegistry::global().at(name), art);
+  writer.finish();
+  return writer.document();
 }
 
 TEST(Trace, GoldenBytesForCgCello) {
@@ -135,15 +133,14 @@ TEST(Trace, DocumentMatchesChromeTraceSchema) {
   EXPECT_GE(metas, 2) << "track metadata (process_name/thread_name) missing";
 }
 
-// Arming a sink must not perturb the simulation: same metrics to the bit.
+// Arming a writer must not perturb the simulation: same metrics to the bit.
 TEST(Trace, TracedRunMetricsEqualUntracedRun) {
   const sim::Workload wl = sim::WorkloadRegistry::global().resolve("spmv:dataset=fv1,iters=2");
   const sim::Simulator simulator({}, wl.matrix.get());
   const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+BRRIP");
 
   const sim::RunMetrics plain = simulator.run(*wl.dag, config);
-  std::ostringstream out;
-  trace::ChromeTraceWriter writer(out);
+  trace::ChromeTraceWriter writer;
   sim::RunArtifacts art;
   art.trace = &writer;
   const sim::RunMetrics traced = simulator.run(*wl.dag, config, art);
@@ -157,7 +154,7 @@ TEST(Trace, TracedRunMetricsEqualUntracedRun) {
 }
 
 // A trace_sink_for that selects one cell narrates exactly that cell, and the bytes
-// equal a direct Simulator::run of that cell with the same sink — shared
+// equal a direct Simulator::run of that cell — shared
 // schedules, reuse indexes, router tables and per-worker scratch included.
 // Over a 2-arch grid the traced cell is (workload, arch, config) in row-major
 // order, and its trace is the direct run under that arch.
@@ -180,21 +177,17 @@ TEST(Trace, SweepTraceCellBytesEqualDirectRun) {
   for (const auto& archs : grids) {
     // Trace cell (workload 1, last arch, config 1): gnn:cora under Cello.
     const size_t cell = (1 * archs.size() + archs.size() - 1) * configs.size() + 1;
-    std::ostringstream from_sweep;
-    {
-      trace::ChromeTraceWriter writer(from_sweep);
-      sim::SweepOptions opts;
-      opts.trace_sink_for = [&](size_t c) -> trace::TraceSink* {
-        return c == cell ? &writer : nullptr;
-      };
-      const auto cells = sim::SweepRunner(/*threads=*/3).run(workloads, cfgs, archs, opts);
-      ASSERT_EQ(cells.size(), specs.size() * archs.size() * configs.size());
-      EXPECT_EQ(cells[cell].workload, workloads[1].name);
-      EXPECT_EQ(cells[cell].config, "Cello");
-    }
+    trace::ChromeTraceWriter from_sweep;
+    sim::SweepOptions opts;
+    opts.trace_sink_for = [&](size_t c) { return c == cell ? &from_sweep : nullptr; };
+    const auto cells = sim::SweepRunner(/*threads=*/3).run(workloads, cfgs, archs, opts);
+    ASSERT_EQ(cells.size(), specs.size() * archs.size() * configs.size());
+    EXPECT_EQ(cells[cell].workload, workloads[1].name);
+    EXPECT_EQ(cells[cell].config, "Cello");
+    from_sweep.finish();
     const std::string direct = trace_run("gnn:cora", "Cello", archs.back());
     EXPECT_FALSE(direct.empty());
-    EXPECT_EQ(from_sweep.str(), direct) << archs.size() << " archs";
+    EXPECT_EQ(from_sweep.document(), direct) << archs.size() << " archs";
   }
 }
 
@@ -226,15 +219,14 @@ TEST(Trace, MultinodeRunEmitsCollectivesSpan) {
 }
 
 TEST(Trace, FinishIsIdempotentAndCountsEvents) {
-  std::ostringstream out;
-  trace::ChromeTraceWriter writer(out);
+  trace::ChromeTraceWriter writer;
   writer.track(0, 0, "p", "t");
   writer.span(0, 0, "op", 0.0, 1e-6, {trace::arg("macs", i64{42})});
   writer.counter(0, 0, "occ", 1e-6, Bytes{128});
   writer.finish();
-  const std::string once = out.str();
+  const std::string once = writer.document();
   writer.finish();  // idempotent: no extra bytes
-  EXPECT_EQ(out.str(), once);
+  EXPECT_EQ(writer.document(), once);
   // track() expands to process_name + thread_name metadata events.
   EXPECT_EQ(writer.events(), 4u);
   EXPECT_NO_THROW(sim::json_parse(once));

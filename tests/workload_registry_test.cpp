@@ -127,6 +127,27 @@ TEST(WorkloadRegistry, MalformedParameterValueThrows) {
   EXPECT_THROW(WorkloadRegistry::global().resolve("sddmm:spmm=-1"), Error);
 }
 
+// Integer parameters are plain decimals: a sign, a space, a leading zero or a
+// value past the i64 maximum would otherwise spell a workload a second way
+// ("n=+4" next to "n=4") or wrap, so each is an error naming its key.
+TEST(WorkloadRegistry, IntegerParametersAreStrictDecimals) {
+  for (const char* value : {"+4", "-4", " 4", "4 ", "04", "0x4", "4.0",
+                            "9223372036854775808", "99999999999999999999"}) {
+    const std::string spec = std::string("cg:m=512,iters=1,n=") + value;
+    try {
+      WorkloadRegistry::global().resolve(spec);
+      FAIL() << spec << " resolved";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("parameter 'n'"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  // The largest i64 is still a number; the generator takes any seed.
+  const auto wl =
+      WorkloadRegistry::global().resolve("spmv:gen=fem,m=64,nnz=256,seed=9223372036854775807");
+  EXPECT_EQ(wl.matrix->rows(), 64);
+}
+
 TEST(WorkloadRegistry, ConflictingMatrixSourcesThrow) {
   EXPECT_THROW(WorkloadRegistry::global().resolve("cg:dataset=fv1,mm=a.mtx"), Error);
   EXPECT_THROW(WorkloadRegistry::global().resolve("cg:dataset=fv1,m=100"), Error);
