@@ -9,9 +9,12 @@
 #   keep_going    a persistently failing cell is quarantined (nonzero exit,
 #                 result file still written); --resume completes it
 #   bad_flags     hostile numeric flag values (--sram/--bw/--jobs/--retries/
-#                 --nodes/--trace-cell), --jobs outside sweep and the removed
+#                 --nodes/--trace-cell), a flag outside its command's entry
+#                 (a sweep-only flag on every other command, --config on
+#                 report/classify/merge/workloads, --bw/--sram on classify
+#                 and datasets, --workload on configs) and the removed
 #                 --n/--iters flags are rejected with an `error:` line naming
-#                 the flag
+#                 the flag; every flag a command consumes runs once
 #   bad_files     `merge` over missing, truncated, duplicate and absent shard
 #                 files, over a shard whose arch was edited under its recorded
 #                 fingerprint, `merge` without shard arguments and `run --trace`
@@ -103,6 +106,36 @@ if(FLOW STREQUAL "bad_flags")
   # --jobs sizes the sweep's worker pool; no other command has one.
   cli_rejects(--jobs ${RUN_ARGS} --jobs 1)
   cli(ok ${RUN_ARGS} --nodes 4)
+  cli(ok ${RUN_ARGS} --nodes 4 --topology ring)
+  cli(ok ${SWEEP_ARGS} --bw 500 --sram 8 --shard 1/1 --shard-mode strided)
+  set(SMALL cg:m=512,n=4,iters=1)
+  cli(ok report --workload ${SMALL} --bw 500 --sram 8)
+  cli(ok classify --workload ${SMALL})
+  foreach(command configs workloads datasets)
+    cli(ok ${command})
+  endforeach()
+  # A flag its command does not consume is an error, not a silent no-op:
+  # report always breaks down Cello, classify builds no arch, merge reads
+  # only its files and the listings take nothing.
+  cli_rejects(--config report --workload ${SMALL} --config Flexagon)
+  cli_rejects(--config classify --workload ${SMALL} --config Flexagon --bw 5 --sram 2)
+  cli_rejects(--bw classify --workload ${SMALL} --bw 5)
+  cli_rejects(--sram classify --workload ${SMALL} --sram 2)
+  cli_rejects(--config workloads --config Cello --sram 3)
+  cli_rejects(--workload configs --workload cg --bw 5)
+  cli_rejects(--sram datasets --sram 2)
+  cli_rejects(--config merge out.json a.json --config all)
+  # One sweep-only flag on each other command.
+  cli_rejects(--shard ${RUN_ARGS} --shard 1/2)
+  cli_rejects(--out report --workload ${SMALL} --out r.json)
+  cli_rejects(--checkpoint classify --workload ${SMALL} --checkpoint c.journal)
+  cli_rejects(--keep-going merge out.json a.json --keep-going)
+  cli_rejects(--retries configs --retries 1)
+  cli_rejects(--shard-mode workloads --shard-mode strided)
+  cli_rejects(--trace-cell datasets --trace-cell 0,0)
+  # Without a command the flags belong to run; the first one is read too.
+  cli_rejects(--resume --resume)
+  cli_rejects(--sram --sram 0)
   # The removed legacy spec flags are unknown flags now: n and iters are
   # spec parameters ("cg:n=2,iters=1").
   cli_rejects(--n ${RUN_ARGS} --n 2)
