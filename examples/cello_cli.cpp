@@ -44,11 +44,16 @@
 //                                 (recombine shard files — any order — into the
 //                                  exact row-major file a full single-process
 //                                  sweep of the same grid writes, byte for byte)
-//   ./example_cello_cli classify  [--workload <spec>]
-//   ./example_cello_cli report    [--workload <spec>]      (per-op breakdown)
+//   ./example_cello_cli classify  [--workload <spec>]...   (SCORE edge classes)
+//   ./example_cello_cli report    [--workload <spec>]... [--bw <GB/s>] [--sram <MiB>]
+//                                 (Cello per-op and per-tensor breakdown)
 //   ./example_cello_cli workloads (list registered workload kinds + parameters)
 //   ./example_cello_cli configs   (list registry entries)
-//   ./example_cello_cli datasets
+//   ./example_cello_cli datasets  (list the Table VI datasets)
+//
+// Each command takes exactly the flags listed under it (merge and the three
+// listings take none); any other flag is an error naming it.  Without a
+// command the arguments are run's.
 //
 // Every workload parameter (dataset, matrix file, block width, iterations)
 // is a spec parameter: "cg:dataset=fv1,n=4,iters=3", "spmv:mm=file.mtx".
@@ -57,7 +62,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -65,6 +69,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cello/cello.hpp"
@@ -127,62 +132,90 @@ double parse_positive(const char* flag, const std::string& text) {
   return value;
 }
 
+/// One command: the flags it consumes and whether it takes file arguments.
+/// parse() refuses every other flag, so a flag the command would ignore
+/// ("report --config Flexagon" still breaks down Cello) never passes
+/// silently.
+struct Command {
+  std::string_view name;
+  std::vector<std::string_view> flags;
+  bool files = false;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"run", {"--workload", "--config", "--bw", "--sram", "--nodes", "--topology", "--trace"}},
+      {"sweep",
+       {"--workload", "--config", "--bw", "--sram", "--jobs", "--nodes", "--topology", "--shard",
+        "--shard-mode", "--out", "--checkpoint", "--resume", "--keep-going", "--retries",
+        "--trace", "--trace-cell"}},
+      {"report", {"--workload", "--bw", "--sram"}},
+      {"classify", {"--workload"}},
+      {"merge", {}, /*files=*/true},
+      {"configs", {}},
+      {"workloads", {}},
+      {"datasets", {}},
+  };
+  return table;
+}
+
+bool takes(const Command& command, std::string_view flag) {
+  return std::find(command.flags.begin(), command.flags.end(), flag) != command.flags.end();
+}
+
 Options parse(int argc, char** argv) {
   Options o;
-  if (argc > 1 && argv[1][0] != '-') o.command = argv[1];
-  for (int i = 2; i + 1 < argc + 1; ++i) {
-    auto next = [&](const char* flag) -> std::optional<std::string> {
-      if (std::strcmp(argv[i], flag) != 0) return std::nullopt;
-      if (i + 1 >= argc) throw Error(std::string("flag ") + flag + " expects a value");
-      return std::string(argv[++i]);
-    };
-    if (auto v = next("--workload")) o.workloads.push_back(*v);
-    else if (auto v6 = next("--bw")) o.bw_gbps = parse_positive("--bw", *v6);
+  // Without a command every argument is run's.
+  const int first = argc > 1 && argv[1][0] != '-' ? 2 : 1;
+  if (first == 2) o.command = argv[1];
+  const auto& table = commands();
+  const auto command = std::find_if(table.begin(), table.end(),
+                                    [&](const Command& c) { return c.name == o.command; });
+  if (command == table.end()) throw Error("unknown command: " + o.command);
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg[0] != '-') {
+      if (!command->files) throw Error("unexpected argument: " + arg);
+      o.positional.push_back(arg);
+      continue;
+    }
+    // A typo'd flag ("--shards 2/3") must not silently run a different sweep
+    // whose mistake only surfaces at merge time.
+    if (std::none_of(table.begin(), table.end(), [&](const Command& c) { return takes(c, arg); }))
+      throw Error("unknown flag: " + arg);
+    if (!takes(*command, arg))
+      throw Error(arg + " does not apply to the " + o.command + " command");
+    if (arg == "--resume") {
+      o.resume = true;
+      continue;
+    }
+    if (arg == "--keep-going") {
+      o.keep_going = true;
+      continue;
+    }
+    if (i + 1 >= argc) throw Error("flag " + arg + " expects a value");
+    const std::string value = argv[++i];
+    if (arg == "--workload") o.workloads.push_back(value);
+    else if (arg == "--bw") o.bw_gbps = parse_positive("--bw", value);
     // MiB: the byte count (x 2^20) must still fit in Bytes.
-    else if (auto v7 = next("--sram")) o.sram_mib = parse_uint("--sram", *v7, 1, ~Bytes{0} >> 20);
-    else if (auto v8 = next("--config")) o.config = *v8;
-    else if (auto v9 = next("--jobs"))
-      o.jobs = static_cast<u32>(parse_uint("--jobs", *v9, 0, ~u32{0}));
-    else if (auto vn = next("--nodes")) o.nodes = *vn;
-    else if (auto vt = next("--topology")) o.topology = *vt;
-    else if (auto v10 = next("--shard")) o.shard = *v10;
-    else if (auto v11 = next("--shard-mode")) o.shard_mode = *v11;
-    else if (auto v12 = next("--out")) o.out = *v12;
-    else if (auto v13 = next("--checkpoint")) o.checkpoint = *v13;
-    else if (auto v14 = next("--retries"))
-      o.retries = static_cast<u32>(parse_uint("--retries", *v14, 0, ~u32{0}));
-    else if (auto v15 = next("--trace")) o.trace = *v15;
-    else if (auto v16 = next("--trace-cell")) o.trace_cells.push_back(*v16);
-    else if (std::strcmp(argv[i], "--resume") == 0) o.resume = true;
-    else if (std::strcmp(argv[i], "--keep-going") == 0) o.keep_going = true;
-    else if (argv[i][0] == '-')
-      // A typo'd flag ("--shards 2/3") must not silently run a different
-      // sweep whose mistake only surfaces at merge time; a known flag with
-      // its value missing throws from next() above.
-      throw Error(std::string("unknown flag: ") + argv[i]);
-    else o.positional.push_back(argv[i]);
+    else if (arg == "--sram") o.sram_mib = parse_uint("--sram", value, 1, ~Bytes{0} >> 20);
+    else if (arg == "--config") o.config = value;
+    else if (arg == "--jobs") o.jobs = static_cast<u32>(parse_uint("--jobs", value, 0, ~u32{0}));
+    else if (arg == "--nodes") o.nodes = value;
+    else if (arg == "--topology") o.topology = value;
+    else if (arg == "--shard") o.shard = value;
+    else if (arg == "--shard-mode") o.shard_mode = value;
+    else if (arg == "--out") o.out = value;
+    else if (arg == "--checkpoint") o.checkpoint = value;
+    else if (arg == "--retries")
+      o.retries = static_cast<u32>(parse_uint("--retries", value, 0, ~u32{0}));
+    else if (arg == "--trace") o.trace = value;
+    else if (arg == "--trace-cell") o.trace_cells.push_back(value);
   }
-  if (o.command != "merge" && !o.positional.empty())
-    throw Error("unexpected argument: " + o.positional.front());
-  // Flags a command does not consume are rejected rather than silently
-  // ignored ("run --out x.json" must not print a table and write nothing;
-  // "merge --workload gnn" must not merge an unrelated grid without comment).
-  if (o.command != "sweep" && (o.shard || o.out || o.shard_mode))
-    throw Error("--shard/--shard-mode/--out apply only to the sweep command");
-  if (o.command != "sweep" &&
-      (o.jobs || o.checkpoint || o.resume || o.keep_going || o.retries != 0))
-    throw Error(
-        "--jobs/--checkpoint/--resume/--keep-going/--retries apply only to the sweep command");
-  if ((o.nodes || o.topology) && o.command != "sweep" && o.command != "run")
-    throw Error("--nodes/--topology apply only to the run and sweep commands");
   if (o.topology && !o.nodes)
     throw Error("--topology needs --nodes to know how many chips to lay out");
   if (o.resume && !o.checkpoint)
     throw Error("--resume needs --checkpoint <journal> to know what to resume from");
-  if (o.trace && o.command != "run" && o.command != "sweep")
-    throw Error("--trace applies only to the run and sweep commands");
-  if (!o.trace_cells.empty() && o.command != "sweep")
-    throw Error("--trace-cell applies only to the sweep command");
   if (!o.trace_cells.empty() && !o.trace)
     throw Error("--trace-cell needs --trace <out.json> for the events to land in");
   if (o.command == "sweep" && o.trace && o.trace_cells.empty())
@@ -190,15 +223,12 @@ Options parse(int argc, char** argv) {
   if (std::find(o.trace_cells.begin(), o.trace_cells.end(), "all") != o.trace_cells.end() &&
       o.trace_cells.size() != 1)
     throw Error("--trace-cell all already traces every cell: pass it alone");
-  if (o.trace && o.command != "sweep") {
+  if (o.command == "run" && o.trace) {
     if (o.workloads.size() > 1)
       throw Error("--trace records one run: pass exactly one --workload");
     if (o.config == "all")
       throw Error("--trace records one run: pick a single --config (not 'all')");
   }
-  if (o.command == "merge" &&
-      (!o.workloads.empty() || o.bw_gbps || o.sram_mib || o.config != "all"))
-    throw Error("merge takes only file arguments: merge <out.json> <shard.json>...");
   if (o.workloads.empty()) o.workloads.push_back("cg");
   return o;
 }
@@ -401,14 +431,6 @@ int run_cli(int argc, char** argv) {
 
   // Pure file-to-file recombination: no workloads are built or simulated.
   if (o.command == "merge") return merge_command(o);
-
-  // Validate the command before building workloads: a typo must not trigger
-  // (or mask its error behind) DAG and matrix construction.
-  if (o.command != "classify" && o.command != "report" && o.command != "sweep" &&
-      o.command != "run") {
-    std::cerr << "unknown command: " << o.command << "\n";
-    return 1;
-  }
 
   sim::AcceleratorConfig arch;
   arch.dram_bytes_per_sec = o.bw_gbps.value_or(1000) * 1e9;
