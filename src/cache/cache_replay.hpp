@@ -85,6 +85,8 @@ struct SpanStream {
   }
   /// Close the open step: it owns the spans pushed since the last close.
   void end_step() { op_end.push_back(static_cast<u32>(addr.size())); }
+
+  bool operator==(const SpanStream&) const = default;
 };
 
 namespace detail {

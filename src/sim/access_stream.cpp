@@ -91,24 +91,6 @@ Period find_period(const std::vector<Sig>& sig) {
 
 }  // namespace
 
-u64 AccessStream::fingerprint() const {
-  Sig s;
-  s.mix(line_bytes);
-  s.mix(rf_bytes);
-  s.mix(schedule_steps);
-  s.mix(prefix_steps);
-  s.mix(period_steps);
-  s.mix(period_count);
-  s.mix(suffix_steps);
-  s.mix(min_addr);
-  s.mix(max_addr);
-  for (Addr a : addr) s.mix(a);
-  for (u32 l : len) s.mix(l);
-  for (u8 w : write) s.mix(w);
-  for (u32 e : op_end) s.mix(e);
-  return s.a ^ (s.b * 0x9e3779b97f4a7c15ull);
-}
-
 AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedule& sched,
                                    const AddressMap& map, const sparse::CsrMatrix* matrix,
                                    const AcceleratorConfig& arch, const Router& router) {

@@ -47,9 +47,8 @@ struct AccessStream : cache::SpanStream {
     return line_bytes == arch.line_bytes && rf_bytes == arch.rf_bytes;
   }
 
-  /// Order-sensitive digest of the full stream (header + every span array);
-  /// two captures of the same slot are identical iff fingerprints match.
-  u64 fingerprint() const;
+  /// Field for field: equal streams replay identically under any arch.
+  bool operator==(const AccessStream&) const = default;
 
   /// Derive the stream for one (dag, schedule, map, router) slot.  `matrix`
   /// may be null (synthetic gather); `router` must be built over the same

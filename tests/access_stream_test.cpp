@@ -208,7 +208,7 @@ TEST(AccessStream, SuppliedStreamMatchesSelfCapture) {
   }
 }
 
-// Two captures of the same slot must be identical — fingerprint and every
+// Two captures of the same slot must be identical — as a whole and in every
 // header/array field — and the synthetic-CG stream must actually be periodic
 // (otherwise the fast-forward path is silently untested).
 TEST(AccessStream, CaptureIsDeterministic) {
@@ -225,7 +225,7 @@ TEST(AccessStream, CaptureIsDeterministic) {
   const AccessStream a = AccessStream::capture(dag, sched, map, nullptr, arch, router);
   const AccessStream b = AccessStream::capture(dag, sched, map, nullptr, arch, router);
 
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  EXPECT_EQ(a, b);
   EXPECT_EQ(a.line_bytes, b.line_bytes);
   EXPECT_EQ(a.rf_bytes, b.rf_bytes);
   EXPECT_EQ(a.schedule_steps, b.schedule_steps);
