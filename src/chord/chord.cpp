@@ -48,19 +48,6 @@ Bytes ChordBuffer::resident_bytes(i32 tensor_id) const {
   return e ? e->resident_bytes() : 0;
 }
 
-std::optional<RiffEntry> ChordBuffer::entry(i32 tensor_id) const {
-  const RiffEntry* e = find(tensor_id);
-  return e ? std::optional<RiffEntry>(*e) : std::nullopt;
-}
-
-void ChordBuffer::update_reuse(i32 tensor_id, i32 remaining_uses, i64 next_use_distance) {
-  if (RiffEntry* e = find(tensor_id)) {
-    e->freq = remaining_uses;
-    e->dist = next_use_distance;
-    ++stats_.metadata_updates;
-  }
-}
-
 void ChordBuffer::retire(i32 tensor_id) {
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [&](const RiffEntry& e) { return e.id == tensor_id; });

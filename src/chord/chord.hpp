@@ -19,7 +19,6 @@
 // collects SRAM/DRAM traffic for the Table IV configurations.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,8 +87,6 @@ class ChordBuffer {
               u32 max_entries = 64);
 
   // ---- SCORE interface (coarse-grained explicit) ---------------------------
-  /// Refresh a tensor's reuse metadata (called as the schedule advances).
-  void update_reuse(i32 tensor_id, i32 remaining_uses, i64 next_use_distance);
   /// The tensor's last consumer has run: release its residency.
   void retire(i32 tensor_id);
 
@@ -108,7 +105,6 @@ class ChordBuffer {
   Bytes occupied_bytes() const;
   Bytes free_bytes() const { return capacity_ - occupied_bytes(); }
   Bytes resident_bytes(i32 tensor_id) const;
-  std::optional<RiffEntry> entry(i32 tensor_id) const;
   const std::vector<RiffEntry>& entries() const { return entries_; }
   const ChordStats& stats() const { return stats_; }
 

@@ -117,13 +117,6 @@ std::vector<OpId> TensorDag::longest_path(OpId src, OpId dst) const {
   return path;
 }
 
-i64 TensorDag::schedule_distance(const Edge& e, const std::vector<OpId>& order) const {
-  std::vector<i64> pos(ops_.size(), -1);
-  for (size_t i = 0; i < order.size(); ++i) pos[order[i]] = static_cast<i64>(i);
-  CELLO_CHECK(pos[e.src] >= 0 && pos[e.dst] >= 0);
-  return pos[e.dst] - pos[e.src];
-}
-
 std::string TensorDag::to_dot() const {
   std::ostringstream os;
   os << "digraph cello {\n  rankdir=LR;\n";

@@ -93,11 +93,6 @@ class TensorDag {
   /// True iff a longer path than the direct edge exists (footnote 5).
   bool is_transitive(const Edge& e) const { return longest_path_len(e.src, e.dst) > 1; }
 
-  /// Number of scheduled steps between the edge's endpoints under `order`
-  /// (positions are indices into `order`).  An edge spanning more than one
-  /// step cannot be serviced by simple producer/consumer pipelining.
-  i64 schedule_distance(const Edge& e, const std::vector<OpId>& order) const;
-
   /// Graphviz DOT with nodes annotated by dominance (Fig. 7 style).
   std::string to_dot() const;
 

@@ -103,7 +103,7 @@ TEST(Riff, DistanceBeatsFrequency) {
 TEST(Riff, DeadTensorLosesToEverything) {
   ChordBuffer buf(1024, 16, true);
   buf.write_tensor(meta(0, 1024, /*uses=*/3, /*dist=*/2));
-  buf.update_reuse(0, /*remaining=*/0, /*dist=*/-1);  // now dead
+  buf.read_tensor(meta(0, 1024, /*remaining=*/0, /*dist=*/-1));  // last read: now dead
   const auto r = buf.write_tensor(meta(1, 512, 1, 8));
   EXPECT_EQ(r.sram_bytes, 512u);
   EXPECT_EQ(buf.resident_bytes(0), 512u);
@@ -143,7 +143,7 @@ TEST(Chord, RetireFreesSpace) {
   EXPECT_EQ(buf.free_bytes(), 0u);
   buf.retire(0);
   EXPECT_EQ(buf.free_bytes(), 1024u);
-  EXPECT_FALSE(buf.entry(0).has_value());
+  EXPECT_TRUE(buf.entries().empty());
 }
 
 TEST(Chord, RewriteOverwritesInPlace) {
@@ -170,14 +170,17 @@ TEST(Chord, IndexTableBookkeeping) {
   ChordBuffer buf(4096, 16, true);
   buf.write_tensor(meta(0, 1024, 4, 2));
   buf.write_tensor(meta(1, 512, 3, 1));
-  const auto e0 = buf.entry(0), e1 = buf.entry(1);
-  ASSERT_TRUE(e0 && e1);
-  EXPECT_EQ(e0->start_index, 0);
-  EXPECT_EQ(e0->end_index, 256);  // 1024 B / 4 B words
-  EXPECT_EQ(e1->start_index, 256);
-  EXPECT_EQ(e1->end_index, 384);
-  EXPECT_EQ(e0->end_chord, e0->start_tensor + 1024);
-  EXPECT_EQ(e0->end_tensor, e0->start_tensor + 1024);
+  ASSERT_EQ(buf.entries().size(), 2u);
+  const chord::RiffEntry& e0 = buf.entries()[0];
+  const chord::RiffEntry& e1 = buf.entries()[1];
+  EXPECT_EQ(e0.id, 0);
+  EXPECT_EQ(e1.id, 1);
+  EXPECT_EQ(e0.start_index, 0);
+  EXPECT_EQ(e0.end_index, 256);  // 1024 B / 4 B words
+  EXPECT_EQ(e1.start_index, 256);
+  EXPECT_EQ(e1.end_index, 384);
+  EXPECT_EQ(e0.end_chord, e0.start_tensor + 1024);
+  EXPECT_EQ(e0.end_tensor, e0.start_tensor + 1024);
 }
 
 TEST(Chord, StatsTrafficConservation) {

@@ -238,13 +238,6 @@ TEST(TensorDag, TransitiveEdgeDetection) {
   EXPECT_FALSE(f.dag.is_transitive(f.dag.edge(0)));
 }
 
-TEST(TensorDag, ScheduleDistance) {
-  DiamondFixture f;
-  const auto order = f.dag.topo_order();
-  EXPECT_EQ(f.dag.schedule_distance(f.dag.edge(f.shortcut), order), 3);
-  EXPECT_EQ(f.dag.schedule_distance(f.dag.edge(0), order), 1);
-}
-
 TEST(TensorDag, ConsumersAndProducer) {
   DiamondFixture f;
   const auto ta = f.dag.op(f.a).output;
