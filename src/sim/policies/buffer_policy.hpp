@@ -52,7 +52,6 @@ class BufferPolicy {
  public:
   virtual ~BufferPolicy() = default;
 
-  virtual const char* name() const = 0;
   virtual bool trace_driven() const { return false; }
 
   // ---- analytic interface (tensor granularity) -----------------------------
@@ -70,7 +69,7 @@ class BufferPolicy {
   /// trace-driven.
   virtual void replay(const AccessStream& /*stream*/,
                       std::vector<BufferService>& /*services*/) {
-    throw Error(std::string(name()) + " is not trace-driven: it has no stream replay");
+    throw Error("this buffer policy is not trace-driven: it has no stream replay");
   }
 
   /// Bytes of on-chip buffer capacity currently holding live data: pinned /

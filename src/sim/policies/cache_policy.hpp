@@ -18,10 +18,8 @@ class CachePolicy final : public BufferPolicy {
  public:
   CachePolicy(const AcceleratorConfig& arch, cache::Policy replacement)
       : arch_(arch),
-        replacement_(replacement),
         cache_(arch.sram_bytes, arch.line_bytes, arch.cache_associativity, replacement) {}
 
-  const char* name() const override { return cache::to_string(replacement_); }
   bool trace_driven() const override { return true; }
 
   /// Requires a stream compatible with this policy's arch and a freshly
@@ -42,7 +40,6 @@ class CachePolicy final : public BufferPolicy {
 
  private:
   AcceleratorConfig arch_;
-  cache::Policy replacement_;
   cache::SetAssocCache cache_;
 };
 

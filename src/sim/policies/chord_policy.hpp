@@ -11,10 +11,7 @@ namespace cello::sim {
 class ChordPolicy final : public BufferPolicy {
  public:
   ChordPolicy(const AcceleratorConfig& arch, bool enable_riff)
-      : riff_(enable_riff),
-        buf_(arch.sram_bytes, arch.line_bytes, enable_riff, arch.chord_entries) {}
-
-  const char* name() const override { return riff_ ? "CHORD" : "PRELUDE"; }
+      : buf_(arch.sram_bytes, arch.line_bytes, enable_riff, arch.chord_entries) {}
 
   BufferService read_tensor(const chord::TensorMeta& t) override;
   BufferService write_tensor(const chord::TensorMeta& t) override;
@@ -30,7 +27,6 @@ class ChordPolicy final : public BufferPolicy {
   const chord::ChordBuffer& buffer() const { return buf_; }
 
  private:
-  bool riff_;
   chord::ChordBuffer buf_;
 };
 

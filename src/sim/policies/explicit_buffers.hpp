@@ -11,8 +11,6 @@ class ExplicitBuffersPolicy final : public BufferPolicy {
  public:
   explicit ExplicitBuffersPolicy(const AcceleratorConfig& arch) : arch_(arch) {}
 
-  const char* name() const override { return "explicit"; }
-
   BufferService read_tensor(const chord::TensorMeta& t) override;
   BufferService write_tensor(const chord::TensorMeta& t) override;
 

@@ -39,8 +39,6 @@ class KvCachePolicy final : public BufferPolicy {
  public:
   explicit KvCachePolicy(const AcceleratorConfig& arch) : arch_(arch) {}
 
-  const char* name() const override { return "KV-cache"; }
-
   BufferService read_tensor(const chord::TensorMeta& t) override;
   BufferService write_tensor(const chord::TensorMeta& t) override;
   void retire(i32 base_id) override;
