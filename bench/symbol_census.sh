@@ -15,8 +15,9 @@
 # it is listed here although its code runs.  Read each entry before deleting.
 #
 # Above the lists it prints the line counts of src/ (in total and per
-# top-level directory, so a shrink shows which layer it cut) and tests/*.cpp,
-# the size trajectory the census is meant to shrink.
+# top-level directory, so a shrink shows which layer it cut), of the
+# examples/ and bench/ programs built on it, and of tests/*.cpp: the size
+# trajectory the census is meant to shrink.
 #
 # Usage: bench/symbol_census.sh [build-dir]
 #   build-dir  reused (and kept) when given; a temporary directory otherwise
@@ -56,8 +57,13 @@ def lines(paths):
     return total
 
 
-src_files = [p for p in glob.glob(os.path.join(repo, "src", "**", "*"), recursive=True)
-             if os.path.isfile(p)]
+def tree(name):
+    """Every file under repo/name, recursively."""
+    return [p for p in glob.glob(os.path.join(repo, name, "**", "*"), recursive=True)
+            if os.path.isfile(p)]
+
+
+src_files = tree("src")
 print(f"src/: {lines(src_files)} lines in {len(src_files)} files")
 by_dir = {}
 for path in src_files:
@@ -65,6 +71,9 @@ for path in src_files:
     by_dir.setdefault(top, []).append(path)
 for top in sorted(by_dir):
     print(f"  src/{top}: {lines(by_dir[top])}")
+for name in ("examples", "bench"):
+    files = tree(name)
+    print(f"{name}/: {lines(files)} lines in {len(files)} files")
 print(f"tests/*.cpp: {lines(glob.glob(os.path.join(repo, 'tests', '*.cpp')))} lines\n")
 
 
