@@ -28,11 +28,10 @@
 //                                  out.cell<N>.json, N the flattened
 //                                  row-major cell id)
 //                                 (every registered config, or the one
-//                                  --config names; parallel SweepRunner;
-//                                  one immutable DAG/schedule per workload row;
-//                                  --shard runs one deterministic slice of the
-//                                  grid, --out writes a machine-readable,
-//                                  bit-exact result file instead of a table.
+//                                  --config names; --shard runs one
+//                                  deterministic slice of the grid, --out
+//                                  writes a machine-readable, bit-exact
+//                                  result file instead of a table.
 //                                  --checkpoint journals each completed cell
 //                                  crash-safely; --resume continues a killed
 //                                  run from its journal, byte-identical to an
@@ -46,14 +45,11 @@
 //                                  sweep of the same grid writes, byte for byte)
 //   ./example_cello_cli classify  [--workload <spec>]...   (SCORE edge classes)
 //   ./example_cello_cli report    [--workload <spec>]... [--bw <GB/s>] [--sram <MiB>]
-//                                 (Cello per-op and per-tensor breakdown)
 //   ./example_cello_cli workloads (list registered workload kinds + parameters)
 //   ./example_cello_cli configs   (list registry entries)
 //   ./example_cello_cli datasets  (list the Table VI datasets)
 //
-// Each command takes exactly the flags listed under it (merge and the three
-// listings take none); any other flag is an error naming it.  Without a
-// command the arguments are run's.
+// Any flag not listed under its command is an error; no command means run.
 //
 // Every workload parameter (dataset, matrix file, block width, iterations)
 // is a spec parameter: "cg:dataset=fv1,n=4,iters=3", "spmv:mm=file.mtx".
@@ -67,7 +63,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,45 +128,36 @@ double parse_positive(const char* flag, const std::string& text) {
 }
 
 /// One command: the flags it consumes and whether it takes file arguments.
-/// parse() refuses every other flag, so a flag the command would ignore
-/// ("report --config Flexagon" still breaks down Cello) never passes
-/// silently.
+/// parse() refuses every other flag: one the command would ignore ("report
+/// --config Flexagon" still breaks down Cello) must not pass silently.
 struct Command {
   std::string_view name;
   std::vector<std::string_view> flags;
   bool files = false;
+  bool takes(std::string_view flag) const { return std::ranges::find(flags, flag) != flags.end(); }
 };
 
-const std::vector<Command>& commands() {
-  static const std::vector<Command> table = {
-      {"run", {"--workload", "--config", "--bw", "--sram", "--nodes", "--topology", "--trace"}},
-      {"sweep",
-       {"--workload", "--config", "--bw", "--sram", "--jobs", "--nodes", "--topology", "--shard",
-        "--shard-mode", "--out", "--checkpoint", "--resume", "--keep-going", "--retries",
-        "--trace", "--trace-cell"}},
-      {"report", {"--workload", "--bw", "--sram"}},
-      {"classify", {"--workload"}},
-      {"merge", {}, /*files=*/true},
-      {"configs", {}},
-      {"workloads", {}},
-      {"datasets", {}},
-  };
-  return table;
-}
-
-bool takes(const Command& command, std::string_view flag) {
-  return std::find(command.flags.begin(), command.flags.end(), flag) != command.flags.end();
-}
+const std::vector<Command> kCommands = {
+    {"run", {"--workload", "--config", "--bw", "--sram", "--nodes", "--topology", "--trace"}},
+    {"sweep",
+     {"--workload", "--config", "--bw", "--sram", "--jobs", "--nodes", "--topology", "--shard",
+      "--shard-mode", "--out", "--checkpoint", "--resume", "--keep-going", "--retries", "--trace",
+      "--trace-cell"}},
+    {"report", {"--workload", "--bw", "--sram"}},
+    {"classify", {"--workload"}},
+    {"merge", {}, /*files=*/true},
+    {"configs", {}},
+    {"workloads", {}},
+    {"datasets", {}},
+};
 
 Options parse(int argc, char** argv) {
   Options o;
-  // Without a command every argument is run's.
   const int first = argc > 1 && argv[1][0] != '-' ? 2 : 1;
   if (first == 2) o.command = argv[1];
-  const auto& table = commands();
-  const auto command = std::find_if(table.begin(), table.end(),
-                                    [&](const Command& c) { return c.name == o.command; });
-  if (command == table.end()) throw Error("unknown command: " + o.command);
+  const auto command =
+      std::ranges::find_if(kCommands, [&](const Command& c) { return c.name == o.command; });
+  if (command == kCommands.end()) throw Error("unknown command: " + o.command);
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg[0] != '-') {
@@ -181,16 +167,12 @@ Options parse(int argc, char** argv) {
     }
     // A typo'd flag ("--shards 2/3") must not silently run a different sweep
     // whose mistake only surfaces at merge time.
-    if (std::none_of(table.begin(), table.end(), [&](const Command& c) { return takes(c, arg); }))
+    if (std::ranges::none_of(kCommands, [&](const Command& c) { return c.takes(arg); }))
       throw Error("unknown flag: " + arg);
-    if (!takes(*command, arg))
+    if (!command->takes(arg))
       throw Error(arg + " does not apply to the " + o.command + " command");
-    if (arg == "--resume") {
-      o.resume = true;
-      continue;
-    }
-    if (arg == "--keep-going") {
-      o.keep_going = true;
+    if (arg == "--resume" || arg == "--keep-going") {
+      (arg == "--resume" ? o.resume : o.keep_going) = true;
       continue;
     }
     if (i + 1 >= argc) throw Error("flag " + arg + " expects a value");
@@ -566,6 +548,9 @@ int run_cli(int argc, char** argv) {
       return 0;
     }
 
+    // run's --config ('all' = the comparison table), before any DAG builds.
+    const sim::Configuration* config =
+        o.config == "all" ? nullptr : &sim::ConfigRegistry::global().at(o.config);
     // Resolve through the registry: each distinct spec's DAG is built once
     // and shared immutably with every command below.
     std::vector<sim::Workload> workloads;
@@ -596,14 +581,6 @@ int run_cli(int argc, char** argv) {
       return 0;
     }
     // run
-    const sim::Configuration* config =
-        o.config == "all" ? nullptr : sim::ConfigRegistry::global().find(o.config);
-    if (o.config != "all" && config == nullptr) {
-      std::cerr << "unknown config: " << o.config << " (use 'all' or one of:";
-      for (const auto& name : sim::ConfigRegistry::global().names()) std::cerr << " " << name;
-      std::cerr << ")\n";
-      return 1;
-    }
     for (const sim::Workload& wl : workloads) {
       print_workload(wl);
       if (config == nullptr) {
